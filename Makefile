@@ -46,7 +46,9 @@ vet-self:
 # trace-check proves flight-recorder determinism end to end through the
 # real binaries: record the same observed run twice with ascoma-sim and
 # require the trace files to be byte-identical, then decode one with
-# ascoma-inspect so a codec regression fails loudly.
+# ascoma-inspect so a codec regression fails loudly. The reference round
+# does the same for a trace carrying the workload's reference streams
+# (-refs), then replays it (-replay).
 trace-check:
 	$(GO) build -o .bin/ascoma-sim ./cmd/ascoma-sim
 	$(GO) build -o .bin/ascoma-inspect ./cmd/ascoma-inspect
@@ -58,6 +60,11 @@ trace-check:
 	.bin/ascoma-sim -arch ascoma -workload radix -pressure 70 -scale 16 -tiers 30:40:60,70:120:300 -pagepolicy hybrid -trace .bin/trace-tb -epoch 5000 >/dev/null
 	cmp .bin/trace-ta .bin/trace-tb
 	.bin/ascoma-inspect summary .bin/trace-ta >/dev/null
+	.bin/ascoma-sim -workload radix -scale 16 -trace .bin/trace-ra -refs >/dev/null
+	.bin/ascoma-sim -workload radix -scale 16 -trace .bin/trace-rb -refs >/dev/null
+	cmp .bin/trace-ra .bin/trace-rb
+	.bin/ascoma-sim -replay .bin/trace-ra >/dev/null
+	.bin/ascoma-inspect summary .bin/trace-ra >/dev/null
 
 # parallel-check proves the parallel core's exactness end to end through
 # the real binary: the same observed run at -cores 1 and -cores 4 must
@@ -108,9 +115,11 @@ race:
 
 # fuzz-smoke runs each fuzz target briefly over its seeded corpus plus a
 # few seconds of generated inputs — a CI-sized differential check that the
-# compiled workload streams still match the interpreted reference.
+# compiled workload streams still match the interpreted reference, and that
+# the trace decoder turns any input into a clean error or a canonical trace.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCompiledMatchesInterpreted -fuzztime 10s ./internal/workload
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecording$$' -fuzztime 10s ./internal/obs
 
 clean:
 	$(GO) clean ./...

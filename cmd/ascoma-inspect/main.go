@@ -1,7 +1,8 @@
 // Command ascoma-inspect decodes a binary flight-recorder trace written by
 // ascoma-sim -trace, sweep -trace, or ascoma.WriteTrace, and renders it as
-// a human-readable summary (with ASCII sparklines over the epoch series) or
-// as CSV for downstream analysis. Decoding is strict: a truncated or
+// a human-readable summary (with ASCII sparklines over the epoch series and,
+// for ascoma-sim -refs traces, per-node reference counts by op) or as CSV
+// for downstream analysis. Decoding is strict: a truncated or
 // corrupted trace fails with a clear error instead of partial output.
 //
 // Usage:
@@ -18,6 +19,7 @@ import (
 	"sort"
 
 	"ascoma/internal/obs"
+	"ascoma/internal/workload"
 )
 
 func main() {
@@ -78,6 +80,22 @@ func summary(path string, rec *obs.Recording) {
 		}
 	} else {
 		fmt.Println("events: none recorded")
+	}
+
+	if t := rec.Refs; t != nil {
+		fmt.Printf("refs: %q, %d nodes, %d home pages/node, %d private pages/node, %d placed pages\n",
+			t.TraceName, t.NumNodes, t.HomePages, t.PrivPages, len(t.Placement))
+		for n, refs := range t.Refs {
+			var ops [workload.Unlock + 1]int
+			for _, r := range refs {
+				ops[r.Op]++
+			}
+			fmt.Printf("  node %d: %d refs (%d reads, %d writes, %d barriers, %d locks, %d unlocks)\n",
+				n, len(refs), ops[workload.Read], ops[workload.Write], ops[workload.Barrier],
+				ops[workload.Lock], ops[workload.Unlock])
+		}
+	} else {
+		fmt.Println("refs: none recorded")
 	}
 
 	ep := rec.Epochs

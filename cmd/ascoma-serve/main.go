@@ -15,7 +15,6 @@
 //	GET    /cache/v1/{key}         peer protocol: serve this worker's cached results
 //	GET    /healthz
 //	GET    /metrics                Prometheus text exposition
-//	GET    /debug/vars             per-server expvar shim (legacy consumers)
 //	GET    /debug/pprof/...        live profiling; only registered with -pprof
 //
 // Identical concurrent requests collapse onto one simulation — including

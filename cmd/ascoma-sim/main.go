@@ -5,6 +5,8 @@
 // Usage:
 //
 //	ascoma-sim -arch ascoma -workload radix -pressure 70 [-scale 4] [-v]
+//	ascoma-sim -workload radix -scale 8 -trace radix.trace -refs   # save the reference streams
+//	ascoma-sim -replay radix.trace -arch rnuma -pressure 90         # re-run them bit-identically
 package main
 
 import (
@@ -15,8 +17,10 @@ import (
 	"strings"
 
 	"ascoma"
+	"ascoma/internal/obs"
 	"ascoma/internal/prof"
 	"ascoma/internal/stats"
+	"ascoma/internal/workload"
 )
 
 func main() {
@@ -34,6 +38,8 @@ func main() {
 	quantum := flag.Int64("quantum", 0, "cycles per node timeslice (0 = the 100-cycle default; changes simulated results)")
 	tiers := flag.String("tiers", "", "memory tiers as capPct:readCycles:writeCycles,... fastest first (empty = flat memory)")
 	pagePolicy := flag.String("pagepolicy", "", "DRAM row-buffer page policy: open, closed, hybrid (empty = off)")
+	refs := flag.Bool("refs", false, "with -trace, also store the run's reference streams in the trace file (replay with -replay)")
+	replay := flag.String("replay", "", "simulate the reference streams stored in this trace file instead of -workload/-scale")
 	flag.Parse()
 
 	a, err := ascoma.ParseArch(*arch)
@@ -46,29 +52,52 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	var gen ascoma.Generator
+	if *replay != "" {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "workload" || f.Name == "scale" {
+				fmt.Fprintf(os.Stderr, "ascoma-sim: -%s has no effect with -replay\n", f.Name)
+				os.Exit(2)
+			}
+		})
+		src, err := obs.ReadFile(*replay)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "ascoma-sim: -replay %s: %v\n", *replay, err)
+			os.Exit(1)
+		}
+		if src.Refs == nil {
+			fmt.Fprintf(os.Stderr, "ascoma-sim: %s holds no reference streams (record them with -refs)\n", *replay)
+			os.Exit(1)
+		}
+		gen = src.Refs
+	} else if gen, err = workload.New(*wl, max(*scale, 1)); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	var rec *ascoma.Recording
+	if *trace != "" {
+		rec = ascoma.NewRecording(0, *epoch)
+		if *refs {
+			rec.Refs = workload.Record(gen)
+		}
+	} else if *epoch != 0 || *refs {
+		fmt.Fprintln(os.Stderr, "ascoma-sim: -epoch and -refs require -trace")
+		os.Exit(2)
+	}
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	var rec *ascoma.Recording
-	if *trace != "" {
-		rec = ascoma.NewRecording(0, *epoch)
-	} else if *epoch != 0 {
-		fmt.Fprintln(os.Stderr, "ascoma-sim: -epoch requires -trace")
-		os.Exit(2)
-	}
-	res, err := ascoma.Run(ascoma.Config{
+	res, err := ascoma.RunGenerator(ascoma.Config{
 		Arch:       a,
-		Workload:   *wl,
 		Pressure:   *pressure,
-		Scale:      *scale,
 		Quantum:    *quantum,
 		Obs:        rec,
 		Cores:      *cores,
 		Tiers:      tierSpecs,
 		PagePolicy: *pagePolicy,
-	})
+	}, gen)
 	if perr := stopProf(); perr != nil {
 		fmt.Fprintln(os.Stderr, perr)
 	}

@@ -18,7 +18,6 @@ package machine
 import (
 	"sync"
 
-	"ascoma/internal/bus"
 	"ascoma/internal/cache"
 	"ascoma/internal/directory"
 	"ascoma/internal/mem"
@@ -72,7 +71,6 @@ func newShaped(sh shape, p *params.Params, tiers []mem.TierSpec, pol mem.Policy)
 			l1:  *cache.NewL1(sh.l1Bytes),
 			rac: cache.NewRAC(sh.racEntries),
 			vmm: vm.New(i, sh.totalPages, p.FreeMinPct, p.FreeTargetPct),
-			bus: *bus.New(p.BusCycles),
 		}
 		// Init/Configure after the node has its final address: small bank
 		// counts store their banks inside the struct itself. The tier
@@ -98,7 +96,7 @@ func (m *Machine) recycle(sh shape, p *params.Params) {
 		nd.rac.Reset()
 		nd.vmm.Reset(sh.totalPages, p.FreeMinPct, p.FreeTargetPct)
 		nd.tlb.reset()
-		nd.bus.Reconfigure(p.BusCycles)
+		nd.bus.Reset()
 		nd.mem.Reset()
 		nd.dir.Reset()
 		nd.blocked = 0

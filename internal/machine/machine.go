@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"ascoma/internal/addr"
-	"ascoma/internal/bus"
 	"ascoma/internal/cache"
 	"ascoma/internal/core"
 	"ascoma/internal/dense"
@@ -146,7 +145,7 @@ type node struct {
 	rac *cache.RAC
 	vmm *vm.VM
 	pol core.Policy
-	bus bus.Bus      // embedded: one transaction per miss, no pointer chase
+	bus sim.Resource // split-transaction memory bus: BusCycles per transaction
 	mem mem.Memory   // embedded: one acquire per miss, no pointer chase
 	dir sim.Resource // directory-controller occupancy at this node
 
@@ -940,7 +939,7 @@ func (m *Machine) classify(nd *node, res directory.FetchResult) {
 //
 //ascoma:hotpath
 func (m *Machine) localAccess(nd *node, pte *vm.PTE, b addr.Block, write bool, now int64) int64 {
-	t := nd.bus.Transaction(now)
+	t := nd.bus.Acquire(now, m.p.BusCycles)
 	if !m.tiered {
 		return nd.mem.Acquire(uint64(b), t, m.p.LocalMemCycles)
 	}
@@ -966,7 +965,7 @@ func (m *Machine) memAcquire(nd *node, b addr.Block, t int64, write bool) int64 
 
 // racAccess models a hit in the DSM controller's remote access cache.
 func (m *Machine) racAccess(nd *node, now int64) int64 {
-	t := nd.bus.Transaction(now)
+	t := nd.bus.Acquire(now, m.p.BusCycles)
 	extra := m.p.RACHitCycles - m.p.BusCycles
 	if extra < 1 {
 		extra = 1
@@ -980,7 +979,7 @@ func (m *Machine) racAccess(nd *node, now int64) int64 {
 func (m *Machine) remoteFetch(nd *node, pte *vm.PTE, b addr.Block, write, haveData bool, now int64) (int64, directory.FetchResult) {
 	p := m.p
 	home := pte.Home
-	t := nd.bus.Transaction(now)
+	t := nd.bus.Acquire(now, p.BusCycles)
 	m.stageWait[0] += t - now - p.BusCycles
 	t += p.DSMProcCycles // requester's DSM engine issues the request
 	t0 := t
@@ -1028,7 +1027,7 @@ func (m *Machine) remoteFetch(nd *node, pte *vm.PTE, b addr.Block, write, haveDa
 		m.stageWait[3] += t - t2 - m.net.Latency(home, nd.id) - p.NetPortOccupancy
 	}
 	t += p.DSMProcCycles // requester's DSM engine stages the reply
-	t = nd.bus.Transaction(t)
+	t = nd.bus.Acquire(t, p.BusCycles)
 	m.fetchCount++
 	m.fetchTotal += t + p.L1HitCycles - now
 	if res.Forwarded {
@@ -1048,7 +1047,7 @@ func (m *Machine) remoteWriteback(nd *node, b addr.Block, now int64) {
 	if home < 0 || home == nd.id {
 		return
 	}
-	t := nd.bus.Transaction(now)
+	t := nd.bus.Acquire(now, m.p.BusCycles)
 	t = m.net.Send(nd.id, home, t)
 	m.memAcquire(m.nodes[home], b, t, true)
 	m.dir.WritebackDirty(nd.id, b)
@@ -1087,7 +1086,7 @@ func (m *Machine) l1Fill(nd *node, line addr.Line, write bool, now int64) {
 		}
 	case vm.ModeNUMA:
 		if nd.rac.Present(vb) {
-			nd.bus.Transaction(now) // absorbed by the RAC
+			nd.bus.Acquire(now, m.p.BusCycles) // absorbed by the RAC
 		} else {
 			m.remoteWriteback(nd, vb, now)
 		}
@@ -1539,5 +1538,5 @@ func (m *Machine) noteThreshold(nd *node) {
 // capacity analysis and tests.
 func (m *Machine) Utilization(i int) (busBusy, memBusy, dirBusy, portBusy int64) {
 	nd := m.nodes[i]
-	return nd.bus.Busy(), nd.mem.Busy(), nd.dir.Busy, m.net.PortBusy(i)
+	return nd.bus.Busy, nd.mem.Busy(), nd.dir.Busy, m.net.PortBusy(i)
 }

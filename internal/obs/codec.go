@@ -4,7 +4,7 @@ package obs
 // Recording. Layout (all integers little-endian or varint):
 //
 //	magic    "ASCOMAFR" (8 bytes)
-//	u32      format version (currently 1)
+//	u32      format version (currently 2)
 //	u32      node count (0 when no epochs were sampled)
 //	u64      epoch interval in cycles (0 = no epoch probes)
 //	u32      event ring capacity (0 = no event recorder)
@@ -18,11 +18,23 @@ package obs
 //	epochs   epoch-count uvarint cycle deltas (epoch stamps ascend),
 //	         then for each probe, for each node, epoch-count
 //	         zigzag-varint deltas along the series
+//	refs     1 byte: 0 = no reference section, 1 = one follows:
+//	           uvarint name length, name bytes,
+//	           uvarint node count (1..64), uvarint home pages per node,
+//	           uvarint private pages per node,
+//	           uvarint placed-page count, then per page in ascending order
+//	           a uvarint delta from the previous page (from 0 for the
+//	           first; later deltas are >= 1) and a uvarint home node,
+//	           then per node a uvarint ref count followed by, per ref,
+//	           1 byte op, zigzag-varint address delta from the node's
+//	           previous ref, zigzag-varint think cycles
 //	u32      IEEE CRC-32 of everything above
 //
 // Delta-varint coding keeps traces compact (adaptation events cluster in
-// time; epoch series move slowly), and the trailing CRC turns any
-// truncation or corruption into a clean decode error. Encoding is a pure
+// time; epoch series move slowly; a node's references stride through
+// nearby addresses), and the trailing CRC turns any truncation or
+// corruption into a clean decode error. Every count is checked against the
+// bytes left before anything is allocated for it. Encoding is a pure
 // function of the Recording's contents, so identical runs produce
 // byte-identical trace files — `make trace-check` diffs two.
 
@@ -32,12 +44,20 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
+
+	"ascoma/internal/addr"
+	"ascoma/internal/workload"
 )
 
 var traceMagic = [8]byte{'A', 'S', 'C', 'O', 'M', 'A', 'F', 'R'}
 
-const traceVersion = 1
+const traceVersion = 2
+
+// maxRefNodes bounds a reference section's node count (the simulator's
+// copysets are 64-bit masks).
+const maxRefNodes = 64
 
 // maxTraceBytes bounds how much ReadRecording will buffer: far above any
 // real trace (the default ring is 64 Ki events), far below an allocation
@@ -117,8 +137,41 @@ func AppendRecording(dst []byte, rec *Recording) []byte {
 		}
 	}
 
+	if rec.Refs == nil {
+		dst = append(dst, 0)
+	} else {
+		dst = appendRefs(append(dst, 1), rec.Refs)
+	}
+
 	crc := crc32.ChecksumIEEE(dst[start:])
 	return binary.LittleEndian.AppendUint32(dst, crc)
+}
+
+// appendRefs appends the reference section body for t.
+func appendRefs(dst []byte, t *workload.Trace) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(t.TraceName)))
+	dst = append(dst, t.TraceName...)
+	dst = binary.AppendUvarint(dst, uint64(t.NumNodes))
+	dst = binary.AppendUvarint(dst, uint64(t.HomePages))
+	dst = binary.AppendUvarint(dst, uint64(t.PrivPages))
+	dst = binary.AppendUvarint(dst, uint64(len(t.Placement)))
+	var prev addr.Page
+	t.Place(func(p addr.Page, home int) {
+		dst = binary.AppendUvarint(dst, uint64(p-prev))
+		dst = binary.AppendUvarint(dst, uint64(home))
+		prev = p
+	})
+	for _, refs := range t.Refs {
+		dst = binary.AppendUvarint(dst, uint64(len(refs)))
+		var prevAddr addr.GVA
+		for _, r := range refs {
+			dst = append(dst, byte(r.Op))
+			dst = binary.AppendUvarint(dst, zigzag(int64(r.Addr-prevAddr)))
+			dst = binary.AppendUvarint(dst, zigzag(int64(r.Think)))
+			prevAddr = r.Addr
+		}
+	}
+	return dst
 }
 
 // WriteRecording encodes rec to w.
@@ -190,6 +243,20 @@ func (d *decoder) uvarint() (uint64, error) {
 	}
 	d.off += n
 	return v, nil
+}
+
+// count reads a uvarint element count and rejects it unless that many
+// elements of at least minBytes each fit in the bytes left, so a corrupt
+// count fails here instead of sizing an allocation.
+func (d *decoder) count(minBytes int) (int, error) {
+	v, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if v > uint64(len(d.buf)-d.off)/uint64(minBytes) {
+		return 0, d.fail("count exceeds payload")
+	}
+	return int(v), nil
 }
 
 func (d *decoder) byte() (byte, error) {
@@ -337,10 +404,118 @@ func DecodeRecording(buf []byte) (*Recording, error) {
 		rec.Epochs = ep
 	}
 
+	switch hasRefs, err := d.byte(); {
+	case err != nil:
+		return nil, err
+	case hasRefs == 1:
+		if rec.Refs, err = d.refs(); err != nil {
+			return nil, err
+		}
+	case hasRefs != 0:
+		return nil, d.fail("bad reference section flag")
+	}
+
 	if d.off != len(d.buf) {
 		return nil, d.fail("trailing bytes")
 	}
 	return rec, nil
+}
+
+// refs decodes a reference section body (see appendRefs).
+func (d *decoder) refs() (*workload.Trace, error) {
+	nameLen, err := d.count(1)
+	if err != nil {
+		return nil, err
+	}
+	name, err := d.bytes(nameLen)
+	if err != nil {
+		return nil, err
+	}
+	var geo [3]uint64 // nodes, home pages, private pages
+	for i := range geo {
+		if geo[i], err = d.uvarint(); err != nil {
+			return nil, err
+		}
+		if geo[i] > math.MaxInt32 {
+			return nil, d.fail("reference geometry overflow")
+		}
+	}
+	if geo[0] < 1 || geo[0] > maxRefNodes {
+		return nil, d.fail("reference node count out of range")
+	}
+	t := &workload.Trace{
+		TraceName: string(name),
+		NumNodes:  int(geo[0]),
+		HomePages: int(geo[1]),
+		PrivPages: int(geo[2]),
+		Refs:      make([][]workload.Ref, geo[0]),
+	}
+	placed, err := d.count(2)
+	if err != nil {
+		return nil, err
+	}
+	t.Placement = make(map[addr.Page]int, placed)
+	var page addr.Page
+	for i := 0; i < placed; i++ {
+		delta, err := d.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if (i > 0 && delta == 0) || page+addr.Page(delta) < page {
+			return nil, d.fail("placement not strictly ascending")
+		}
+		page += addr.Page(delta)
+		if _, ok := page.Index(); !ok {
+			return nil, d.fail("placed page outside the address space")
+		}
+		home, err := d.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if home >= geo[0] {
+			return nil, d.fail("placement home out of range")
+		}
+		t.Placement[page] = int(home)
+	}
+	for n := range t.Refs {
+		count, err := d.count(3)
+		if err != nil {
+			return nil, err
+		}
+		refs := make([]workload.Ref, count)
+		var a addr.GVA
+		for i := range refs {
+			b, err := d.byte()
+			if err != nil {
+				return nil, err
+			}
+			op := workload.Op(b)
+			if op > workload.Unlock {
+				return nil, d.fail("unknown reference op")
+			}
+			da, err := d.uvarint()
+			if err != nil {
+				return nil, err
+			}
+			a += addr.GVA(unzigzag(da))
+			// Barrier and lock refs carry an id in Addr; memory refs must
+			// land in a legal region (the machine indexes their pages).
+			if _, ok := addr.PageOf(a).Index(); !ok && (op == workload.Read || op == workload.Write) {
+				return nil, d.fail("reference outside the address space")
+			}
+			think, err := d.uvarint()
+			if err != nil {
+				return nil, err
+			}
+			th := unzigzag(think)
+			if th < math.MinInt32 || th > math.MaxInt32 {
+				return nil, d.fail("think cycles overflow")
+			}
+			refs[i] = workload.Ref{Addr: a, Op: op, Think: int32(th)}
+		}
+		t.Refs[n] = refs
+	}
+	return t, nil
 }
 
 // ReadRecording decodes one trace from r.

@@ -2,8 +2,15 @@ package obs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"reflect"
+	"strings"
 	"testing"
+
+	"ascoma/internal/addr"
+	"ascoma/internal/workload"
 )
 
 // sampleRecording builds a recording with both instruments populated,
@@ -177,6 +184,7 @@ func FuzzDecodeRecording(f *testing.F) {
 	f.Add(AppendRecording(nil, &Recording{}))
 	blob := AppendRecording(nil, sampleRecording(true))
 	f.Add(blob[:len(blob)/2])
+	f.Add(AppendRecording(nil, &Recording{Events: NewRecorder(4), Refs: opsTrace()}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, err := DecodeRecording(data)
 		if err != nil {
@@ -187,4 +195,146 @@ func FuzzDecodeRecording(f *testing.F) {
 			t.Fatalf("accepted input re-encodes differently: %d vs %d bytes", len(data), len(again))
 		}
 	})
+}
+
+// opsTrace is a hand-built two-node reference trace using every op, a
+// negative think and an address stepping backwards.
+func opsTrace() *workload.Trace {
+	return &workload.Trace{
+		TraceName: "ops", NumNodes: 2, HomePages: 1, PrivPages: 3,
+		Placement: map[addr.Page]int{addr.PageOf(addr.SharedBase): 0, addr.PageOf(addr.SharedBase) + 1: 1},
+		Refs: [][]workload.Ref{
+			{
+				{Addr: addr.SharedBase, Op: workload.Read, Think: 3},
+				{Addr: addr.SharedBase + 32, Op: workload.Write},
+				{Addr: 1, Op: workload.Barrier, Think: -2},
+			},
+			{
+				{Addr: addr.SharedBase + 64, Op: workload.Lock, Think: 7},
+				{Addr: addr.SharedBase + 64, Op: workload.Unlock},
+			},
+		},
+	}
+}
+
+func TestCodecRefsRoundTrip(t *testing.T) {
+	traces := []*workload.Trace{opsTrace()}
+	for _, name := range []string{"uniform", "critsec"} {
+		g, err := workload.New(name, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces = append(traces, workload.Record(g))
+	}
+	for _, tr := range traces {
+		rec := &Recording{Events: NewRecorder(4), Refs: tr}
+		blob := AppendRecording(nil, rec)
+		dec, err := DecodeRecording(blob)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", tr.TraceName, err)
+		}
+		if !reflect.DeepEqual(dec.Refs, tr) {
+			t.Fatalf("%s: decoded trace differs from the recorded one", tr.TraceName)
+		}
+		if again := AppendRecording(nil, dec); !bytes.Equal(blob, again) {
+			t.Fatalf("%s: re-encode differs (%d vs %d bytes)", tr.TraceName, len(blob), len(again))
+		}
+	}
+	// critsec is the workload that exercises the lock ops.
+	var locks, unlocks int
+	for _, refs := range traces[2].Refs {
+		for _, r := range refs {
+			switch r.Op {
+			case workload.Lock:
+				locks++
+			case workload.Unlock:
+				unlocks++
+			}
+		}
+	}
+	if locks == 0 || locks != unlocks {
+		t.Fatalf("critsec trace: %d locks, %d unlocks", locks, unlocks)
+	}
+}
+
+// withRefs seals a reference section (flag byte plus body) into an
+// otherwise empty trace with a valid CRC, so a case fails on the section
+// alone.
+func withRefs(flag byte, body ...[]byte) []byte {
+	blob := AppendRecording(nil, &Recording{})
+	blob = append(blob[:len(blob)-5], flag) // drop the empty section flag and CRC
+	blob = append(blob, bytes.Join(body, nil)...)
+	return binary.LittleEndian.AppendUint32(blob, crc32.ChecksumIEEE(blob))
+}
+
+// uv encodes values as consecutive uvarints.
+func uv(vs ...uint64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+// ref encodes one reference: op byte, zigzag address delta, zigzag think.
+func ref(op byte, addrDelta, think int64) []byte {
+	return append([]byte{op}, uv(zigzag(addrDelta), zigzag(think))...)
+}
+
+func TestCodecRefsRejects(t *testing.T) {
+	sp := uint64(addr.PageOf(addr.SharedBase)) // a legal page
+	sa := int64(addr.SharedBase) + 100         // a legal address
+	name := append(uv(1), 't')                 // length 1, "t"
+	geo2 := uv(2, 1, 0)                        // 2 nodes, 1 home page, 0 private
+	place := uv(1, sp, 0)                      // one shared page homed at node 0
+	node1 := append(uv(1), ref(0, sa, 3)...)   // one read
+	node0 := uv(0)                             // an empty node section
+
+	// The builders above make a valid trace; every case below breaks it.
+	if _, err := DecodeRecording(withRefs(1, name, geo2, place, node1, node0)); err != nil {
+		t.Fatalf("baseline: %v", err)
+	}
+	huge := uint64(999999999999999999)
+	cases := []struct {
+		name string
+		in   []byte
+		want string
+	}{
+		{"empty input", nil, "short header"},
+		{"not a trace", []byte("nonsense\nnot a trace at all\n"), "CRC"},
+		{"bad section flag", withRefs(2), "flag"},
+		{"flag without section", withRefs(1), "bad varint"},
+		{"name longer than payload", withRefs(1, uv(huge)), "exceeds payload"},
+		{"node count 0", withRefs(1, name, uv(0, 1, 0), uv(0)), "node count"},
+		{"node count 65", withRefs(1, name, uv(65, 1, 0), uv(0)), "node count"},
+		{"node count 999", withRefs(1, name, uv(999, 1, 0), uv(0)), "node count"},
+		{"home pages overflow", withRefs(1, name, uv(1, 1<<40, 0), uv(0), node0), "geometry"},
+		{"placement count exceeds payload", withRefs(1, name, geo2, uv(huge)), "exceeds payload"},
+		{"truncated placement", withRefs(1, name, geo2, uv(2, sp, 0)), "bad varint"},
+		{"placed page outside the address space", withRefs(1, name, geo2, uv(1, 5, 0), node0, node0), "placed page outside"},
+		{"read outside the address space", withRefs(1, name, geo2, place, uv(1), ref(0, 100, 3), node0), "reference outside"},
+		{"write outside the address space", withRefs(1, name, geo2, place, uv(1), ref(1, -sa, 3), node0), "reference outside"},
+		{"home out of range", withRefs(1, name, geo2, uv(1, sp, 7), node0, node0), "home out of range"},
+		{"duplicate placement", withRefs(1, name, geo2, uv(2, sp, 0, 0, 1), node0, node0), "ascending"},
+		{"unsorted placement", withRefs(1, name, geo2, uv(2, sp, 0, ^uint64(0)-1, 1), node0, node0), "ascending"},
+		{"node declares 3 refs, holds 1", withRefs(1, name, geo2, place, uv(3), ref(0, sa, 3)), "exceeds payload"},
+		{"huge ref count", withRefs(1, name, geo2, place, uv(huge)), "exceeds payload"},
+		{"missing node section", withRefs(1, name, geo2, place, node1), "bad varint"},
+		{"repeated node section", withRefs(1, name, geo2, place, node1, node0, node0), "trailing bytes"},
+		{"ref outside a node section", withRefs(1, name, geo2, place, node0, node0, ref(0, sa, 3)), "trailing bytes"},
+		{"unknown op", withRefs(1, name, geo2, place, uv(1), ref(5, sa, 3), node0), "unknown reference op"},
+		{"unknown op 0xff", withRefs(1, name, geo2, place, uv(1), ref(0xff, sa, 3), node0), "unknown reference op"},
+		{"think overflow", withRefs(1, name, geo2, place, uv(1), ref(0, sa, 1<<40), node0), "think"},
+		{"non-canonical varint", withRefs(1, name, geo2, place, []byte{0x81, 0x00}, ref(0, sa, 3), node0), "non-canonical"},
+	}
+	for _, c := range cases {
+		_, err := DecodeRecording(c.in)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", c.name, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want it to mention %q", c.name, err, c.want)
+		}
+	}
 }

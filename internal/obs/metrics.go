@@ -226,19 +226,6 @@ func (v *CounterVec) With(value string) *Counter {
 	return c
 }
 
-// Snapshot returns the current label -> count view (the expvar shim reads
-// this).
-func (v *CounterVec) Snapshot() map[string]int64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	out := make(map[string]int64, len(v.by))
-	//ascoma:allow-nondet building a map snapshot; callers render it order-independently
-	for k, c := range v.by {
-		out[k] = c.Value()
-	}
-	return out
-}
-
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }

@@ -20,10 +20,13 @@
 // still stable).
 package obs
 
+import "ascoma/internal/workload"
+
 // Recording bundles the per-run observation instruments handed to one
-// simulation. Either field may be nil: a nil Events skips event recording, a
-// nil Epochs skips epoch sampling. A Recording must not be shared between
-// concurrent runs — the machine writes into it single-threadedly.
+// simulation. Any field may be nil: a nil Events skips event recording, a
+// nil Epochs skips epoch sampling, a nil Refs stores no reference streams.
+// A Recording must not be shared between concurrent runs — the machine
+// writes into it single-threadedly.
 type Recording struct {
 	// Events is the flight recorder receiving cycle-stamped adaptation
 	// events (page upgrades/downgrades, daemon wakeups, TLB shootdowns,
@@ -32,6 +35,11 @@ type Recording struct {
 	// Epochs receives the periodic per-node samples (free-pool depth,
 	// S-COMA occupancy, relocation threshold, miss-latency counters).
 	Epochs *Epochs
+	// Refs carries the run's per-node reference streams and page
+	// placement, so a trace file can be replayed bit-identically under any
+	// configuration (ascoma-sim -refs records, -replay replays). The
+	// machine never reads or writes it.
+	Refs *workload.Trace
 }
 
 // NewRecording builds a Recording with an event ring of eventCap entries

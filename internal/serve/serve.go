@@ -1,7 +1,7 @@
 // Package serve implements the ascoma-serve HTTP service: the synchronous
 // run/figure endpoints, the async job farm (submit -> poll -> stream), the
 // /cache/v1 peer protocol that lets workers share one content-addressed
-// result store, and the metrics/expvar/pprof surface. cmd/ascoma-serve is
+// result store, and the metrics/pprof surface. cmd/ascoma-serve is
 // a thin flag wrapper; the e2e harness builds Servers in-process to drive
 // multi-worker topologies.
 package serve
@@ -10,8 +10,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
-	"fmt"
 	"io"
 	"log"
 	"net/http"
@@ -53,8 +51,7 @@ type Config struct {
 
 // Server holds the orchestration layer and the request-level metrics. The
 // metrics live on a per-server obs.Registry (served at /metrics in
-// Prometheus text form); /debug/vars is a per-server expvar-shaped shim
-// reading the same counters, so several Servers per process — the e2e
+// Prometheus text form), so several Servers per process — the e2e
 // harness, the farm tests — never share or clobber state.
 type Server struct {
 	runner  *runcache.Runner
@@ -125,7 +122,6 @@ func (s *Server) Handler() http.Handler {
 		io.WriteString(w, "ok\n") //ascoma:allow-errdrop client write failure is the client's problem
 	})
 	mux.Handle("GET /metrics", s.reg.Handler())
-	mux.HandleFunc("GET /debug/vars", s.handleVars)
 	mux.HandleFunc("POST /api/v1/run", s.handleRun)
 	mux.HandleFunc("POST /api/v1/estimate", s.handleEstimate)
 	mux.HandleFunc("GET /api/v1/figure/{app}", s.handleFigure)
@@ -145,45 +141,6 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	return mux
-}
-
-// handleVars is the expvar-shaped shim: the same keys the service exposed
-// before the obs registry existed, rendered per-server — no process-global
-// expvar registration, so every Server in a process reads its *own* cache
-// and counters. The standard expvar globals (cmdline, memstats) are
-// passed through for legacy consumers.
-func (s *Server) handleVars(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	var b strings.Builder
-	b.WriteString("{")
-	first := true
-	writeKV := func(key, val string) {
-		if !first {
-			b.WriteString(",")
-		}
-		first = false
-		fmt.Fprintf(&b, "\n%q: %s", key, val)
-	}
-	expvar.Do(func(kv expvar.KeyValue) {
-		writeKV(kv.Key, kv.Value.String())
-	})
-	for _, v := range []struct {
-		key string
-		val any
-	}{
-		{"ascoma_cache", s.cache.Stats()},
-		{"ascoma_inflight_runs", s.runner.InFlight()},
-		{"ascoma_runs", s.archRuns.Snapshot()},
-		{"ascoma_run_nanos", s.archNanos.Snapshot()},
-	} {
-		blob, err := json.Marshal(v.val)
-		if err != nil {
-			blob = []byte("null")
-		}
-		writeKV(v.key, string(blob))
-	}
-	b.WriteString("\n}\n")
-	io.WriteString(w, b.String()) //ascoma:allow-errdrop client write failure is the client's problem
 }
 
 // writeRunError maps a simulation error onto the status taxonomy and the

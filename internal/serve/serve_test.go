@@ -192,11 +192,11 @@ func TestClientDisconnectIs499(t *testing.T) {
 	}
 }
 
-// TestExpvarPerServer builds two servers in one process and requires each
-// /debug/vars to read its *own* cache — the process-global shim used to
-// pin every server's expvars to whichever registered first.
-func TestExpvarPerServer(t *testing.T) {
-	s1, ts1 := newTestServer(t)
+// TestMetricsPerServer builds two servers in one process and requires each
+// /metrics to read its *own* cache: server-scoped registries, never a
+// process-global one pinning every server to whichever registered first.
+func TestMetricsPerServer(t *testing.T) {
+	_, ts1 := newTestServer(t)
 	_, ts2 := newTestServer(t)
 
 	// Drive one simulation through server 1 only.
@@ -209,42 +209,24 @@ func TestExpvarPerServer(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("run: %d", resp.StatusCode)
 	}
-	if s1.cache.Stats().Sims != 1 {
-		t.Fatalf("server 1 cache: %+v", s1.cache.Stats())
-	}
 
-	vars := func(base string) map[string]any {
-		resp, err := http.Get(base + "/debug/vars")
+	metrics := func(base string) string {
+		resp, err := http.Get(base + "/metrics")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
 		body, _ := io.ReadAll(resp.Body)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("debug/vars: %d", resp.StatusCode)
+			t.Fatalf("metrics: %d", resp.StatusCode)
 		}
-		var out map[string]any
-		if err := json.Unmarshal(body, &out); err != nil {
-			t.Fatalf("expvar output not JSON: %v\n%s", err, body)
-		}
-		return out
+		return string(body)
 	}
-	v1, v2 := vars(ts1.URL), vars(ts2.URL)
-	for _, key := range []string{"ascoma_cache", "ascoma_inflight_runs", "ascoma_runs", "memstats"} {
-		if _, ok := v1[key]; !ok {
-			t.Errorf("expvar missing %s", key)
-		}
+	if m := metrics(ts1.URL); !strings.Contains(m, "\nascoma_runcache_sims_total 1\n") {
+		t.Errorf("server 1 does not report its one simulation:\n%s", m)
 	}
-	sims := func(v map[string]any) float64 {
-		cache, _ := v["ascoma_cache"].(map[string]any)
-		n, _ := cache["sims"].(float64)
-		return n
-	}
-	if got := sims(v1); got != 1 {
-		t.Errorf("server 1 expvar sims = %v, want 1", got)
-	}
-	if got := sims(v2); got != 0 {
-		t.Errorf("server 2 expvar sims = %v, want 0 (reads server 1's cache?)", got)
+	if m := metrics(ts2.URL); !strings.Contains(m, "\nascoma_runcache_sims_total 0\n") {
+		t.Errorf("server 2 does not report zero simulations (reads server 1's cache?):\n%s", m)
 	}
 }
 

@@ -1,10 +1,7 @@
 package workload
 
 import (
-	"bufio"
-	"fmt"
-	"io"
-	"sort"
+	"slices"
 
 	"ascoma/internal/addr"
 )
@@ -12,12 +9,8 @@ import (
 // Trace is a fully materialized workload: the page placement plus every
 // node's reference sequence. Traces make runs exactly reproducible across
 // generator changes, allow diffing reference streams, and let external
-// traces drive the simulator. The encoding is a line-oriented text format:
-//
-//	trace <nodes> <homePages> <privPages> <name>
-//	place <page> <home>            (one per placed page)
-//	node <i> <refCount>
-//	r|w|b <addr> <think>           (refCount lines per node)
+// traces drive the simulator. They are stored as the reference section of
+// an obs trace file (internal/obs, Recording.Refs).
 type Trace struct {
 	TraceName string
 	NumNodes  int
@@ -70,20 +63,15 @@ func (t *Trace) PrivatePagesPerNode() int { return t.PrivPages }
 // order — so iterating the map directly would make frame assignment (and
 // every downstream conflict pattern) vary run to run.
 func (t *Trace) Place(place func(p addr.Page, home int)) {
-	for _, p := range t.sortedPages() {
-		place(p, t.Placement[p])
-	}
-}
-
-// sortedPages returns the placed pages in ascending order.
-func (t *Trace) sortedPages() []addr.Page {
 	pages := make([]addr.Page, 0, len(t.Placement))
 	//ascoma:allow-nondet keys are collected and sorted before use
 	for p := range t.Placement {
 		pages = append(pages, p)
 	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	return pages
+	slices.Sort(pages)
+	for _, p := range pages {
+		place(p, t.Placement[p])
+	}
 }
 
 // Stream replays node i's recorded references.
@@ -103,97 +91,4 @@ func (s *traceStream) Next() (Ref, bool) {
 	r := s.refs[s.i]
 	s.i++
 	return r, true
-}
-
-var opCode = map[Op]byte{Read: 'r', Write: 'w', Barrier: 'b', Lock: 'l', Unlock: 'u'}
-
-// Encode writes the trace in the text format.
-func (t *Trace) Encode(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "trace %d %d %d %s\n", t.NumNodes, t.HomePages, t.PrivPages, t.TraceName)
-	// Encode placement in sorted page order so the same trace always
-	// serializes to the same bytes.
-	for _, p := range t.sortedPages() {
-		fmt.Fprintf(bw, "place %d %d\n", uint64(p), t.Placement[p])
-	}
-	for n, refs := range t.Refs {
-		fmt.Fprintf(bw, "node %d %d\n", n, len(refs))
-		for _, r := range refs {
-			fmt.Fprintf(bw, "%c %d %d\n", opCode[r.Op], uint64(r.Addr), r.Think)
-		}
-	}
-	return bw.Flush()
-}
-
-// Decode parses a trace written by Encode.
-func Decode(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	t := &Trace{Placement: make(map[addr.Page]int)}
-	var name string
-	if _, err := fmt.Fscanf(br, "trace %d %d %d %s\n", &t.NumNodes, &t.HomePages, &t.PrivPages, &name); err != nil {
-		return nil, fmt.Errorf("workload: bad trace header: %w", err)
-	}
-	t.TraceName = name
-	if t.NumNodes < 1 || t.NumNodes > 64 {
-		return nil, fmt.Errorf("workload: trace node count %d out of range", t.NumNodes)
-	}
-	t.Refs = make([][]Ref, t.NumNodes)
-	cur := -1
-	remaining := 0
-	for {
-		prefix, err := br.ReadString(' ')
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		switch prefix {
-		case "place ":
-			var pg uint64
-			var home int
-			if _, err := fmt.Fscanf(br, "%d %d\n", &pg, &home); err != nil {
-				return nil, fmt.Errorf("workload: bad place line: %w", err)
-			}
-			if home < 0 || home >= t.NumNodes {
-				return nil, fmt.Errorf("workload: placement home %d out of range", home)
-			}
-			t.Placement[addr.Page(pg)] = home
-		case "node ":
-			var count int
-			if _, err := fmt.Fscanf(br, "%d %d\n", &cur, &count); err != nil {
-				return nil, fmt.Errorf("workload: bad node line: %w", err)
-			}
-			if cur < 0 || cur >= t.NumNodes {
-				return nil, fmt.Errorf("workload: node %d out of range", cur)
-			}
-			t.Refs[cur] = make([]Ref, 0, count)
-			remaining = count
-		case "r ", "w ", "b ", "l ", "u ":
-			if cur < 0 || remaining == 0 {
-				return nil, fmt.Errorf("workload: reference outside a node section")
-			}
-			var a uint64
-			var think int32
-			if _, err := fmt.Fscanf(br, "%d %d\n", &a, &think); err != nil {
-				return nil, fmt.Errorf("workload: bad ref line: %w", err)
-			}
-			op := Read
-			switch prefix[0] {
-			case 'w':
-				op = Write
-			case 'b':
-				op = Barrier
-			case 'l':
-				op = Lock
-			case 'u':
-				op = Unlock
-			}
-			t.Refs[cur] = append(t.Refs[cur], Ref{Addr: addr.GVA(a), Op: op, Think: think})
-			remaining--
-		default:
-			return nil, fmt.Errorf("workload: unknown trace line prefix %q", prefix)
-		}
-	}
-	return t, nil
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"ascoma/internal/obs"
+	"ascoma/internal/workload"
 )
 
 func TestTraceDeterminism(t *testing.T) {
@@ -79,5 +80,42 @@ func TestObservedRunBypassesNothing(t *testing.T) {
 	if plain.ExecTime != observed.ExecTime {
 		t.Fatalf("recorder perturbed the run: exec %d vs %d cycles",
 			plain.ExecTime, observed.ExecTime)
+	}
+}
+
+// TestReplayMatchesLive records a workload's reference streams into a
+// trace file, reads it back and replays it: the replay must reproduce the
+// live run's statistics exactly (only the workload name gains the "-trace"
+// suffix).
+func TestReplayMatchesLive(t *testing.T) {
+	gen, err := workload.New("radix", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "radix.trace")
+	if err := WriteTrace(path, &Recording{Refs: workload.Record(gen)}); err != nil {
+		t.Fatal(err)
+	}
+	dec, err := obs.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, arch := range []Arch{ASCOMA, CCNUMA} {
+		cfg := Config{Arch: arch, Pressure: 70}
+		live, err := RunGenerator(cfg, gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replay, err := RunGenerator(cfg, dec.Refs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if replay.Workload != live.Workload+"-trace" {
+			t.Fatalf("%v: replay workload %q, live %q", arch, replay.Workload, live.Workload)
+		}
+		replay.Workload = live.Workload
+		if got, want := statsChecksum(t, replay), statsChecksum(t, live); got != want {
+			t.Errorf("%v: replay stats %s differ from the live run's %s", arch, got, want)
+		}
 	}
 }
