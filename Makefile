@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test verify vet vet-self bench race fuzz-smoke clean serve-smoke trace-check parallel-check model-check e2e
+.PHONY: all build test verify vet vet-self bench race fuzz-smoke clean serve-smoke trace-check parallel-check model-check e2e perfbench-test
 
 all: build
 
@@ -28,13 +28,20 @@ e2e:
 # standalone ascoma-vet invocation runs the whole-program checks first
 # (parownership, hotpathflow, dirlint — the interprocedural call-graph
 # engine of DESIGN.md §14, which also fails any escape hatch lacking a
-# reason), then re-execs the per-package analyzers (nondet, hotpath,
+# reason), then re-execs the per-package analyzers (nondet,
 # statsintegrity, ctxflow, errdrop) through the standard -vettool
 # protocol. See DESIGN.md §9 and §14.
 vet:
 	$(GO) vet ./...
 	$(GO) build -o .bin/ascoma-vet ./cmd/ascoma-vet
 	.bin/ascoma-vet ./...
+
+# perfbench-test vets and tests the benchmark (perfbench/, a module of its
+# own that replaces ascoma with the parent directory). go build ./... and
+# go test ./... never compile it, so an API change it depends on
+# (runcache.Runner, report.Options, jobs.RunResult) fails here first.
+perfbench-test:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # vet-self turns the analyzer suite on its own implementation: the
 # analysis packages must hold the same error-handling and directive

@@ -306,10 +306,3 @@ func (r *Result) Report() string {
 		r.Counter(func(n *stats.Node) int64 { return n.DaemonRuns }))
 	return b.String()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

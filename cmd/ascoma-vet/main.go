@@ -5,8 +5,6 @@
 //
 //	nondet          no wall-clock, global math/rand, or map iteration in
 //	                the deterministic packages (golden-checksum safety)
-//	hotpath         no heap-allocating constructs in //ascoma:hotpath
-//	                functions (the zero-alloc event path)
 //	statsintegrity  every stats field reaches both the finalize step and
 //	                the golden-checksum serialization
 //	ctxflow         exported Run* entry points accept and propagate
@@ -19,8 +17,9 @@
 //
 //	parownership    the parallel core's worker/commit goroutine state
 //	                split, proved over the transitive worker call closure
-//	hotpathflow     the hotpath allocation discipline enforced over the
-//	                transitive closure of //ascoma:hotpath roots
+//	hotpathflow     no heap-allocating constructs in //ascoma:hotpath
+//	                functions or anything they transitively call (the
+//	                zero-alloc event path)
 //	dirlint         //ascoma: directives audited: known names only, a
 //	                reason on every escape hatch
 //
@@ -39,7 +38,6 @@ import (
 	"ascoma/internal/analysis/ctxflow"
 	"ascoma/internal/analysis/dirlint"
 	"ascoma/internal/analysis/errdrop"
-	"ascoma/internal/analysis/hotpath"
 	"ascoma/internal/analysis/hotpathflow"
 	"ascoma/internal/analysis/nondet"
 	"ascoma/internal/analysis/parownership"
@@ -52,7 +50,6 @@ func main() {
 	unit.Main(
 		[]*analysis.Analyzer{
 			nondet.Analyzer,
-			hotpath.Analyzer,
 			statsintegrity.Analyzer,
 			ctxflow.Analyzer,
 			errdrop.Analyzer,

@@ -44,7 +44,7 @@ const (
 // understands. dirlint flags any name outside this table.
 var KnownDirectives = map[string]DirectiveKind{
 	// Annotations.
-	"hotpath":          Annotation, // zero-alloc function (hotpath, hotpathflow root)
+	"hotpath":          Annotation, // zero-alloc function (hotpathflow root)
 	"stats":            Annotation, // stats struct (statsintegrity)
 	"stats-serialize":  Annotation, // golden-checksum serialization func
 	"stats-finalize":   Annotation, // stats finalize func (arg: union type)
@@ -54,7 +54,7 @@ var KnownDirectives = map[string]DirectiveKind{
 
 	// Escape hatches and graph cuts (reason required).
 	"allow-nondet":       Hatch, // nondet
-	"allow-alloc":        Hatch, // hotpath, hotpathflow
+	"allow-alloc":        Hatch, // hotpathflow
 	"allow-unserialized": Hatch, // statsintegrity
 	"allow-noctx":        Hatch, // ctxflow
 	"allow-errdrop":      Hatch, // errdrop

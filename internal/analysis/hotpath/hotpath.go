@@ -1,13 +1,10 @@
-// Package hotpath enforces allocation discipline in functions annotated
-// //ascoma:hotpath. The simulator's benchmarks (BENCH_PR1/BENCH_PR3) were
-// bought by hand-flattening the per-event path down to a few thousand
-// allocations per run; nothing but reviewer vigilance kept regressions out.
-// Annotating the machine step loop, the fast-forward scan, the event ring,
-// the L1 probe, and the compiled-stream refill makes the discipline
-// mechanical: a heap-allocating construct inside an annotated function is a
-// vet failure.
+// Package hotpath holds the allocation rule set behind the //ascoma:hotpath
+// discipline. The simulator's benchmarks (BENCH_PR1/BENCH_PR3) were bought
+// by hand-flattening the per-event path down to a few thousand allocations
+// per run; the hotpathflow analyzer keeps it that way by applying
+// CheckAllocs to every annotated function and to everything it reaches.
 //
-// Flagged inside an annotated function (nested function literals included):
+// Flagged inside a checked body (nested function literals included):
 //
 //   - append: growth allocates and the escaped backing array is sticky;
 //   - make and new: direct allocations;
@@ -17,56 +14,19 @@
 //   - any call into package fmt: formatting allocates and forces escapes;
 //   - string concatenation (+ or +=): builds a new heap string.
 //
-// The analyzer checks only the annotated function's own body — callees are
-// their own responsibility — so slow paths reachable from a hot function
-// (e.g. a grow() helper) stay unconstrained by living in a separate
-// function. A deliberate allocation on a cold branch inside an annotated
-// function is suppressed with //ascoma:allow-alloc <reason>.
+// A deliberate allocation on a cold branch is suppressed with
+// //ascoma:allow-alloc <reason>; the caller applies that hatch.
 package hotpath
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"ascoma/internal/analysis"
 )
 
-// Analyzer is the hotpath analysis.
-var Analyzer = &analysis.Analyzer{
-	Name: "hotpath",
-	Doc:  "flag heap-allocating constructs inside functions annotated //ascoma:hotpath",
-	Run:  run,
-}
-
-func run(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if _, hot := analysis.HasDirective(fd.Doc, "hotpath"); !hot {
-				continue
-			}
-			checkBody(pass, fd)
-		}
-	}
-	return nil
-}
-
-func checkBody(pass *analysis.Pass, fd *ast.FuncDecl) {
-	CheckAllocs(pass.TypesInfo, pass.Pkg, fd.Body, func(pos token.Pos, format string, args ...interface{}) {
-		if !pass.Allowed(pos, "allow-alloc") {
-			pass.Reportf(pos, "%s: "+format, append([]interface{}{fd.Name.Name}, args...)...)
-		}
-	})
-}
-
 // CheckAllocs walks one function body and reports every heap-allocating
-// construct through report. It is the shared core of the intra-function
-// hotpath analyzer and the interprocedural hotpathflow analyzer; the caller
-// applies the //ascoma:allow-alloc hatch.
+// construct through report. The caller applies the //ascoma:allow-alloc
+// hatch.
 func CheckAllocs(info *types.Info, pkg *types.Package, body ast.Node, report func(pos token.Pos, format string, args ...interface{})) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {

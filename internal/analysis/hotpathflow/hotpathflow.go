@@ -1,12 +1,12 @@
-// Package hotpathflow enforces the hotpath allocation discipline over the
-// *transitive* call closure of every //ascoma:hotpath root. The
-// intra-function hotpath analyzer deliberately stops at the annotated
-// body — before the call-graph engine existed, a hot function could call an
-// allocating helper undetected. This analyzer walks the whole-program call
-// graph (static calls, interface dispatch resolved to every implementing
-// program type, func values resolved by flow propagation) from the
-// annotated roots and applies the same allocation checks to every reachable
-// function, reporting the call path that makes each one hot.
+// Package hotpathflow enforces the hotpath allocation discipline over every
+// //ascoma:hotpath root and its *transitive* call closure: a hot function
+// cannot call an allocating helper undetected. It walks the whole-program
+// call graph (static calls, interface dispatch resolved to every
+// implementing program type, func values resolved by flow propagation) from
+// the annotated roots and applies the allocation checks of
+// hotpath.CheckAllocs to each root's own body and to every reachable
+// function, reporting the call path that makes each one hot (a root's path
+// is its own name).
 //
 // The closure is cut explicitly, never silently:
 //
@@ -14,11 +14,10 @@
 //     hot/slow boundary: the function and everything it alone reaches are
 //     excluded (e.g. the lock slow path, the sampling probes);
 //   - //ascoma:allow-hotcall <reason> on a call site exempts that one edge;
-//   - //ascoma:allow-alloc <reason> suppresses one allocating construct,
-//     exactly as in the intra-function analyzer.
+//   - //ascoma:allow-alloc <reason> suppresses one allocating construct.
 //
 // Standard-library callees are leaves: their cost is the call itself, which
-// the intra-function checks already police (fmt, append, make…).
+// CheckAllocs already polices in the calling body (fmt, append, make…).
 package hotpathflow
 
 import (
@@ -31,7 +30,7 @@ import (
 // Analyzer is the hotpathflow analysis.
 var Analyzer = &program.Analyzer{
 	Name: "hotpathflow",
-	Doc:  "enforce zero-alloc discipline over the transitive call closure of //ascoma:hotpath roots",
+	Doc:  "enforce zero-alloc discipline in //ascoma:hotpath roots and their transitive call closure",
 	Run:  run,
 }
 
@@ -50,9 +49,6 @@ func run(pass *program.Pass) error {
 
 	reported := make(map[token.Pos]bool)
 	for _, f := range reach.Funcs {
-		if _, hot := f.Directive("hotpath"); hot {
-			continue // the intra-function analyzer owns annotated bodies
-		}
 		body := f.Body()
 		if body == nil {
 			continue

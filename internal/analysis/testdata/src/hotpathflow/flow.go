@@ -10,8 +10,7 @@ import (
 	"hotpathflow/alloc"
 )
 
-// step is the hot root. Its own body is the intra-function analyzer's
-// business; everything it reaches is this analyzer's.
+// step is the hot root; everything it reaches is hot too.
 //
 //ascoma:hotpath
 func step(n int) int {

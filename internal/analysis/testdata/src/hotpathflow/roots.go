@@ -1,6 +1,7 @@
-// Package hotpath is the test corpus for the hotpath analyzer:
-// allocation discipline inside functions annotated //ascoma:hotpath.
-package hotpath
+package hotpathflow
+
+// Root-body corpus entry: the allocation discipline applies inside the
+// annotated roots themselves, not only in what they reach.
 
 import "fmt"
 
@@ -9,10 +10,10 @@ type event struct {
 	node int32
 }
 
-// step stands in for the per-event dispatch loop.
+// dispatch stands in for the per-event dispatch loop.
 //
 //ascoma:hotpath
-func step(buf []event, e event) []event {
+func dispatch(buf []event, e event) []event {
 	buf = append(buf, e)        // want `append may grow and allocate`
 	scratch := make([]event, 8) // want `make allocates`
 	_ = scratch

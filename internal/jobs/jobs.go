@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
 	"sync"
 
@@ -335,7 +334,7 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 		fig := *spec.Figure
 		// The figure grid: the CC-NUMA baseline plus four architectures
 		// per pressure (see report.runGrid).
-		np := len(dedupeSorted(fig.Pressures))
+		np := len(report.DedupePressures(fig.Pressures))
 		if np == 0 {
 			np = 5
 		}
@@ -484,33 +483,20 @@ func (m *Manager) runOne(j *Job, ctx context.Context, cfg ascoma.Config, epochIn
 	return RunResult{Result: stats.Report(res.Machine), Samples: res.Samples}, nil
 }
 
-// runGrid shards the cells across the runner pool, dispatching in the
-// estimator's most-expensive-first order (see costOrder) so the pool never
-// finishes a grid waiting on one late-started straggler. Completion order
-// is whatever the pool produces; assembly order is spec order, so the
-// seeding changes only wall-clock, never output bytes. The first failure
-// cancels the job's context so outstanding cells abort fail-fast.
+// runGrid runs the cells through Runner.RunAll in the estimator's
+// most-expensive-first order (see costOrder), so the pool never finishes a
+// grid waiting on one late-started straggler. Results map back to spec
+// order, so the seeding changes only wall-clock, never output bytes. The
+// first failure cancels the outstanding cells.
 func (m *Manager) runGrid(j *Job, ctx context.Context, cells []ascoma.Config) (any, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	order := costOrder(cells)
+	dispatch := make([]ascoma.Config, len(cells))
+	for k, i := range order {
+		dispatch[k] = cells[i]
+	}
 	results := make([]CellResult, len(cells))
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	runCell := func(i int) {
-		cfg := cells[i]
-		res, err := m.runner.Run(ctx, cfg)
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%s %v(%d%%): %w", cfg.Workload, cfg.Arch, cfg.Pressure, err)
-				cancel()
-			}
-			mu.Unlock()
-			return
-		}
+	_, err := m.runner.RunAll(ctx, dispatch, func(k int, res *ascoma.Result) {
+		i, cfg := order[k], dispatch[k]
 		results[i] = CellResult{
 			Arch: cfg.Arch.String(), Workload: cfg.Workload,
 			Pressure: cfg.Pressure, Result: stats.Report(res.Machine),
@@ -524,35 +510,9 @@ func (m *Manager) runGrid(j *Job, ctx context.Context, cells []ascoma.Config) (a
 			Pressure: cfg.Pressure, Done: done, Total: len(cells),
 			ExecTimeCycles: res.ExecTime,
 		}})
-	}
-	// A fixed pool pulling from the cost-ordered index stream: the pool
-	// width matches the runner's simulation bound, so cells start in
-	// predicted-cost order as slots free up rather than racing goroutines
-	// for the runner's semaphore in scheduler order.
-	workers := m.runner.Jobs
-	if workers < 1 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				runCell(i)
-			}
-		}()
-	}
-	for _, i := range costOrder(cells) {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	})
+	if err != nil {
+		return nil, err
 	}
 	return results, nil
 }

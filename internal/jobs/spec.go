@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"ascoma"
@@ -176,7 +175,7 @@ func (g GridSpec) cells(cores, maxCells int) ([]ascoma.Config, error) {
 			return nil, badSpec("unknown workload %q (registered: %s)", a, strings.Join(ascoma.Workloads(), ", "))
 		}
 	}
-	pressures := dedupeSorted(g.Pressures)
+	pressures := report.DedupePressures(g.Pressures)
 	if len(pressures) == 0 {
 		pressures = []int{10, 30, 50, 70, 90}
 	}
@@ -347,7 +346,7 @@ func (t TierGridSpec) validate() error {
 // per pressure and architecture, one flat baseline plus one cell per
 // share x asymmetry combination.
 func (t TierGridSpec) cellCount() int {
-	np := len(dedupeSorted(t.Pressures))
+	np := len(report.DedupePressures(t.Pressures))
 	if np == 0 {
 		np = 5
 	}
@@ -396,21 +395,6 @@ func (s Spec) validateShape() error {
 		return badSpec(`spec must set exactly one of "run", "grid", "figure", or "tierGrid"`)
 	}
 	return nil
-}
-
-// dedupeSorted returns a sorted copy with duplicates removed.
-func dedupeSorted(ps []int) []int {
-	out := make([]int, len(ps))
-	copy(out, ps)
-	sort.Ints(out)
-	n := 0
-	for i, p := range out {
-		if i == 0 || p != out[n-1] {
-			out[n] = p
-			n++
-		}
-	}
-	return out[:n]
 }
 
 // EstimateSpec is the body of POST /api/v1/estimate: analytical
@@ -466,7 +450,7 @@ func (e EstimateSpec) Predictions() ([]estimate.Prediction, error) {
 				return nil, badSpec("pressure %d out of range [1,99]", p)
 			}
 		}
-		pressures = dedupeSorted(e.Pressures)
+		pressures = report.DedupePressures(e.Pressures)
 	}
 	prof, err := workload.ProfileFor(e.Workload, e.Scale)
 	if err != nil {

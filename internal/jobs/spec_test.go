@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ascoma"
+	"ascoma/internal/report"
 )
 
 func TestRunSpecValidation(t *testing.T) {
@@ -127,11 +128,11 @@ func TestSpecShape(t *testing.T) {
 }
 
 func TestDedupeSorted(t *testing.T) {
-	got := dedupeSorted([]int{90, 10, 50, 10, 90})
+	got := report.DedupePressures([]int{90, 10, 50, 10, 90})
 	if !reflect.DeepEqual(got, []int{10, 50, 90}) {
-		t.Errorf("dedupeSorted = %v", got)
+		t.Errorf("DedupePressures = %v", got)
 	}
-	if got := dedupeSorted(nil); len(got) != 0 {
-		t.Errorf("dedupeSorted(nil) = %v", got)
+	if got := report.DedupePressures(nil); len(got) != 0 {
+		t.Errorf("DedupePressures(nil) = %v", got)
 	}
 }

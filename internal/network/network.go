@@ -102,10 +102,3 @@ func (n *Net) Send(from, to int, t sim.Time) sim.Time {
 
 // PortBusy returns the total occupied cycles of node i's input port.
 func (n *Net) PortBusy(i int) sim.Time { return n.inPort[i].Busy }
-
-// Reset idles every port.
-func (n *Net) Reset() {
-	for i := range n.inPort {
-		n.inPort[i].Reset()
-	}
-}

@@ -103,16 +103,6 @@ func TestInputPortContention(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	p := params.Default()
-	n := New(&p)
-	n.Send(0, 1, 0)
-	n.Reset()
-	if n.PortBusy(1) != 0 {
-		t.Error("Reset left port busy")
-	}
-}
-
 func TestLargerMachineHops(t *testing.T) {
 	p := params.Default()
 	p.Nodes = 64

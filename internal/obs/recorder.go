@@ -103,7 +103,7 @@ const DefaultEventCap = 1 << 16
 // Recorder is a fixed-capacity flight recorder: a ring of the last Cap
 // events emitted, plus the count of everything ever emitted. It is
 // single-threaded by design — exactly one machine writes it at a time — and
-// emission is allocation-free (the hotpath analyzer enforces it).
+// emission is allocation-free (the hotpathflow analyzer enforces it).
 type Recorder struct {
 	// Clock is the current simulated cycle, stamped onto emitted events.
 	// The driving machine updates it on entry to every emitting path, so

@@ -14,9 +14,8 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
-	"sync"
 
 	"ascoma"
 	"ascoma/internal/runcache"
@@ -70,8 +69,8 @@ type Options struct {
 	PagePolicy string
 	// Progress, when non-nil, is invoked after each grid cell completes
 	// with the running count of finished cells and the grid total. Calls
-	// come from the fan-out goroutines (serialized by the grid's result
-	// lock), so the callback must be cheap and need not be re-entrant.
+	// come from Runner.RunAll's workers, one at a time, so the callback
+	// must be cheap and need not be re-entrant.
 	// The async jobs layer streams these as figure-render progress events.
 	Progress func(done, total int)
 }
@@ -83,7 +82,7 @@ func (o Options) withDefaults() Options {
 	if len(o.Pressures) == 0 {
 		o.Pressures = []int{10, 30, 50, 70, 90}
 	} else {
-		o.Pressures = dedupeSorted(o.Pressures)
+		o.Pressures = DedupePressures(o.Pressures)
 	}
 	if o.Format == "" {
 		o.Format = "table"
@@ -97,20 +96,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// dedupeSorted returns a sorted copy of ps with duplicates removed, so a
-// grid never schedules (and a table never prints) the same cell twice.
-func dedupeSorted(ps []int) []int {
-	out := make([]int, len(ps))
-	copy(out, ps)
-	sort.Ints(out)
-	n := 0
-	for i, p := range out {
-		if i == 0 || p != out[n-1] {
-			out[n] = p
-			n++
-		}
-	}
-	return out[:n]
+// DedupePressures returns a sorted copy of ps with duplicates removed, so
+// a grid never schedules (and a table never prints) the same cell twice.
+// The jobs layer counts a spec's cells with it before admission.
+func DedupePressures(ps []int) []int {
+	out := slices.Clone(ps)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // FigureApps returns the applications of the given figure (2 or 3); any
@@ -139,46 +131,6 @@ type runKey struct {
 // the CC-NUMA baseline runs once at 50% besides them.
 var gridArchs = []ascoma.Arch{ascoma.SCOMA, ascoma.ASCOMA, ascoma.VCNUMA, ascoma.RNUMA}
 
-// errGroup coordinates a fan-out: the first recorded failure cancels the
-// shared context so outstanding simulations abort instead of running to
-// completion.
-type errGroup struct {
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
-	mu     sync.Mutex
-	err    error
-}
-
-func newErrGroup(ctx context.Context) (*errGroup, context.Context) {
-	ctx, cancel := context.WithCancel(ctx)
-	return &errGroup{cancel: cancel}, ctx
-}
-
-// go runs f in a goroutine; a non-nil return is recorded (first wins) and
-// cancels the group.
-func (g *errGroup) go_(f func() error) {
-	g.wg.Add(1)
-	go func() {
-		defer g.wg.Done()
-		if err := f(); err != nil {
-			g.mu.Lock()
-			if g.err == nil {
-				g.err = err
-				g.cancel()
-			}
-			g.mu.Unlock()
-		}
-	}()
-}
-
-// wait blocks for every goroutine, releases the context, and returns the
-// first error.
-func (g *errGroup) wait() error {
-	g.wg.Wait()
-	g.cancel()
-	return g.err
-}
-
 // grid dispatches between the plain and screened grid paths; every
 // figure render goes through here.
 func grid(ctx context.Context, app string, o Options) (map[runKey]*ascoma.Result, error) {
@@ -201,8 +153,8 @@ func grid(ctx context.Context, app string, o Options) (map[runKey]*ascoma.Result
 	return results, err
 }
 
-// runGrid executes the architecture x pressure grid for one application in
-// parallel through the shared Runner. CC-NUMA runs once (it is
+// runGrid executes the architecture x pressure grid for one application
+// through the shared Runner. CC-NUMA runs once (it is
 // pressure-insensitive). The first failure cancels every outstanding cell.
 func runGrid(ctx context.Context, app string, o Options) (map[runKey]*ascoma.Result, error) {
 	keys := []runKey{{ascoma.CCNUMA, 50}}
@@ -212,31 +164,29 @@ func runGrid(ctx context.Context, app string, o Options) (map[runKey]*ascoma.Res
 		}
 	}
 	results := make(map[runKey]*ascoma.Result, len(keys))
-	var mu sync.Mutex
-	g, ctx := newErrGroup(ctx)
-	for _, k := range keys {
-		k := k
-		g.go_(func() error {
-			res, err := o.Runner.Run(ctx, ascoma.Config{
-				Arch: k.arch, Workload: app, Pressure: k.pressure, Scale: o.Scale,
-				Cores: o.Cores, Tiers: o.Tiers, PagePolicy: o.PagePolicy,
-			})
-			if err != nil {
-				return fmt.Errorf("%s %v(%d%%): %w", app, k.arch, k.pressure, err)
-			}
-			mu.Lock()
-			results[k] = res
-			if o.Progress != nil {
-				o.Progress(len(results), len(keys))
-			}
-			mu.Unlock()
-			return nil
-		})
-	}
-	if err := g.wait(); err != nil {
+	if err := runKeys(ctx, app, keys, o, results); err != nil {
 		return nil, err
 	}
 	return results, nil
+}
+
+// runKeys simulates the given grid cells of one application through
+// Runner.RunAll into results, reporting each finished cell to o.Progress.
+func runKeys(ctx context.Context, app string, keys []runKey, o Options, results map[runKey]*ascoma.Result) error {
+	cells := make([]ascoma.Config, len(keys))
+	for i, k := range keys {
+		cells[i] = ascoma.Config{
+			Arch: k.arch, Workload: app, Pressure: k.pressure, Scale: o.Scale,
+			Cores: o.Cores, Tiers: o.Tiers, PagePolicy: o.PagePolicy,
+		}
+	}
+	_, err := o.Runner.RunAll(ctx, cells, func(i int, res *ascoma.Result) {
+		results[keys[i]] = res
+		if o.Progress != nil {
+			o.Progress(len(results), len(keys))
+		}
+	})
+	return err
 }
 
 // gridRows iterates the grid in the paper's presentation order.
@@ -334,37 +284,30 @@ func figureChart(w io.Writer, app string, results map[runKey]*ascoma.Result, bas
 // through the shared Runner; rows keep the caller's order.
 func Table5(ctx context.Context, w io.Writer, apps []string, o Options) error {
 	o = o.withDefaults()
-	t := &stats.Table{Header: []string{"program", "nodes", "home pages/node", "max remote pages", "ideal pressure"}}
-	rows := make([][]interface{}, len(apps))
-	g, ctx := newErrGroup(ctx)
+	gens := make([]workload.Generator, len(apps))
+	cells := make([]ascoma.Config, len(apps))
 	for i, a := range apps {
-		i, a := i, a
-		g.go_(func() error {
-			gen, err := workload.New(a, o.Scale)
-			if err != nil {
-				return err
-			}
-			res, err := o.Runner.Run(ctx, ascoma.Config{Arch: ascoma.SCOMA, Workload: a, Pressure: 5, Scale: o.Scale, Cores: o.Cores})
-			if err != nil {
-				return fmt.Errorf("table 5 %s: %w", a, err)
-			}
-			var maxRemote int64
-			for i := range res.Nodes {
-				if r := res.Nodes[i].RemotePagesSeen; r > maxRemote {
-					maxRemote = r
-				}
-			}
-			resident := gen.HomePagesPerNode() + gen.PrivatePagesPerNode()
-			ideal := 100 * float64(resident) / float64(resident+int(maxRemote))
-			rows[i] = []interface{}{a, gen.Nodes(), gen.HomePagesPerNode(), maxRemote, fmt.Sprintf("%.0f%%", ideal)}
-			return nil
-		})
+		gen, err := workload.New(a, o.Scale)
+		if err != nil {
+			return err
+		}
+		gens[i] = gen
+		cells[i] = ascoma.Config{Arch: ascoma.SCOMA, Workload: a, Pressure: 5, Scale: o.Scale, Cores: o.Cores}
 	}
-	if err := g.wait(); err != nil {
-		return err
+	results, err := o.Runner.RunAll(ctx, cells, nil)
+	if err != nil {
+		return fmt.Errorf("table 5: %w", err)
 	}
-	for _, row := range rows {
-		t.AddRow(row...)
+	t := &stats.Table{Header: []string{"program", "nodes", "home pages/node", "max remote pages", "ideal pressure"}}
+	for i, res := range results {
+		var maxRemote int64
+		for n := range res.Nodes {
+			maxRemote = max(maxRemote, res.Nodes[n].RemotePagesSeen)
+		}
+		gen := gens[i]
+		resident := gen.HomePagesPerNode() + gen.PrivatePagesPerNode()
+		ideal := 100 * float64(resident) / float64(resident+int(maxRemote))
+		t.AddRow(apps[i], gen.Nodes(), gen.HomePagesPerNode(), maxRemote, fmt.Sprintf("%.0f%%", ideal))
 	}
 	return render(w, t, o)
 }
@@ -373,29 +316,21 @@ func Table5(ctx context.Context, w io.Writer, apps []string, o Options) error {
 // parallel through the shared Runner.
 func Table6(ctx context.Context, w io.Writer, apps []string, o Options) error {
 	o = o.withDefaults()
-	t := &stats.Table{Header: []string{"program", "total remote pages", "relocated pages", "% relocated"}}
-	rows := make([][]interface{}, len(apps))
-	g, ctx := newErrGroup(ctx)
+	cells := make([]ascoma.Config, len(apps))
 	for i, a := range apps {
-		i, a := i, a
-		g.go_(func() error {
-			res, err := o.Runner.Run(ctx, ascoma.Config{Arch: ascoma.CCNUMA, Workload: a, Pressure: 10, Scale: o.Scale, Cores: o.Cores})
-			if err != nil {
-				return fmt.Errorf("table 6 %s: %w", a, err)
-			}
-			pctRel := 0.0
-			if res.RemotePages > 0 {
-				pctRel = 100 * float64(res.RelocatedPages) / float64(res.RemotePages)
-			}
-			rows[i] = []interface{}{a, res.RemotePages, res.RelocatedPages, f1(pctRel)}
-			return nil
-		})
+		cells[i] = ascoma.Config{Arch: ascoma.CCNUMA, Workload: a, Pressure: 10, Scale: o.Scale, Cores: o.Cores}
 	}
-	if err := g.wait(); err != nil {
-		return err
+	results, err := o.Runner.RunAll(ctx, cells, nil)
+	if err != nil {
+		return fmt.Errorf("table 6: %w", err)
 	}
-	for _, row := range rows {
-		t.AddRow(row...)
+	t := &stats.Table{Header: []string{"program", "total remote pages", "relocated pages", "% relocated"}}
+	for i, res := range results {
+		pctRel := 0.0
+		if res.RemotePages > 0 {
+			pctRel = 100 * float64(res.RelocatedPages) / float64(res.RemotePages)
+		}
+		t.AddRow(apps[i], res.RemotePages, res.RelocatedPages, f1(pctRel))
 	}
 	return render(w, t, o)
 }
@@ -435,7 +370,7 @@ func ParsePressures(s string) ([]int, error) {
 		}
 		out = append(out, v)
 	}
-	return dedupeSorted(out), nil
+	return DedupePressures(out), nil
 }
 
 func trimSpace(s string) string {

@@ -14,8 +14,6 @@ package report
 
 import (
 	"context"
-	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"ascoma"
@@ -147,25 +145,11 @@ func runGridScreened(ctx context.Context, app string, o Options, plan *screenPla
 	if len(fallback) > 0 {
 		// The certificate lied (model rot); simulate the remaining cells
 		// so the rendered tables stay correct no matter what.
-		var mu sync.Mutex
-		g, ctx := newErrGroup(ctx)
-		for _, k := range fallback {
-			k := k
-			g.go_(func() error {
-				res, err := o.Runner.Run(ctx, ascoma.Config{
-					Arch: k.arch, Workload: app, Pressure: k.pressure, Scale: o.Scale,
-					Cores: o.Cores,
-				})
-				if err != nil {
-					return fmt.Errorf("%s %v(%d%%): %w", app, k.arch, k.pressure, err)
-				}
-				mu.Lock()
-				results[k] = res
-				mu.Unlock()
-				return nil
-			})
-		}
-		if err := g.wait(); err != nil {
+		// Progress already counted the screened grid to its total;
+		// these extra cells would run its counter backwards.
+		fo := o
+		fo.Progress = nil
+		if err := runKeys(ctx, app, fallback, fo, results); err != nil {
 			return nil, err
 		}
 	}

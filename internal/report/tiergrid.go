@@ -16,7 +16,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 
 	"ascoma"
 	"ascoma/internal/stats"
@@ -96,31 +95,21 @@ func TierGrid(ctx context.Context, w io.Writer, app string, shares, asyms []int,
 			}
 		}
 	}
-	results := make(map[tierCell]*ascoma.Result, len(cells))
-	var mu sync.Mutex
-	g, ctx := newErrGroup(ctx)
-	for _, c := range cells {
-		c := c
-		g.go_(func() error {
-			cfg := ascoma.Config{Arch: c.arch, Workload: app, Pressure: c.pressure, Scale: o.Scale, Cores: o.Cores}
-			if c.share > 0 {
-				cfg.Tiers = TierSpecsFor(c.share, c.asym)
-				cfg.PagePolicy = pol
-			}
-			res, err := o.Runner.Run(ctx, cfg)
-			if err != nil {
-				return fmt.Errorf("%s %v(%d%%) fast=%d%% asym=%dx: %w", app, c.arch, c.pressure, c.share, c.asym, err)
-			}
-			mu.Lock()
-			results[c] = res
-			if o.Progress != nil {
-				o.Progress(len(results), len(cells))
-			}
-			mu.Unlock()
-			return nil
-		})
+	cfgs := make([]ascoma.Config, len(cells))
+	for i, c := range cells {
+		cfgs[i] = ascoma.Config{Arch: c.arch, Workload: app, Pressure: c.pressure, Scale: o.Scale, Cores: o.Cores}
+		if c.share > 0 {
+			cfgs[i].Tiers = TierSpecsFor(c.share, c.asym)
+			cfgs[i].PagePolicy = pol
+		}
 	}
-	if err := g.wait(); err != nil {
+	results := make(map[tierCell]*ascoma.Result, len(cells))
+	if _, err := o.Runner.RunAll(ctx, cfgs, func(i int, res *ascoma.Result) {
+		results[cells[i]] = res
+		if o.Progress != nil {
+			o.Progress(len(results), len(cells))
+		}
+	}); err != nil {
 		return err
 	}
 

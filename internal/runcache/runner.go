@@ -2,7 +2,9 @@ package runcache
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -86,6 +88,99 @@ func (r *Runner) RunGenerator(ctx context.Context, cfg ascoma.Config, gen ascoma
 	r.inflight.Add(1)
 	defer r.inflight.Add(-1)
 	return ascoma.RunGeneratorContext(ctx, cfg, gen)
+}
+
+// RunAll runs every cell through Run and returns the results in input
+// order. It is the one fan-out behind every simulation grid (report's
+// figures, tables and tier grids, the jobs layer's grids): min(Jobs,
+// len(cells)) workers take indices in slice order, so on a one-slot
+// Runner cells start exactly in the order given. done, when non-nil, is
+// called once per finished cell on the caller's goroutine, never
+// concurrently, so it may update caller state without a lock. The first
+// failing cell cancels the rest — no further cell starts — and the error
+// names it. An already-cancelled ctx returns before any simulation.
+func (r *Runner) RunAll(ctx context.Context, cells []ascoma.Config, done func(i int, res *ascoma.Result)) ([]*ascoma.Result, error) {
+	r.once.Do(r.init)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	type finish struct {
+		i   int
+		res *ascoma.Result
+	}
+	var (
+		wg       sync.WaitGroup
+		finished = make(chan finish)
+		mu       sync.Mutex // guards next and err
+		next     int
+		err      error
+	)
+	// claim hands out the next index in slice order, or -1 once every
+	// cell is taken or one has failed. A failing worker records its error
+	// before it claims again, so no cell starts after the first failure.
+	claim := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		if next == len(cells) || err != nil {
+			return -1
+		}
+		next++
+		return next - 1
+	}
+	for w := min(cap(r.sem), len(cells)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := claim(); i >= 0; i = claim() {
+				res, rerr := r.Run(ctx, cells[i])
+				if rerr == nil {
+					finished <- finish{i, res}
+					continue
+				}
+				mu.Lock()
+				if err == nil {
+					err = fmt.Errorf("%s: %w", cellName(cells[i]), rerr)
+					cancel()
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(finished)
+	}()
+	results := make([]*ascoma.Result, len(cells))
+	for f := range finished {
+		results[f.i] = f.res
+		if done != nil {
+			done(f.i, f.res)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// cellName identifies a cell in errors, e.g. "radix AS-COMA(70%)", with
+// the tier configuration and page policy appended when set.
+func cellName(cfg ascoma.Config) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s %v(%d%%)", cfg.Workload, cfg.Arch, cfg.Pressure)
+	for i, ts := range cfg.Tiers {
+		sep := ","
+		if i == 0 {
+			sep = " tiers="
+		}
+		fmt.Fprintf(&b, "%s%d:%d:%d", sep, ts.CapacityPct, ts.ReadCycles, ts.WriteCycles)
+	}
+	if cfg.PagePolicy != "" {
+		fmt.Fprintf(&b, " policy=%s", cfg.PagePolicy)
+	}
+	return b.String()
 }
 
 // InFlight returns the number of simulations currently executing (cache
