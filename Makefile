@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test verify vet vet-self bench race fuzz-smoke clean serve-smoke trace-check parallel-check model-check e2e perfbench-test
+.PHONY: all build test verify vet bench race fuzz-smoke clean serve-smoke trace-check parallel-check model-check e2e perfbench-test
 
 all: build
 
@@ -24,13 +24,14 @@ serve-smoke:
 e2e:
 	$(GO) test -count=1 -v ./e2e/
 
-# vet runs the stock go vet suite plus the repo's own analyzers. The
-# standalone ascoma-vet invocation runs the whole-program checks first
-# (parownership, hotpathflow, dirlint — the interprocedural call-graph
-# engine of DESIGN.md §14, which also fails any escape hatch lacking a
-# reason), then re-execs the per-package analyzers (nondet,
-# statsintegrity, ctxflow, errdrop) through the standard -vettool
-# protocol. See DESIGN.md §9 and §14.
+# vet runs the stock go vet suite plus the repo's own analyzers. ascoma-vet
+# loads the module once and runs all seven analyzers on that load, in
+# process: the per-package checks (nondet, statsintegrity, ctxflow,
+# errdrop) and the whole-program ones on the interprocedural call graph
+# (parownership, hotpathflow, dirlint — which also fails any escape hatch
+# lacking a reason). ./... covers the analyzers' own packages too, so the
+# suite holds itself to the discipline it enforces. See DESIGN.md §9 and
+# §14.
 vet:
 	$(GO) vet ./...
 	$(GO) build -o .bin/ascoma-vet ./cmd/ascoma-vet
@@ -42,13 +43,6 @@ vet:
 # (runcache.Runner, report.Options, jobs.RunResult) fails here first.
 perfbench-test:
 	cd perfbench && $(GO) vet . && $(GO) test .
-
-# vet-self turns the analyzer suite on its own implementation: the
-# analysis packages must hold the same error-handling and directive
-# discipline they enforce on the simulator.
-vet-self:
-	$(GO) build -o .bin/ascoma-vet ./cmd/ascoma-vet
-	.bin/ascoma-vet ./internal/analysis/...
 
 # trace-check proves flight-recorder determinism end to end through the
 # real binaries: record the same observed run twice with ascoma-sim and
@@ -97,7 +91,7 @@ model-check:
 # test suite (including the golden determinism test), a short race-detector
 # smoke over the internal packages, the estimator accuracy gate, the
 # trace-determinism check, and the server smoke test.
-verify: vet vet-self
+verify: vet
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -race -short ./internal/...

@@ -1,11 +1,12 @@
 // Package analysis is a small, dependency-free static-analysis framework
 // modeled on golang.org/x/tools/go/analysis. The repo cannot vendor x/tools
-// (builds must work offline with nothing but the toolchain), and the four
-// repo-specific checkers under internal/analysis/* need only a fraction of
-// its surface: an Analyzer with a Run function, a Pass carrying one
-// type-checked package, and positioned diagnostics. The drivers — the
-// go-vet-protocol unit checker used by cmd/ascoma-vet and the analysistest
-// harness used by the corpora — both construct Passes from this package.
+// (builds must work offline with nothing but the toolchain), and the
+// repo-specific per-package checkers under internal/analysis/* need only a
+// fraction of its surface: an Analyzer with a Run function, a Pass carrying
+// one type-checked package, and positioned diagnostics. Passes are built in
+// one place, program.RunAnalyzers, over a module loaded once by
+// program.Load; cmd/ascoma-vet and the analysistest harness both go
+// through it.
 package analysis
 
 import (
@@ -27,9 +28,10 @@ type Analyzer struct {
 
 	// Packages restricts the analyzer to packages whose import path equals
 	// one of these entries, or — for entries ending in "/..." — sits in
-	// that subtree. Empty means every package. The restriction is applied
-	// by drivers, not by the analyzer itself, so test corpora (whose
-	// synthetic package paths match nothing) still exercise the checks.
+	// that subtree. Empty means every package. program.RunAnalyzers
+	// applies the restriction; analysistest lifts it, so test corpora
+	// (whose synthetic package paths match nothing) still exercise the
+	// checks.
 	Packages []string
 
 	// Run applies the analysis to one package.
@@ -65,10 +67,11 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
+	// Directives answers Allowed; it covers at least the package's files.
+	Directives *DirectiveIndex
+
 	// Report delivers one diagnostic.
 	Report func(Diagnostic)
-
-	directives map[lineKey][]Directive // lazily built by directive lookups
 }
 
 // A Diagnostic is one finding, anchored to a source position.

@@ -7,19 +7,16 @@
 //
 // A `// want` comment holds one or more backquoted or double-quoted regular
 // expressions; each must match a distinct diagnostic reported on that line,
-// and every diagnostic must be matched by some expectation. Corpus packages
-// are type-checked against the standard library from source, so corpora can
-// import time, math/rand, fmt, and context without any build step.
+// and every diagnostic must be matched by some expectation. Corpora load
+// through program.LoadDir, which type-checks them against the standard
+// library from source, so they can import time, math/rand, fmt, and context
+// without any build step.
 package analysistest
 
 import (
 	"fmt"
 	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
-	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -30,23 +27,15 @@ import (
 	"ascoma/internal/analysis/program"
 )
 
-// Run applies the analyzer to the corpus package in dir (a path relative to
-// the test, e.g. "../testdata/src/nondet") and reports expectation
-// mismatches as test errors.
+// Run applies the analyzer to the corpus in dir (a path relative to the
+// test, e.g. "../testdata/src/nondet"), loaded like RunProgram's, and
+// reports expectation mismatches as test errors. The corpus's synthetic
+// package paths match no Packages restriction, so the harness lifts it.
 func Run(t *testing.T, a *analysis.Analyzer, dir string) {
 	t.Helper()
-	pass, err := load(a, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var got []analysis.Diagnostic
-	pass.Report = func(d analysis.Diagnostic) { got = append(got, d) }
-	if err := a.Run(pass); err != nil {
-		t.Fatalf("%s: %v", a.Name, err)
-	}
-
-	match(t, pass.Fset, got, expectations(t, pass.Fset, pass.Files))
+	unscoped := *a
+	unscoped.Packages = nil
+	run(t, dir, []*analysis.Analyzer{&unscoped}, nil)
 }
 
 // RunProgram applies a whole-program analyzer to the corpus tree rooted at
@@ -56,13 +45,18 @@ func Run(t *testing.T, a *analysis.Analyzer, dir string) {
 // across every package of the fixture.
 func RunProgram(t *testing.T, a *program.Analyzer, dir string) {
 	t.Helper()
+	run(t, dir, nil, []*program.Analyzer{a})
+}
+
+func run(t *testing.T, dir string, pkgAnalyzers []*analysis.Analyzer, progAnalyzers []*program.Analyzer) {
+	t.Helper()
 	prog, err := program.LoadDir(dir, filepath.Base(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := program.RunAnalyzers(prog, []*program.Analyzer{a})
+	got, err := program.RunAnalyzers(prog, pkgAnalyzers, progAnalyzers)
 	if err != nil {
-		t.Fatalf("%s: %v", a.Name, err)
+		t.Fatal(err)
 	}
 
 	var files []*ast.File
@@ -103,51 +97,6 @@ func match(t *testing.T, fset *token.FileSet, got []analysis.Diagnostic, wants m
 			}
 		}
 	}
-}
-
-// load parses and type-checks the corpus package.
-func load(a *analysis.Analyzer, dir string) (*analysis.Pass, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no corpus files in %s", dir)
-	}
-
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	pkg, err := conf.Check(filepath.Base(dir), fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("type-checking corpus %s: %v", dir, err)
-	}
-
-	return &analysis.Pass{
-		Analyzer:  a,
-		Fset:      fset,
-		Files:     files,
-		Pkg:       pkg,
-		TypesInfo: info,
-	}, nil
 }
 
 // wantRx extracts the quoted or backquoted expectation strings after "want".

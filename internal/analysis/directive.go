@@ -116,37 +116,50 @@ type lineKey struct {
 	line int
 }
 
-func (p *Pass) buildDirectiveIndex() {
-	p.directives = make(map[lineKey][]Directive)
-	for _, f := range p.Files {
+// A DirectiveIndex maps each source line to the //ascoma: directives
+// written on it. The program loader builds one over every loaded file, and
+// both kinds of pass answer Allowed from it.
+type DirectiveIndex struct {
+	fset  *token.FileSet
+	lines map[lineKey][]Directive
+}
+
+// IndexDirectives indexes the //ascoma: comments of files by line.
+func IndexDirectives(fset *token.FileSet, files []*ast.File) *DirectiveIndex {
+	ix := &DirectiveIndex{fset: fset, lines: make(map[lineKey][]Directive)}
+	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				d, ok := ParseDirective(c)
 				if !ok {
 					continue
 				}
-				pos := p.Fset.Position(c.Pos())
+				pos := fset.Position(c.Pos())
 				k := lineKey{pos.Filename, pos.Line}
-				p.directives[k] = append(p.directives[k], d)
+				ix.lines[k] = append(ix.lines[k], d)
 			}
 		}
 	}
+	return ix
 }
 
 // Allowed reports whether a diagnostic at pos is suppressed by the named
 // escape hatch. The hatch must carry a reason and must sit on the same line
 // as pos or on the line directly above it.
-func (p *Pass) Allowed(pos token.Pos, hatch string) bool {
-	if p.directives == nil {
-		p.buildDirectiveIndex()
-	}
-	position := p.Fset.Position(pos)
+func (ix *DirectiveIndex) Allowed(pos token.Pos, hatch string) bool {
+	position := ix.fset.Position(pos)
 	for _, line := range []int{position.Line, position.Line - 1} {
-		for _, d := range p.directives[lineKey{position.Filename, line}] {
+		for _, d := range ix.lines[lineKey{position.Filename, line}] {
 			if d.Name == hatch && d.Arg != "" {
 				return true
 			}
 		}
 	}
 	return false
+}
+
+// Allowed reports whether a diagnostic at pos is suppressed by the named
+// escape hatch (see DirectiveIndex.Allowed).
+func (p *Pass) Allowed(pos token.Pos, hatch string) bool {
+	return p.Directives.Allowed(pos, hatch)
 }

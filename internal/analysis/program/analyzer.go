@@ -49,17 +49,35 @@ func (p *Pass) Allowed(pos token.Pos, hatch string) bool {
 	return p.Prog.Allowed(pos, hatch)
 }
 
-// RunAnalyzers loads nothing itself: it applies each analyzer to an
-// already-loaded program and returns the collected diagnostics in report
-// order. Drivers sort before printing.
-func RunAnalyzers(prog *Program, analyzers []*Analyzer) ([]analysis.Diagnostic, error) {
+// RunAnalyzers applies analyzers to an already-loaded program and returns
+// the collected diagnostics in report order; drivers sort before printing.
+// Each per-package analyzer runs on every package it AppliesTo, then each
+// whole-program analyzer runs once. It is the only place a Pass of either
+// kind is built.
+func RunAnalyzers(prog *Program, pkgAnalyzers []*analysis.Analyzer, progAnalyzers []*Analyzer) ([]analysis.Diagnostic, error) {
 	var diags []analysis.Diagnostic
-	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer: a,
-			Prog:     prog,
-			Report:   func(d analysis.Diagnostic) { diags = append(diags, d) },
+	report := func(d analysis.Diagnostic) { diags = append(diags, d) }
+	for _, pkg := range prog.Pkgs {
+		for _, a := range pkgAnalyzers {
+			if !a.AppliesTo(pkg.Path) {
+				continue
+			}
+			pass := &analysis.Pass{
+				Analyzer:   a,
+				Fset:       prog.Fset,
+				Files:      pkg.Files,
+				Pkg:        pkg.Pkg,
+				TypesInfo:  pkg.Info,
+				Directives: prog.directives,
+				Report:     report,
+			}
+			if err := a.Run(pass); err != nil {
+				return diags, fmt.Errorf("analyzer %s on %s: %v", a.Name, pkg.Path, err)
+			}
 		}
+	}
+	for _, a := range progAnalyzers {
+		pass := &Pass{Analyzer: a, Prog: prog, Report: report}
 		if err := a.Run(pass); err != nil {
 			return diags, fmt.Errorf("analyzer %s: %v", a.Name, err)
 		}

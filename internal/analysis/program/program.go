@@ -1,17 +1,17 @@
 // Package program loads every package of the repository in one shot and
-// builds the interprocedural facts — a call graph with static, interface,
-// and func-value edges, plus a program-wide directive index — that the
-// whole-repo analyzers (parownership, hotpathflow, dirlint) consume. The
-// per-package unit checker cannot see across compilation units, so the
-// invariants that live in call chains (which goroutine may reach which
-// state, whether a //ascoma:hotpath root transitively allocates) are proved
-// here instead.
+// runs the whole analyzer suite on that one load. Per-package analyzers
+// (analysis.Analyzer) get a Pass per loaded package; the whole-repo
+// analyzers (parownership, hotpathflow, dirlint) get the interprocedural
+// facts built here — a call graph with static, interface, and func-value
+// edges, plus a program-wide directive index — so the invariants that live
+// in call chains (which goroutine may reach which state, whether a
+// //ascoma:hotpath root transitively allocates) are proved across packages.
 //
-// Loading reuses the srcimporter harness the analysistest corpora already
-// depend on: repo packages are parsed from source, topologically sorted by
-// their intra-module imports, and type-checked against a shared
-// source-importer for the standard library, so the engine works offline
-// with nothing but the toolchain.
+// Repo packages are parsed from source, topologically sorted by their
+// intra-module imports, and type-checked against a shared source-importer
+// for the standard library, so loading works offline with nothing but the
+// toolchain. This is the suite's only package loader: cmd/ascoma-vet and
+// the analysistest corpora both load through it.
 package program
 
 import (
@@ -53,7 +53,7 @@ type Program struct {
 	funcByLit  map[*ast.FuncLit]*Func
 	namedTypes []*types.TypeName
 
-	directives map[lineKey][]analysis.Directive
+	directives *analysis.DirectiveIndex
 	typeDirs   []TypeDirective
 }
 
@@ -63,15 +63,10 @@ type TypeDirective struct {
 	Dir analysis.Directive
 }
 
-type lineKey struct {
-	file string
-	line int
-}
-
 // Load loads the module rooted at root (the directory containing go.mod):
 // every package directory is parsed (testdata, vendor, dot/underscore and
-// tool directories are skipped; _test.go files are excluded) and
-// type-checked, and the call graph is built.
+// tool directories and nested modules are skipped; _test.go files are
+// excluded) and type-checked, and the call graph is built.
 func Load(root string) (*Program, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
@@ -87,7 +82,7 @@ func Load(root string) (*Program, error) {
 // LoadDir loads a test-corpus tree: the directory itself and each
 // subdirectory holding .go files becomes one package, with import paths
 // rooted at prefix (so a fixture package in dir/state imports as
-// "prefix/state"). Used by analysistest for multi-package fixtures.
+// "prefix/state"). Used by analysistest to load its corpora.
 func LoadDir(root, prefix string) (*Program, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
@@ -120,7 +115,6 @@ func load(root, modpath string) (*Program, error) {
 		Root:       root,
 		funcByObj:  make(map[*types.Func]*Func),
 		funcByLit:  make(map[*ast.FuncLit]*Func),
-		directives: make(map[lineKey][]analysis.Directive),
 	}
 
 	dirs, err := packageDirs(root)
@@ -186,7 +180,8 @@ func load(root, modpath string) (*Program, error) {
 }
 
 // packageDirs enumerates candidate package directories under root in
-// deterministic (lexical) order.
+// deterministic (lexical) order. A subdirectory holding a go.mod is another
+// module and is skipped with everything below it, as go vet ./... does.
 func packageDirs(root string) ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -200,6 +195,9 @@ func packageDirs(root string) ([]string, error) {
 		if path != root {
 			if name == "testdata" || name == "vendor" || name == ".bin" ||
 				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
 		}
@@ -301,23 +299,14 @@ func moduleImports(pkg *Package, modpath string) []string {
 }
 
 // indexDirectives builds the program-wide line index of //ascoma: comments
-// used by Allowed and by dirlint.
+// used by Allowed, and the list of type-level directives.
 func (p *Program) indexDirectives() {
+	var files []*ast.File
 	for _, pkg := range p.Pkgs {
-		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					d, ok := analysis.ParseDirective(c)
-					if !ok {
-						continue
-					}
-					pos := p.Fset.Position(c.Pos())
-					k := lineKey{pos.Filename, pos.Line}
-					p.directives[k] = append(p.directives[k], d)
-				}
-			}
-		}
+		files = append(files, pkg.Files...)
 	}
+	p.directives = analysis.IndexDirectives(p.Fset, files)
+
 	// Type-level directives: a doc comment on the TypeSpec, or on a
 	// single-spec GenDecl.
 	for _, pkg := range p.Pkgs {
@@ -364,18 +353,9 @@ func (p *Program) indexNamedTypes() {
 }
 
 // Allowed reports whether a diagnostic at pos is suppressed by the named
-// escape hatch, using the same line rules as Pass.Allowed but over the
-// whole program.
+// escape hatch, anywhere in the program (see analysis.DirectiveIndex).
 func (p *Program) Allowed(pos token.Pos, hatch string) bool {
-	position := p.Fset.Position(pos)
-	for _, line := range []int{position.Line, position.Line - 1} {
-		for _, d := range p.directives[lineKey{position.Filename, line}] {
-			if d.Name == hatch && d.Arg != "" {
-				return true
-			}
-		}
-	}
-	return false
+	return p.directives.Allowed(pos, hatch)
 }
 
 // TypesWithDirective returns the type-level directives with the given name,
