@@ -47,7 +47,9 @@ perfbench-test:
 # trace-check proves flight-recorder determinism end to end through the
 # real binaries: record the same observed run twice with ascoma-sim and
 # require the trace files to be byte-identical, then decode one with
-# ascoma-inspect so a codec regression fails loudly. The reference round
+# ascoma-inspect so a codec regression fails loudly. The default memory is
+# one tier at the local latency, so the same run with an explicit
+# -tiers 100:50:50 must record the identical trace. The reference round
 # does the same for a trace carrying the workload's reference streams
 # (-refs), then replays it (-replay).
 trace-check:
@@ -56,6 +58,8 @@ trace-check:
 	.bin/ascoma-sim -arch ascoma -workload radix -pressure 70 -scale 16 -trace .bin/trace-a -epoch 5000 >/dev/null
 	.bin/ascoma-sim -arch ascoma -workload radix -pressure 70 -scale 16 -trace .bin/trace-b -epoch 5000 >/dev/null
 	cmp .bin/trace-a .bin/trace-b
+	.bin/ascoma-sim -arch ascoma -workload radix -pressure 70 -scale 16 -tiers 100:50:50 -trace .bin/trace-a1 -epoch 5000 >/dev/null
+	cmp .bin/trace-a .bin/trace-a1
 	.bin/ascoma-inspect summary .bin/trace-a >/dev/null
 	.bin/ascoma-sim -arch ascoma -workload radix -pressure 70 -scale 16 -tiers 30:40:60,70:120:300 -pagepolicy hybrid -trace .bin/trace-ta -epoch 5000 >/dev/null
 	.bin/ascoma-sim -arch ascoma -workload radix -pressure 70 -scale 16 -tiers 30:40:60,70:120:300 -pagepolicy hybrid -trace .bin/trace-tb -epoch 5000 >/dev/null

@@ -122,12 +122,13 @@ type Config struct {
 	// fastest first (see TierSpec): new pages allocate into the fastest
 	// tier with headroom, the pageout daemon demotes cold pages tier-down
 	// before evicting, and hot slow-tier pages are promoted back up. Nil
-	// keeps the flat seed model — and, being omitempty, leaves the
-	// content-addressed cache key of every pre-tier config unchanged.
+	// is the paper's uniform memory, one tier at Params.LocalMemCycles —
+	// and, being omitempty, leaves the content-addressed cache key of
+	// every pre-tier config unchanged.
 	Tiers []TierSpec `json:"tiers,omitempty"`
 	// PagePolicy selects the per-bank DRAM row-buffer page policy:
 	// "open", "closed", "hybrid", or ""/"none" for no row-buffer
-	// modeling. With no Tiers it applies to a single flat-latency tier.
+	// modeling. With no Tiers it applies to the default single tier.
 	PagePolicy string `json:"pagePolicy,omitempty"`
 }
 
@@ -137,7 +138,7 @@ type TierSpec = mem.TierSpec
 
 // ParseTiers parses the CLI tier syntax
 // "capPct:readCycles:writeCycles,..." (fastest tier first; capacities
-// must sum to 100). An empty string returns nil (the flat model).
+// must sum to 100). An empty string returns nil (the default one tier).
 func ParseTiers(s string) ([]TierSpec, error) { return mem.ParseTiers(s) }
 
 // Recording re-exports the observability container (see internal/obs): a

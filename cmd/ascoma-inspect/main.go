@@ -127,7 +127,8 @@ func summary(path string, rec *obs.Recording) {
 
 	// Derived series for tiered-memory traces: the machine-wide row-buffer
 	// hit rate in percent (cumulative hits over hits+conflicts, summed
-	// across nodes). Flat traces carry all-zero row probes and skip it.
+	// across nodes). Traces without a page policy carry all-zero row
+	// probes and skip it.
 	rate := make([]int64, ep.Len())
 	active := false
 	for e := 0; e < ep.Len(); e++ {

@@ -36,7 +36,7 @@ func main() {
 	epoch := flag.Int64("epoch", 0, "with -trace, sample per-node epoch probes every N cycles (0 = events only)")
 	cores := flag.Int("cores", 1, "worker threads inside the run (results are bit-identical at any count)")
 	quantum := flag.Int64("quantum", 0, "cycles per node timeslice (0 = the 100-cycle default; changes simulated results)")
-	tiers := flag.String("tiers", "", "memory tiers as capPct:readCycles:writeCycles,... fastest first (empty = flat memory)")
+	tiers := flag.String("tiers", "", "memory tiers as capPct:readCycles:writeCycles,... fastest first (empty = one tier at the local memory latency)")
 	pagePolicy := flag.String("pagepolicy", "", "DRAM row-buffer page policy: open, closed, hybrid (empty = off)")
 	refs := flag.Bool("refs", false, "with -trace, also store the run's reference streams in the trace file (replay with -replay)")
 	replay := flag.String("replay", "", "simulate the reference streams stored in this trace file instead of -workload/-scale")

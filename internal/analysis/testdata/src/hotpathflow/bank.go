@@ -1,7 +1,7 @@
 package hotpathflow
 
 // Tiered-bank corpus entry, modeled on internal/mem: the bank-access
-// root (AcquireTiered there) is hot, the row-policy helper it reaches
+// root (Memory.Acquire there) is hot, the row-policy helper it reaches
 // must stay allocation-free, and the demotion path below a cut runs at
 // daemon cadence where allocation is fine.
 

@@ -334,11 +334,7 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 		fig := *spec.Figure
 		// The figure grid: the CC-NUMA baseline plus four architectures
 		// per pressure (see report.runGrid).
-		np := len(report.DedupePressures(fig.Pressures))
-		if np == 0 {
-			np = 5
-		}
-		total = 1 + 4*np
+		total = 1 + 4*len(report.PressureAxis(fig.Pressures))
 		runner = func(j *Job, ctx context.Context) (any, error) {
 			return m.runFigure(j, ctx, fig)
 		}

@@ -70,7 +70,7 @@ type RunSpec struct {
 	// the async jobs endpoint honours it; POST /api/v1/run rejects it.
 	EpochInterval int64 `json:"epochInterval,omitempty"`
 	// Tiers and PagePolicy select the tiered-memory model
-	// (ascoma.Config.Tiers/PagePolicy); both empty = the flat seed model.
+	// (ascoma.Config.Tiers/PagePolicy); both empty = the default one tier.
 	Tiers      []ascoma.TierSpec `json:"tiers,omitempty"`
 	PagePolicy string            `json:"pagePolicy,omitempty"`
 }
@@ -175,10 +175,7 @@ func (g GridSpec) cells(cores, maxCells int) ([]ascoma.Config, error) {
 			return nil, badSpec("unknown workload %q (registered: %s)", a, strings.Join(ascoma.Workloads(), ", "))
 		}
 	}
-	pressures := report.DedupePressures(g.Pressures)
-	if len(pressures) == 0 {
-		pressures = []int{10, 30, 50, 70, 90}
-	}
+	pressures := report.PressureAxis(g.Pressures)
 	for _, p := range pressures {
 		if p < 1 || p > 99 {
 			return nil, badSpec("pressure %d out of range [1,99]", p)
@@ -346,19 +343,8 @@ func (t TierGridSpec) validate() error {
 // per pressure and architecture, one flat baseline plus one cell per
 // share x asymmetry combination.
 func (t TierGridSpec) cellCount() int {
-	np := len(report.DedupePressures(t.Pressures))
-	if np == 0 {
-		np = 5
-	}
-	ns := len(t.FastShares)
-	if ns == 0 {
-		ns = len(report.DefaultFastShares)
-	}
-	na := len(t.Asymmetries)
-	if na == 0 {
-		na = len(report.DefaultAsymmetries)
-	}
-	return 6 * np * (1 + ns*na)
+	shares, asyms := report.TierAxes(t.FastShares, t.Asymmetries)
+	return 6 * len(report.PressureAxis(t.Pressures)) * (1 + len(shares)*len(asyms))
 }
 
 // Spec is the POST /api/v1/jobs body: exactly one arm set.
@@ -443,15 +429,12 @@ func (e EstimateSpec) Predictions() ([]estimate.Prediction, error) {
 			}
 		}
 	}
-	pressures := []int{10, 30, 50, 70, 90}
-	if len(e.Pressures) > 0 {
-		for _, p := range e.Pressures {
-			if p < 1 || p > 99 {
-				return nil, badSpec("pressure %d out of range [1,99]", p)
-			}
+	for _, p := range e.Pressures {
+		if p < 1 || p > 99 {
+			return nil, badSpec("pressure %d out of range [1,99]", p)
 		}
-		pressures = report.DedupePressures(e.Pressures)
 	}
+	pressures := report.PressureAxis(e.Pressures)
 	prof, err := workload.ProfileFor(e.Workload, e.Scale)
 	if err != nil {
 		return nil, badSpec("%v", err)

@@ -128,11 +128,18 @@ func TestSpecShape(t *testing.T) {
 }
 
 func TestDedupeSorted(t *testing.T) {
-	got := report.DedupePressures([]int{90, 10, 50, 10, 90})
+	got := report.DedupeAxis([]int{90, 10, 50, 10, 90})
 	if !reflect.DeepEqual(got, []int{10, 50, 90}) {
-		t.Errorf("DedupePressures = %v", got)
+		t.Errorf("DedupeAxis = %v", got)
 	}
-	if got := report.DedupePressures(nil); len(got) != 0 {
-		t.Errorf("DedupePressures(nil) = %v", got)
+	if got := report.DedupeAxis(nil); len(got) != 0 {
+		t.Errorf("DedupeAxis(nil) = %v", got)
+	}
+	if got := report.PressureAxis(nil); !reflect.DeepEqual(got, report.DefaultPressures) {
+		t.Errorf("PressureAxis(nil) = %v", got)
+	}
+	shares, asyms := report.TierAxes([]int{75, 25, 75}, nil)
+	if !reflect.DeepEqual(shares, []int{25, 75}) || !reflect.DeepEqual(asyms, report.DefaultAsymmetries) {
+		t.Errorf("TierAxes = %v, %v", shares, asyms)
 	}
 }

@@ -191,3 +191,40 @@ func TestTierGridJob(t *testing.T) {
 		}
 	}
 }
+
+func TestTierGridJobDuplicateAxes(t *testing.T) {
+	m := NewManager(&runcache.Runner{Jobs: 4}, Options{Cores: 1})
+	defer m.Close()
+	j, err := m.Submit(Spec{TierGrid: &TierGridSpec{
+		App: "uniform", Scale: 16, Pressures: []int{70, 70},
+		FastShares: []int{50, 50}, Asymmetries: []int{4, 4},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One pressure, one flat baseline plus one tiered cell, six archs.
+	const want = 6 * 1 * (1 + 1)
+	if got := j.Status().CellsTotal; got != want {
+		t.Errorf("admitted CellsTotal = %d, want %d", got, want)
+	}
+	deadline := time.Now().Add(2 * time.Minute)
+	for {
+		if _, terminal := j.Events(0); terminal {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("tiergrid job did not finish; status %+v", j.Status())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	st := j.Status()
+	if st.State != StateDone {
+		t.Fatalf("tiergrid job ended %s: %s", st.State, st.Error)
+	}
+	if st.CellsDone != want || st.CellsTotal != want {
+		t.Errorf("finished at %d of %d cells, want %d of %d", st.CellsDone, st.CellsTotal, want, want)
+	}
+	if doc, _ := st.Result.(string); strings.Count(doc, "fast 50% / slow x4") != 1 {
+		t.Errorf("duplicate axes printed the row more than once\n%s", doc)
+	}
+}

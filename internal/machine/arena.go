@@ -35,8 +35,11 @@ type shape struct {
 	racEntries int
 	memBanks   int
 	totalPages int
-	homeLimit  int    // directory home-allocation cap (home pages per node)
-	tierSig    string // memory-tier configuration signature (mem.SigOf; "" = flat)
+	homeLimit  int // directory home-allocation cap (home pages per node)
+	// The memory configuration: the effective tiers (unused entries zero)
+	// and the row-buffer policy.
+	tiers  [mem.MaxTiers]mem.TierSpec
+	policy mem.Policy
 }
 
 // arena maps shape -> *sync.Pool of released *Machine. sync.Pool gives
@@ -62,7 +65,7 @@ func arenaPut(m *Machine) {
 // caches, VM and contention resources, plus the directory. Per-run fields
 // (policies, stats, streams, network) are wired by New for fresh and
 // recycled machines alike.
-func newShaped(sh shape, p *params.Params, tiers []mem.TierSpec, pol mem.Policy) *Machine {
+func newShaped(sh shape, p *params.Params, tiers []mem.TierSpec) *Machine {
 	m := &Machine{shape: sh}
 	m.nodes = make([]*node, sh.nodes)
 	for i := range m.nodes {
@@ -72,14 +75,10 @@ func newShaped(sh shape, p *params.Params, tiers []mem.TierSpec, pol mem.Policy)
 			rac: cache.NewRAC(sh.racEntries),
 			vmm: vm.New(i, sh.totalPages, p.FreeMinPct, p.FreeTargetPct),
 		}
-		// Init/Configure after the node has its final address: small bank
+		// Configure after the node has its final address: small bank
 		// counts store their banks inside the struct itself. The tier
-		// config is pinned by sh.tierSig, so recycling keeps it.
-		if len(tiers) > 0 {
-			m.nodes[i].mem.Configure(sh.memBanks, tiers, pol)
-		} else {
-			m.nodes[i].mem.Init(sh.memBanks)
-		}
+		// config is pinned by the shape, so recycling keeps it.
+		m.nodes[i].mem.Configure(sh.memBanks, tiers, sh.policy)
 	}
 	// The directory's callbacks are bound to m itself, so they survive
 	// recycling: the whole machine is pooled as a unit.
@@ -118,8 +117,6 @@ func (m *Machine) recycle(sh shape, p *params.Params) {
 	m.nextEpoch = 0
 	m.fetchCount, m.fetchTotal, m.fwdCount, m.invCount = 0, 0, 0, 0
 	m.stageWait = [4]int64{}
-	m.tiered = false
-	m.tierPromotes, m.tierDemotes = 0, 0
 }
 
 // Release returns the machine's recyclable state (caches, page tables,

@@ -31,12 +31,11 @@ type Config struct {
 	Pressure int           // memory pressure percent, 1..99
 	Params   params.Params // machine parameters (zero value -> params.Default())
 	// Tiers partitions each node's physical memory into asymmetric tiers
-	// (fastest first; see internal/mem). Nil keeps the flat seed model,
-	// whose results are bit-identical to pre-tier builds.
+	// (fastest first; see internal/mem). Nil is the paper's uniform
+	// memory: one tier at Params.LocalMemCycles.
 	Tiers []mem.TierSpec
-	// PagePolicy selects the per-bank row-buffer page policy for tiered
-	// memory. Setting it without Tiers models row buffers on a single
-	// tier at the flat LocalMemCycles latency.
+	// PagePolicy selects the per-bank row-buffer page policy of every
+	// tier (PolicyNone: no row-buffer modeling).
 	PagePolicy mem.Policy
 	// Quantum is the number of cycles one node advances before the run
 	// loop switches to the next node (0 -> 100). Nodes interact through
@@ -233,14 +232,6 @@ type Machine struct {
 	fwdCount   int64
 	invCount   int64
 	stageWait  [4]int64 // bus, request net+dir, memory, reply net+bus
-
-	// Tiered-memory state: tiered is hoisted from the effective tier
-	// config so the access path pays one bool test; the promotion and
-	// demotion tallies are host-side debug counters (DebugTierStats) —
-	// never part of stats, which the flat goldens pin.
-	tiered       bool
-	tierPromotes int64
-	tierDemotes  int64
 }
 
 // DebugFetchStats returns the count and mean latency of remote fetches and
@@ -271,10 +262,11 @@ func New(cfg Config, gen workload.Generator) (*Machine, error) {
 		cfg.Quantum = 100
 	}
 
-	// Effective tier configuration: a page policy without explicit tiers
-	// models row buffers on a single tier at the flat latency.
+	// Effective tier configuration: no explicit tiers means one tier at
+	// the local memory latency. The default is applied here, not in the
+	// caller's config, so it never enters a runcache key.
 	tiers := cfg.Tiers
-	if len(tiers) == 0 && cfg.PagePolicy != mem.PolicyNone {
+	if len(tiers) == 0 {
 		tiers = []mem.TierSpec{{
 			CapacityPct: 100,
 			ReadCycles:  cfg.Params.LocalMemCycles,
@@ -306,11 +298,12 @@ func New(cfg Config, gen workload.Generator) (*Machine, error) {
 		memBanks:   cfg.Params.MemBanks,
 		totalPages: totalPages,
 		homeLimit:  gen.HomePagesPerNode(),
-		tierSig:    mem.SigOf(tiers, cfg.PagePolicy),
+		policy:     cfg.PagePolicy,
 	}
+	copy(sh.tiers[:], tiers)
 	m := arenaGet(sh)
 	if m == nil {
-		m = newShaped(sh, &cfg.Params, tiers, cfg.PagePolicy)
+		m = newShaped(sh, &cfg.Params, tiers)
 	} else {
 		m.recycle(sh, &cfg.Params)
 	}
@@ -319,7 +312,6 @@ func New(cfg Config, gen workload.Generator) (*Machine, error) {
 	m.quantum = cfg.Quantum
 	m.maxCycles = cfg.MaxCycles
 	m.sampleIntv = cfg.SampleInterval
-	m.tiered = len(tiers) > 0
 	m.p = &m.cfg.Params
 	p := m.p
 
@@ -828,7 +820,7 @@ func (m *Machine) access(nd *node, ref workload.Ref, now int64) int64 {
 					m.checker.onWrite(nd.id, block)
 				}
 			}
-			if m.tiered && pte.Tier > 0 && pte.SComaHits&(tierPromoteHits-1) == 0 {
+			if pte.Tier > 0 && pte.SComaHits&(tierPromoteHits-1) == 0 {
 				// A slow-tier page earning steady page-cache hits is hot:
 				// move it up, charging the copy as kernel overhead (the
 				// relocate idiom — the access itself stays UShMem).
@@ -933,34 +925,29 @@ func (m *Machine) classify(nd *node, res directory.FetchResult) {
 }
 
 // localAccess models an access satisfied by this node's DRAM (home data,
-// page cache, or private data): bus transaction plus a memory-bank access.
-// On tiered memory the bank occupancy comes from the page's tier and the
-// row-buffer policy; the flat path is byte-identical to the seed model.
+// page cache, or private data): bus transaction plus a memory-bank access
+// whose occupancy comes from the page's tier and the row-buffer policy.
 //
 //ascoma:hotpath
 func (m *Machine) localAccess(nd *node, pte *vm.PTE, b addr.Block, write bool, now int64) int64 {
 	t := nd.bus.Acquire(now, m.p.BusCycles)
-	if !m.tiered {
-		return nd.mem.Acquire(uint64(b), t, m.p.LocalMemCycles)
-	}
-	return nd.mem.AcquireTiered(int(pte.Tier), uint64(b), t, write)
+	return nd.mem.Acquire(int(pte.Tier), uint64(b), t, write)
 }
 
 // memAcquire models a DRAM access at an arbitrary node for block b (remote
-// fetch supply, writeback landing, dirty-owner retrieval), resolving the
-// block's tier through the serving node's page table when tiers are
-// configured.
+// fetch supply, writeback landing, dirty-owner retrieval). With more than
+// one tier the block's tier is resolved through the serving node's page
+// table; with one it is always 0, and the lookup is skipped.
 //
 //ascoma:hotpath
 func (m *Machine) memAcquire(nd *node, b addr.Block, t int64, write bool) int64 {
-	if !m.tiered {
-		return nd.mem.Acquire(uint64(b), t, m.p.LocalMemCycles)
-	}
 	tier := 0
-	if pte := nd.vmm.PageOfBlock(b); pte != nil {
-		tier = int(pte.Tier)
+	if nd.mem.NumTiers() > 1 {
+		if pte := nd.vmm.PageOfBlock(b); pte != nil {
+			tier = int(pte.Tier)
+		}
 	}
-	return nd.mem.AcquireTiered(tier, uint64(b), t, write)
+	return nd.mem.Acquire(tier, uint64(b), t, write)
 }
 
 // racAccess models a hit in the DSM controller's remote access cache.
@@ -1244,11 +1231,7 @@ func (m *Machine) migrate(nd *node, mig core.Migrator, pte *vm.PTE, now int64) i
 	t := now
 	for i := 0; i < params.BlocksPerPage; i++ {
 		t = m.net.Send(oldHome, nd.id, t)
-		if m.tiered {
-			nd.mem.AcquireTiered(int(adoptTier), uint64(page.BlockAt(i)), t, true)
-		} else {
-			nd.mem.Acquire(uint64(page.BlockAt(i)), t, p.LocalMemCycles)
-		}
+		nd.mem.Acquire(int(adoptTier), uint64(page.BlockAt(i)), t, true)
 	}
 
 	// Update every node's mapping of the page — the global TLB shootdown
@@ -1348,15 +1331,13 @@ func (m *Machine) runDaemon(nd *node, now int64) int64 {
 			if victim == nil {
 				break
 			}
-			if m.tiered {
-				// Tier-down first: a cold page slides toward the slow
-				// tier before dying — it frees fast-tier headroom for
-				// promotions, and only pages cold in the last tier (or
-				// with no slower headroom) are actually evicted.
-				if c, ok := m.demote(nd, victim); ok {
-					cost += c
-					continue
-				}
+			// Tier-down first: a cold page slides toward the slow tier
+			// before dying — it frees fast-tier headroom for promotions,
+			// and only pages cold in the last tier (or with no slower
+			// headroom) are actually evicted.
+			if c, ok := m.demote(nd, victim); ok {
+				cost += c
+				continue
 			}
 			cost += m.evict(nd, victim)
 			reclaimed++
@@ -1395,7 +1376,6 @@ func (m *Machine) promote(nd *node, pte *vm.PTE, now int64) int64 {
 		return 0
 	}
 	cost := nd.mem.MoveCost(from, from-1)
-	m.tierPromotes++
 	nd.st.Time[stats.KOverhead] += cost
 	if m.rec != nil {
 		m.rec.Clock = now
@@ -1416,18 +1396,11 @@ func (m *Machine) demote(nd *node, victim *vm.PTE) (int64, bool) {
 		return 0, false
 	}
 	nd.vmm.SkipHand()
-	m.tierDemotes++
 	if m.rec != nil {
 		// runDaemon stamped the clock at entry.
 		m.rec.Emit(obs.EvTierDemote, nd.id, uint32(victim.Page.MustIndex()), uint32(victim.Tier))
 	}
 	return nd.mem.MoveCost(from, from+1), true
-}
-
-// DebugTierStats returns the run's tier promotion and demotion counts
-// (host-side observability; zero on flat configurations).
-func (m *Machine) DebugTierStats() (promotes, demotes int64) {
-	return m.tierPromotes, m.tierDemotes
 }
 
 // finalize computes the run-level aggregates. Together with New (which
@@ -1508,8 +1481,8 @@ func (m *Machine) takeEpoch(now int64) {
 	m.ep.Commit()
 	if m.rec != nil {
 		// Row conflicts are too frequent to record individually; emit the
-		// per-epoch delta instead. Flat runs never conflict, so their
-		// traces are unchanged.
+		// per-epoch delta instead. Runs without a page policy never
+		// conflict and emit none.
 		m.rec.Clock = now
 		for _, nd := range m.nodes {
 			if c := nd.mem.RowConflicts(); c != nd.prevRowConf {

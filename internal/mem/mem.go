@@ -1,11 +1,9 @@
 // Package mem models a node's physical memory as a set of asymmetric
 // tiers of interleaved banks, each bank fronted by a DRAM row buffer.
 //
-// The flat path is the seed model: one sim.Banked, every access costing
-// Params.LocalMemCycles of bank occupancy. Configuring tiers replaces it
-// with up to MaxTiers tiers (fast DRAM first, slow/NVM-like last), each
-// with its own bank set, capacity share, and read/write latencies — the
-// inter- and intra-memory asymmetries of Song et al. — and an optional
+// A Memory has 1..MaxTiers tiers (fast DRAM first, slow/NVM-like last),
+// each with its own bank set, capacity share, and read/write latencies —
+// the inter- and intra-memory asymmetries of Song et al. — and an optional
 // row-buffer page policy per HAPPY: under the open policy a bank keeps
 // its last row active, so a same-row access skips the activate (75% of
 // the base latency) while a different row pays precharge+activate (150%);
@@ -14,10 +12,13 @@
 // saturating row-reuse predictor per bank and leaves the row open only
 // when reuse is predicted.
 //
+// The paper's uniform local memory is the one-tier case: a single tier
+// at Params.LocalMemCycles with PolicyNone serves every access exactly
+// as a plain sim.Banked would, and the golden-checksum matrix pins it.
+//
 // Everything is deterministic and allocation-free on the access path:
 // tier and row state live in fixed arrays and slices sized at Configure
-// time, and the policy arithmetic is integer-only. The golden-checksum
-// matrix pins the unconfigured path bit-identical to the seed model.
+// time, and the policy arithmetic is integer-only.
 package mem
 
 import (
@@ -103,8 +104,8 @@ func ParsePolicy(s string) (Policy, error) {
 }
 
 // ValidateTiers checks a tier configuration: 1..MaxTiers tiers, positive
-// capacities summing to 100, positive latencies. A nil slice (the flat
-// seed model) is valid.
+// capacities summing to 100, positive latencies. A nil slice is valid: it
+// selects the default single tier at the machine's local latency.
 func ValidateTiers(tiers []TierSpec) error {
 	if len(tiers) == 0 {
 		return nil
@@ -162,22 +163,6 @@ func ParseTiers(s string) ([]TierSpec, error) {
 	return tiers, nil
 }
 
-// SigOf returns a comparable signature of a tier configuration, used as
-// part of the machine arena's shape key: two machines with equal
-// signatures have structurally identical memories. The flat model's
-// signature is the empty string.
-func SigOf(tiers []TierSpec, pol Policy) string {
-	if len(tiers) == 0 && pol == PolicyNone {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteString(pol.String())
-	for _, ts := range tiers {
-		fmt.Fprintf(&b, "|%d:%d:%d", ts.CapacityPct, ts.ReadCycles, ts.WriteCycles)
-	}
-	return b.String()
-}
-
 // tierState is one tier's bank set and latencies.
 type tierState struct {
 	banks sim.Banked
@@ -186,15 +171,9 @@ type tierState struct {
 }
 
 // Memory is one node's physical memory. The zero value is unusable: call
-// Init (flat seed model) or Configure (tiered) on the value's final
-// address — bank storage aliases the struct for small bank counts, so a
-// Memory must not be copied afterwards.
+// Configure on the value's final address — bank storage aliases the
+// struct for small bank counts, so a Memory must not be copied afterwards.
 type Memory struct {
-	// flat is the seed model's single bank set; Acquire delegates to it
-	// untouched so an unconfigured Memory is bit-identical to the
-	// sim.Banked it replaced.
-	flat sim.Banked
-
 	policy Policy
 	nTiers int
 	banks  int
@@ -204,9 +183,9 @@ type Memory struct {
 	rowHits      int64
 	rowConflicts int64
 
-	// Row-buffer state, indexed tier*banks+bank. rowOpen is the active
-	// row (-1 = precharged); rowLast and pred drive the hybrid policy's
-	// per-bank reuse predictor.
+	// Row-buffer state, indexed tier*banks+bank (empty under PolicyNone).
+	// rowOpen is the active row (-1 = precharged); rowLast and pred drive
+	// the hybrid policy's per-bank reuse predictor.
 	rowOpen []int64
 	rowLast []int64
 	pred    []uint8
@@ -216,30 +195,13 @@ type Memory struct {
 	tiers [MaxTiers]tierState
 }
 
-// Init configures the flat seed model with n interleaved banks. Like
-// sim.Banked.Init it must run on the Memory's final address.
-func (m *Memory) Init(n int) {
-	m.flat.Init(n)
-	m.policy = PolicyNone
-	m.nTiers = 0
-	m.banks = n
-	m.rowOpen = m.rowOpen[:0]
-	m.rowLast = m.rowLast[:0]
-	m.pred = m.pred[:0]
-	m.rowHits = 0
-	m.rowConflicts = 0
-	m.moveCost = [MaxTiers][MaxTiers]int64{}
-	m.tiers = [MaxTiers]tierState{}
-}
-
-// Configure sets up nTiers asymmetric tiers of n banks each with the
-// given row-buffer policy. specs must have passed ValidateTiers. Must run
-// on the Memory's final address.
+// Configure sets up len(specs) asymmetric tiers of n banks each with the
+// given row-buffer policy. specs must be non-empty and have passed
+// ValidateTiers. Must run on the Memory's final address.
 func (m *Memory) Configure(n int, specs []TierSpec, pol Policy) {
 	if n < 1 {
 		n = 1
 	}
-	m.flat.Init(n)
 	m.policy = pol
 	m.nTiers = len(specs)
 	m.banks = n
@@ -266,7 +228,11 @@ func (m *Memory) Configure(n int, specs []TierSpec, pol Policy) {
 				(specs[from].ReadCycles + specs[to].WriteCycles) / 8
 		}
 	}
-	rows := m.nTiers * n
+	// Row-buffer state exists only under a page policy.
+	rows := 0
+	if pol != PolicyNone {
+		rows = m.nTiers * n
+	}
 	if cap(m.rowOpen) < rows {
 		m.rowOpen = make([]int64, rows)
 		m.rowLast = make([]int64, rows)
@@ -292,17 +258,13 @@ func (m *Memory) resetRows() {
 // configuration — a recycled Memory serves requests exactly as a freshly
 // configured one.
 func (m *Memory) Reset() {
-	m.flat.Reset()
 	for i := 0; i < m.nTiers; i++ {
 		m.tiers[i].banks.Reset()
 	}
 	m.resetRows()
 }
 
-// Tiered reports whether tiers are configured.
-func (m *Memory) Tiered() bool { return m.nTiers > 0 }
-
-// NumTiers returns the configured tier count (0 = flat).
+// NumTiers returns the configured tier count.
 func (m *Memory) NumTiers() int { return m.nTiers }
 
 // RowHits returns the cumulative row-buffer hits.
@@ -316,22 +278,13 @@ func (m *Memory) RowConflicts() int64 { return m.rowConflicts }
 // `to`.
 func (m *Memory) MoveCost(from, to int) int64 { return m.moveCost[from][to] }
 
-// Acquire serves an access on the flat seed model: bank selection by key,
-// occ cycles of occupancy. Exactly sim.Banked.Acquire — the default
-// configuration's golden checksums pin it.
-//
-//ascoma:hotpath
-func (m *Memory) Acquire(key uint64, t sim.Time, occ sim.Time) sim.Time {
-	return m.flat.Acquire(key, t, occ)
-}
-
-// AcquireTiered serves an access to a block resident in the given tier:
+// Acquire serves an access to a block resident in the given tier:
 // the bank is selected by key, the base occupancy by the tier's
 // read/write latency, and the row-buffer policy scales it by whether the
 // bank's active row matches the block's row.
 //
 //ascoma:hotpath
-func (m *Memory) AcquireTiered(tier int, key uint64, t sim.Time, write bool) sim.Time {
+func (m *Memory) Acquire(tier int, key uint64, t sim.Time, write bool) sim.Time {
 	ts := &m.tiers[tier]
 	lat := ts.read
 	if write {
@@ -399,9 +352,9 @@ func (m *Memory) rowOccupancy(idx int, row, lat int64) int64 {
 }
 
 // Busy returns the total occupied cycles summed over every bank of every
-// tier (plus the flat model's banks, for unconfigured Memories).
+// tier.
 func (m *Memory) Busy() sim.Time {
-	total := m.flat.Busy()
+	var total sim.Time
 	for i := 0; i < m.nTiers; i++ {
 		total += m.tiers[i].banks.Busy()
 	}

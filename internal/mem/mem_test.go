@@ -13,25 +13,31 @@ func twoTiers() []TierSpec {
 	}
 }
 
+// TestFlatMatchesBanked pins the paper's uniform memory: one tier at a
+// fixed latency with no page policy serves reads and writes exactly as a
+// plain sim.Banked charging that latency.
 func TestFlatMatchesBanked(t *testing.T) {
-	var m Memory
-	m.Init(4)
-	var b sim.Banked
-	b.Init(4)
-	for i := 0; i < 1000; i++ {
-		key := uint64(i*7 + i%3)
-		at := sim.Time(i * 11)
-		got := m.Acquire(key, at, 50)
-		want := b.Acquire(key, at, 50)
-		if got != want {
-			t.Fatalf("access %d: Memory.Acquire=%d, Banked.Acquire=%d", i, got, want)
+	for _, banks := range []int{3, 4} {
+		var m Memory
+		m.Configure(banks, []TierSpec{{CapacityPct: 100, ReadCycles: 50, WriteCycles: 50}}, PolicyNone)
+		var b sim.Banked
+		b.Init(banks)
+		for i := 0; i < 1000; i++ {
+			key := uint64(i*7 + i%3)
+			at := sim.Time(i * 11)
+			got := m.Acquire(0, key, at, i%3 == 0)
+			want := b.Acquire(key, at, 50)
+			if got != want {
+				t.Fatalf("banks=%d access %d: Memory.Acquire=%d, Banked.Acquire=%d", banks, i, got, want)
+			}
 		}
-	}
-	if m.Busy() != b.Busy() {
-		t.Fatalf("Busy: Memory=%d Banked=%d", m.Busy(), b.Busy())
-	}
-	if m.Tiered() {
-		t.Fatal("flat Memory reports Tiered")
+		if m.Busy() != b.Busy() {
+			t.Fatalf("banks=%d Busy: Memory=%d Banked=%d", banks, m.Busy(), b.Busy())
+		}
+		if m.NumTiers() != 1 || m.RowHits() != 0 || m.RowConflicts() != 0 {
+			t.Fatalf("banks=%d: NumTiers=%d RowHits=%d RowConflicts=%d, want 1,0,0",
+				banks, m.NumTiers(), m.RowHits(), m.RowConflicts())
+		}
 	}
 }
 
@@ -40,12 +46,12 @@ func TestOpenPolicyHitAndConflict(t *testing.T) {
 	m.Configure(1, twoTiers(), PolicyOpen)
 
 	// First touch: precharged bank, base latency.
-	t0 := m.AcquireTiered(0, 0, 0, false)
+	t0 := m.Acquire(0, 0, 0, false)
 	if t0 != 40 {
 		t.Fatalf("first touch: done=%d, want 40", t0)
 	}
 	// Same row (blocks 0..7 share row 0): 75%% of base.
-	t1 := m.AcquireTiered(0, 1, t0, false)
+	t1 := m.Acquire(0, 1, t0, false)
 	if t1 != t0+30 {
 		t.Fatalf("row hit: done=%d, want %d", t1, t0+30)
 	}
@@ -53,7 +59,7 @@ func TestOpenPolicyHitAndConflict(t *testing.T) {
 		t.Fatalf("RowHits=%d, want 1", m.RowHits())
 	}
 	// Different row: conflict, 150%% of base.
-	t2 := m.AcquireTiered(0, RowBlocks, t1, false)
+	t2 := m.Acquire(0, RowBlocks, t1, false)
 	if t2 != t1+60 {
 		t.Fatalf("row conflict: done=%d, want %d", t2, t1+60)
 	}
@@ -61,7 +67,7 @@ func TestOpenPolicyHitAndConflict(t *testing.T) {
 		t.Fatalf("RowConflicts=%d, want 1", m.RowConflicts())
 	}
 	// Slow-tier write pays the write-asymmetric base latency.
-	t3 := m.AcquireTiered(1, 0, 0, true)
+	t3 := m.Acquire(1, 0, 0, true)
 	if t3 != 300 {
 		t.Fatalf("slow write: done=%d, want 300", t3)
 	}
@@ -72,7 +78,7 @@ func TestClosedPolicyNeverHits(t *testing.T) {
 	m.Configure(1, twoTiers(), PolicyClosed)
 	var at sim.Time
 	for i := 0; i < 16; i++ {
-		done := m.AcquireTiered(0, 0, at, false) // same row every time
+		done := m.Acquire(0, 0, at, false) // same row every time
 		if done != at+40 {
 			t.Fatalf("access %d: done=%d, want %d (closed policy always pays base)", i, done, at+40)
 		}
@@ -90,7 +96,7 @@ func TestHybridPredictorLearnsReuse(t *testing.T) {
 	// row open, so later accesses hit.
 	var at sim.Time
 	for i := 0; i < 8; i++ {
-		at = m.AcquireTiered(0, 0, at, false)
+		at = m.Acquire(0, 0, at, false)
 	}
 	if m.RowHits() == 0 {
 		t.Fatal("hybrid policy never hit under perfect row reuse")
@@ -100,11 +106,11 @@ func TestHybridPredictorLearnsReuse(t *testing.T) {
 	// no hits, and no conflicts either (the open policy would conflict on
 	// every access here).
 	for i := 0; i < 8; i++ {
-		at = m.AcquireTiered(0, uint64(i%2)*RowBlocks, at, false)
+		at = m.Acquire(0, uint64(i%2)*RowBlocks, at, false)
 	}
 	hits, conflicts := m.RowHits(), m.RowConflicts()
 	for i := 0; i < 32; i++ {
-		at = m.AcquireTiered(0, uint64(i%2)*RowBlocks, at, false)
+		at = m.Acquire(0, uint64(i%2)*RowBlocks, at, false)
 	}
 	if m.RowHits() != hits || m.RowConflicts() != conflicts {
 		t.Fatalf("hybrid policy did not settle on an alternating-row stream (hits %d -> %d, conflicts %d -> %d)",
@@ -120,7 +126,7 @@ func TestDeterministicReplay(t *testing.T) {
 		for i := 0; i < 5000; i++ {
 			tier := i % 2
 			key := uint64(i*13+i/7) % 4096
-			at = m.AcquireTiered(tier, key, at, i%3 == 0)
+			at = m.Acquire(tier, key, at, i%3 == 0)
 		}
 		return at, m.RowHits(), m.RowConflicts()
 	}
@@ -138,12 +144,12 @@ func TestResetRestoresFreshState(t *testing.T) {
 	ref.Configure(2, twoTiers(), PolicyOpen)
 
 	for i := 0; i < 100; i++ {
-		m.AcquireTiered(i%2, uint64(i), sim.Time(i), i%2 == 0)
+		m.Acquire(i%2, uint64(i), sim.Time(i), i%2 == 0)
 	}
 	m.Reset()
 	for i := 0; i < 100; i++ {
-		got := m.AcquireTiered(i%2, uint64(i*3), sim.Time(i), false)
-		want := ref.AcquireTiered(i%2, uint64(i*3), sim.Time(i), false)
+		got := m.Acquire(i%2, uint64(i*3), sim.Time(i), false)
+		want := ref.Acquire(i%2, uint64(i*3), sim.Time(i), false)
 		if got != want {
 			t.Fatalf("access %d after Reset: got %d, want %d", i, got, want)
 		}
@@ -153,16 +159,16 @@ func TestResetRestoresFreshState(t *testing.T) {
 	}
 }
 
-func TestAcquireTieredAllocFree(t *testing.T) {
+func TestAcquireAllocFree(t *testing.T) {
 	var m Memory
 	m.Configure(4, twoTiers(), PolicyHybrid)
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
-		m.AcquireTiered(i%2, uint64(i*31), sim.Time(i), i%4 == 0)
+		m.Acquire(i%2, uint64(i*31), sim.Time(i), i%4 == 0)
 		i++
 	})
 	if allocs != 0 {
-		t.Fatalf("AcquireTiered allocates %.1f/op, want 0", allocs)
+		t.Fatalf("Acquire allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -230,25 +236,6 @@ func TestParseTiersAndPolicy(t *testing.T) {
 	}
 }
 
-func TestSigOf(t *testing.T) {
-	if SigOf(nil, PolicyNone) != "" {
-		t.Fatal("flat signature must be empty")
-	}
-	a := SigOf(twoTiers(), PolicyOpen)
-	b := SigOf(twoTiers(), PolicyOpen)
-	if a != b || a == "" {
-		t.Fatalf("equal configs produced signatures %q and %q", a, b)
-	}
-	if SigOf(twoTiers(), PolicyClosed) == a {
-		t.Fatal("policy change did not change the signature")
-	}
-	other := twoTiers()
-	other[1].WriteCycles++
-	if SigOf(other, PolicyOpen) == a {
-		t.Fatal("latency change did not change the signature")
-	}
-}
-
 func BenchmarkRowBuffer(b *testing.B) {
 	b.ReportAllocs()
 	var m Memory
@@ -259,7 +246,7 @@ func BenchmarkRowBuffer(b *testing.B) {
 	b.ResetTimer()
 	var at sim.Time
 	for i := 0; i < b.N; i++ {
-		at = m.AcquireTiered(i%2, uint64(i*13)&4095, at, i%4 == 0)
+		at = m.Acquire(i%2, uint64(i*13)&4095, at, i%4 == 0)
 	}
 	_ = at
 }

@@ -21,8 +21,9 @@ const (
 	// ProbeRemoteMisses is the node's cumulative remotely satisfied misses
 	// (COLD + CONF/CAPC).
 	ProbeRemoteMisses
-	// ProbeFastTierPages is the node's fast-tier (tier 0) page occupancy
-	// when memory tiers are configured (see internal/mem); 0 on flat runs.
+	// ProbeFastTierPages is the node's frames in use in tier 0, the
+	// fastest memory tier (see internal/mem). On the default one-tier
+	// memory that is every frame in use.
 	ProbeFastTierPages
 	// ProbeRowHits is the node's cumulative row-buffer hits.
 	ProbeRowHits

@@ -27,7 +27,7 @@ import (
 type Options struct {
 	// Scale is the problem-size divisor (1 = paper scale).
 	Scale int
-	// Pressures is the memory-pressure grid (default 10,30,50,70,90).
+	// Pressures is the memory-pressure grid (default DefaultPressures).
 	Pressures []int
 	// Format selects the rendering: "table" (default), "chart", "csv".
 	Format string
@@ -59,10 +59,10 @@ type Options struct {
 	ScreenLog func(app string, simulated, skipped int)
 	// Tiers applies a tiered-memory configuration (ascoma.Config.Tiers) to
 	// every simulated cell, so any figure or table can be rendered under
-	// asymmetric memory. Nil keeps the flat model. Tiered cells disable
-	// estimator screening: tier residency varies with pressure even when
-	// the pageout daemon never wakes, so pressure-equivalence certificates
-	// do not transfer.
+	// asymmetric memory. Nil keeps the default one tier. Tiered cells
+	// disable estimator screening: tier residency varies with pressure
+	// even when the pageout daemon never wakes, so pressure-equivalence
+	// certificates do not transfer.
 	Tiers []ascoma.TierSpec
 	// PagePolicy is the row-buffer page policy for every simulated cell
 	// (ascoma.Config.PagePolicy; "" = none).
@@ -79,11 +79,7 @@ func (o Options) withDefaults() Options {
 	if o.Scale < 1 {
 		o.Scale = 1
 	}
-	if len(o.Pressures) == 0 {
-		o.Pressures = []int{10, 30, 50, 70, 90}
-	} else {
-		o.Pressures = DedupePressures(o.Pressures)
-	}
+	o.Pressures = PressureAxis(o.Pressures)
 	if o.Format == "" {
 		o.Format = "table"
 	}
@@ -96,13 +92,27 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// DedupePressures returns a sorted copy of ps with duplicates removed, so
-// a grid never schedules (and a table never prints) the same cell twice.
-// The jobs layer counts a spec's cells with it before admission.
-func DedupePressures(ps []int) []int {
-	out := slices.Clone(ps)
+// DefaultPressures is the memory-pressure axis of every grid that is not
+// given one.
+var DefaultPressures = []int{10, 30, 50, 70, 90}
+
+// DedupeAxis returns a sorted copy of a grid axis with duplicates
+// removed, so a grid never schedules (and a table never prints) the same
+// cell twice.
+func DedupeAxis(xs []int) []int {
+	out := slices.Clone(xs)
 	slices.Sort(out)
 	return slices.Compact(out)
+}
+
+// PressureAxis returns the pressure axis a grid over ps runs:
+// DefaultPressures when ps is empty, else ps de-duplicated. The jobs
+// layer counts a spec's cells with it before admission.
+func PressureAxis(ps []int) []int {
+	if len(ps) == 0 {
+		ps = DefaultPressures
+	}
+	return DedupeAxis(ps)
 }
 
 // FigureApps returns the applications of the given figure (2 or 3); any
@@ -370,7 +380,7 @@ func ParsePressures(s string) ([]int, error) {
 		}
 		out = append(out, v)
 	}
-	return DedupePressures(out), nil
+	return DedupeAxis(out), nil
 }
 
 func trimSpace(s string) string {

@@ -29,6 +29,19 @@ var (
 	DefaultAsymmetries = []int{2, 4, 8}
 )
 
+// TierAxes returns the fast-share and asymmetry axes a tier grid over
+// shares and asyms runs: each the default when empty, else de-duplicated
+// like the pressure axis. The jobs layer counts a spec's cells with it.
+func TierAxes(shares, asyms []int) ([]int, []int) {
+	if len(shares) == 0 {
+		shares = DefaultFastShares
+	}
+	if len(asyms) == 0 {
+		asyms = DefaultAsymmetries
+	}
+	return DedupeAxis(shares), DedupeAxis(asyms)
+}
+
 // TierSpecsFor builds the two-tier configuration of one grid cell: a
 // fast tier of fastShare percent at the flat local-memory latency, and a
 // slow tier holding the rest at asym times the read latency and twice
@@ -51,20 +64,16 @@ type tierCell struct {
 
 // TierGrid renders the tier-capacity x asymmetry x pressure grid for one
 // application across all six architectures. Nil shares/asyms select the
-// default axes; an empty Options.PagePolicy defaults to "open" (the
-// policy under which tiering is cheapest, making the remaining
-// degradation attributable to capacity, not row misses). Cells are
+// default axes, and duplicate values run once; an empty
+// Options.PagePolicy defaults to "open" (the policy under which tiering
+// is cheapest, making the remaining degradation attributable to
+// capacity, not row misses). Cells are
 // relative to the flat same-arch baseline at the same pressure, printed
 // as one table per pressure with the flat baseline's absolute cycle
 // count as the first row.
 func TierGrid(ctx context.Context, w io.Writer, app string, shares, asyms []int, o Options) error {
 	o = o.withDefaults()
-	if len(shares) == 0 {
-		shares = DefaultFastShares
-	}
-	if len(asyms) == 0 {
-		asyms = DefaultAsymmetries
-	}
+	shares, asyms = TierAxes(shares, asyms)
 	for _, s := range shares {
 		if s < 1 || s > 99 {
 			return fmt.Errorf("report: tier grid fast share %d%% outside 1..99", s)

@@ -76,3 +76,20 @@ func TestFigureUnderTiers(t *testing.T) {
 		t.Error("tiered figure identical to flat figure")
 	}
 }
+
+func TestTierGridDedupesAxes(t *testing.T) {
+	var buf bytes.Buffer
+	var done, total int
+	o := Options{Scale: 16, Pressures: []int{70}, Jobs: 4,
+		Progress: func(d, n int) { done, total = d, n }}
+	if err := TierGrid(context.Background(), &buf, "uniform", []int{25, 25}, []int{4, 4}, o); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(buf.String(), "fast 25% / slow x4"); n != 1 {
+		t.Errorf("duplicate axes printed the row %d times, want once\n%s", n, buf.String())
+	}
+	// One flat baseline plus one tiered cell per architecture.
+	if done != total || total != 6*2 {
+		t.Errorf("progress ended at %d of %d cells, want 12 of 12", done, total)
+	}
+}

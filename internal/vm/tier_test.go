@@ -16,8 +16,8 @@ func tierSpecs() []mem.TierSpec {
 func TestConfigureTiersPartition(t *testing.T) {
 	v := New(0, 101, 2, 7)
 	v.ConfigureTiers(tierSpecs())
-	if !v.Tiered() || v.NumTiers() != 2 {
-		t.Fatalf("Tiered=%v NumTiers=%d", v.Tiered(), v.NumTiers())
+	if v.NumTiers() != 2 {
+		t.Fatalf("NumTiers=%d, want 2", v.NumTiers())
 	}
 	// 101*30/100 = 30; last tier takes the integer remainder.
 	if v.TierCap(0) != 30 || v.TierCap(1) != 71 {
@@ -181,12 +181,16 @@ func TestResetClearsTierState(t *testing.T) {
 	v.ConfigureTiers(tierSpecs())
 	v.MapSCOMA(tpage(1), 1)
 	v.Reset(100, 2, 7)
-	if v.Tiered() || v.TierPages(0) != 0 || v.TierPages(1) != 0 {
+	if v.NumTiers() != 1 || v.TierCap(0) != 100 || v.TierPages(0) != 0 || v.TierPages(1) != 0 {
 		t.Fatal("Reset left tier state behind")
 	}
-	// Flat after Reset: installs take tier 0 with no accounting.
+	// One tier after Reset: every frame lands in tier 0 and is counted.
 	pte := v.MapSCOMA(tpage(2), 1)
-	if pte.Tier != 0 || v.TierPages(0) != 0 {
-		t.Fatalf("flat VM after Reset: tier=%d used0=%d", pte.Tier, v.TierPages(0))
+	if pte.Tier != 0 || v.TierPages(0) != 1 {
+		t.Fatalf("one-tier VM after Reset: tier=%d used0=%d", pte.Tier, v.TierPages(0))
+	}
+	v.Downgrade(pte)
+	if v.Demote(pte) || v.Promote(pte) || v.TierPages(0) != 0 {
+		t.Fatalf("one-tier VM: a page moved tiers or a frame leaked (used0=%d)", v.TierPages(0))
 	}
 }

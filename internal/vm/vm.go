@@ -78,9 +78,9 @@ type PTE struct {
 	// break-even thrashing detector from this.
 	SComaHits uint32
 
-	// Tier is the memory tier holding this page's frame (0 = fastest)
-	// when the node's memory is tiered (see internal/mem); always 0 on
-	// flat configurations and for ModeNUMA pages, which hold no frame.
+	// Tier is the memory tier holding this page's frame (0 = fastest; see
+	// internal/mem); always 0 on one-tier memories and for ModeNUMA
+	// pages, which hold no frame.
 	Tier uint8
 
 	ring int // index in the S-COMA clock ring, -1 if not enrolled
@@ -144,11 +144,10 @@ type VM struct {
 	poolLow bool
 
 	// Memory-tier frame accounting (see internal/mem): tierCap partitions
-	// TotalPages across tiers, tierUsed counts frames in use per tier
-	// (home, private, and S-COMA pages alike), and homeMapped replays the
-	// fast-first layout of the bulk ReserveHome reservation so each
-	// MapLocal-installed page lands in the tier its frame occupies.
-	// nTiers == 0 disables all of it (the flat seed model).
+	// TotalPages across nTiers >= 1 tiers, tierUsed counts frames in use
+	// per tier (home, private, and S-COMA pages alike), and homeMapped
+	// replays the fast-first layout of the bulk ReserveHome reservation so
+	// each MapLocal-installed page lands in the tier its frame occupies.
 	nTiers     int
 	tierCap    [mem.MaxTiers]int
 	tierUsed   [mem.MaxTiers]int
@@ -156,21 +155,11 @@ type VM struct {
 }
 
 // New builds a node VM with the given physical page count and thresholds
-// expressed as percentages of total memory.
+// expressed as percentages of total memory. Its memory is one tier
+// holding every page until ConfigureTiers says otherwise.
 func New(node, totalPages, freeMinPct, freeTargetPct int) *VM {
-	v := &VM{
-		Node:       node,
-		TotalPages: totalPages,
-		free:       totalPages,
-		freeMin:    totalPages * freeMinPct / 100,
-		freeTarget: totalPages * freeTargetPct / 100,
-	}
-	if v.freeMin < 1 {
-		v.freeMin = 1
-	}
-	if v.freeTarget < v.freeMin {
-		v.freeTarget = v.freeMin
-	}
+	v := &VM{Node: node}
+	v.Reset(totalPages, freeMinPct, freeTargetPct)
 	return v
 }
 
@@ -195,24 +184,22 @@ func (v *VM) Reset(totalPages, freeMinPct, freeTargetPct int) {
 	v.ring = v.ring[:0]
 	v.hand = 0
 	v.poolLow = false
-	v.nTiers = 0
-	v.tierCap = [mem.MaxTiers]int{}
+	v.nTiers = 1
+	v.tierCap = [mem.MaxTiers]int{totalPages}
 	v.tierUsed = [mem.MaxTiers]int{}
 	v.homeMapped = 0
 }
 
 // ConfigureTiers partitions the node's physical pages across memory tiers
 // by capacity share (fastest first, the remainder of the integer split
-// going to the last tier). A nil slice returns the VM to the flat model.
-// It must be called before any page is reserved or mapped.
+// going to the last tier). specs must be non-empty and have passed
+// mem.ValidateTiers. It must be called before any page is reserved or
+// mapped.
 func (v *VM) ConfigureTiers(specs []mem.TierSpec) {
 	v.nTiers = len(specs)
 	v.tierCap = [mem.MaxTiers]int{}
 	v.tierUsed = [mem.MaxTiers]int{}
 	v.homeMapped = 0
-	if v.nTiers == 0 {
-		return
-	}
 	rem := v.TotalPages
 	for i, ts := range specs {
 		c := v.TotalPages * ts.CapacityPct / 100
@@ -224,10 +211,7 @@ func (v *VM) ConfigureTiers(specs []mem.TierSpec) {
 	}
 }
 
-// Tiered reports whether memory tiers are configured.
-func (v *VM) Tiered() bool { return v.nTiers > 0 }
-
-// NumTiers returns the configured tier count (0 = flat).
+// NumTiers returns the configured tier count.
 func (v *VM) NumTiers() int { return v.nTiers }
 
 // TierPages returns the number of frames in use in tier i.
@@ -237,12 +221,8 @@ func (v *VM) TierPages(i int) int { return v.tierUsed[i] }
 func (v *VM) TierCap(i int) int { return v.tierCap[i] }
 
 // allocFrame claims a frame in the fastest tier with headroom (falling
-// back to the last tier) and returns its index. Flat VMs return 0 without
-// accounting.
+// back to the last tier) and returns its index.
 func (v *VM) allocFrame() uint8 {
-	if v.nTiers == 0 {
-		return 0
-	}
 	for i := 0; i < v.nTiers-1; i++ {
 		if v.tierUsed[i] < v.tierCap[i] {
 			v.tierUsed[i]++
@@ -254,21 +234,13 @@ func (v *VM) allocFrame() uint8 {
 }
 
 // freeFrame releases a frame back to tier t.
-func (v *VM) freeFrame(t uint8) {
-	if v.nTiers == 0 {
-		return
-	}
-	v.tierUsed[t]--
-}
+func (v *VM) freeFrame(t uint8) { v.tierUsed[t]-- }
 
 // homeTier returns the tier of the next reserved home/private frame: the
 // bulk ReserveHome reservation fills tiers fastest-first, so the k-th
 // MapLocal-installed page occupies the tier containing slot k of that
 // layout.
 func (v *VM) homeTier() uint8 {
-	if v.nTiers == 0 {
-		return 0
-	}
 	k := v.homeMapped
 	v.homeMapped++
 	cum := 0
@@ -285,7 +257,7 @@ func (v *VM) homeTier() uint8 {
 // the page is already in the fastest tier or the target tier is full.
 func (v *VM) Promote(pte *PTE) bool {
 	t := int(pte.Tier)
-	if v.nTiers == 0 || t == 0 || v.tierUsed[t-1] >= v.tierCap[t-1] {
+	if t == 0 || v.tierUsed[t-1] >= v.tierCap[t-1] {
 		return false
 	}
 	v.tierUsed[t-1]++
@@ -299,7 +271,7 @@ func (v *VM) Promote(pte *PTE) bool {
 // full.
 func (v *VM) Demote(pte *PTE) bool {
 	t := int(pte.Tier)
-	if v.nTiers == 0 || t >= v.nTiers-1 || v.tierUsed[t+1] >= v.tierCap[t+1] {
+	if t >= v.nTiers-1 || v.tierUsed[t+1] >= v.tierCap[t+1] {
 		return false
 	}
 	v.tierUsed[t+1]++
@@ -347,8 +319,8 @@ func (v *VM) ReserveHome(n int) error {
 	}
 	v.HomePages += n
 	v.free -= n
-	// Tiered memory places the resident set fastest-first; homeTier
-	// replays this layout per installed mapping.
+	// The resident set fills tiers fastest-first; homeTier replays this
+	// layout per installed mapping.
 	rem := n
 	for i := 0; i < v.nTiers && rem > 0; i++ {
 		take := v.tierCap[i] - v.tierUsed[i]

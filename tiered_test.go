@@ -7,6 +7,7 @@ package ascoma
 // pressured configuration, not just sit behind dead flags.
 
 import (
+	"bytes"
 	"testing"
 
 	"ascoma/internal/obs"
@@ -158,5 +159,32 @@ func TestBadTierConfigRejected(t *testing.T) {
 	cfg.PagePolicy = "lru"
 	if _, err := Run(cfg); err == nil {
 		t.Error("unknown page policy accepted")
+	}
+}
+
+// TestFlatIsOneTier pins the default memory model: no Tiers is exactly one
+// tier at the local memory latency — the same stats and the same recorded
+// events and epoch series, for every architecture.
+func TestFlatIsOneTier(t *testing.T) {
+	lm := DefaultParams().LocalMemCycles
+	oneTier := []TierSpec{{CapacityPct: 100, ReadCycles: lm, WriteCycles: lm}}
+	run := func(arch Arch, tiers []TierSpec) (string, []byte) {
+		rec := NewRecording(1<<14, 5_000)
+		res, err := Run(Config{Arch: arch, Workload: "radix", Pressure: 90,
+			Scale: goldenScale, Tiers: tiers, Obs: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return statsChecksum(t, res), obs.AppendRecording(nil, rec)
+	}
+	for _, arch := range append(Archs(), MIGNUMA) {
+		flatSum, flatRec := run(arch, nil)
+		tierSum, tierRec := run(arch, oneTier)
+		if flatSum != tierSum {
+			t.Errorf("%s: stats checksum %s without tiers, %s with one tier", arch, flatSum, tierSum)
+		}
+		if !bytes.Equal(flatRec, tierRec) {
+			t.Errorf("%s: recording differs between no tiers and one tier", arch)
+		}
 	}
 }
