@@ -120,11 +120,14 @@ race:
 
 # fuzz-smoke runs each fuzz target briefly over its seeded corpus plus a
 # few seconds of generated inputs — a CI-sized differential check that the
-# compiled workload streams still match the interpreted reference, and that
-# the trace decoder turns any input into a clean error or a canonical trace.
+# compiled workload streams still match the interpreted reference, that
+# the trace decoder turns any input into a clean error or a canonical
+# trace, and that the tier and pressure parsers accept only valid specs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCompiledMatchesInterpreted -fuzztime 10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecording$$' -fuzztime 10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTiers$$' -fuzztime 10s ./internal/mem
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePressures$$' -fuzztime 10s ./internal/report
 
 clean:
 	$(GO) clean ./...

@@ -1,18 +1,20 @@
 // The machine arena: a sync.Pool-backed recycler for per-run machine state.
 //
-// A figure grid runs 45+ machines of identical shape back to back; before
-// the arena, every cell rebuilt the dense page tables, directory chunks, L1
-// arrays and event queue from scratch — construction allocations that PR 1's
-// profiles showed rival the simulation itself at benchmark scale. Released
-// machines park here keyed by their structural shape, and New reuses one by
-// zeroing its tables in place (a memclr over retained chunks) instead of
-// reallocating.
+// A figure grid runs one app's machines back to back across every pressure,
+// architecture, tier config and page policy; before the arena, every cell
+// rebuilt the dense page tables, directory chunks, L1 arrays and event queue
+// from scratch — construction allocations that rival the simulation itself
+// at benchmark scale. Released machines park here keyed by the sizes their
+// storage is allocated with, and New reuses one by zeroing its tables in
+// place (a memclr over retained chunks) instead of reallocating.
 //
 // Recycling is exact: every component exposes a Reset that restores its
 // just-built state, including the event queue's deterministic tie-break
-// sequence, so a recycled machine is bit-identical in behaviour to a fresh
-// one — the golden-determinism matrix (which runs every config twice, the
-// second time on recycled state) holds it to that.
+// sequence, and New applies every run parameter (page count, thresholds,
+// tier specs, page policy) to fresh and recycled machines alike, so a
+// recycled machine is bit-identical in behaviour to a fresh one — the
+// golden-determinism matrix (which runs every config twice, the second
+// time on recycled state) holds it to that.
 package machine
 
 import (
@@ -20,26 +22,23 @@ import (
 
 	"ascoma/internal/cache"
 	"ascoma/internal/directory"
-	"ascoma/internal/mem"
-	"ascoma/internal/params"
 	"ascoma/internal/vm"
 	"ascoma/internal/workload"
 )
 
-// shape is the structural identity of a machine's recyclable state: two
-// machines with the same shape differ only in per-run parameters that Reset
-// and Reconfigure reapply.
+// shape is the allocation identity of a machine's recyclable state: the
+// sizes newShaped allocates with. Two machines with the same shape differ
+// only in run parameters, which New applies on every build. homePages (the
+// workload's home pages per node) stays in the key because it bounds the
+// dense page-index range a run touches, and a Reset clears every chunk a
+// table has kept: a machine shared across workload scales would clear a
+// paper-scale directory before every small run.
 type shape struct {
 	nodes      int
 	l1Bytes    int
 	racEntries int
 	memBanks   int
-	totalPages int
-	homeLimit  int // directory home-allocation cap (home pages per node)
-	// The memory configuration: the effective tiers (unused entries zero)
-	// and the row-buffer policy.
-	tiers  [mem.MaxTiers]mem.TierSpec
-	policy mem.Policy
+	homePages  int
 }
 
 // arena maps shape -> *sync.Pool of released *Machine. sync.Pool gives
@@ -61,11 +60,10 @@ func arenaPut(m *Machine) {
 	p.(*sync.Pool).Put(m)
 }
 
-// newShaped allocates the structural state of a machine: nodes with their
-// caches, VM and contention resources, plus the directory. Per-run fields
-// (policies, stats, streams, network) are wired by New for fresh and
-// recycled machines alike.
-func newShaped(sh shape, p *params.Params, tiers []mem.TierSpec) *Machine {
+// newShaped allocates the storage of a machine: nodes with their caches,
+// VM and contention resources, plus the directory. It configures nothing:
+// New applies the run parameters to fresh and recycled machines alike.
+func newShaped(sh shape) *Machine {
 	m := &Machine{shape: sh}
 	m.nodes = make([]*node, sh.nodes)
 	for i := range m.nodes {
@@ -73,37 +71,30 @@ func newShaped(sh shape, p *params.Params, tiers []mem.TierSpec) *Machine {
 			id:  i,
 			l1:  *cache.NewL1(sh.l1Bytes),
 			rac: cache.NewRAC(sh.racEntries),
-			vmm: vm.New(i, sh.totalPages, p.FreeMinPct, p.FreeTargetPct),
+			vmm: &vm.VM{Node: i},
 		}
-		// Configure after the node has its final address: small bank
-		// counts store their banks inside the struct itself. The tier
-		// config is pinned by the shape, so recycling keeps it.
-		m.nodes[i].mem.Configure(sh.memBanks, tiers, sh.policy)
 	}
 	// The directory's callbacks are bound to m itself, so they survive
 	// recycling: the whole machine is pooled as a unit.
-	m.dir = directory.New(sh.nodes, sh.homeLimit, p.RefetchThreshold, m.onInvalidate, m.onWriteback)
+	m.dir = directory.New(sh.nodes, 0, 0, m.onInvalidate, m.onWriteback)
 	return m
 }
 
-// recycle restores a pooled machine to the state newShaped leaves it in,
-// reapplying the run parameters the shape does not pin.
-func (m *Machine) recycle(sh shape, p *params.Params) {
+// recycle restores a pooled machine's run state to what newShaped leaves
+// it in. The run parameters are New's to apply.
+func (m *Machine) recycle() {
 	m.released = false
 	for _, nd := range m.nodes {
 		nd.l1.Reset()
 		nd.rac.Reset()
-		nd.vmm.Reset(sh.totalPages, p.FreeMinPct, p.FreeTargetPct)
 		nd.tlb.reset()
 		nd.bus.Reset()
-		nd.mem.Reset()
 		nd.dir.Reset()
 		nd.blocked = 0
 		nd.arriveTime = 0
 		nd.invGen = 0
 		nd.prevRowConf = 0
 	}
-	m.dir.Reset(sh.homeLimit, p.RefetchThreshold)
 	m.q.Reset()
 	m.locks.Reset()
 	m.lockOther = nil

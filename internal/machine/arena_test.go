@@ -1,0 +1,143 @@
+package machine
+
+import (
+	"bytes"
+	"encoding/json"
+	"testing"
+
+	"ascoma/internal/mem"
+	"ascoma/internal/obs"
+	"ascoma/internal/params"
+	"ascoma/internal/workload"
+)
+
+// emptyArena drops every pooled machine, so the next New of any shape
+// builds a fresh one.
+func emptyArena() {
+	arena.Range(func(k, _ any) bool {
+		arena.Delete(k)
+		return true
+	})
+}
+
+// arenaKeys counts the shapes the arena holds a pool for.
+func arenaKeys() int {
+	n := 0
+	arena.Range(func(_, _ any) bool {
+		n++
+		return true
+	})
+	return n
+}
+
+// recordedRun runs cfg on gen with a flight recorder and epoch probes
+// attached and returns the machine (not yet released), its stats as JSON
+// and the encoded recording.
+func recordedRun(t *testing.T, cfg Config, gen workload.Generator) (*Machine, []byte, []byte) {
+	t.Helper()
+	rec := obs.NewRecording(1<<14, 5_000)
+	cfg.Obs = rec
+	m, err := New(cfg, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, buf, obs.AppendRecording(nil, rec)
+}
+
+// TestArenaRecycleAcrossRunParams pins that a machine recycled from a cell
+// with different run parameters — pressure, tiers and page policy all
+// differ — runs exactly as a fresh one: same stats, same recorded events
+// and epoch series.
+func TestArenaRecycleAcrossRunParams(t *testing.T) {
+	gen, err := workload.New("fft", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cellB := Config{Arch: params.ASCOMA, Pressure: 10, MaxCycles: 1 << 40}
+	cellA := Config{Arch: params.ASCOMA, Pressure: 90, MaxCycles: 1 << 40,
+		Tiers: []mem.TierSpec{
+			{CapacityPct: 30, ReadCycles: 40, WriteCycles: 60},
+			{CapacityPct: 70, ReadCycles: 120, WriteCycles: 300},
+		},
+		PagePolicy: mem.PolicyHybrid,
+	}
+
+	emptyArena()
+	fresh, freshStats, freshRec := recordedRun(t, cellB, gen)
+	fresh.Release()
+	emptyArena()
+
+	// sync.Pool may drop a Put (it does so at random under the race
+	// detector), so retry until B lands on A's released machine.
+	for attempt := 0; attempt < 20; attempt++ {
+		a, _, _ := recordedRun(t, cellA, gen)
+		a.Release()
+		b, stats, rec := recordedRun(t, cellB, gen)
+		b.Release()
+		if b != a {
+			continue
+		}
+		if !bytes.Equal(stats, freshStats) {
+			t.Error("recycled machine produced different stats than a fresh one")
+		}
+		if !bytes.Equal(rec, freshRec) {
+			t.Error("recycled machine recorded different events or epochs than a fresh one")
+		}
+		return
+	}
+	t.Fatal("no run of cell B was recycled from cell A's machine")
+}
+
+// TestArenaKeyedByAllocationSize pins the arena's pool key: one app's cells
+// across pressures, tier configs, page policies and architectures share one
+// pool; a different node count or home-page footprint adds one more each.
+func TestArenaKeyedByAllocationSize(t *testing.T) {
+	build := func(app string, scale int, cfg Config) {
+		t.Helper()
+		gen, err := workload.New(app, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := New(cfg, gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Release()
+	}
+	tierConfigs := [][]mem.TierSpec{nil, {
+		{CapacityPct: 30, ReadCycles: 40, WriteCycles: 60},
+		{CapacityPct: 70, ReadCycles: 120, WriteCycles: 300},
+	}}
+	policies := []mem.Policy{mem.PolicyNone, mem.PolicyOpen, mem.PolicyHybrid}
+
+	emptyArena()
+	for _, pressure := range []int{10, 30, 50, 70, 90} {
+		for _, tiers := range tierConfigs {
+			for _, pol := range policies {
+				for _, arch := range append(params.AllArchs(), params.MIGNUMA) {
+					build("fft", 8, Config{Arch: arch, Pressure: pressure,
+						Tiers: tiers, PagePolicy: pol})
+				}
+			}
+		}
+	}
+	if n := arenaKeys(); n != 1 {
+		t.Fatalf("one app's grid left %d arena keys, want 1", n)
+	}
+	build("lu", 8, Config{Arch: params.ASCOMA, Pressure: 50})
+	if n := arenaKeys(); n != 2 {
+		t.Fatalf("a different node count left %d arena keys, want 2", n)
+	}
+	build("fft", 16, Config{Arch: params.ASCOMA, Pressure: 50})
+	if n := arenaKeys(); n != 3 {
+		t.Fatalf("a different home-page footprint left %d arena keys, want 3", n)
+	}
+}

@@ -59,7 +59,7 @@ func TestNodeBusResetOnRecycle(t *testing.T) {
 	if bus, _, _, _ := m.Utilization(0); bus == 0 {
 		t.Fatal("run left node 0's bus unused")
 	}
-	m.recycle(m.shape, m.p)
+	m.recycle()
 	for i, nd := range m.nodes {
 		if nd.bus.Busy != 0 || nd.bus.FreeAt() != 0 {
 			t.Fatalf("node %d: recycle left bus busy=%d freeAt=%d", i, nd.bus.Busy, nd.bus.FreeAt())

@@ -100,9 +100,10 @@ func TestFastForwardStopsAtQuantum(t *testing.T) {
 	}
 }
 
-// TestArenaRecycleDeterminism runs one config on a fresh machine, releases
-// it, and re-runs the same config on the recycled machine: the arena
-// contract is that the second run is bit-identical to the first.
+// TestArenaRecycleDeterminism runs one config on a fresh machine (the
+// arena is emptied first), releases it, and re-runs the same config on the
+// recycled machine: the arena contract is that the second run is
+// bit-identical to the first.
 func TestArenaRecycleDeterminism(t *testing.T) {
 	gen, err := workload.New("fft", 8)
 	if err != nil {
@@ -126,6 +127,7 @@ func TestArenaRecycleDeterminism(t *testing.T) {
 		return buf, m
 	}
 
+	emptyArena()
 	first, m1 := runOnce()
 	m1.Release()
 	second, m2 := runOnce()

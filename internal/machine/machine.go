@@ -282,30 +282,28 @@ func New(cfg Config, gen workload.Generator) (*Machine, error) {
 
 	// Per-node memory sizing: home + private pages occupy Pressure% of
 	// the node's physical memory.
-	resident := gen.HomePagesPerNode() + gen.PrivatePagesPerNode()
+	homePages := gen.HomePagesPerNode()
+	resident := homePages + gen.PrivatePagesPerNode()
 	totalPages := (resident*100 + cfg.Pressure - 1) / cfg.Pressure
 	if totalPages <= resident {
 		totalPages = resident + 1
 	}
 
-	// Check the arena for a released machine of the same structural shape;
-	// recycling one resets its dense tables in place instead of
+	// Check the arena for a released machine of the same allocation
+	// shape; recycling one resets its dense tables in place instead of
 	// reallocating them (see arena.go).
 	sh := shape{
 		nodes:      cfg.Params.Nodes,
 		l1Bytes:    cfg.Params.L1Bytes,
 		racEntries: cfg.Params.RACEntries,
 		memBanks:   cfg.Params.MemBanks,
-		totalPages: totalPages,
-		homeLimit:  gen.HomePagesPerNode(),
-		policy:     cfg.PagePolicy,
+		homePages:  homePages,
 	}
-	copy(sh.tiers[:], tiers)
 	m := arenaGet(sh)
 	if m == nil {
-		m = newShaped(sh, &cfg.Params, tiers)
+		m = newShaped(sh)
 	} else {
-		m.recycle(sh, &cfg.Params)
+		m.recycle()
 	}
 	m.cfg = cfg
 	m.gen = gen
@@ -328,6 +326,7 @@ func New(cfg Config, gen workload.Generator) (*Machine, error) {
 			m.epochIntv = m.ep.Interval
 		}
 	}
+	m.dir.Reset(homePages, p.RefetchThreshold)
 	m.dir.SetRecorder(m.rec)
 	m.net = network.New(p)
 	m.st = stats.NewMachine(n)
@@ -346,8 +345,14 @@ func New(cfg Config, gen workload.Generator) (*Machine, error) {
 		nd.nextDaemon = p.DaemonInterval
 		nd.daemonInterval = p.DaemonInterval
 		nd.prevThresh = nd.pol.Threshold()
-		nd.vmm.SetRecorder(m.rec)
+		// The run parameters, applied here for fresh and recycled
+		// machines alike. Configure must run on the Memory's final
+		// address: small bank counts store their banks inside the
+		// struct itself.
+		nd.mem.Configure(p.MemBanks, tiers, cfg.PagePolicy)
+		nd.vmm.Reset(totalPages, p.FreeMinPct, p.FreeTargetPct)
 		nd.vmm.ConfigureTiers(tiers)
+		nd.vmm.SetRecorder(m.rec)
 		if err := nd.vmm.ReserveHome(resident); err != nil {
 			return nil, err
 		}

@@ -103,8 +103,8 @@ func ParsePolicy(s string) (Policy, error) {
 	return PolicyNone, fmt.Errorf("mem: unknown page policy %q (want open, closed, hybrid, or none)", s)
 }
 
-// ValidateTiers checks a tier configuration: 1..MaxTiers tiers, positive
-// capacities summing to 100, positive latencies. A nil slice is valid: it
+// ValidateTiers checks a tier configuration: 1..MaxTiers tiers, capacities
+// in 1..100 summing to 100, positive latencies. A nil slice is valid: it
 // selects the default single tier at the machine's local latency.
 func ValidateTiers(tiers []TierSpec) error {
 	if len(tiers) == 0 {
@@ -115,8 +115,9 @@ func ValidateTiers(tiers []TierSpec) error {
 	}
 	sum := 0
 	for i, ts := range tiers {
-		if ts.CapacityPct <= 0 {
-			return fmt.Errorf("mem: tier %d capacity %d%% must be positive", i, ts.CapacityPct)
+		// Bounding each share also keeps the sum below from wrapping.
+		if ts.CapacityPct < 1 || ts.CapacityPct > 100 {
+			return fmt.Errorf("mem: tier %d capacity %d%% out of range 1..100", i, ts.CapacityPct)
 		}
 		if ts.ReadCycles <= 0 {
 			return fmt.Errorf("mem: tier %d read latency %d must be positive", i, ts.ReadCycles)
@@ -196,8 +197,10 @@ type Memory struct {
 }
 
 // Configure sets up len(specs) asymmetric tiers of n banks each with the
-// given row-buffer policy. specs must be non-empty and have passed
-// ValidateTiers. Must run on the Memory's final address.
+// given row-buffer policy, every bank idle and precharged. specs must be
+// non-empty and have passed ValidateTiers. Must run on the Memory's final
+// address. Reconfiguring a used Memory reuses its row-buffer storage and
+// leaves it exactly as a fresh one configured the same way.
 func (m *Memory) Configure(n int, specs []TierSpec, pol Policy) {
 	if n < 1 {
 		n = 1
@@ -252,16 +255,6 @@ func (m *Memory) resetRows() {
 	}
 	m.rowHits = 0
 	m.rowConflicts = 0
-}
-
-// Reset returns every bank to the idle precharged state, keeping the
-// configuration — a recycled Memory serves requests exactly as a freshly
-// configured one.
-func (m *Memory) Reset() {
-	for i := 0; i < m.nTiers; i++ {
-		m.tiers[i].banks.Reset()
-	}
-	m.resetRows()
 }
 
 // NumTiers returns the configured tier count.

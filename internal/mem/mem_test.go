@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math"
 	"testing"
 
 	"ascoma/internal/sim"
@@ -137,25 +138,59 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-func TestResetRestoresFreshState(t *testing.T) {
-	var m Memory
-	m.Configure(2, twoTiers(), PolicyOpen)
-	var ref Memory
-	ref.Configure(2, twoTiers(), PolicyOpen)
-
-	for i := 0; i < 100; i++ {
-		m.Acquire(i%2, uint64(i), sim.Time(i), i%2 == 0)
+// TestReconfigureRestoresFreshState pins the recycling contract: Configure
+// on a used Memory, whatever its previous tiers, bank count and policy,
+// serves requests exactly as a fresh Memory configured the same way.
+func TestReconfigureRestoresFreshState(t *testing.T) {
+	fourTiers := []TierSpec{
+		{CapacityPct: 10, ReadCycles: 30, WriteCycles: 30},
+		{CapacityPct: 20, ReadCycles: 50, WriteCycles: 90},
+		{CapacityPct: 30, ReadCycles: 80, WriteCycles: 200},
+		{CapacityPct: 40, ReadCycles: 150, WriteCycles: 400},
 	}
-	m.Reset()
-	for i := 0; i < 100; i++ {
-		got := m.Acquire(i%2, uint64(i*3), sim.Time(i), false)
-		want := ref.Acquire(i%2, uint64(i*3), sim.Time(i), false)
-		if got != want {
-			t.Fatalf("access %d after Reset: got %d, want %d", i, got, want)
+	oneTier := []TierSpec{{CapacityPct: 100, ReadCycles: 50, WriteCycles: 50}}
+	prev := []struct {
+		banks int
+		specs []TierSpec
+		pol   Policy
+	}{
+		{2, twoTiers(), PolicyOpen},
+		{16, fourTiers, PolicyHybrid},
+		{3, oneTier, PolicyNone},
+		{12, fourTiers, PolicyClosed},
+	}
+	for _, want := range prev {
+		for _, used := range prev {
+			var m Memory
+			m.Configure(used.banks, used.specs, used.pol)
+			for i := 0; i < 100; i++ {
+				m.Acquire(i%len(used.specs), uint64(i), sim.Time(i), i%2 == 0)
+			}
+			m.Configure(want.banks, want.specs, want.pol)
+			var ref Memory
+			ref.Configure(want.banks, want.specs, want.pol)
+			for i := 0; i < 100; i++ {
+				tier := i % len(want.specs)
+				got := m.Acquire(tier, uint64(i*3), sim.Time(i), i%5 == 0)
+				exp := ref.Acquire(tier, uint64(i*3), sim.Time(i), i%5 == 0)
+				if got != exp {
+					t.Fatalf("%d banks %v after %d banks %v: access %d got %d, want %d",
+						want.banks, want.pol, used.banks, used.pol, i, got, exp)
+				}
+			}
+			if m.RowHits() != ref.RowHits() || m.RowConflicts() != ref.RowConflicts() ||
+				m.Busy() != ref.Busy() || m.NumTiers() != ref.NumTiers() {
+				t.Fatalf("%d banks %v after %d banks %v: counters diverged",
+					want.banks, want.pol, used.banks, used.pol)
+			}
+			for from := 0; from < MaxTiers; from++ {
+				for to := 0; to < MaxTiers; to++ {
+					if m.MoveCost(from, to) != ref.MoveCost(from, to) {
+						t.Fatalf("MoveCost(%d,%d) diverged after reconfigure", from, to)
+					}
+				}
+			}
 		}
-	}
-	if m.RowHits() != ref.RowHits() || m.RowConflicts() != ref.RowConflicts() {
-		t.Fatal("row counters diverged after Reset")
 	}
 }
 
@@ -197,6 +232,9 @@ func TestValidateTiers(t *testing.T) {
 		{"sum-low", []TierSpec{{30, 40, 60}, {60, 120, 300}}, false},
 		{"sum-high", []TierSpec{{60, 40, 60}, {60, 120, 300}}, false},
 		{"zero-cap", []TierSpec{{0, 40, 60}, {100, 120, 300}}, false},
+		{"cap-over-100", []TierSpec{{101, 40, 60}, {-1, 120, 300}}, false},
+		// The int sum of these shares wraps to exactly 100.
+		{"sum-overflow", []TierSpec{{math.MaxInt, 40, 40}, {math.MaxInt, 80, 80}, {102, 100, 100}}, false},
 		{"neg-read", []TierSpec{{100, -1, 60}}, false},
 		{"zero-write", []TierSpec{{100, 40, 0}}, false},
 		{"too-many", []TierSpec{{20, 1, 1}, {20, 1, 1}, {20, 1, 1}, {20, 1, 1}, {20, 1, 1}}, false},

@@ -62,6 +62,26 @@ func TestRunEndpointTierValidation(t *testing.T) {
 	}
 }
 
+// TestRunEndpointTierCapacityOverflow pins that tier capacities whose int
+// sum wraps around to 100 are rejected, not simulated with nonsense tier
+// sizes.
+func TestRunEndpointTierCapacityOverflow(t *testing.T) {
+	_, ts := newTestServer(t)
+	resp, err := http.Post(ts.URL+"/api/v1/run", "application/json",
+		strings.NewReader(`{"arch":"AS-COMA","workload":"fft","pressure":70,"scale":8,
+			"tiers":[{"capacityPct":9223372036854775807,"readCycles":40,"writeCycles":40},
+			         {"capacityPct":9223372036854775807,"readCycles":80,"writeCycles":80},
+			         {"capacityPct":102,"readCycles":100,"writeCycles":100}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("wrapping tier capacities: status %d, want 400: %s", resp.StatusCode, body)
+	}
+}
+
 func TestJobTierGridLifecycle(t *testing.T) {
 	_, ts := newTestServer(t)
 	st := postJob(t, ts.URL, `{"tierGrid":{"app":"uniform","scale":16,"pressures":[70],

@@ -213,13 +213,6 @@ func (b *Banked) Acquire(key uint64, t Time, occ Time) Time {
 	return b.banks[key%uint64(len(b.banks))].Acquire(t, occ)
 }
 
-// Reset returns every bank to the initial idle state.
-func (b *Banked) Reset() {
-	for i := range b.banks {
-		b.banks[i].Reset()
-	}
-}
-
 // Busy returns the total occupied cycles summed over banks.
 func (b *Banked) Busy() Time {
 	var total Time

@@ -166,7 +166,7 @@ func New(node, totalPages, freeMinPct, freeTargetPct int) *VM {
 // Reset returns the VM to its just-built state with the given geometry,
 // retaining the page-table chunk storage for reuse by a later run. Every
 // previously handed-out *PTE is invalidated (the caller must drop its
-// translation caches).
+// translation caches). Reset also readies a zero VM with only Node set.
 func (v *VM) Reset(totalPages, freeMinPct, freeTargetPct int) {
 	v.TotalPages = totalPages
 	v.HomePages = 0
