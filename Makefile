@@ -122,12 +122,15 @@ race:
 # few seconds of generated inputs — a CI-sized differential check that the
 # compiled workload streams still match the interpreted reference, that
 # the trace decoder turns any input into a clean error or a canonical
-# trace, and that the tier and pressure parsers accept only valid specs.
+# trace, that the tier and pressure parsers accept only valid specs, and
+# that every run, job and estimate request body decodes into a 400 or a
+# valid spec (with a canonical estimate reply key), never a 500 or a panic.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCompiledMatchesInterpreted -fuzztime 10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecording$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTiers$$' -fuzztime 10s ./internal/mem
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePressures$$' -fuzztime 10s ./internal/report
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSpecs$$' -fuzztime 10s ./internal/serve
 
 clean:
 	$(GO) clean ./...

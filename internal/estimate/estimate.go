@@ -120,7 +120,8 @@ func New(prof *workload.Profile, p params.Params) (*Estimator, error) {
 	for n := 0; n < prof.Nodes; n++ {
 		np := &prof.PerNode[n]
 		e.dTot[n] = np.RemotePages
-		for _, c := range np.Classes {
+		for ci := range np.Classes {
+			c := &np.Classes[ci]
 			e.sTot[n] += c.Pages * c.S
 			e.cTot[n] += c.Pages * c.C
 			e.xTot[n] += c.Pages * c.X
@@ -250,10 +251,10 @@ func (e *Estimator) Predict(arch params.Arch, pressure int) Prediction {
 	}
 
 	var w [maxNodes]float64 // per-remote-miss weight, per node
-	var cost archCost
+	var cost, nc archCost
 	var homeMisses int64
 	for n := 0; n < nodes; n++ {
-		nc := e.nodeCost(arch, n, pool, cap, capMin)
+		e.nodeCost(&nc, arch, n, pool, cap, capMin)
 		if e.sTot[n] > 0 {
 			w[n] = float64(nc.cycles) / float64(e.sTot[n])
 		}
@@ -338,11 +339,10 @@ func (a *archCost) add(b *archCost) {
 // nodeCost evaluates one node's page classes under one architecture.
 //
 //ascoma:hotpath
-func (e *Estimator) nodeCost(arch params.Arch, n int, pool, cap, capMin int64) archCost {
+func (e *Estimator) nodeCost(ac *archCost, arch params.Arch, n int, pool, cap, capMin int64) {
 	p := &e.p
 	np := &e.prof.PerNode[n]
-	var ac archCost
-	ac.remotePages = np.RemotePages
+	*ac = archCost{remotePages: np.RemotePages}
 
 	tLocal := int64(p.BusCycles+p.LocalMemCycles) + e.memAdj
 	// Remote fetches queue at the bus, directory, memory banks, and
@@ -361,7 +361,8 @@ func (e *Estimator) nodeCost(arch params.Arch, n int, pool, cap, capMin int64) a
 
 	switch arch {
 	case params.CCNUMA:
-		for _, c := range np.Classes {
+		for ci := range np.Classes {
+			c := &np.Classes[ci]
 			ac.cycles += c.Pages * (c.F*tRemote + c.R*tRAC)
 			ac.misses[stats.Cold] += c.Pages * c.C
 			ac.misses[stats.ConfCapc] += c.Pages * (c.F - c.C)
@@ -370,17 +371,13 @@ func (e *Estimator) nodeCost(arch params.Arch, n int, pool, cap, capMin int64) a
 
 	case params.SCOMA:
 		d := np.RemotePages
-		phi := 1.0 // resident fraction
-		if d > pool {
-			phi = float64(pool) / float64(d)
-		}
-		_ = phi
 		occ := d
 		if occ > pool {
 			occ = pool
 		}
 		ac.poolPages = occ
-		for _, c := range np.Classes {
+		for ci := range np.Classes {
+			c := &np.Classes[ci]
 			// Healthy page-cache economy.
 			ac.cycles += c.Pages * ((c.C+c.X+c.O)*tRemote + (c.S-c.C-c.X-c.O)*tLocal)
 			ac.misses[stats.Cold] += c.Pages * c.C
@@ -424,7 +421,8 @@ func (e *Estimator) nodeCost(arch params.Arch, n int, pool, cap, capMin int64) a
 			occ = cap
 		}
 		ac.poolPages = occ
-		for _, c := range np.Classes {
+		for ci := range np.Classes {
+			c := &np.Classes[ci]
 			scoma := float64(c.Pages) * psi
 			numa := float64(c.Pages) - scoma
 			ac.cycles += int64(scoma * float64((c.C+c.X+c.O)*tRemote+(c.S-c.C-c.X-c.O)*tLocal))
@@ -454,7 +452,8 @@ func (e *Estimator) nodeCost(arch params.Arch, n int, pool, cap, capMin int64) a
 		// remotely. VC-NUMA's thrashing detector raises the threshold
 		// and roughly halves the churn.
 		var hot int64
-		for _, c := range np.Classes {
+		for ci := range np.Classes {
+			c := &np.Classes[ci]
 			if c.F-c.C >= theta {
 				hot += c.Pages
 			}
@@ -472,7 +471,8 @@ func (e *Estimator) nodeCost(arch params.Arch, n int, pool, cap, capMin int64) a
 			occ = capMin
 		}
 		ac.poolPages = occ
-		for _, c := range np.Classes {
+		for ci := range np.Classes {
+			c := &np.Classes[ci]
 			if c.F-c.C < theta {
 				ac.cycles += c.Pages * (c.F*tRemote + c.R*tRAC)
 				ac.misses[stats.Cold] += c.Pages * c.C
@@ -535,7 +535,8 @@ func (e *Estimator) nodeCost(arch params.Arch, n int, pool, cap, capMin int64) a
 		// why MIG-NUMA loses to CC-NUMA on write-shared workloads.
 		racShare := float64(params.LinesPerBlock-1) / float64(params.LinesPerBlock)
 		var adopted int64
-		for _, c := range np.Classes {
+		for ci := range np.Classes {
+			c := &np.Classes[ci]
 			if c.F-c.C < theta || c.Shar == 0 {
 				ac.cycles += c.Pages * (c.F*tRemote + c.R*tRAC)
 				ac.misses[stats.Cold] += c.Pages * c.C
@@ -605,7 +606,6 @@ func (e *Estimator) nodeCost(arch params.Arch, n int, pool, cap, capMin int64) a
 			ac.misses[i] = 0
 		}
 	}
-	return ac
 }
 
 // denials solves for how many relocation interrupts AS-COMA's additive
@@ -653,11 +653,4 @@ func reuseAtLeast(np *workload.NodeProfile, w int64) float64 {
 		}
 	}
 	return total
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

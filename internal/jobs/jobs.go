@@ -19,6 +19,11 @@ import (
 // reached; the HTTP layer maps it to 503 + Retry-After.
 var ErrBusy = errors.New("jobs: queue full")
 
+// ErrClosed is returned by Submit once the manager is closed. Submit
+// validates a spec before it checks, so a closed manager still sorts
+// specs into invalid (a ValidationError) and admissible (ErrClosed).
+var ErrClosed = errors.New("jobs: manager closed")
+
 // State is a job's lifecycle phase.
 type State string
 
@@ -294,7 +299,8 @@ func (m *Manager) Publish(reg *obs.Registry) {
 
 // Submit validates the spec, admits the job, and starts it. The returned
 // job is already observable (queued) when Submit returns. Validation
-// failures are ValidationErrors; a full queue is ErrBusy.
+// failures are ValidationErrors; a full queue is ErrBusy; a closed manager
+// is ErrClosed.
 func (m *Manager) Submit(spec Spec) (*Job, error) {
 	if err := spec.validateShape(); err != nil {
 		return nil, err
@@ -355,7 +361,7 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 	m.mu.Lock()
 	if m.ctx.Err() != nil {
 		m.mu.Unlock()
-		return nil, fmt.Errorf("jobs: manager closed")
+		return nil, ErrClosed
 	}
 	if m.live >= m.opts.MaxJobs {
 		m.mu.Unlock()

@@ -75,6 +75,14 @@ type RunSpec struct {
 	PagePolicy string            `json:"pagePolicy,omitempty"`
 }
 
+// checkWorkload rejects a workload name that is not registered.
+func checkWorkload(name string) error {
+	if !workload.Registered(name) {
+		return badSpec("unknown workload %q (registered: %s)", name, strings.Join(ascoma.Workloads(), ", "))
+	}
+	return nil
+}
+
 // checkTiers is the shared tier-spec gate for every arm that accepts a
 // tiered-memory configuration: internal/mem's bounds (capacities positive
 // and summing to 100, latencies positive, at most mem.MaxTiers tiers,
@@ -97,9 +105,8 @@ func (r RunSpec) Config(cores int) (ascoma.Config, error) {
 	if err != nil {
 		return ascoma.Config{}, badSpec("%v", err)
 	}
-	if !slices.Contains(ascoma.Workloads(), r.Workload) {
-		return ascoma.Config{}, badSpec("unknown workload %q (registered: %s)",
-			r.Workload, strings.Join(ascoma.Workloads(), ", "))
+	if err := checkWorkload(r.Workload); err != nil {
+		return ascoma.Config{}, err
 	}
 	if r.Pressure < 1 || r.Pressure > 99 {
 		return ascoma.Config{}, badSpec("pressure %d out of range [1,99]", r.Pressure)
@@ -171,8 +178,8 @@ func (g GridSpec) cells(cores, maxCells int) ([]ascoma.Config, error) {
 		apps = report.FigureApps(0)
 	}
 	for _, a := range apps {
-		if !slices.Contains(ascoma.Workloads(), a) {
-			return nil, badSpec("unknown workload %q (registered: %s)", a, strings.Join(ascoma.Workloads(), ", "))
+		if err := checkWorkload(a); err != nil {
+			return nil, err
 		}
 	}
 	pressures := report.PressureAxis(g.Pressures)
@@ -205,7 +212,16 @@ func (g GridSpec) cells(cores, maxCells int) ([]ascoma.Config, error) {
 		}
 	}
 
-	var cells []ascoma.Config
+	// Bound the expansion before building it: a 1 MiB body can list
+	// enough apps to expand into millions of configs.
+	perApp := len(archs) * len(pressures)
+	if baseline {
+		perApp++
+	}
+	if n := len(apps) * perApp; n > maxCells {
+		return nil, badSpec("grid expands to %d cells, exceeding the per-job bound %d", n, maxCells)
+	}
+	cells := make([]ascoma.Config, 0, len(apps)*perApp)
 	add := func(arch ascoma.Arch, app string, pressure int) {
 		cells = append(cells, ascoma.Config{
 			Arch: arch, Workload: app, Pressure: pressure,
@@ -222,9 +238,6 @@ func (g GridSpec) cells(cores, maxCells int) ([]ascoma.Config, error) {
 				add(a, app, p)
 			}
 		}
-	}
-	if len(cells) > maxCells {
-		return nil, badSpec("grid expands to %d cells, exceeding the per-job bound %d", len(cells), maxCells)
 	}
 	return cells, nil
 }
@@ -244,8 +257,8 @@ type FigureSpec struct {
 }
 
 func (f FigureSpec) validate() error {
-	if !slices.Contains(ascoma.Workloads(), f.App) {
-		return badSpec("unknown workload %q (registered: %s)", f.App, strings.Join(ascoma.Workloads(), ", "))
+	if err := checkWorkload(f.App); err != nil {
+		return err
 	}
 	switch f.Format {
 	case "", "table", "csv", "chart":
@@ -304,8 +317,8 @@ type TierGridSpec struct {
 const maxTierAxis = 16
 
 func (t TierGridSpec) validate() error {
-	if !slices.Contains(ascoma.Workloads(), t.App) {
-		return badSpec("unknown workload %q (registered: %s)", t.App, strings.Join(ascoma.Workloads(), ", "))
+	if err := checkWorkload(t.App); err != nil {
+		return err
 	}
 	switch t.Format {
 	case "", "table", "csv":
@@ -401,55 +414,89 @@ type EstimateSpec struct {
 	PagePolicy string            `json:"pagePolicy,omitempty"`
 }
 
-// Predictions validates the spec, builds (or reuses the memoized)
-// workload profile, and computes one prediction per grid cell.
-func (e EstimateSpec) Predictions() ([]estimate.Prediction, error) {
-	if !slices.Contains(ascoma.Workloads(), e.Workload) {
-		return nil, badSpec("unknown workload %q (registered: %s)",
-			e.Workload, strings.Join(ascoma.Workloads(), ", "))
+// estimateArchs is the default architecture axis of an estimate: the
+// full six-architecture golden matrix.
+var estimateArchs = []ascoma.Arch{ascoma.CCNUMA, ascoma.SCOMA, ascoma.RNUMA, ascoma.VCNUMA, ascoma.ASCOMA, ascoma.MIGNUMA}
+
+// Normalize validates the spec and returns its canonical form: Archs
+// resolved to their canonical names and de-duplicated in request order
+// (the six golden architectures when empty), Pressures the axis
+// report.PressureAxis runs, Scale at least 1, and empty Tiers nil. The
+// canonical form asks for exactly the predictions the spec does, and
+// Normalize is idempotent, so the JSON of a normalized spec is a key for
+// its reply. Every error is a ValidationError.
+func (e EstimateSpec) Normalize() (EstimateSpec, error) {
+	n, _, err := e.normalize()
+	return n, err
+}
+
+// normalize is Normalize that also returns the resolved architectures.
+func (e EstimateSpec) normalize() (EstimateSpec, []ascoma.Arch, error) {
+	if err := checkWorkload(e.Workload); err != nil {
+		return EstimateSpec{}, nil, err
 	}
 	if e.Scale < 0 || e.Scale > MaxScale {
-		return nil, badSpec("scale %d out of range [0,%d]", e.Scale, MaxScale)
+		return EstimateSpec{}, nil, badSpec("scale %d out of range [0,%d]", e.Scale, MaxScale)
 	}
 	if err := checkTiers(e.Tiers, e.PagePolicy); err != nil {
-		return nil, err
+		return EstimateSpec{}, nil, err
 	}
-	archs := []ascoma.Arch{ascoma.CCNUMA, ascoma.SCOMA, ascoma.RNUMA, ascoma.VCNUMA, ascoma.ASCOMA, ascoma.MIGNUMA}
+	archs := estimateArchs
 	if len(e.Archs) > 0 {
-		archs = archs[:0]
-		seen := map[ascoma.Arch]bool{}
+		archs = nil
 		for _, a := range e.Archs {
 			arch, err := ascoma.ParseArch(a)
 			if err != nil {
-				return nil, badSpec("%v", err)
+				return EstimateSpec{}, nil, badSpec("%v", err)
 			}
-			if !seen[arch] {
-				seen[arch] = true
+			if !slices.Contains(archs, arch) {
 				archs = append(archs, arch)
 			}
 		}
 	}
 	for _, p := range e.Pressures {
 		if p < 1 || p > 99 {
-			return nil, badSpec("pressure %d out of range [1,99]", p)
+			return EstimateSpec{}, nil, badSpec("pressure %d out of range [1,99]", p)
 		}
 	}
-	pressures := report.PressureAxis(e.Pressures)
-	prof, err := workload.ProfileFor(e.Workload, e.Scale)
+	n := EstimateSpec{
+		Workload:   e.Workload,
+		Archs:      make([]string, len(archs)),
+		Pressures:  report.PressureAxis(e.Pressures),
+		Scale:      max(e.Scale, 1),
+		PagePolicy: e.PagePolicy,
+	}
+	for i, arch := range archs {
+		n.Archs[i] = arch.String()
+	}
+	if len(e.Tiers) > 0 {
+		n.Tiers = e.Tiers
+	}
+	return n, archs, nil
+}
+
+// Predictions validates the spec, builds (or reuses the memoized)
+// workload profile, and computes one prediction per grid cell.
+func (e EstimateSpec) Predictions() ([]estimate.Prediction, error) {
+	n, archs, err := e.normalize()
+	if err != nil {
+		return nil, err
+	}
+	prof, err := workload.ProfileFor(n.Workload, n.Scale)
 	if err != nil {
 		return nil, badSpec("%v", err)
 	}
 	est, err := estimate.New(prof, params.Default())
 	if err != nil {
-		return nil, fmt.Errorf("jobs: estimator for %s: %w", e.Workload, err)
+		return nil, fmt.Errorf("jobs: estimator for %s: %w", n.Workload, err)
 	}
-	if len(e.Tiers) > 0 || e.PagePolicy != "" {
-		pol, _ := mem.ParsePolicy(e.PagePolicy) // validated above
-		est.SetTiers(e.Tiers, pol)
+	if len(n.Tiers) > 0 || n.PagePolicy != "" {
+		pol, _ := mem.ParsePolicy(n.PagePolicy) // validated above
+		est.SetTiers(n.Tiers, pol)
 	}
-	preds := make([]estimate.Prediction, 0, len(archs)*len(pressures))
+	preds := make([]estimate.Prediction, 0, len(archs)*len(n.Pressures))
 	for _, arch := range archs {
-		for _, p := range pressures {
+		for _, p := range n.Pressures {
 			preds = append(preds, est.Predict(arch, p))
 		}
 	}

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ascoma"
@@ -107,6 +108,22 @@ func TestGridCellsBound(t *testing.T) {
 	g := GridSpec{Apps: []string{"uniform"}, Scale: 8}
 	if _, err := g.cells(1, 3); err == nil || !IsValidation(err) {
 		t.Errorf("oversize grid: %v, want validation error", err)
+	}
+	// The bound is checked before expanding: an oversize grid is rejected
+	// without building its 63,000 configs.
+	many := GridSpec{Apps: make([]string, 3000), Scale: 8}
+	for i := range many.Apps {
+		many.Apps[i] = "lu"
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := many.cells(1, 4096)
+	runtime.ReadMemStats(&after)
+	if !IsValidation(err) {
+		t.Errorf("3000-app grid: %v, want validation error", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("rejecting an oversize grid allocated %d bytes", grew)
 	}
 }
 

@@ -77,7 +77,8 @@ func (a Arch) String() string {
 // ParseArch converts a string (any of the forms "ascoma", "AS-COMA",
 // "as_coma") to an Arch.
 func ParseArch(s string) (Arch, error) {
-	norm := make([]byte, 0, len(s))
+	var buf [16]byte // every valid spelling fits: parsing allocates nothing
+	norm := buf[:0]
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		switch {

@@ -115,6 +115,10 @@ type Cache struct {
 type lruEntry struct {
 	key Key
 	res *ascoma.Result
+	// reply is the caller-encoded reply for res, filled by Reply on first
+	// use. It lives and dies with the entry: eviction drops it, and a
+	// store that replaces res clears it.
+	reply []byte
 }
 
 // New returns a cache holding up to maxEntries results in memory
@@ -321,6 +325,46 @@ func (c *Cache) Put(key Key, res *ascoma.Result) {
 	c.persist(key, res)
 }
 
+// Reply returns the encoded reply stored with key's entry, calling
+// encode(res) to fill it on first use. The bytes belong to the entry: they
+// are kept only while the entry holds res, and die when it is evicted or
+// replaced by Put, so they need no bound of their own. A res that is not
+// resident under key is encoded on every call and stored nowhere. encode
+// runs outside the lock, so two first callers may both encode; the first
+// to finish is kept. An entry holds one reply, so every caller of Reply on
+// a cache must pass the same encoding. Callers must not modify the
+// returned bytes.
+func (c *Cache) Reply(key Key, res *ascoma.Result, encode func(*ascoma.Result) ([]byte, error)) ([]byte, error) {
+	c.mu.Lock()
+	if e := c.resident(key, res); e != nil && e.reply != nil {
+		b := e.reply
+		c.mu.Unlock()
+		return b, nil
+	}
+	c.mu.Unlock()
+	b, err := encode(res)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	if e := c.resident(key, res); e != nil && e.reply == nil {
+		e.reply = b
+	}
+	c.mu.Unlock()
+	return b, nil
+}
+
+// resident returns key's memory entry if it holds res, else nil. Callers
+// hold c.mu.
+func (c *Cache) resident(key Key, res *ascoma.Result) *lruEntry {
+	if el, ok := c.entries[key]; ok {
+		if e := el.Value.(*lruEntry); e.res == res {
+			return e
+		}
+	}
+	return nil
+}
+
 // fill resolves a miss: the backend chain in order, then the simulation
 // itself. A hit at backend i is written back into backends 0..i-1 so the
 // faster layers warm up.
@@ -390,7 +434,8 @@ func (c *Cache) store(key Key, res *ascoma.Result) {
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(el)
-		el.Value.(*lruEntry).res = res
+		e := el.Value.(*lruEntry)
+		e.res, e.reply = res, nil
 		return
 	}
 	c.entries[key] = c.lru.PushFront(&lruEntry{key: key, res: res})
@@ -400,4 +445,3 @@ func (c *Cache) store(key Key, res *ascoma.Result) {
 		delete(c.entries, tail.Value.(*lruEntry).key)
 	}
 }
-

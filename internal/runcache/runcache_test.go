@@ -302,3 +302,92 @@ func TestRunnerConcurrentIdenticalSimulateOnce(t *testing.T) {
 		t.Errorf("%d identical concurrent requests ran %d simulations, want 1 (%+v)", n, st.Sims, st)
 	}
 }
+
+// TestReplyLivesWithEntry pins the stored-reply contract: encode runs once
+// per resident entry, the bytes die with the entry (eviction) or its
+// result (Put), a key never answers with another key's bytes, and a result
+// that is not resident is encoded per call and stored nowhere.
+func TestReplyLivesWithEntry(t *testing.T) {
+	c := NewWithBackends(1)
+	ctx := context.Background()
+	encodes := 0
+	encode := func(res *ascoma.Result) ([]byte, error) {
+		encodes++
+		return []byte(fmt.Sprintf("reply-%d-%d", res.Pressure, encodes)), nil
+	}
+	fill := func(key Key, tag int) *ascoma.Result {
+		res, err := c.Do(ctx, key, func(context.Context) (*ascoma.Result, error) { return fakeResult(tag), nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	reply := func(key Key, res *ascoma.Result) string {
+		b, err := c.Reply(key, res, encode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+
+	a := fill("a", 1)
+	if got, again := reply("a", a), reply("a", a); got != "reply-1-1" || again != got || encodes != 1 {
+		t.Errorf("repeat replies %q, %q after %d encodes; want one stored reply-1-1", got, again, encodes)
+	}
+	b := fill("b", 2) // evicts a with its bytes
+	if got := reply("b", b); got != "reply-2-2" {
+		t.Errorf("b replied %q, want reply-2-2", got)
+	}
+	a = fill("a", 1) // evicts b; a is re-filled with no bytes
+	if got := reply("a", a); got != "reply-1-3" {
+		t.Errorf("a after eviction replied %q, want a fresh reply-1-3", got)
+	}
+	// A result not resident under the key: encoded per call, never stored.
+	if got := reply("b", b); got != "reply-2-4" || reply("b", b) != "reply-2-5" {
+		t.Errorf("non-resident b replied %q; want a fresh encode per call", got)
+	}
+	if got := reply("a", b); got != "reply-2-6" || reply("a", a) != "reply-1-3" {
+		t.Errorf("a stale result under a resident key replied %q, or displaced a's bytes", got)
+	}
+	// Put replaces the result and drops its bytes.
+	a2 := fakeResult(3)
+	c.Put("a", a2)
+	if got := reply("a", a2); got != "reply-3-7" {
+		t.Errorf("a after Put replied %q, want reply-3-7", got)
+	}
+	// A failed encode stores nothing.
+	fail := func(*ascoma.Result) ([]byte, error) { return nil, errors.New("boom") }
+	c.Put("a", a)
+	if _, err := c.Reply("a", a, fail); err == nil {
+		t.Error("encode error was swallowed")
+	}
+	if got := reply("a", a); got != "reply-1-8" {
+		t.Errorf("after a failed encode a replied %q, want reply-1-8", got)
+	}
+}
+
+// TestRunnerReply: a cached run's reply is encoded once; a Runner with no
+// cache encodes on every call.
+func TestRunnerReply(t *testing.T) {
+	r := &Runner{Cache: NewWithBackends(4), Jobs: 1}
+	var encodes atomic.Int64
+	encode := func(res *ascoma.Result) ([]byte, error) {
+		encodes.Add(1)
+		return json.Marshal(res.ExecTime)
+	}
+	ctx := context.Background()
+	first, err := r.Reply(ctx, testCfg(50), encode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := r.Reply(ctx, testCfg(50), encode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(first) != string(again) || encodes.Load() != 1 {
+		t.Errorf("replies %s, %s after %d encodes; want one stored reply", first, again, encodes.Load())
+	}
+	if _, err := (&Runner{Jobs: 1}).Reply(ctx, testCfg(50), encode); err != nil || encodes.Load() != 2 {
+		t.Errorf("uncached Reply: err %v after %d encodes, want a fresh encode", err, encodes.Load())
+	}
+}

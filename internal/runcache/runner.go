@@ -42,9 +42,31 @@ func (r *Runner) init() {
 // acquired only for genuine simulations, never for cache hits, and waiting
 // for a slot respects ctx.
 func (r *Runner) Run(ctx context.Context, cfg ascoma.Config) (*ascoma.Result, error) {
+	_, res, err := r.run(ctx, cfg)
+	return res, err
+}
+
+// Reply runs cfg like Run and returns encode(result). With a cache
+// attached the bytes are stored with the result's cache entry on first use
+// and served from there until the entry is evicted or replaced (see
+// Cache.Reply); an uncached run is encoded on every call.
+func (r *Runner) Reply(ctx context.Context, cfg ascoma.Config, encode func(*ascoma.Result) ([]byte, error)) ([]byte, error) {
+	key, res, err := r.run(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if key == "" {
+		return encode(res)
+	}
+	return r.Cache.Reply(key, res, encode)
+}
+
+// run is Run that also returns the cache key the result is filed under
+// ("" when the run bypasses the cache).
+func (r *Runner) run(ctx context.Context, cfg ascoma.Config) (Key, *ascoma.Result, error) {
 	r.once.Do(r.init)
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return "", nil, err
 	}
 	sim := func(ctx context.Context) (*ascoma.Result, error) {
 		select {
@@ -62,13 +84,15 @@ func (r *Runner) Run(ctx context.Context, cfg ascoma.Config) (*ascoma.Result, er
 		// the machine entirely and leave the caller's Recording empty (and
 		// Config.Obs carries `json:"-"`, so the recording could otherwise
 		// collide with an unobserved run's key).
-		return sim(ctx)
+		res, err := sim(ctx)
+		return "", res, err
 	}
 	key, err := KeyOf(cfg)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
-	return r.Cache.Do(ctx, key, sim)
+	res, err := r.Cache.Do(ctx, key, sim)
+	return key, res, err
 }
 
 // RunGenerator executes one simulation on a caller-supplied workload

@@ -367,6 +367,12 @@ func Register(name string, f Factory) {
 	registry[name] = f
 }
 
+// Registered reports whether name is a registered workload.
+func Registered(name string) bool {
+	_, ok := registry[name]
+	return ok
+}
+
 // memoKey identifies one shared workload instance.
 type memoKey struct {
 	name  string
