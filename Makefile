@@ -122,15 +122,20 @@ race:
 # few seconds of generated inputs — a CI-sized differential check that the
 # compiled workload streams still match the interpreted reference, that
 # the trace decoder turns any input into a clean error or a canonical
-# trace, that the tier and pressure parsers accept only valid specs, and
-# that every run, job and estimate request body decodes into a 400 or a
-# valid spec (with a canonical estimate reply key), never a 500 or a panic.
+# trace, that the tier and pressure parsers accept only valid specs, that
+# every run, job and estimate request body decodes into a 400 or a valid
+# spec (with a canonical estimate reply key), never a 500 or a panic, that
+# the runcache disk/peer payload decoder accepts only keyed, non-empty
+# payloads that round-trip, and that a cell filled from a run's pressure
+# ceiling equals its simulation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCompiledMatchesInterpreted -fuzztime 10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecording$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTiers$$' -fuzztime 10s ./internal/mem
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePressures$$' -fuzztime 10s ./internal/report
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSpecs$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 10s ./internal/runcache
+	$(GO) test -run '^$$' -fuzz '^FuzzPressureCeiling$$' -fuzztime 10s .
 
 clean:
 	$(GO) clean ./...

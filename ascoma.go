@@ -184,6 +184,11 @@ type Result struct {
 	// Samples is the adaptation timeline (empty unless
 	// Config.SampleInterval was set).
 	Samples []Sample
+	// PressureCeiling certifies that every pressure in [1,
+	// PressureCeiling] gives the same statistics but for the Pressure
+	// label (0 = none; see machine.PressureCeiling). It is never encoded,
+	// so a result read back from a cache or a reply carries 0.
+	PressureCeiling int `json:"-"`
 }
 
 // Run executes one simulation.
@@ -248,7 +253,7 @@ func RunGeneratorContext(ctx context.Context, cfg Config, gen workload.Generator
 		return nil, err
 	}
 	st, err := m.RunContext(ctx)
-	samples := m.Samples()
+	samples, ceiling := m.Samples(), m.PressureCeiling()
 	// The machine's dense tables and chunk buffers go back to the arena for
 	// the next cell of the grid; st and samples are per-run allocations that
 	// Release leaves untouched.
@@ -256,7 +261,7 @@ func RunGeneratorContext(ctx context.Context, cfg Config, gen workload.Generator
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Machine: st, ArchID: cfg.Arch, Samples: samples}, nil
+	return &Result{Machine: st, ArchID: cfg.Arch, Samples: samples, PressureCeiling: ceiling}, nil
 }
 
 // Generator re-exports the workload generator interface so applications can

@@ -438,7 +438,7 @@ func BenchmarkGridRow(b *testing.B) {
 // BENCH_PR8.json tracks against BenchmarkGridRow's per-cell simulation
 // cost (>=100x apart). Estimator construction (one stream replay per
 // workload) happens once outside the timed loop, the same amortization
-// screening gets in practice.
+// the serve endpoint gets in practice.
 func BenchmarkEstimate(b *testing.B) {
 	b.ReportAllocs()
 	prof, err := workload.ProfileFor("fft", benchScale)
@@ -461,8 +461,8 @@ func BenchmarkEstimate(b *testing.B) {
 	b.ReportMetric(sink/float64(b.N*len(pressures)), "mean_rel")
 }
 
-// BenchmarkEstimateProfile prices estimator construction on the path
-// screening and the serve endpoint actually take: ProfileFor memoizes
+// BenchmarkEstimateProfile prices estimator construction on the path the
+// serve endpoint actually takes: ProfileFor memoizes
 // the stream-replay profile per workload+scale, so after the first cold
 // build (one replay, amortized across a process) each construction is a
 // memo lookup plus the per-node weight computation in estimate.New.

@@ -57,7 +57,6 @@ var (
 	jobs        = flag.Int("jobs", runtime.NumCPU(), "parallel simulations")
 	cores       = flag.Int("cores", 1, "worker threads inside each run (results are bit-identical at any count)")
 	cacheDir    = flag.String("cachedir", "", "persist simulation results in this directory and reuse them across invocations")
-	screen      = flag.Bool("screen", false, "estimator screening: skip grid cells the analytical model certifies pressure-equivalent (output stays byte-identical)")
 	cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	trace       = flag.String("trace", "", "record a flight-recorder trace of one AS-COMA run to this file (requires -app; inspect with ascoma-inspect)")
@@ -101,49 +100,29 @@ func main() {
 		fail(err)
 	}
 
-	// The cache and the estimator screen publish their counters (hits,
-	// sims, cells skipped) into one metrics registry; the exit report
-	// renders that registry — the same exposition ascoma-serve serves at
-	// /metrics.
-	reg := obs.NewRegistry()
-	exitReport := false
+	// The cache publishes its counters (hits, sims, cells shared) into a
+	// metrics registry; the exit report renders that registry — the same
+	// exposition ascoma-serve serves at /metrics.
 	var cache *runcache.Cache
 	if *cacheDir != "" {
 		cache, err = runcache.New(0, *cacheDir)
 		if err != nil {
 			fail(err)
 		}
+		reg := obs.NewRegistry()
 		cache.Publish(reg)
-		exitReport = true
-	}
-	var sstats *report.ScreenStats
-	if *screen {
-		sstats = &report.ScreenStats{}
-		sstats.Publish(reg)
-		exitReport = true
-	}
-	if exitReport {
 		defer func() {
-			if cache != nil {
-				fmt.Fprintf(os.Stderr, "sweep: cache %s\n", cache.Stats())
-			}
-			if sstats != nil {
-				fmt.Fprintf(os.Stderr, "sweep: estimator screening: %d cells simulated, %d skipped, %d certificate fallbacks\n",
-					sstats.Simulated(), sstats.Skipped(), sstats.Fallbacks())
-			}
+			st := cache.Stats()
+			fmt.Fprintf(os.Stderr, "sweep: cache %s\n", st)
+			fmt.Fprintf(os.Stderr, "sweep: pressure sharing: %d cells filled from a run that certified their pressure, %d simulated\n",
+				st.Shared, st.Sims)
 			fmt.Fprintln(os.Stderr, "sweep: run metrics:")
 			reg.WriteText(os.Stderr) //ascoma:allow-errdrop best-effort exit report
 		}()
 	}
 	runner := &runcache.Runner{Cache: cache, Jobs: *jobs}
 	opts := report.Options{Scale: *scale, Pressures: plist, Jobs: *jobs, Runner: runner, Cores: *cores,
-		Screen: *screen, ScreenStats: sstats, Tiers: tierSpecs, PagePolicy: *pagePolicy}
-	if *screen {
-		opts.ScreenLog = func(app string, simulated, skipped int) {
-			fmt.Fprintf(os.Stderr, "sweep: %s: simulated %d cells, skipped %d (estimator-certified)\n",
-				app, simulated, skipped)
-		}
-	}
+		Tiers: tierSpecs, PagePolicy: *pagePolicy}
 	switch {
 	case *csv:
 		opts.Format = "csv"

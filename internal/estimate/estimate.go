@@ -222,8 +222,8 @@ type archCost struct {
 }
 
 // Predict returns the headline prediction for one (arch, pressure) cell.
-// It is the estimator's hot path: called once per grid cell during
-// screening, so it must not allocate.
+// It is the estimator's hot path: called once per grid cell of an
+// estimate request, so it must not allocate.
 //
 //ascoma:hotpath
 func (e *Estimator) Predict(arch params.Arch, pressure int) Prediction {

@@ -32,7 +32,10 @@ var modelBounds = map[params.Arch]struct{ mean, max float64 }{
 // TestModelCheck simulates every cell of the golden matrix and compares
 // the simulator's relative execution time against the estimator's
 // prediction, enforcing modelBounds per architecture and logging the
-// per-figure error as a tracked metric.
+// per-figure error as a tracked metric. It also checks Insensitive, the
+// estimator's pressure-equivalence certificate, against each run's
+// runtime PressureCeiling: the model must never certify a pressure the
+// run does not.
 func TestModelCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("model-check simulates the full 72-config golden matrix")
@@ -47,7 +50,7 @@ func TestModelCheck(t *testing.T) {
 
 	perArch := map[params.Arch][]float64{}
 	perFig := map[int][]float64{}
-	cells := 0
+	cells, certified := 0, 0
 	for fig, apps := range figures {
 		for _, app := range apps {
 			prof, err := workload.ProfileFor(app, 8)
@@ -64,11 +67,27 @@ func TestModelCheck(t *testing.T) {
 			if err != nil {
 				t.Fatalf("baseline %s: %v", app, err)
 			}
+			// The highest pressure Insensitive certifies: the model claims
+			// every pressure in [1, modelCeil] simulates identically.
+			modelCeil := 0
+			for q := 1; q <= 99 && est.Insensitive(q); q++ {
+				modelCeil = q
+			}
 			for _, arch := range archs {
 				for _, pr := range pressures {
 					sim, err := ascoma.Run(ascoma.Config{Arch: arch, Workload: app, Pressure: pr, Scale: 8})
 					if err != nil {
 						t.Fatalf("%s %v(%d%%): %v", app, arch, pr, err)
+					}
+					// Soundness of the API's insensitive field: the run's
+					// own certificate must cover every pressure the model
+					// certifies.
+					if pr <= modelCeil {
+						certified++
+						if sim.PressureCeiling < modelCeil {
+							t.Errorf("%s %v(%d%%): Insensitive certifies up to %d%%, the run only up to %d%%",
+								app, arch, pr, modelCeil, sim.PressureCeiling)
+						}
 					}
 					pred := est.Predict(arch, pr)
 					simRel := float64(sim.ExecTime) / float64(base.ExecTime)
@@ -87,6 +106,7 @@ func TestModelCheck(t *testing.T) {
 	if cells != 72 {
 		t.Fatalf("golden matrix covered %d cells, want 72", cells)
 	}
+	t.Logf("Insensitive certified %d of %d cells; each run's ceiling covered the model's", certified, cells)
 
 	for _, arch := range archs {
 		errs := perArch[arch]

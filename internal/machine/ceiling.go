@@ -1,0 +1,72 @@
+package machine
+
+import "ascoma/internal/vm"
+
+// nodePages returns a node's physical page count at the given memory
+// pressure: the resident set (home plus private pages) fills pressure% of
+// it, and at least one page is always left for the free pool.
+func nodePages(resident, pressure int) int {
+	return max((resident*100+pressure-1)/pressure, resident+1)
+}
+
+// PressureCeiling returns the highest pressure whose simulation is
+// bit-identical to this finished run in every statistic but the Pressure
+// label, or 0 when the run certifies nothing. Call it after Run and before
+// Release.
+//
+// Pressure P sizes only the free pool: pool(P) = nodePages(P) − resident
+// pages, with free_min and free_target scaled from nodePages(P). At
+// another pressure P' the same event sequence would leave the pool
+// d = pool(P) − pool(P') pages lower at every instant. Every read of the
+// pool's size is one of:
+//
+//   - pageFault: InitialSCOMA(free, free_min) (AS-COMA maps S-COMA while
+//     free > 0) and the early daemon wake on free < free_min;
+//   - runDaemon: the wake branch on free < free_min, the healthy branch on
+//     free >= free_target, and NoteDaemonPass, which compares free with
+//     free_target;
+//   - the empty-pool failures of MapSCOMA, Upgrade and AdoptHomePage;
+//   - tier frame allocation, which fills tiers sized from nodePages.
+//
+// If the pool's low-water mark lw (vm.LowFree) is at least free_target(P)
+// on every node, each of these reads has a fixed outcome in this run: the
+// daemon never wakes, the healthy branch always runs, AS-COMA's pool is
+// never empty, and no allocation fails. The same holds at P' when
+// lw − d >= free_target(P'), because the pool there never drops below that.
+// Tier allocation is fixed only with one tier, which spans the node. So
+// both runs take the same branch at every read, by induction over the
+// event sequence, and produce the same statistics. The scan below stops at
+// the first failing P'; below P the test holds whenever it holds at P,
+// since pool(P') − free_target(P') grows with the node's page count when
+// both thresholds are at most 100%. The run is therefore identical at
+// every pressure in [1, ceiling].
+//
+// The argument assumes the policy reads the pool only through these
+// comparisons, as every policy in internal/core does. Runs whose outputs
+// carry the pool's size, or that attach extra checks, certify nothing:
+// observed runs (Obs), sampled runs (SampleInterval), coherence-checked
+// runs and multi-tier runs.
+func (m *Machine) PressureCeiling() int {
+	c := &m.cfg
+	if c.Obs != nil || c.SampleInterval > 0 || c.CheckCoherence || len(c.Tiers) > 1 {
+		return 0
+	}
+	resident := m.gen.HomePagesPerNode() + m.gen.PrivatePagesPerNode()
+	pool := func(p int) int { return nodePages(resident, p) - resident }
+	target := func(p int) int {
+		_, t := vm.Thresholds(nodePages(resident, p), m.p.FreeMinPct, m.p.FreeTargetPct)
+		return t
+	}
+	lw := pool(c.Pressure)
+	for _, nd := range m.nodes {
+		lw = min(lw, nd.vmm.LowFree())
+	}
+	if lw < target(c.Pressure) {
+		return 0
+	}
+	ceiling := c.Pressure
+	for q := ceiling + 1; q <= 99 && lw-pool(c.Pressure)+pool(q) >= target(q); q++ {
+		ceiling = q
+	}
+	return ceiling
+}

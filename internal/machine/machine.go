@@ -284,10 +284,7 @@ func New(cfg Config, gen workload.Generator) (*Machine, error) {
 	// the node's physical memory.
 	homePages := gen.HomePagesPerNode()
 	resident := homePages + gen.PrivatePagesPerNode()
-	totalPages := (resident*100 + cfg.Pressure - 1) / cfg.Pressure
-	if totalPages <= resident {
-		totalPages = resident + 1
-	}
+	totalPages := nodePages(resident, cfg.Pressure)
 
 	// Check the arena for a released machine of the same allocation
 	// shape; recycling one resets its dense tables in place instead of

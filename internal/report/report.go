@@ -43,26 +43,9 @@ type Options struct {
 	// bit-identical at any core count, so Cores composes freely with Jobs
 	// and never splits the result cache.
 	Cores int
-	// Screen enables estimator screening for figure grids: the
-	// analytical model (internal/estimate) certifies pressure-equivalent
-	// cells, one representative per class simulates, and the rest reuse
-	// its result. The rendered output is byte-identical to an unscreened
-	// run; only the number of simulations shrinks. Cells the model
-	// cannot certify always simulate.
-	Screen bool
-	// ScreenStats, when non-nil with Screen, accumulates simulated vs
-	// skipped cell counts across renders (Publish exposes them as
-	// ascoma_estimate_* metrics).
-	ScreenStats *ScreenStats
-	// ScreenLog, when non-nil with Screen, is called once per screened
-	// grid with the app name and its simulated/skipped cell counts.
-	ScreenLog func(app string, simulated, skipped int)
 	// Tiers applies a tiered-memory configuration (ascoma.Config.Tiers) to
 	// every simulated cell, so any figure or table can be rendered under
-	// asymmetric memory. Nil keeps the default one tier. Tiered cells
-	// disable estimator screening: tier residency varies with pressure
-	// even when the pageout daemon never wakes, so pressure-equivalence
-	// certificates do not transfer.
+	// asymmetric memory. Nil keeps the default one tier.
 	Tiers []ascoma.TierSpec
 	// PagePolicy is the row-buffer page policy for every simulated cell
 	// (ascoma.Config.PagePolicy; "" = none).
@@ -141,31 +124,10 @@ type runKey struct {
 // the CC-NUMA baseline runs once at 50% besides them.
 var gridArchs = []ascoma.Arch{ascoma.SCOMA, ascoma.ASCOMA, ascoma.VCNUMA, ascoma.RNUMA}
 
-// grid dispatches between the plain and screened grid paths; every
-// figure render goes through here.
-func grid(ctx context.Context, app string, o Options) (map[runKey]*ascoma.Result, error) {
-	if o.Screen && len(o.Tiers) == 0 && o.PagePolicy == "" {
-		if plan := planScreen(app, o); plan != nil {
-			return runGridScreened(ctx, app, o, plan)
-		}
-	}
-	results, err := runGrid(ctx, app, o)
-	if err == nil && o.Screen {
-		// Screening was requested but certified nothing for this app;
-		// account the full grid as simulated so the sweep totals add up.
-		if o.ScreenStats != nil {
-			o.ScreenStats.simulated.Add(int64(len(results)))
-		}
-		if o.ScreenLog != nil {
-			o.ScreenLog(app, len(results), 0)
-		}
-	}
-	return results, err
-}
-
 // runGrid executes the architecture x pressure grid for one application
-// through the shared Runner. CC-NUMA runs once (it is
-// pressure-insensitive). The first failure cancels every outstanding cell.
+// through the shared Runner, reporting each finished cell to o.Progress.
+// CC-NUMA runs once (it is pressure-insensitive). The first failure
+// cancels every outstanding cell.
 func runGrid(ctx context.Context, app string, o Options) (map[runKey]*ascoma.Result, error) {
 	keys := []runKey{{ascoma.CCNUMA, 50}}
 	for _, a := range gridArchs {
@@ -173,16 +135,6 @@ func runGrid(ctx context.Context, app string, o Options) (map[runKey]*ascoma.Res
 			keys = append(keys, runKey{a, p})
 		}
 	}
-	results := make(map[runKey]*ascoma.Result, len(keys))
-	if err := runKeys(ctx, app, keys, o, results); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// runKeys simulates the given grid cells of one application through
-// Runner.RunAll into results, reporting each finished cell to o.Progress.
-func runKeys(ctx context.Context, app string, keys []runKey, o Options, results map[runKey]*ascoma.Result) error {
 	cells := make([]ascoma.Config, len(keys))
 	for i, k := range keys {
 		cells[i] = ascoma.Config{
@@ -190,13 +142,17 @@ func runKeys(ctx context.Context, app string, keys []runKey, o Options, results 
 			Cores: o.Cores, Tiers: o.Tiers, PagePolicy: o.PagePolicy,
 		}
 	}
+	results := make(map[runKey]*ascoma.Result, len(keys))
 	_, err := o.Runner.RunAll(ctx, cells, func(i int, res *ascoma.Result) {
 		results[keys[i]] = res
 		if o.Progress != nil {
 			o.Progress(len(results), len(keys))
 		}
 	})
-	return err
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
 }
 
 // gridRows iterates the grid in the paper's presentation order.
@@ -215,7 +171,7 @@ func gridRows(results map[runKey]*ascoma.Result, pressures []int, f func(label s
 // execution-time breakdown; right: miss classification).
 func Figure(ctx context.Context, w io.Writer, app string, o Options) error {
 	o = o.withDefaults()
-	results, err := grid(ctx, app, o)
+	results, err := runGrid(ctx, app, o)
 	if err != nil {
 		return err
 	}

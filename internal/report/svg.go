@@ -113,7 +113,7 @@ func xmlEscape(s string) string {
 // (right), written to timeW and missW.
 func FigureSVG(ctx context.Context, timeW, missW io.Writer, app string, o Options) error {
 	o = o.withDefaults()
-	results, err := grid(ctx, app, o)
+	results, err := runGrid(ctx, app, o)
 	if err != nil {
 		return err
 	}

@@ -65,14 +65,14 @@ func encodeResult(key Key, res *ascoma.Result) ([]byte, error) {
 	return json.Marshal(diskResult{Key: key, ArchID: res.ArchID, Machine: res.Machine, Samples: res.Samples})
 }
 
-// decodeResult parses a payload, rejecting key mismatches and empty
-// machines the same way for every backend.
+// decodeResult parses a payload, rejecting key mismatches and machines
+// without nodes the same way for every backend.
 func decodeResult(key Key, blob []byte, origin string) (*ascoma.Result, error) {
 	var d diskResult
 	if err := json.Unmarshal(blob, &d); err != nil {
 		return nil, fmt.Errorf("runcache: %s: %w", origin, err)
 	}
-	if d.Key != key || d.Machine == nil {
+	if d.Key != key || d.Machine == nil || len(d.Machine.Nodes) == 0 {
 		return nil, fmt.Errorf("runcache: %s: key mismatch or empty payload", origin)
 	}
 	return &ascoma.Result{Machine: d.Machine, ArchID: d.ArchID, Samples: d.Samples}, nil

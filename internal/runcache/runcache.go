@@ -60,12 +60,13 @@ type Stats struct {
 	RemoteHits int64 `json:"remoteHits"` // served from a remote (peer) backend
 	Dedups     int64 `json:"dedups"`     // waited on an identical in-flight run
 	Sims       int64 `json:"sims"`       // simulations actually executed
+	Shared     int64 `json:"shared"`     // filled from a run certifying their pressure
 	Errors     int64 `json:"errors"`     // failed fills (never cached)
 }
 
 // Lookups returns the total number of Do calls the snapshot covers.
 func (s Stats) Lookups() int64 {
-	return s.MemHits + s.DiskHits + s.RemoteHits + s.Dedups + s.Sims + s.Errors
+	return s.MemHits + s.DiskHits + s.RemoteHits + s.Dedups + s.Sims + s.Shared + s.Errors
 }
 
 // HitRate returns the fraction of lookups that avoided a fresh simulation.
@@ -74,12 +75,12 @@ func (s Stats) HitRate() float64 {
 	if n == 0 {
 		return 0
 	}
-	return float64(s.MemHits+s.DiskHits+s.RemoteHits+s.Dedups) / float64(n)
+	return float64(s.MemHits+s.DiskHits+s.RemoteHits+s.Dedups+s.Shared) / float64(n)
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("mem=%d disk=%d remote=%d dedup=%d sims=%d errors=%d (%.1f%% hit rate)",
-		s.MemHits, s.DiskHits, s.RemoteHits, s.Dedups, s.Sims, s.Errors, 100*s.HitRate())
+	return fmt.Sprintf("mem=%d disk=%d remote=%d dedup=%d sims=%d shared=%d errors=%d (%.1f%% hit rate)",
+		s.MemHits, s.DiskHits, s.RemoteHits, s.Dedups, s.Sims, s.Shared, s.Errors, 100*s.HitRate())
 }
 
 // flight is one in-progress fill; waiters block on done. simulating is
@@ -109,6 +110,7 @@ type Cache struct {
 	remoteHits atomic.Int64
 	dedups     atomic.Int64
 	sims       atomic.Int64
+	shared     atomic.Int64
 	errs       atomic.Int64
 }
 
@@ -162,6 +164,7 @@ func (c *Cache) Stats() Stats {
 		RemoteHits: c.remoteHits.Load(),
 		Dedups:     c.dedups.Load(),
 		Sims:       c.sims.Load(),
+		Shared:     c.shared.Load(),
 		Errors:     c.errs.Load(),
 	}
 }
@@ -180,6 +183,8 @@ func (c *Cache) Publish(reg *obs.Registry) {
 		"Lookups that waited on an identical in-flight run.", c.dedups.Load)
 	reg.NewCounterFunc("ascoma_runcache_sims_total",
 		"Simulations actually executed.", c.sims.Load)
+	reg.NewCounterFunc("ascoma_runcache_shared_total",
+		"Grid cells filled from a finished run that certified their pressure.", c.shared.Load)
 	reg.NewCounterFunc("ascoma_runcache_errors_total",
 		"Failed fills (never cached).", c.errs.Load)
 	reg.NewGaugeFunc("ascoma_runcache_hit_ratio",
@@ -208,6 +213,12 @@ func (c *Cache) Len() int {
 // waiter retries the lookup — one of the survivors becomes the new leader
 // and re-fills — so a request is cancelled only by its own context.
 func (c *Cache) Do(ctx context.Context, key Key, fn func(ctx context.Context) (*ascoma.Result, error)) (*ascoma.Result, error) {
+	return c.do(ctx, key, fn, &c.sims)
+}
+
+// do is Do with the counter a successful fn bumps: sims for a simulation,
+// shared for a fill from a certifying run.
+func (c *Cache) do(ctx context.Context, key Key, fn func(ctx context.Context) (*ascoma.Result, error), made *atomic.Int64) (*ascoma.Result, error) {
 	for {
 		c.mu.Lock()
 		if el, ok := c.entries[key]; ok {
@@ -236,7 +247,7 @@ func (c *Cache) Do(ctx context.Context, key Key, fn func(ctx context.Context) (*
 		c.inflight[key] = f
 		c.mu.Unlock()
 
-		f.res, f.err = c.fill(ctx, f, key, fn)
+		f.res, f.err = c.fill(ctx, f, key, fn, made)
 
 		c.mu.Lock()
 		delete(c.inflight, key)
@@ -365,10 +376,10 @@ func (c *Cache) resident(key Key, res *ascoma.Result) *lruEntry {
 	return nil
 }
 
-// fill resolves a miss: the backend chain in order, then the simulation
-// itself. A hit at backend i is written back into backends 0..i-1 so the
-// faster layers warm up.
-func (c *Cache) fill(ctx context.Context, f *flight, key Key, fn func(ctx context.Context) (*ascoma.Result, error)) (*ascoma.Result, error) {
+// fill resolves a miss: the backend chain in order, then fn itself. A hit
+// at backend i is written back into backends 0..i-1 so the faster layers
+// warm up.
+func (c *Cache) fill(ctx context.Context, f *flight, key Key, fn func(ctx context.Context) (*ascoma.Result, error), made *atomic.Int64) (*ascoma.Result, error) {
 	for i, b := range c.backends {
 		res, err := b.Load(ctx, key)
 		if err != nil {
@@ -398,7 +409,7 @@ func (c *Cache) fill(ctx context.Context, f *flight, key Key, fn func(ctx contex
 		c.errs.Add(1)
 		return nil, err
 	}
-	c.sims.Add(1)
+	made.Add(1)
 	c.store(key, res)
 	c.persist(key, res)
 	return res, nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -42,7 +43,7 @@ func (r *Runner) init() {
 // acquired only for genuine simulations, never for cache hits, and waiting
 // for a slot respects ctx.
 func (r *Runner) Run(ctx context.Context, cfg ascoma.Config) (*ascoma.Result, error) {
-	_, res, err := r.run(ctx, cfg)
+	_, res, err := r.run(ctx, cfg, nil)
 	return res, err
 }
 
@@ -51,7 +52,7 @@ func (r *Runner) Run(ctx context.Context, cfg ascoma.Config) (*ascoma.Result, er
 // and served from there until the entry is evicted or replaced (see
 // Cache.Reply); an uncached run is encoded on every call.
 func (r *Runner) Reply(ctx context.Context, cfg ascoma.Config, encode func(*ascoma.Result) ([]byte, error)) ([]byte, error) {
-	key, res, err := r.run(ctx, cfg)
+	key, res, err := r.run(ctx, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -62,8 +63,10 @@ func (r *Runner) Reply(ctx context.Context, cfg ascoma.Config, encode func(*asco
 }
 
 // run is Run that also returns the cache key the result is filed under
-// ("" when the run bypasses the cache).
-func (r *Runner) run(ctx context.Context, cfg ascoma.Config) (Key, *ascoma.Result, error) {
+// ("" when the run bypasses the cache). A non-nil src is a finished run
+// whose ceiling covers cfg's pressure: it stands in for the simulation as
+// a copy relabelled with that pressure, counted as shared, not simulated.
+func (r *Runner) run(ctx context.Context, cfg ascoma.Config, src *ascoma.Result) (Key, *ascoma.Result, error) {
 	r.once.Do(r.init)
 	if err := ctx.Err(); err != nil {
 		return "", nil, err
@@ -79,6 +82,14 @@ func (r *Runner) run(ctx context.Context, cfg ascoma.Config) (Key, *ascoma.Resul
 		defer r.inflight.Add(-1)
 		return ascoma.RunContext(ctx, cfg)
 	}
+	if src != nil {
+		sim = func(context.Context) (*ascoma.Result, error) {
+			st := *src.Machine
+			st.Nodes = slices.Clone(src.Nodes)
+			st.Pressure = cfg.Pressure
+			return &ascoma.Result{Machine: &st, ArchID: src.ArchID, PressureCeiling: src.PressureCeiling}, nil
+		}
+	}
 	if r.Cache == nil || cfg.Obs != nil {
 		// An observed run must actually simulate: a cache hit would skip
 		// the machine entirely and leave the caller's Recording empty (and
@@ -91,7 +102,11 @@ func (r *Runner) run(ctx context.Context, cfg ascoma.Config) (Key, *ascoma.Resul
 	if err != nil {
 		return "", nil, err
 	}
-	res, err := r.Cache.Do(ctx, key, sim)
+	made := &r.Cache.sims
+	if src != nil {
+		made = &r.Cache.shared
+	}
+	res, err := r.Cache.do(ctx, key, sim, made)
 	return key, res, err
 }
 
@@ -114,15 +129,18 @@ func (r *Runner) RunGenerator(ctx context.Context, cfg ascoma.Config, gen ascoma
 	return ascoma.RunGeneratorContext(ctx, cfg, gen)
 }
 
-// RunAll runs every cell through Run and returns the results in input
-// order. It is the one fan-out behind every simulation grid (report's
-// figures, tables and tier grids, the jobs layer's grids): min(Jobs,
-// len(cells)) workers take indices in slice order, so on a one-slot
-// Runner cells start exactly in the order given. done, when non-nil, is
-// called once per finished cell on the caller's goroutine, never
-// concurrently, so it may update caller state without a lock. The first
-// failing cell cancels the rest — no further cell starts — and the error
-// names it. An already-cancelled ctx returns before any simulation.
+// RunAll runs every cell and returns the results in input order. It is
+// the one fan-out behind every simulation grid (report's figures, tables
+// and tier grids, the jobs layer's grids): min(Jobs, len(cells)) workers
+// claim cells from a schedule. A cell that a finished run of the grid
+// certifies is filled from that run instead of simulated (see schedule);
+// the fill is filed in the cache under the cell's own key and is
+// bit-identical to a simulation of the cell. On a one-slot Runner cells
+// start exactly in the order given. done, when non-nil, is called once per
+// finished cell on the caller's goroutine, never concurrently, so it may
+// update caller state without a lock. The first failing cell cancels the
+// rest — no further cell starts — and the error names it. An
+// already-cancelled ctx returns before any simulation.
 func (r *Runner) RunAll(ctx context.Context, cells []ascoma.Config, done func(i int, res *ascoma.Result)) ([]*ascoma.Result, error) {
 	r.once.Do(r.init)
 	if err := ctx.Err(); err != nil {
@@ -137,38 +155,37 @@ func (r *Runner) RunAll(ctx context.Context, cells []ascoma.Config, done func(i 
 	var (
 		wg       sync.WaitGroup
 		finished = make(chan finish)
-		mu       sync.Mutex // guards next and err
-		next     int
+		mu       sync.Mutex // guards sched and err
+		sched    = newSchedule(cells)
 		err      error
 	)
-	// claim hands out the next index in slice order, or -1 once every
-	// cell is taken or one has failed. A failing worker records its error
-	// before it claims again, so no cell starts after the first failure.
-	claim := func() int {
+	// claim hands out the next cell, or -1 once every cell is taken or
+	// one has failed. A failing worker records its error before it claims
+	// again, so no cell starts after the first failure.
+	claim := func() (int, *ascoma.Result) {
 		mu.Lock()
 		defer mu.Unlock()
-		if next == len(cells) || err != nil {
-			return -1
+		if err != nil {
+			return -1, nil
 		}
-		next++
-		return next - 1
+		return sched.claim()
 	}
 	for w := min(cap(r.sem), len(cells)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := claim(); i >= 0; i = claim() {
-				res, rerr := r.Run(ctx, cells[i])
-				if rerr == nil {
-					finished <- finish{i, res}
-					continue
-				}
+			for i, src := claim(); i >= 0; i, src = claim() {
+				_, res, rerr := r.run(ctx, cells[i], src)
 				mu.Lock()
-				if err == nil {
+				sched.finish(i, src == nil, res)
+				if rerr != nil && err == nil {
 					err = fmt.Errorf("%s: %w", cellName(cells[i]), rerr)
 					cancel()
 				}
 				mu.Unlock()
+				if rerr == nil {
+					finished <- finish{i, res}
+				}
 			}
 		}()
 	}

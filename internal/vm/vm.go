@@ -123,6 +123,7 @@ type VM struct {
 	TotalPages int // physical pages on this node
 	HomePages  int // pages pinned holding home (and private) data
 	free       int // current free pool size
+	lowFree    int // the lowest free has been since Reset (its low-water mark)
 
 	freeMin    int
 	freeTarget int
@@ -171,14 +172,8 @@ func (v *VM) Reset(totalPages, freeMinPct, freeTargetPct int) {
 	v.TotalPages = totalPages
 	v.HomePages = 0
 	v.free = totalPages
-	v.freeMin = totalPages * freeMinPct / 100
-	if v.freeMin < 1 {
-		v.freeMin = 1
-	}
-	v.freeTarget = totalPages * freeTargetPct / 100
-	if v.freeTarget < v.freeMin {
-		v.freeTarget = v.freeMin
-	}
+	v.lowFree = totalPages
+	v.freeMin, v.freeTarget = Thresholds(totalPages, freeMinPct, freeTargetPct)
 	v.ptCount = 0
 	v.pt.Reset()
 	v.ring = v.ring[:0]
@@ -188,6 +183,15 @@ func (v *VM) Reset(totalPages, freeMinPct, freeTargetPct int) {
 	v.tierCap = [mem.MaxTiers]int{totalPages}
 	v.tierUsed = [mem.MaxTiers]int{}
 	v.homeMapped = 0
+}
+
+// Thresholds returns free_min and free_target in pages for a node of
+// totalPages physical pages, given as percentages of it. free_min is at
+// least one page and free_target at least free_min.
+func Thresholds(totalPages, freeMinPct, freeTargetPct int) (freeMin, freeTarget int) {
+	freeMin = max(totalPages*freeMinPct/100, 1)
+	freeTarget = max(totalPages*freeTargetPct/100, freeMin)
+	return freeMin, freeTarget
 }
 
 // ConfigureTiers partitions the node's physical pages across memory tiers
@@ -293,11 +297,14 @@ func (v *VM) SetRecorder(r *obs.Recorder) {
 	v.poolLow = false
 }
 
-// notePool emits pool-pressure edges with hysteresis: one EvPoolLow when
-// the pool first drops below free_min, one EvPoolOK once it recovers to
-// free_target — the same thresholds that gate the pageout daemon, so the
-// two events bracket exactly the windows the daemon is fighting pressure.
+// notePool runs after every change to the free pool: it tracks the
+// pool's low-water mark and emits pool-pressure edges with hysteresis: one
+// EvPoolLow when the pool first drops below free_min, one EvPoolOK once it
+// recovers to free_target — the same thresholds that gate the pageout
+// daemon, so the two events bracket exactly the windows the daemon is
+// fighting pressure.
 func (v *VM) notePool() {
+	v.lowFree = min(v.lowFree, v.free)
 	if v.rec == nil {
 		return
 	}
@@ -336,6 +343,9 @@ func (v *VM) ReserveHome(n int) error {
 
 // Free returns the current free pool size.
 func (v *VM) Free() int { return v.free }
+
+// LowFree returns the smallest free pool size since Reset.
+func (v *VM) LowFree() int { return v.lowFree }
 
 // FreeMin returns the free_min threshold in pages.
 func (v *VM) FreeMin() int { return v.freeMin }

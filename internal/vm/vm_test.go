@@ -32,6 +32,35 @@ func TestThresholdFloors(t *testing.T) {
 	}
 }
 
+// TestLowFreeTracksEveryDrop: the low-water mark follows the pool down
+// through reservation, S-COMA mapping, upgrades and adoption, and stays
+// put when pages come back.
+func TestLowFreeTracksEveryDrop(t *testing.T) {
+	v := newVM(100)
+	if v.LowFree() != 100 {
+		t.Fatalf("fresh VM low-water mark %d, want 100", v.LowFree())
+	}
+	if err := v.ReserveHome(40); err != nil {
+		t.Fatal(err)
+	}
+	s := v.MapSCOMA(tpage(1), 1)
+	n := v.MapNUMA(tpage(2), 1)
+	v.Upgrade(n)
+	v.AdoptHomePage()
+	if v.Free() != 57 || v.LowFree() != 57 {
+		t.Fatalf("free %d, low-water mark %d after three allocations; want 57, 57", v.Free(), v.LowFree())
+	}
+	v.Downgrade(s)
+	v.ReleaseHomePage(0)
+	if v.Free() != 59 || v.LowFree() != 57 {
+		t.Errorf("free %d, low-water mark %d after two releases; want 59, 57", v.Free(), v.LowFree())
+	}
+	v.Reset(100, 2, 7)
+	if v.LowFree() != 100 {
+		t.Errorf("low-water mark %d after Reset, want 100", v.LowFree())
+	}
+}
+
 func TestReserveHome(t *testing.T) {
 	v := newVM(100)
 	if err := v.ReserveHome(40); err != nil {
