@@ -120,9 +120,11 @@ race:
 
 # fuzz-smoke runs each fuzz target briefly over its seeded corpus plus a
 # few seconds of generated inputs — a CI-sized differential check that the
-# compiled workload streams still match the interpreted reference, that
-# the trace decoder turns any input into a clean error or a canonical
-# trace, that the tier and pressure parsers accept only valid specs, that
+# compiled workload streams still match the interpreted reference (also
+# with walks partly skipped undecoded), that a machine skipping verified
+# walks in closed form matches the interpretive run, that the trace decoder
+# turns any input into a clean error or a canonical trace, that the tier,
+# page-policy and pressure parsers accept only valid specs, that
 # every run, job and estimate request body decodes into a 400 or a valid
 # spec (with a canonical estimate reply key), never a 500 or a panic, that
 # the runcache disk/peer payload decoder accepts only keyed, non-empty
@@ -131,7 +133,9 @@ race:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCompiledMatchesInterpreted -fuzztime 10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecording$$' -fuzztime 10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzWalkSkip$$' -fuzztime 10s ./internal/machine
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTiers$$' -fuzztime 10s ./internal/mem
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime 10s ./internal/mem
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePressures$$' -fuzztime 10s ./internal/report
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSpecs$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 10s ./internal/runcache

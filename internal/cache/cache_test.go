@@ -186,6 +186,48 @@ func TestL1OccupancyProperty(t *testing.T) {
 	}
 }
 
+// Property: under any sequence of operations, a valid writable line is
+// dirty. A write hit needs a writable line, so its dirty mark is then a
+// no-op; machine.skipWalk relies on this when it consumes write hits in
+// closed form without marking their lines.
+func TestL1WritableImpliesDirty(t *testing.T) {
+	f := func(ops []uint16) bool {
+		c := NewL1(1024) // 32 sets
+		snap := NewL1(1024)
+		for _, v := range ops {
+			l := line(uint64((v >> 3) % 128)) // four lines per set, one page
+			switch v % 8 {
+			case 0:
+				c.Insert(l, false)
+			case 1:
+				c.Insert(l, true)
+			case 2:
+				c.Lookup(l, false)
+			case 3:
+				c.Lookup(l, true)
+			case 4:
+				c.InvalidateBlock(l.Block())
+			case 5:
+				c.CleanBlock(l.Block())
+			case 6:
+				c.FlushPage(l.Page())
+			case 7:
+				c.SnapshotInto(snap)
+				c, snap = snap, c
+			}
+			for _, s := range c.lines {
+				if s.valid && s.writable && !s.dirty {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestRACReadWriteSemantics(t *testing.T) {
 	r := NewRAC(1)
 	b := block(4)

@@ -107,7 +107,6 @@ func (m *Machine) recycle() {
 	m.nextSample = 0
 	m.nextEpoch = 0
 	m.fetchCount, m.fetchTotal, m.fwdCount, m.invCount = 0, 0, 0, 0
-	m.stageWait = [4]int64{}
 }
 
 // Release returns the machine's recyclable state (caches, page tables,

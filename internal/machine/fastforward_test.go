@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"testing"
 
+	"ascoma/internal/addr"
 	"ascoma/internal/params"
 	"ascoma/internal/stats"
+	"ascoma/internal/vm"
 	"ascoma/internal/workload"
 )
 
@@ -32,51 +34,95 @@ func runStats(t *testing.T, cfg Config, gen workload.Generator) []byte {
 }
 
 // TestFastForwardExactness runs the same workloads twice — once from the
-// generator's chunk-compiled streams (fast-forward active) and once from a
-// recorded trace whose streams are not Chunked (interpretive path only) —
-// and requires byte-identical statistics. Quantum 1 stops fast-forward at
-// every reference (each one straddles the deadline); quantum 3 lands
-// boundaries mid-chunk at awkward phases; the default quantum exercises
-// long hit runs. Tiny daemon intervals force the daemon-deadline bound, and
-// critsec puts lock/unlock refs mid-chunk.
+// generator's chunk-compiled streams (fast-forward and closed-form walk
+// skipping active) and once from a recorded trace whose streams are not
+// Chunked (interpretive path only) — and requires byte-identical
+// statistics, on the sequential loop and on the parallel core. Quantum 1
+// stops fast-forward at every reference (each one straddles the deadline);
+// quantum 3 lands boundaries mid-chunk at awkward phases; the default
+// quantum exercises long hit runs; quanta 1000 and 5000 cover whole walk
+// passes per dispatch, where walks are skipped in closed form. Tiny daemon
+// intervals force the daemon-deadline bound, critsec puts lock/unlock refs
+// mid-chunk, resident is the L1-resident regime the closed form targets,
+// and walkProbe mixes sub-line strides, think-free write walks and
+// invalidations landing mid-phase.
 func TestFastForwardExactness(t *testing.T) {
-	apps := []string{"fft", "critsec", "uniform"}
+	apps := []string{"fft", "critsec", "uniform", "resident"}
 	if !testing.Short() {
 		apps = append(apps, "radix", "barnes")
 	}
-	archs := []params.Arch{params.ASCOMA, params.CCNUMA, params.SCOMA}
-	quanta := []int64{1, 3, 100}
+	gens := map[string]workload.Generator{"walkprobe": walkProbe()}
+	names := []string{"walkprobe"}
 	for _, app := range apps {
 		gen, err := workload.New(app, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		trace := workload.Record(gen)
-		if _, chunked := trace.Stream(0).(workload.Chunked); chunked {
-			t.Fatal("trace streams implement Chunked; the test no longer isolates the interpretive path")
-		}
-		for _, arch := range archs {
-			for _, q := range quanta {
-				cfg := Config{Arch: arch, Pressure: 50, Quantum: q, MaxCycles: 1 << 40}
-				fast := runStats(t, cfg, gen)
-				slow := runStats(t, cfg, trace)
-				if !bytes.Equal(fast, slow) {
-					t.Errorf("%s/%v quantum=%d: fast-forward stats diverge from interpretive run\nfast: %s\nslow: %s",
-						app, arch, q, fast, slow)
+		gens[app] = gen
+		names = append(names, app)
+	}
+	archs := []params.Arch{params.ASCOMA, params.CCNUMA, params.SCOMA, params.RNUMA}
+	quanta := []int64{1, 3, 100, 1000, 5000}
+	for _, name := range names {
+		gen := gens[name]
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			trace := workload.Record(gen)
+			if _, chunked := trace.Stream(0).(workload.Chunked); chunked {
+				t.Fatal("trace streams implement Chunked; the test no longer isolates the interpretive path")
+			}
+			for _, arch := range archs {
+				for _, q := range quanta {
+					cfg := Config{Arch: arch, Pressure: 50, Quantum: q, MaxCycles: 1 << 40}
+					slow := runStats(t, cfg, trace)
+					for _, cores := range []int{1, 2} {
+						cfg.Cores = cores
+						if fast := runStats(t, cfg, gen); !bytes.Equal(fast, slow) {
+							t.Errorf("%s/%v quantum=%d cores=%d: fast-forward stats diverge from interpretive run\nfast: %s\nslow: %s",
+								name, arch, q, cores, fast, slow)
+						}
+					}
 				}
 			}
-		}
-		// Daemon-deadline edge: wake the pageout daemon every few cycles so
-		// fast-forward constantly runs into nextDaemon mid-chunk.
-		p := params.Default()
-		p.DaemonInterval = 7
-		cfg := Config{Arch: params.ASCOMA, Pressure: 50, Params: p, Quantum: 100, MaxCycles: 1 << 40}
-		fast := runStats(t, cfg, gen)
-		slow := runStats(t, cfg, trace)
-		if !bytes.Equal(fast, slow) {
-			t.Errorf("%s daemon-interval=7: fast-forward stats diverge from interpretive run", app)
-		}
+			// Daemon-deadline edge: wake the pageout daemon every few cycles so
+			// fast-forward constantly runs into nextDaemon mid-chunk.
+			p := params.Default()
+			p.DaemonInterval = 7
+			for _, q := range []int64{100, 1000} {
+				cfg := Config{Arch: params.ASCOMA, Pressure: 50, Params: p, Quantum: q, MaxCycles: 1 << 40}
+				slow := runStats(t, cfg, trace)
+				for _, cores := range []int{1, 2} {
+					cfg.Cores = cores
+					if fast := runStats(t, cfg, gen); !bytes.Equal(fast, slow) {
+						t.Errorf("%s daemon-interval=7 quantum=%d cores=%d: fast-forward stats diverge from interpretive run", name, q, cores)
+					}
+				}
+			}
+		})
 	}
+}
+
+// walkProbe builds multi-pass walks that stress the closed-form skip: a
+// read-modify-write walk at a sub-line stride, think-free write walks, and
+// node 1 reading node 0's shared section while node 0 writes it, so
+// invalidations and home-snoop downgrades land mid-phase on both nodes.
+func walkProbe() *probe {
+	gen := newProbe(3, 4)
+	gen.priv = 2
+	p0, p1, p2 := gen.programs[0], gen.programs[1], gen.programs[2]
+	p0.WalkRW(addr.PrivateRegion(0), 2048, 8, 40, 3, 0)
+	p0.Walk(gen.section(0), 1024, params.LineSize, 30, workload.Write, 0)
+	p0.Walk(gen.section(0), 1024, 16, 30, workload.Read, 1)
+	p1.Walk(gen.section(0), 1024, params.LineSize, 30, workload.Read, 1)
+	p1.WalkRW(addr.PrivateRegion(1), 4096, 16, 20, 4, 0)
+	p1.Walk(gen.section(0), 512, 8, 25, workload.Write, 0)
+	p2.Walk(addr.PrivateRegion(2), 64, params.LineSize, 400, workload.Write, 0)
+	p2.Walk(gen.section(1), 2048, params.LineSize, 20, workload.Read, 2)
+	for _, p := range gen.programs {
+		p.Barrier(0)
+		p.Walk(gen.section(2), 256, 4, 10, workload.Read, 0)
+	}
+	return gen
 }
 
 // TestFastForwardStopsAtQuantum pins the boundary behavior directly: with
@@ -192,5 +238,123 @@ func TestFastForwardCounters(t *testing.T) {
 	}
 	if st.Nodes[0].Time[stats.UInstr] != 0 {
 		t.Errorf("UInstr = %d, want 0 for think-free program", st.Nodes[0].Time[stats.UInstr])
+	}
+}
+
+// TestSkipWalkConsumesInClosedForm pins that the closed form engages (the
+// exactness tests would pass vacuously if it never did): once a dispatch
+// has filled the walk's lines, the next dispatch consumes exactly the
+// references the per-reference loop would issue in one quantum without
+// decoding any — the window stays empty and the walk cursor moves.
+func TestSkipWalkConsumesInClosedForm(t *testing.T) {
+	gen := newProbe(2, 1)
+	gen.priv = 1
+	const think, quantum = 2, 1000
+	gen.programs[0].WalkRW(addr.PrivateRegion(0), 256, 8, 1000, 4, think)
+	m, err := New(Config{Arch: params.ASCOMA, Pressure: 50, Quantum: quantum}, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd := m.nodes[0]
+	// Dispatch until the first decoded chunk is consumed: the cold pass
+	// fills the walk's eight lines, fast-forward drains the rest.
+	var now int64
+	for i := 0; nd.pend == nil || len(nd.pend) != nd.pendPos; i++ {
+		if i == 100 {
+			t.Fatal("first chunk never drained")
+		}
+		m.runNode(nd, now)
+		ev, _ := m.q.Pop()
+		now = ev.Time
+	}
+	w0, ok := nd.nextWalk()
+	if !ok {
+		t.Fatal("no walk pending once the first chunk drained")
+	}
+	m.runNode(nd, now)
+	if rest := len(nd.pend) - nd.pendPos; rest != 0 {
+		t.Fatalf("window holds %d decoded refs after a verified walk; want the closed form to skip decoding", rest)
+	}
+	w1, ok := nd.nextWalk()
+	if !ok {
+		t.Fatal("walk ended early")
+	}
+	per := int64(think) + m.p.L1HitCycles
+	want := (quantum + per - 1) / per
+	if got := w0.Remaining() - w1.Remaining(); got != want {
+		t.Errorf("dispatch consumed %d refs, want %d (ceil(quantum / (think + L1HitCycles)))", got, want)
+	}
+	if !nd.walk.hits {
+		t.Errorf("walk memo = %+v, want verified", nd.walk)
+	}
+	ev, _ := m.q.Pop()
+	now = ev.Time
+	if allocs := testing.AllocsPerRun(10, func() {
+		m.runNode(nd, now)
+		ev, _ := m.q.Pop()
+		now = ev.Time
+	}); allocs != 0 {
+		t.Errorf("closed-form dispatch allocates %.0f times, want 0", allocs)
+	}
+	m.Release()
+}
+
+// TestSkipWalkReverifies holds the closed form's verification memo to the
+// L1 generation: after each mutation that evicts one of a verified walk's
+// lines from the node's L1 — a cross-node invalidation, an own fill, an own
+// eviction, an own relocation — the walk must be re-verified (and now
+// fail), never answered from the memo.
+func TestSkipWalkReverifies(t *testing.T) {
+	gen := newProbe(2, 2)
+	page := addr.PageOf(gen.section(1)) // homed at node 1: remote for node 0
+	w := workload.Walk{Base: page.Base(), Stride: params.LineSize, Count: 8, Passes: 4, Op: workload.Write}
+	line := func(j int64) addr.Line { return addr.LineOf(w.Base + addr.GVA(j*w.Stride)) }
+	cases := []struct {
+		name   string
+		mode   vm.Mode
+		mutate func(m *Machine, nd *node, pte *vm.PTE)
+	}{
+		{"cross-node invalidation", vm.ModeNUMA, func(m *Machine, nd *node, _ *vm.PTE) {
+			m.onInvalidate(nd.id, line(3).Block())
+		}},
+		{"own fill", vm.ModeNUMA, func(m *Machine, nd *node, _ *vm.PTE) {
+			m.l1Fill(nd, line(5)+addr.Line(nd.l1.Sets()), false, 0)
+		}},
+		{"own eviction", vm.ModeSCOMA, func(m *Machine, nd *node, pte *vm.PTE) {
+			m.evict(nd, pte)
+		}},
+		{"own relocation", vm.ModeNUMA, func(m *Machine, nd *node, pte *vm.PTE) {
+			m.relocate(nd, pte, 0)
+			if nd.st.Upgrades != 1 {
+				t.Fatal("relocation did not upgrade the page")
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m, err := New(Config{Arch: params.ASCOMA, Pressure: 50}, gen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Release()
+			nd := m.nodes[0]
+			pte := nd.vmm.MapNUMA(page, 1)
+			if c.mode == vm.ModeSCOMA {
+				nd.vmm.Unmap(pte)
+				if pte = nd.vmm.MapSCOMA(page, 1); pte == nil {
+					t.Fatal("no free page for the S-COMA mapping")
+				}
+			}
+			for j := int64(0); j < w.Count; j++ {
+				m.l1Fill(nd, line(j), true, 0)
+			}
+			if !nd.verifyWalk(&w) {
+				t.Fatal("walk over freshly filled lines does not verify")
+			}
+			c.mutate(m, nd, pte)
+			if nd.verifyWalk(&w) {
+				t.Errorf("walk still verifies after the %s evicted one of its lines: the memo outlived the L1 state", c.name)
+			}
+		})
 	}
 }

@@ -108,12 +108,16 @@ type node struct {
 	ffSkip    int32
 	ffBackoff int32
 
-	// invGen counts cross-node mutations of this node's L1 (invalidation
-	// and downgrade callbacks, the home bus snoop, migration flushes). The
-	// parallel core captures it when arming a lookahead scan and discards
-	// the precompute if it moved by commit time (see parallel.go). The
-	// node's own dispatches never need to bump it: self-mutations only
-	// happen in inline code that runs after the node's last armed segment.
+	// invGen counts mutations of this node's L1 that can change a hit
+	// outcome: cross-node ones (invalidation and downgrade callbacks, the
+	// home bus snoop, migration flushes) and the node's own fills and page
+	// flushes (l1Fill, relocate, evict). Dirty marking on a write hit is
+	// not counted: it changes no line's tag, valid or writable bit. The
+	// parallel core captures invGen when arming a lookahead scan and
+	// discards the precompute if it moved by commit time (see parallel.go;
+	// the node's own bumps never do that, because they happen only in
+	// inline code after its last armed segment). The closed-form walk skip
+	// keys its verification on it (see walkMemo).
 	invGen uint32
 
 	nextDaemon int64
@@ -147,6 +151,10 @@ type node struct {
 	bus sim.Resource // split-transaction memory bus: BusCycles per transaction
 	mem mem.Memory   // embedded: one acquire per miss, no pointer chase
 	dir sim.Resource // directory-controller occupancy at this node
+
+	// walk memoizes the last closed-form walk verification (see
+	// fastforward.go); read once per exhausted chunk window.
+	walk walkMemo
 
 	tlb tlb // software translation cache over vmm's page table
 }
@@ -193,6 +201,10 @@ type Machine struct {
 	// par is the parallel simulation core, non-nil only while RunContext's
 	// parallel branch is driving the run (see parallel.go).
 	par *parCore
+	// parEntries is the core's per-node state, kept across the runs of a
+	// pooled machine: startPar reuses its write-mark buffers and L1
+	// snapshots (about 1 MB at 16 nodes) instead of allocating them per run.
+	parEntries []parEntry
 
 	// Observability instruments (nil when Config.Obs is unset). rec is
 	// shared with the per-node VMs and the directory, which emit through
@@ -231,7 +243,6 @@ type Machine struct {
 	fetchTotal int64
 	fwdCount   int64
 	invCount   int64
-	stageWait  [4]int64 // bus, request net+dir, memory, reply net+bus
 }
 
 // DebugFetchStats returns the count and mean latency of remote fetches and
@@ -370,6 +381,7 @@ func New(cfg Config, gen workload.Generator) (*Machine, error) {
 		nd.pend, nd.pendPos = nil, 0
 		nd.ffSkip, nd.ffBackoff = 0, 0
 		nd.invGen = 0
+		nd.walk = walkMemo{}
 	}
 	m.active = n
 	if cfg.CheckCoherence {
@@ -460,7 +472,7 @@ func (m *Machine) releaseLock(nd *node, id addr.GVA, now int64) (int64, error) {
 	resume := now + cost + m.net.Latency(nd.id, next) + m.p.NetPortOccupancy
 	w.st.Time[stats.Sync] += resume - w.arriveTime
 	w.blocked &^= ndLockWait
-	m.q.Push(sim.Event{Time: resume, Kind: sim.EvProc, Node: int32(next)})
+	m.q.Push(sim.Event{Time: resume, Node: int32(next)})
 	return cost, nil
 }
 
@@ -530,7 +542,7 @@ func (m *Machine) RunContext(ctx context.Context) (*stats.Machine, error) {
 		return nil, fmt.Errorf("machine: run not started: %w", err)
 	}
 	for i := range m.nodes {
-		m.q.Push(sim.Event{Time: 0, Kind: sim.EvProc, Node: int32(i)})
+		m.q.Push(sim.Event{Time: 0, Node: int32(i)})
 	}
 	if m.cfg.Cores > 1 && m.checker == nil && len(m.nodes) > 1 {
 		// The parallel core: identical pop order, poll cadence, and abort
@@ -697,7 +709,7 @@ func (m *Machine) runNode(nd *node, now int64) {
 		}
 		now = m.access(nd, ref, now)
 	}
-	m.q.Push(sim.Event{Time: now, Kind: sim.EvProc, Node: int32(nd.id)})
+	m.q.Push(sim.Event{Time: now, Node: int32(nd.id)})
 }
 
 // checkBarrier releases the barrier once every still-running node has
@@ -717,7 +729,7 @@ func (m *Machine) checkBarrier() {
 		nd := m.nodes[w]
 		nd.st.Time[stats.Sync] += release - nd.arriveTime
 		nd.blocked &^= ndWaiting
-		m.q.Push(sim.Event{Time: release, Kind: sim.EvProc, Node: int32(w)})
+		m.q.Push(sim.Event{Time: release, Node: int32(w)})
 	}
 	m.waiters = m.waiters[:0]
 	m.barriers++
@@ -969,12 +981,9 @@ func (m *Machine) remoteFetch(nd *node, pte *vm.PTE, b addr.Block, write, haveDa
 	p := m.p
 	home := pte.Home
 	t := nd.bus.Acquire(now, p.BusCycles)
-	m.stageWait[0] += t - now - p.BusCycles
 	t += p.DSMProcCycles // requester's DSM engine issues the request
-	t0 := t
 	t = m.net.Send(nd.id, home, t)
 	t = m.nodes[home].dir.Acquire(t, p.DirCycles)
-	m.stageWait[1] += t - t0 - m.net.Latency(nd.id, home) - p.NetPortOccupancy - p.DirCycles
 
 	m.invHome, m.invDelay = home, 0
 	if m.rec != nil {
@@ -1003,17 +1012,13 @@ func (m *Machine) remoteFetch(nd *node, pte *vm.PTE, b addr.Block, write, haveDa
 		t = m.memAcquire(m.nodes[o], b, t, false)
 		t = m.net.Send(o, nd.id, t)
 	} else {
-		t1 := t
 		t = m.memAcquire(m.nodes[home], b, t, false)
-		m.stageWait[2] += t - t1 - p.LocalMemCycles
 		if m.invDelay > 0 {
 			// Sequential consistency: the write completes only after
 			// every sharer has acknowledged its invalidation.
 			t += m.invDelay
 		}
-		t2 := t
 		t = m.net.Send(home, nd.id, t)
-		m.stageWait[3] += t - t2 - m.net.Latency(home, nd.id) - p.NetPortOccupancy
 	}
 	t += p.DSMProcCycles // requester's DSM engine stages the reply
 	t = nd.bus.Acquire(t, p.BusCycles)
@@ -1046,6 +1051,7 @@ func (m *Machine) remoteWriteback(nd *node, b addr.Block, now int64) {
 // l1Fill inserts the line, handling the displaced victim's writeback.
 func (m *Machine) l1Fill(nd *node, line addr.Line, write bool, now int64) {
 	victim, wasValid, wasDirty := nd.l1.Insert(line, write)
+	nd.invGen++
 	if !wasValid || !wasDirty {
 		return
 	}
@@ -1166,6 +1172,9 @@ func (m *Machine) relocate(nd *node, pte *vm.PTE, now int64) int64 {
 	}
 	if ok {
 		flushed, _ := nd.l1.FlushPage(pte.Page)
+		if flushed > 0 {
+			nd.invGen++
+		}
 		nd.rac.FlushPage(pte.Page)
 		_, dirty := m.dir.FlushNode(pte.Page, nd.id)
 		nd.tlb.invalidate(pte.Page) // remap shoots down the translation
@@ -1274,6 +1283,9 @@ func (m *Machine) migrate(nd *node, mig core.Migrator, pte *vm.PTE, now int64) i
 func (m *Machine) evict(nd *node, victim *vm.PTE) int64 {
 	p := m.p
 	flushed, _ := nd.l1.FlushPage(victim.Page)
+	if flushed > 0 {
+		nd.invGen++
+	}
 	nd.rac.FlushPage(victim.Page)
 	_, dirty := m.dir.FlushNode(victim.Page, nd.id)
 	hits := victim.SComaHits

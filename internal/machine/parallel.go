@@ -79,7 +79,6 @@ import (
 	"ascoma/internal/addr"
 	"ascoma/internal/cache"
 	"ascoma/internal/par"
-	"ascoma/internal/sim"
 	"ascoma/internal/stats"
 	"ascoma/internal/workload"
 )
@@ -175,8 +174,9 @@ type parCore struct {
 }
 
 // startPar builds the parallel core: per-node entries with pooled stream
-// scratches and preallocated L1 snapshots, and a work queue of min(cores,
-// nodes) workers (the commit goroutine is one of them).
+// scratches and L1 snapshots and write-mark buffers retained across the
+// machine's runs, and a work queue of min(cores, nodes) workers (the commit
+// goroutine is one of them).
 //
 //ascoma:par-commit
 func (m *Machine) startPar(cores int) {
@@ -184,9 +184,12 @@ func (m *Machine) startPar(cores int) {
 	if cores > n {
 		cores = n
 	}
+	if len(m.parEntries) != n {
+		m.parEntries = make([]parEntry, n)
+	}
 	pc := &parCore{
 		m:       m,
-		entries: make([]parEntry, n),
+		entries: m.parEntries,
 		window:  m.quantum + m.net.MinRemoteLatency() + m.p.NetPortOccupancy,
 	}
 	wcap := parLookahead * int(m.quantum)
@@ -195,7 +198,14 @@ func (m *Machine) startPar(cores int) {
 	}
 	for i := range pc.entries {
 		e := &pc.entries[i]
-		e.writes = make([]addr.Line, wcap)
+		// stopPar drained every scan, so the entry is the commit
+		// goroutine's; clear what the previous run left in it.
+		e.state.Store(parIdle)
+		e.next, e.nseg, e.dead, e.full, e.src = 0, 0, false, false, nil
+		if cap(e.writes) < wcap {
+			e.writes = make([]addr.Line, wcap)
+		}
+		e.writes = e.writes[:wcap]
 		e.scratch = workload.Scratch()
 		m.nodes[i].l1.SnapshotInto(&e.snap)
 	}
@@ -287,9 +297,6 @@ func (pc *parCore) armPass() int {
 		if ev.Time >= horizon {
 			break // the queue is sorted: everything further is out of window
 		}
-		if ev.Kind != sim.EvProc {
-			continue
-		}
 		if pc.armNode(m.nodes[ev.Node], ev.Time) {
 			armed++
 		}
@@ -302,9 +309,12 @@ func (pc *parCore) armPass() int {
 // first undelivered reference: a scan that would stop at reference zero
 // (sync point, or an L1 miss the slow path must service) costs a clone and
 // a snapshot for nothing, and miss-bound phases hit that case on
-// essentially every node. Refilling an exhausted window here is safe — it
-// is the same deterministic decode the dispatch itself would perform, just
-// earlier on the same goroutine.
+// essentially every node. A node whose exhausted window is followed by a
+// verified walk is not armed either: its dispatch consumes the walk in
+// closed form (skipWalk), which a scan's per-reference decode could only
+// slow down. Refilling an exhausted window here is safe — it is the same
+// deterministic decode the dispatch itself would perform, just earlier on
+// the same goroutine.
 //
 //ascoma:par-commit
 func (pc *parCore) armNode(nd *node, start int64) bool {
@@ -321,6 +331,9 @@ func (pc *parCore) armNode(nd *node, start int64) bool {
 	}
 	pend := nd.pend[nd.pendPos:]
 	if len(pend) == 0 {
+		if w, ok := nd.nextWalk(); ok && nd.verifyWalk(&w) {
+			return false // the dispatch skips the walk in closed form inline
+		}
 		if pend = nd.refillWindow(); len(pend) == 0 {
 			return false // stream drained: the dispatch handles completion
 		}

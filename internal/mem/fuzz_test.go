@@ -58,3 +58,22 @@ func FuzzParseTiers(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParsePolicy drives arbitrary strings through the page-policy parser:
+// it must never panic, and every policy it accepts must print (String)
+// back to a name that parses to the same policy.
+func FuzzParsePolicy(f *testing.F) {
+	for _, s := range []string{"", "none", "open", "closed", "hybrid", "Open", "lru", " open", "hybrid\x00", "Policy(4)"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		pol, err := ParsePolicy(s)
+		if err != nil {
+			return
+		}
+		again, err := ParsePolicy(pol.String())
+		if err != nil || again != pol {
+			t.Fatalf("ParsePolicy(%q) = %v, whose name %q parses to %v, %v", s, pol, pol.String(), again, err)
+		}
+	})
+}

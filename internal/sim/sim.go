@@ -14,26 +14,13 @@ package sim
 // configuration).
 type Time = int64
 
-// EventKind distinguishes the small set of event types the machine loop
-// dispatches on.
-type EventKind uint8
-
-const (
-	// EvProc resumes a node's processor (issue the next reference).
-	EvProc EventKind = iota
-	// EvDaemon runs a node's pageout daemon.
-	EvDaemon
-	// EvBarrierRelease releases all nodes waiting at a barrier.
-	EvBarrierRelease
-)
-
-// Event is a scheduled occurrence. Time ties are broken deterministically in
-// insertion order so simulations are reproducible run to run. The struct is
-// kept to 16 bytes — two events per host cache line, and ring indexing
-// compiles to a shift — so Kind and Node are narrow fields.
+// Event is a scheduled occurrence: node Node's processor resumes at Time.
+// Time ties are broken deterministically in insertion order so simulations
+// are reproducible run to run. The struct is kept to 16 bytes — two events
+// per host cache line, and ring indexing compiles to a shift — so Node is a
+// narrow field.
 type Event struct {
 	Time Time
-	Kind EventKind
 	Node int32
 }
 

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestQueueOrdersByTime(t *testing.T) {
@@ -208,5 +209,13 @@ func TestQueueRandomizedAgainstSort(t *testing.T) {
 		if !ok || e.Time != want[i] {
 			t.Fatalf("pop %d = %v (ok=%v), want %d", i, e.Time, ok, want[i])
 		}
+	}
+}
+
+// TestEventSize pins Event at 16 bytes: two events per host cache line, and
+// ring indexing compiles to a shift.
+func TestEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n != 16 {
+		t.Errorf("sizeof(Event) = %d, want 16", n)
 	}
 }

@@ -15,7 +15,10 @@ package workload
 //     fixed [ChunkSize]Ref buffer with one tight loop per instruction
 //     segment, so Next is a bounds check and an index increment, and callers
 //     that can consume whole runs of references (the machine's L1-hit
-//     fast-forward) borrow the decoded chunk directly via Pending/Skip.
+//     fast-forward) borrow the decoded chunk directly via Pending/Skip;
+//   - per walk pass: a caller that can account for whole passes in closed
+//     form reads the next walk's geometry and cursor (NextWalk) and moves
+//     the cursor past references it never decodes (AdvanceWalk).
 //
 // The compiled expansion is bit-identical to the interpreter — the golden
 // harness and TestCompiledMatchesInterpreted hold it to that.
@@ -42,7 +45,41 @@ type Chunked interface {
 	Pending() []Ref
 	// Skip consumes the first n references of Pending.
 	Skip(n int)
+	// NextWalk reports the walk the stream decodes next, with its cursor,
+	// when the current chunk is fully consumed and the next instruction is
+	// a walk; ok is false otherwise (chunk not exhausted, a scatter or sync
+	// instruction next, or end of stream).
+	NextWalk() (w Walk, ok bool)
+	// AdvanceWalk consumes the next k references of the walk NextWalk
+	// reports without decoding them. k must be at least 1 and at most
+	// Walk.Remaining.
+	AdvanceWalk(k int64)
 }
+
+// Walk is the geometry and decode cursor of a strided walk: Passes sweeps
+// of Count references at Base, Base+Stride, ..., each issued after Think
+// instruction cycles. The next reference is position I of pass Pass.
+type Walk struct {
+	Base   addr.GVA
+	Stride int64
+	Count  int64 // refs per pass
+	Passes int64
+	Pass   int64 // current pass, in [0, Passes)
+	I      int64 // next position within the pass, in [0, Count)
+	WEvery int64 // every WEvery'th position is a write; 0 for none
+	Op     Op
+	Think  int32
+}
+
+// Write reports whether position j of every pass is a write: the walk's
+// own op is Write, or j is a WEvery slot (refillWalk's pattern).
+func (w *Walk) Write(j int64) bool {
+	return w.Op == Write || (w.WEvery > 0 && j%w.WEvery == w.WEvery-1)
+}
+
+// Remaining returns the number of references the walk issues from its
+// cursor on.
+func (w *Walk) Remaining() int64 { return (w.Passes-w.Pass)*w.Count - w.I }
 
 // cinstr is one decoded program step with its derived constants resolved.
 type cinstr struct {
@@ -159,6 +196,41 @@ func (s *Compiled) Pending() []Ref {
 
 // Skip consumes the first n references of Pending.
 func (s *Compiled) Skip(n int) { s.pos += n }
+
+// NextWalk reports the walk the stream decodes next (see Chunked). The
+// cursor is always normalized — refillWalk and AdvanceWalk leave I in
+// [0, Count) and Pass in [0, Passes) — so a reported walk has at least one
+// reference left.
+//
+//ascoma:hotpath
+func (s *Compiled) NextWalk() (Walk, bool) {
+	if s.pos != s.n || s.pc >= len(s.prog.instrs) {
+		return Walk{}, false
+	}
+	in := &s.prog.instrs[s.pc]
+	if in.kind != iWalk {
+		return Walk{}, false
+	}
+	return Walk{
+		Base: in.base, Stride: in.stride, Count: in.count, Passes: in.passes,
+		Pass: s.pass, I: s.i, WEvery: in.wEvery, Op: in.op, Think: in.think,
+	}, true
+}
+
+// AdvanceWalk moves the walk cursor k references forward (see Chunked),
+// leaving it exactly where refillWalk would after decoding them.
+//
+//ascoma:hotpath
+func (s *Compiled) AdvanceWalk(k int64) {
+	in := &s.prog.instrs[s.pc]
+	i := s.i + k
+	s.pass += i / in.count
+	s.i = i % in.count
+	if s.pass >= in.passes {
+		s.pass = 0
+		s.pc++
+	}
+}
 
 // Window returns the undelivered references of the current chunk without
 // refilling an exhausted one (Pending minus the refill). The parallel core

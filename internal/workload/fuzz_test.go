@@ -30,11 +30,67 @@ func drainMatch(t *testing.T, label string, p *Program) {
 	Recycle(got)
 }
 
+// skipMatch drains the compiled stream chunk by chunk against the
+// interpreted reference, and at every exhausted chunk followed by a walk
+// moves the cursor k references forward with AdvanceWalk (k drawn from
+// seed, 1..Remaining): the skipped references must be exactly the ones the
+// reported Walk describes, and the decoded continuation must equal the
+// interpreted stream with those k references skipped.
+func skipMatch(t *testing.T, label string, p *Program, seed uint64) {
+	t.Helper()
+	want := p.Interpreted()
+	got := p.Stream().(*Compiled)
+	defer Recycle(got)
+	r := seed | 1
+	var i int64
+	for {
+		pend := got.Pending()
+		for _, gr := range pend {
+			wr, ok := want.Next()
+			if !ok || wr != gr {
+				t.Fatalf("%s ref %d: interpreted %+v (ok=%v), compiled %+v", label, i, wr, ok, gr)
+			}
+			i++
+		}
+		if len(pend) == 0 {
+			if wr, ok := want.Next(); ok {
+				t.Fatalf("%s ref %d: compiled stream ended, interpreted has %+v", label, i, wr)
+			}
+			return
+		}
+		got.Skip(len(pend))
+		w, ok := got.NextWalk()
+		if !ok {
+			continue
+		}
+		r ^= r << 13
+		r ^= r >> 7
+		r ^= r << 17
+		k := 1 + int64(r%uint64(w.Remaining()))
+		got.AdvanceWalk(k)
+		for c, j := int64(0), w.I; c < k; c++ {
+			wr, ok := want.Next()
+			op := w.Op
+			if w.Write(j) {
+				op = Write
+			}
+			if sk := (Ref{Addr: w.Base + addr.GVA(j*w.Stride), Op: op, Think: w.Think}); !ok || wr != sk {
+				t.Fatalf("%s ref %d: skipped %+v per %+v, interpreted %+v (ok=%v)", label, i, sk, w, wr, ok)
+			}
+			if j++; j == w.Count {
+				j = 0
+			}
+			i++
+		}
+	}
+}
+
 // FuzzCompiledMatchesInterpreted is the differential check behind the
 // golden harness, driven by fuzzed inputs instead of the fixed test grid:
 // for any registered workload at any scale, and for any raw scatter/walk
 // program built from fuzzed geometry and seed, the compiled chunk stream
-// must replay exactly the interpreted reference.
+// must replay exactly the interpreted reference, also when walks are
+// partly skipped with AdvanceWalk (skipMatch).
 func FuzzCompiledMatchesInterpreted(f *testing.F) {
 	names := Names()
 	for i := range names {
@@ -59,6 +115,7 @@ func FuzzCompiledMatchesInterpreted(f *testing.F) {
 		}
 		node := int(nodeRaw) % g.Nodes()
 		drainMatch(t, name, src.nodeProgram(node))
+		skipMatch(t, name, src.nodeProgram(node), seed)
 
 		// Raw program: fuzzed geometry and seed go straight into the
 		// builders, which clamp invalid shapes to no-ops themselves.
@@ -70,6 +127,9 @@ func FuzzCompiledMatchesInterpreted(f *testing.F) {
 		p.WalkRW(addr.SharedBase, bytes, stride, 2, 3, 1)
 		p.Barrier(1)
 		p.ScatterRuns(addr.SharedBase, bytes, stride, count, 7, 2, 1, seed^0xdeadbeef)
+		p.Walk(addr.SharedBase, bytes, stride/64+1, count%9+1, Write, 0)
+		p.Walk(addr.SharedBase, bytes, stride, count%5+1, Read, 3)
 		drainMatch(t, "raw", p)
+		skipMatch(t, "raw", p, seed)
 	})
 }
