@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test verify vet bench race fuzz-smoke clean serve-smoke trace-check parallel-check model-check e2e perfbench-test
+.PHONY: all build test verify vet bench race fuzz-smoke clean serve-smoke trace-check model-check e2e perfbench-test
 
 all: build
 
@@ -25,11 +25,11 @@ e2e:
 	$(GO) test -count=1 -v ./e2e/
 
 # vet runs the stock go vet suite plus the repo's own analyzers. ascoma-vet
-# loads the module once and runs all seven analyzers on that load, in
+# loads the module once and runs all six analyzers on that load, in
 # process: the per-package checks (nondet, statsintegrity, ctxflow,
 # errdrop) and the whole-program ones on the interprocedural call graph
-# (parownership, hotpathflow, dirlint — which also fails any escape hatch
-# lacking a reason). ./... covers the analyzers' own packages too, so the
+# (hotpathflow, dirlint — which also fails any escape hatch lacking a
+# reason). ./... covers the analyzers' own packages too, so the
 # suite holds itself to the discipline it enforces. See DESIGN.md §9 and
 # §14.
 vet:
@@ -71,17 +71,6 @@ trace-check:
 	.bin/ascoma-sim -replay .bin/trace-ra >/dev/null
 	.bin/ascoma-inspect summary .bin/trace-ra >/dev/null
 
-# parallel-check proves the parallel core's exactness end to end through
-# the real binary: the same observed run at -cores 1 and -cores 4 must
-# produce byte-identical trace files — same events, same order, same
-# cycle stamps (see DESIGN.md §11 and TestParallelGoldenIdentity for the
-# in-process counterparts).
-parallel-check:
-	$(GO) build -o .bin/ascoma-sim ./cmd/ascoma-sim
-	.bin/ascoma-sim -arch ascoma -workload radix -pressure 70 -scale 16 -cores 1 -trace .bin/trace-seq -epoch 5000 >/dev/null
-	.bin/ascoma-sim -arch ascoma -workload radix -pressure 70 -scale 16 -cores 4 -trace .bin/trace-par -epoch 5000 >/dev/null
-	cmp .bin/trace-seq .bin/trace-par
-
 # model-check validates the analytical steady-state estimator
 # (internal/estimate) against the 72-config golden matrix: every cell is
 # simulated and the relative-execution-time error must stay inside the
@@ -101,7 +90,6 @@ verify: vet
 	$(GO) test -race -short ./internal/...
 	$(MAKE) model-check
 	$(MAKE) trace-check
-	$(MAKE) parallel-check
 	$(GO) run ./cmd/ascoma-serve -smoke
 
 # bench runs the full tracked benchmark set (BENCH_PR*.json) with the exact
@@ -113,7 +101,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkRowBuffer$$' -benchmem -count 3 ./internal/mem/
 	$(GO) test -run '^$$' -bench 'BenchmarkEstimate$$|BenchmarkEstimateProfile$$' -benchmem -count 3 .
 	$(GO) test -run '^$$' -bench 'BenchmarkStreamGeneration$$' -count 3 .
-	$(GO) test -run '^$$' -bench 'BenchmarkParallelScaling|BenchmarkParallelMissBound$$' -benchtime 10x -count 3 .
+	$(GO) test -run '^$$' -bench 'BenchmarkResident$$' -benchtime 10x -count 3 .
 
 race:
 	$(GO) test -race ./...

@@ -89,9 +89,8 @@ type Config struct {
 	// Quantum is the number of cycles one node advances before the event
 	// loop switches to the next (0 = the 100-cycle default). A coarser
 	// quantum trades timeslicing fidelity for host speed — fewer scheduling
-	// events per simulated cycle — and deepens the parallel core's
-	// lookahead segments (see Cores). Unlike Cores it changes simulated
-	// results, so it participates in the content-addressed cache key.
+	// events per simulated cycle. It changes simulated results, so it
+	// participates in the content-addressed cache key.
 	Quantum int64
 	// Ablation, with Arch == ASCOMA, disables one of AS-COMA's two
 	// improvements to measure its contribution in isolation (the paper's
@@ -108,14 +107,7 @@ type Config struct {
 	// without one, and runcache bypasses the cache when it is set so the
 	// simulation actually executes and fills it.
 	Obs *Recording `json:"-"`
-	// Cores is the number of worker threads driving the event loop within
-	// this single run (values < 2 = the sequential loop). Results are
-	// bit-identical at every core count — the parallel core precomputes
-	// only provably node-local work and commits it in the sequential
-	// dispatch order (see internal/machine/parallel.go) — so, like Obs,
-	// the field is excluded from the content-addressed cache key: a
-	// parallel and a sequential run of the same config share one cache
-	// entry.
+	// Deprecated: runs are sequential; ignored.
 	Cores int `json:"-"`
 
 	// Tiers partitions each node's physical memory into asymmetric tiers,
@@ -234,7 +226,6 @@ func RunGeneratorContext(ctx context.Context, cfg Config, gen workload.Generator
 		Quantum:        cfg.Quantum,
 		SampleInterval: cfg.SampleInterval,
 		Obs:            cfg.Obs,
-		Cores:          cfg.Cores,
 	}
 	if cfg.Ablation != AblationNone {
 		if cfg.Arch != ASCOMA {

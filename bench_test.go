@@ -292,39 +292,14 @@ func BenchmarkSensitivityRACSize(b *testing.B) {
 	}
 }
 
-// --- parallel core scaling ----------------------------------------------------
-
-// benchParallelScaling is one full run at a fixed worker count over the
-// fast-forward-heavy resident workload (L1 hit rate ~99.7%, quantum 1000):
-// nearly every quantum arms a lookahead scan, so wall-clock tracks the scan
-// production rate — the quantity the parallel core parallelizes. Compare
-// across the cores axis with benchstat (see README.md, "Benchmarking"); on
-// a single-core host cores>1 measures pure pipeline overhead instead of
-// speedup, which BENCH_PR6.json records explicitly.
-func benchParallelScaling(b *testing.B, cores int) {
+// BenchmarkResident is one full run over the L1-resident workload (L1 hit
+// rate ~99.7%, quantum 1000): nearly every reference is consumed by
+// fast-forward or the closed-form walk skip, so it measures those paths.
+func BenchmarkResident(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_, err := Run(Config{Arch: ASCOMA, Workload: "resident", Pressure: 30,
-			Scale: 1, Quantum: 1000, Cores: cores})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkParallelScaling1(b *testing.B) { benchParallelScaling(b, 1) }
-func BenchmarkParallelScaling2(b *testing.B) { benchParallelScaling(b, 2) }
-func BenchmarkParallelScaling4(b *testing.B) { benchParallelScaling(b, 4) }
-func BenchmarkParallelScaling8(b *testing.B) { benchParallelScaling(b, 8) }
-
-// BenchmarkParallelMissBound is the other end of the spectrum: a miss-bound
-// paper config where arming mostly fails and the parallel core must cost
-// (near) nothing over the sequential loop.
-func BenchmarkParallelMissBound(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, err := Run(Config{Arch: ASCOMA, Workload: "ocean", Pressure: 70,
-			Scale: benchScale, Cores: 4})
+			Scale: 1, Quantum: 1000})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -49,7 +49,6 @@ var (
 	cacheSize  = flag.Int("cachesize", 1024, "in-memory result cache entries")
 	peers      = flag.String("peers", "", "comma-separated base URLs of peer workers sharing the result store")
 	jobs       = flag.Int("jobs", runtime.NumCPU(), "maximum concurrent simulations")
-	cores      = flag.Int("cores", 1, "worker threads inside each simulation (results are bit-identical at any count)")
 	reqTimeout = flag.Duration("timeout", 5*time.Minute, "per-request simulation timeout")
 	drainWait  = flag.Duration("drain", 15*time.Second, "graceful shutdown drain budget")
 	smoke      = flag.Bool("smoke", false, "self-test: serve on a random port, probe the endpoints, drain, exit")
@@ -83,7 +82,6 @@ func main() {
 	s := serve.New(serve.Config{
 		Cache:   cache,
 		Jobs:    *jobs,
-		Cores:   *cores,
 		Timeout: *reqTimeout,
 		Pprof:   *pprofOn,
 	})

@@ -34,7 +34,6 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	trace := flag.String("trace", "", "record a flight-recorder trace to this file (inspect with ascoma-inspect)")
 	epoch := flag.Int64("epoch", 0, "with -trace, sample per-node epoch probes every N cycles (0 = events only)")
-	cores := flag.Int("cores", 1, "worker threads inside the run (results are bit-identical at any count)")
 	quantum := flag.Int64("quantum", 0, "cycles per node timeslice (0 = the 100-cycle default; changes simulated results)")
 	tiers := flag.String("tiers", "", "memory tiers as capPct:readCycles:writeCycles,... fastest first (empty = one tier at the local memory latency)")
 	pagePolicy := flag.String("pagepolicy", "", "DRAM row-buffer page policy: open, closed, hybrid (empty = off)")
@@ -94,7 +93,6 @@ func main() {
 		Pressure:   *pressure,
 		Quantum:    *quantum,
 		Obs:        rec,
-		Cores:      *cores,
 		Tiers:      tierSpecs,
 		PagePolicy: *pagePolicy,
 	}, gen)

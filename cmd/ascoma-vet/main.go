@@ -15,8 +15,6 @@
 // Whole-program analyzers (on the interprocedural call graph built by
 // internal/analysis/program):
 //
-//	parownership    the parallel core's worker/commit goroutine state
-//	                split, proved over the transitive worker call closure
 //	hotpathflow     no heap-allocating constructs in //ascoma:hotpath
 //	                functions or anything they transitively call (the
 //	                zero-alloc event path)
@@ -24,7 +22,7 @@
 //	                reason on every escape hatch
 //
 // The driver loads the module enclosing the working directory once with
-// program.Load (nested modules excluded) and runs all seven analyzers on
+// program.Load (nested modules excluded) and runs all six analyzers on
 // that load, in process. Findings in packages matched by the patterns are
 // printed to stderr, one line each, sorted by file, line and column, with
 // paths relative to the working directory; any finding exits 1. This is
@@ -55,7 +53,6 @@ import (
 	"ascoma/internal/analysis/errdrop"
 	"ascoma/internal/analysis/hotpathflow"
 	"ascoma/internal/analysis/nondet"
-	"ascoma/internal/analysis/parownership"
 	"ascoma/internal/analysis/program"
 	"ascoma/internal/analysis/statsintegrity"
 )
@@ -68,7 +65,6 @@ var (
 		errdrop.Analyzer,
 	}
 	progAnalyzers = []*program.Analyzer{
-		parownership.Analyzer,
 		hotpathflow.Analyzer,
 		dirlint.Analyzer,
 	}

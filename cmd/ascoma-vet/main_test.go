@@ -44,14 +44,6 @@ type Counters struct{ Hits int64 }
 // RunAll is a run entry point without a context.
 func RunAll() error { return nil }
 `,
-	"internal/par/par.go": `package par
-
-//ascoma:par-commit
-func commit() {}
-
-//ascoma:par-worker
-func worker() { commit() }
-`,
 	"internal/x/x.go": `package x
 
 func remove() error { return nil }
@@ -74,8 +66,6 @@ var clean = map[string]string{
 }
 
 var findings = []string{
-	"internal/par/par.go:4:1: commit-only function par.commit is reachable from worker code via par.worker → par.commit (parownership)",
-	"internal/par/par.go:7:23: worker code (via par.worker) calls commit-only par.commit (parownership)",
 	"internal/runcache/runcache.go:4:6: exported simulation entry point RunAll must accept a context.Context or delegate to RunAllContext (ctxflow)",
 	"internal/sim/sim.go:5:2: map iteration order is randomized: sort the keys, or mark the loop //ascoma:allow-nondet <reason> if its effect is order-independent (nondet)",
 	"internal/sim/sim.go:14:33: hot via sim.grow: make allocates; hoist it out of the hot path or reuse a pooled object (hotpathflow)",
@@ -110,11 +100,11 @@ func TestDriver(t *testing.T) {
 	}{
 		{"all", root, []string{"./..."}, 1, findings},
 		{"default pattern", root, nil, 1, findings},
-		{"one analyzer", root, []string{"-nondet"}, 1, findings[3:4]},
-		{"two analyzers", root, []string{"-errdrop", "-dirlint", "./..."}, 1, []string{findings[5], findings[7]}},
-		{"package pattern", root, []string{"./internal/x/..."}, 1, findings[7:]},
-		{"import path pattern", root, []string{"ascoma/internal/par"}, 1, findings[:2]},
-		{"relative to working directory", filepath.Join(root, "internal"), []string{"./x"}, 1, []string{"x/" + strings.TrimPrefix(findings[7], "internal/x/")}},
+		{"one analyzer", root, []string{"-nondet"}, 1, findings[1:2]},
+		{"two analyzers", root, []string{"-errdrop", "-dirlint", "./..."}, 1, []string{findings[3], findings[5]}},
+		{"package pattern", root, []string{"./internal/x/..."}, 1, findings[5:]},
+		{"import path pattern", root, []string{"ascoma/internal/sim"}, 1, findings[1:4]},
+		{"relative to working directory", filepath.Join(root, "internal"), []string{"./x"}, 1, []string{"x/" + strings.TrimPrefix(findings[5], "internal/x/")}},
 		{"clean package", root, []string{"-errdrop", "./internal/sim"}, 0, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -150,7 +140,7 @@ func TestDriverHelp(t *testing.T) {
 	if code := run(t.TempDir(), []string{"help"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d; stderr:\n%s", code, stderr.String())
 	}
-	for _, name := range []string{"nondet", "statsintegrity", "ctxflow", "errdrop", "parownership", "hotpathflow", "dirlint"} {
+	for _, name := range []string{"nondet", "statsintegrity", "ctxflow", "errdrop", "hotpathflow", "dirlint"} {
 		if !strings.Contains(stdout.String(), "\n  "+name+" ") {
 			t.Errorf("help does not list %s:\n%s", name, stdout.String())
 		}

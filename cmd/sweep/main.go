@@ -55,7 +55,6 @@ var (
 	sensitivity = flag.String("sensitivity", "", "run a design-choice sensitivity study: 'threshold', 'rac', or 'nodes'")
 	svgDir      = flag.String("svg", "", "also write the figures as SVG files into this directory")
 	jobs        = flag.Int("jobs", runtime.NumCPU(), "parallel simulations")
-	cores       = flag.Int("cores", 1, "worker threads inside each run (results are bit-identical at any count)")
 	cacheDir    = flag.String("cachedir", "", "persist simulation results in this directory and reuse them across invocations")
 	cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -121,7 +120,7 @@ func main() {
 		}()
 	}
 	runner := &runcache.Runner{Cache: cache, Jobs: *jobs}
-	opts := report.Options{Scale: *scale, Pressures: plist, Jobs: *jobs, Runner: runner, Cores: *cores,
+	opts := report.Options{Scale: *scale, Pressures: plist, Jobs: *jobs, Runner: runner,
 		Tiers: tierSpecs, PagePolicy: *pagePolicy}
 	switch {
 	case *csv:
@@ -146,7 +145,7 @@ func main() {
 		if *app == "" {
 			fail(fmt.Errorf("sweep: -trace requires -app"))
 		}
-		run(recordTrace(ctx, runner, *app, plist, *scale, *cores, *trace, *epoch))
+		run(recordTrace(ctx, runner, *app, plist, *scale, *trace, *epoch))
 	}
 
 	switch *table {
@@ -203,7 +202,7 @@ func main() {
 // flight recorder attached and writes the binary trace. Observed runs
 // bypass the result cache (the simulation must actually execute to fill
 // the recording), so this costs one extra simulation even on a warm cache.
-func recordTrace(ctx context.Context, runner *runcache.Runner, app string, pressures []int, scale, cores int, path string, epoch int64) error {
+func recordTrace(ctx context.Context, runner *runcache.Runner, app string, pressures []int, scale int, path string, epoch int64) error {
 	rec := ascoma.NewRecording(0, epoch)
 	p := slices.Max(pressures)
 	if _, err := runner.Run(ctx, ascoma.Config{
@@ -212,7 +211,6 @@ func recordTrace(ctx context.Context, runner *runcache.Runner, app string, press
 		Pressure: p,
 		Scale:    scale,
 		Obs:      rec,
-		Cores:    cores,
 	}); err != nil {
 		return err
 	}

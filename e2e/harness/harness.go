@@ -83,7 +83,6 @@ func New(opts Options) (*Cluster, error) {
 		s := serve.New(serve.Config{
 			Cache:   runcache.NewWithBackends(opts.CacheSize, backends...),
 			Jobs:    opts.Jobs,
-			Cores:   1,
 			Timeout: 2 * time.Minute,
 			JobOpts: opts.JobOpts,
 		})

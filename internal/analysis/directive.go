@@ -44,13 +44,10 @@ const (
 // understands. dirlint flags any name outside this table.
 var KnownDirectives = map[string]DirectiveKind{
 	// Annotations.
-	"hotpath":          Annotation, // zero-alloc function (hotpathflow root)
-	"stats":            Annotation, // stats struct (statsintegrity)
-	"stats-serialize":  Annotation, // golden-checksum serialization func
-	"stats-finalize":   Annotation, // stats finalize func (arg: union type)
-	"par-worker":       Annotation, // parallel-core worker entry point (parownership root)
-	"par-commit":       Annotation, // commit-goroutine-only function (parownership)
-	"par-commit-state": Annotation, // commit-owned type; arg "reads-ok" permits worker reads
+	"hotpath":         Annotation, // zero-alloc function (hotpathflow root)
+	"stats":           Annotation, // stats struct (statsintegrity)
+	"stats-serialize": Annotation, // golden-checksum serialization func
+	"stats-finalize":  Annotation, // stats finalize func (arg: union type)
 
 	// Escape hatches and graph cuts (reason required).
 	"allow-nondet":       Hatch, // nondet
@@ -60,7 +57,6 @@ var KnownDirectives = map[string]DirectiveKind{
 	"allow-errdrop":      Hatch, // errdrop
 	"allow-hotcall":      Hatch, // hotpathflow: exempt one call site from the closure
 	"hotpath-stop":       Hatch, // hotpathflow: cut the closure at this function
-	"par-exempt":         Hatch, // parownership: cut the worker closure at this function
 }
 
 // A Directive is one parsed //ascoma: comment.

@@ -5,8 +5,7 @@
 // package and enforces:
 //
 //   - the directive name is in analysis.KnownDirectives;
-//   - every escape hatch carries a reason string (CI fails otherwise);
-//   - //ascoma:par-commit-state takes no argument or exactly "reads-ok".
+//   - every escape hatch carries a reason string (CI fails otherwise).
 package dirlint
 
 import (
@@ -37,9 +36,6 @@ func run(pass *program.Pass) error {
 					}
 					if kind == analysis.Hatch && d.Arg == "" {
 						pass.Reportf(d.Pos, "escape hatch //ascoma:%s requires a reason", d.Name)
-					}
-					if d.Name == "par-commit-state" && d.Arg != "" && d.Arg != "reads-ok" {
-						pass.Reportf(d.Pos, "//ascoma:par-commit-state takes no argument or \"reads-ok\", not %q", d.Arg)
 					}
 				}
 			}

@@ -45,7 +45,6 @@ var DeterministicPackages = []string{
 	"ascoma/internal/workload",
 	"ascoma/internal/stats",
 	"ascoma/internal/obs",
-	"ascoma/internal/par",
 	"ascoma/internal/estimate",
 	"ascoma/internal/jobs",
 }

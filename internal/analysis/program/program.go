@@ -1,11 +1,11 @@
 // Package program loads every package of the repository in one shot and
 // runs the whole analyzer suite on that one load. Per-package analyzers
 // (analysis.Analyzer) get a Pass per loaded package; the whole-repo
-// analyzers (parownership, hotpathflow, dirlint) get the interprocedural
-// facts built here — a call graph with static, interface, and func-value
-// edges, plus a program-wide directive index — so the invariants that live
-// in call chains (which goroutine may reach which state, whether a
-// //ascoma:hotpath root transitively allocates) are proved across packages.
+// analyzers (hotpathflow, dirlint) get the interprocedural facts built
+// here — a call graph with static, interface, and func-value edges, plus a
+// program-wide directive index — so the invariants that live in call
+// chains (whether a //ascoma:hotpath root transitively allocates) are
+// proved across packages.
 //
 // Repo packages are parsed from source, topologically sorted by their
 // intra-module imports, and type-checked against a shared source-importer

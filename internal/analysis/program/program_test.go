@@ -96,12 +96,12 @@ func TestReachabilityAndPath(t *testing.T) {
 	}
 }
 
-// TestWorkerThunkReachability checks the production-shaped pattern end to
-// end on the parown corpus: the closure handed to the queue at
-// construction is worker-reachable through the func-typed field.
+// TestWorkerThunkReachability checks the queue-worker pattern end to end
+// on the thunk corpus: the closure handed to the queue at construction is
+// reachable from the queue's loop through the func-typed field.
 func TestWorkerThunkReachability(t *testing.T) {
-	prog := loadFixture(t, "../testdata/src/parown", "parown")
-	roots := prog.FuncsWithDirective("par-worker")
+	prog := loadFixture(t, "../testdata/src/thunk", "thunk")
+	roots := prog.FuncsWithDirective("hotpath")
 
 	reach := prog.Reachable(roots, func(program.Edge) bool { return false })
 	var thunk *program.Func
@@ -111,7 +111,7 @@ func TestWorkerThunkReachability(t *testing.T) {
 		}
 	}
 	if thunk == nil {
-		t.Fatal("worker closure from build() not reachable from the par-worker roots")
+		t.Fatal("closure from build() not reachable from the hotpath root")
 	}
 	path := reach.Path(thunk)
 	if !strings.Contains(path, "loop") {

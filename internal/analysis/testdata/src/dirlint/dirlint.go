@@ -13,19 +13,10 @@ func hot() {}
 // A typo in the directive name would silently disable a check.
 //
 /* want `unknown directive //ascoma:hotpah` */ //ascoma:hotpah
-func typo() {}
+func typo()                                    {}
 
 /* want `escape hatch //ascoma:allow-alloc requires a reason` */ //ascoma:allow-alloc
 func reasonless() {}
 
 //ascoma:allow-alloc the buffer is reused across calls
 func justified() {}
-
-/* want `par-commit-state takes no argument or "reads-ok"` */ //ascoma:par-commit-state maybe-later
-type badArg struct{}
-
-//ascoma:par-commit-state reads-ok
-type goodArg struct{}
-
-//ascoma:par-commit-state
-type strictState struct{}

@@ -48,9 +48,8 @@ type scanSeg struct {
 	hits   int64
 }
 
-// commitScan stands in for the parallel core's worker merge path: the
-// commit loop applies a worker's staged segments to the live totals once
-// per quantum, so it must not allocate.
+// commitScan stands in for a merge on the event path: it applies staged
+// segments to the live totals once per quantum, so it must not allocate.
 //
 //ascoma:hotpath
 func commitScan(totals *scanSeg, segs []scanSeg, log []int64) []int64 {

@@ -61,9 +61,9 @@ func mapOrderBareHatch(m map[string]int64) int64 {
 	return total
 }
 
-// scanResult stands in for one worker's lookahead scan output in the
-// parallel core: per-node deltas that the commit goroutine merges into the
-// global statistics in node order.
+// scanResult stands in for one worker's output in a parallel merge:
+// per-node deltas that must be folded into the global statistics in node
+// order.
 type scanResult struct {
 	node   int
 	cycles int64

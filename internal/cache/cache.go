@@ -16,18 +16,24 @@ import (
 
 // l1Set is one direct-mapped set: the full line tag plus its state bits,
 // packed so a lookup or fill touches a single 16-byte record (one cache
-// line of the host covers four sets) instead of four parallel slices.
+// line of the host covers four sets) instead of parallel slices.
 type l1Set struct {
 	tag      addr.Line
 	valid    bool
-	dirty    bool
 	writable bool
 }
 
 // L1 is a direct-mapped write-back processor cache. Each line carries a
-// writable bit (the M/E permission of a MESI-style cache): a store to a
-// line held read-only is NOT a hit — it must go through the coherence
-// machinery to obtain ownership, or other nodes would keep stale copies.
+// writable bit (the M state of an MSI-style cache): a store to a line
+// held read-only is NOT a hit — it must go through the coherence machinery
+// to obtain ownership, or other nodes would keep stale copies.
+//
+// There is no separate dirty bit, because a valid line is dirty exactly
+// when it is writable: a fill is writable only when a write brought it in,
+// a write hit needs a writable line, and every invalidation, flush and
+// downgrade drops write permission. So a writable victim is the one that
+// must be written back. A clean-exclusive state would break this and need
+// the bit back.
 type L1 struct {
 	sets  int
 	mask  uint64 // sets-1; the set count is a validated power of two
@@ -47,44 +53,26 @@ func NewL1(bytes int) *L1 {
 func (c *L1) index(l addr.Line) int { return int(uint64(l) & c.mask) }
 
 // Lookup reports whether line l can satisfy the access: any valid copy
-// satisfies a read; only a writable copy satisfies a write (which marks it
-// dirty). A write to a read-only copy misses and must obtain ownership.
-// Probed once per reference — both the step loop and fast-forward call it.
+// satisfies a read; only a writable copy satisfies a write. A write to a
+// read-only copy misses and must obtain ownership. Lookup has no side
+// effect, so probing a reference and replaying it later is the same as
+// probing it once. Probed once per reference — the step loop,
+// fast-forward and walk verification all call it.
 //
 //ascoma:hotpath
-//ascoma:par-commit
 func (c *L1) Lookup(l addr.Line, write bool) bool {
-	s := &c.lines[c.index(l)]
-	if s.valid && s.tag == l && (!write || s.writable) {
-		if write {
-			s.dirty = true
-		}
-		return true
-	}
-	return false
-}
-
-// Probe is Lookup's read-only twin: the same hit predicate with no side
-// effect at all. The parallel core's lookahead scan (see
-// internal/machine/parallel.go) probes against a snapshot of the cache from
-// worker goroutines, deferring the write path's dirty marking to the
-// sequential commit, which replays it through Lookup.
-//
-//ascoma:hotpath
-func (c *L1) Probe(l addr.Line, write bool) bool {
 	s := &c.lines[c.index(l)]
 	return s.valid && s.tag == l && (!write || s.writable)
 }
 
 // Insert fills line l, evicting whatever occupied its set. Write fills are
-// installed writable and dirty. It returns the evicted line and whether it
-// was valid and dirty (a dirty victim must be written back).
+// installed writable, and so dirty. It returns the evicted line and whether
+// it was valid and dirty (a dirty victim must be written back).
 func (c *L1) Insert(l addr.Line, write bool) (victim addr.Line, wasValid, wasDirty bool) {
 	s := &c.lines[c.index(l)]
-	victim, wasValid, wasDirty = s.tag, s.valid, s.valid && s.dirty
+	victim, wasValid, wasDirty = s.tag, s.valid, s.valid && s.writable
 	s.tag = l
 	s.valid = true
-	s.dirty = write
 	s.writable = write
 	return victim, wasValid, wasDirty
 }
@@ -100,7 +88,6 @@ func (c *L1) InvalidateBlock(b addr.Block) int {
 		s := &c.lines[c.index(l)]
 		if s.valid && s.tag == l {
 			s.valid = false
-			s.dirty = false
 			s.writable = false
 			n++
 		}
@@ -117,11 +104,10 @@ func (c *L1) FlushPage(p addr.Page) (flushed, dirty int) {
 		l := base + addr.Line(j)
 		s := &c.lines[c.index(l)]
 		if s.valid && s.tag == l {
-			if s.dirty {
+			if s.writable {
 				dirty++
 			}
 			s.valid = false
-			s.dirty = false
 			s.writable = false
 			flushed++
 		}
@@ -139,27 +125,12 @@ func (c *L1) CleanBlock(b addr.Block) int {
 	for j := 0; j < params.LinesPerBlock; j++ {
 		l := b.LineAt(j)
 		s := &c.lines[c.index(l)]
-		if s.valid && s.tag == l && (s.dirty || s.writable) {
-			s.dirty = false
+		if s.valid && s.tag == l && s.writable {
 			s.writable = false
 			n++
 		}
 	}
 	return n
-}
-
-// SnapshotInto copies the cache's full state into dst, an L1 used only as
-// a Probe target. The parallel core snapshots a node's L1 at arming time so
-// lookahead scans on worker goroutines probe a stable private copy while
-// the commit goroutine keeps mutating the live cache; generation validation
-// at commit (machine.node.invGen) catches any mutation that would have
-// changed what the scan saw. dst retains its lines buffer across calls, so
-// steady-state snapshots are a single bulk copy with no allocation.
-func (c *L1) SnapshotInto(dst *L1) {
-	dst.sets = c.sets
-	dst.mask = c.mask
-	//ascoma:allow-alloc dst retains its lines capacity across snapshots; steady state is a bulk copy
-	dst.lines = append(dst.lines[:0], c.lines...)
 }
 
 // Reset invalidates the whole cache.

@@ -186,37 +186,88 @@ func TestL1OccupancyProperty(t *testing.T) {
 	}
 }
 
-// Property: under any sequence of operations, a valid writable line is
-// dirty. A write hit needs a writable line, so its dirty mark is then a
-// no-op; machine.skipWalk relies on this when it consumes write hits in
-// closed form without marking their lines.
+// refL1 is a reference L1 that keeps an explicit dirty bit beside the
+// writable bit, with the textbook rules: a fill sets dirty from its write, a
+// write hit marks the line dirty, and every invalidation, flush and
+// downgrade clears it.
+type refL1 struct {
+	tag             [32]addr.Line
+	valid, w, dirty [32]bool
+}
+
+func (r *refL1) lookup(l addr.Line, write bool) bool {
+	i := int(l) % 32
+	if !r.valid[i] || r.tag[i] != l || (write && !r.w[i]) {
+		return false
+	}
+	if write {
+		r.dirty[i] = true
+	}
+	return true
+}
+
+func (r *refL1) drop(l addr.Line, keep bool) int {
+	i := int(l) % 32
+	if !r.valid[i] || r.tag[i] != l {
+		return 0
+	}
+	d := 0
+	if r.dirty[i] {
+		d = 1
+	}
+	r.valid[i] = keep
+	r.w[i], r.dirty[i] = false, false
+	return d
+}
+
+// Property: under any sequence of operations, a valid line of the reference
+// L1 is dirty exactly when it is writable, so the L1's writable bit reports
+// every writeback the reference's dirty bit does: the same hits, the same
+// dirty victims and the same dirty flush counts. machine.skipWalk relies on
+// this when it consumes write hits in closed form without touching their
+// lines.
 func TestL1WritableImpliesDirty(t *testing.T) {
 	f := func(ops []uint16) bool {
 		c := NewL1(1024) // 32 sets
-		snap := NewL1(1024)
+		var r refL1
 		for _, v := range ops {
 			l := line(uint64((v >> 3) % 128)) // four lines per set, one page
 			switch v % 8 {
-			case 0:
-				c.Insert(l, false)
-			case 1:
-				c.Insert(l, true)
-			case 2:
-				c.Lookup(l, false)
-			case 3:
-				c.Lookup(l, true)
+			case 0, 1:
+				write := v%8 == 1
+				i := int(l) % 32
+				rv, rd := r.tag[i], r.valid[i] && r.dirty[i]
+				victim, wasValid, wasDirty := c.Insert(l, write)
+				if wasValid != r.valid[i] || (wasValid && victim != rv) || wasDirty != rd {
+					return false
+				}
+				r.tag[i], r.valid[i], r.w[i], r.dirty[i] = l, true, write, write
+			case 2, 3:
+				if c.Lookup(l, v%8 == 3) != r.lookup(l, v%8 == 3) {
+					return false
+				}
 			case 4:
 				c.InvalidateBlock(l.Block())
+				for j := 0; j < params.LinesPerBlock; j++ {
+					r.drop(l.Block().LineAt(j), false)
+				}
 			case 5:
 				c.CleanBlock(l.Block())
-			case 6:
-				c.FlushPage(l.Page())
-			case 7:
-				c.SnapshotInto(snap)
-				c, snap = snap, c
+				for j := 0; j < params.LinesPerBlock; j++ {
+					r.drop(l.Block().LineAt(j), true)
+				}
+			case 6, 7:
+				_, dirty := c.FlushPage(l.Page())
+				want := 0
+				for j := 0; j < params.LinesPerPage; j++ {
+					want += r.drop(addr.LineOf(l.Page().Base())+addr.Line(j), false)
+				}
+				if dirty != want {
+					return false
+				}
 			}
-			for _, s := range c.lines {
-				if s.valid && s.writable && !s.dirty {
+			for i := range r.valid {
+				if r.valid[i] && r.w[i] != r.dirty[i] {
 					return false
 				}
 			}

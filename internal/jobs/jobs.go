@@ -205,8 +205,6 @@ func (j *Job) emit(ev Event) {
 
 // Options configures a Manager. The zero value selects the defaults.
 type Options struct {
-	// Cores is threaded into every cell's Config (see ascoma.Config.Cores).
-	Cores int
 	// MaxJobs bounds admitted-but-unfinished jobs; Submit beyond it
 	// returns ErrBusy. Default 4096.
 	MaxJobs int
@@ -314,7 +312,7 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 	)
 	switch {
 	case spec.Run != nil:
-		cfg, err := spec.Run.Config(m.opts.Cores)
+		cfg, err := spec.Run.Config()
 		if err != nil {
 			return nil, err
 		}
@@ -325,7 +323,7 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 		}
 	case spec.Grid != nil:
 		var err error
-		cells, err = spec.Grid.cells(m.opts.Cores, m.opts.MaxCells)
+		cells, err = spec.Grid.cells(m.opts.MaxCells)
 		if err != nil {
 			return nil, err
 		}
@@ -523,7 +521,7 @@ func (m *Manager) runGrid(j *Job, ctx context.Context, cells []ascoma.Config) (a
 // grid's per-cell completions stream as progress events.
 func (m *Manager) runFigure(j *Job, ctx context.Context, fig FigureSpec) (any, error) {
 	var buf strings.Builder
-	opts, err := fig.ReportOptions(m.runner, m.opts.Cores)
+	opts, err := fig.ReportOptions(m.runner)
 	if err != nil {
 		return nil, err
 	}
@@ -546,7 +544,6 @@ func (m *Manager) runTierGrid(j *Job, ctx context.Context, tg TierGridSpec) (any
 	var buf strings.Builder
 	opts := report.Options{
 		Runner:     m.runner,
-		Cores:      m.opts.Cores,
 		Scale:      tg.Scale,
 		Pressures:  tg.Pressures,
 		Format:     tg.Format,

@@ -17,7 +17,7 @@ import (
 
 func gridCells(t *testing.T, g GridSpec) []ascoma.Config {
 	t.Helper()
-	cells, err := g.cells(1, 4096)
+	cells, err := g.cells(4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestSeededDispatchKeepsSpecOutput(t *testing.T) {
 	g := GridSpec{Apps: []string{"uniform"}, Archs: []string{"S-COMA"}, Pressures: []int{10, 50, 90}, Scale: 32}
 	cells := gridCells(t, g)
 
-	m := NewManager(&runcache.Runner{Jobs: 1}, Options{Cores: 1})
+	m := NewManager(&runcache.Runner{Jobs: 1}, Options{})
 	defer m.Close()
 	j, err := m.Submit(Spec{Grid: &g})
 	if err != nil {

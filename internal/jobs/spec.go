@@ -100,7 +100,7 @@ func checkTiers(tiers []ascoma.TierSpec, policy string) error {
 
 // Config validates the spec and converts it to an ascoma.Config (without
 // observation attached — the job runner wires EpochInterval itself).
-func (r RunSpec) Config(cores int) (ascoma.Config, error) {
+func (r RunSpec) Config() (ascoma.Config, error) {
 	arch, err := ascoma.ParseArch(r.Arch)
 	if err != nil {
 		return ascoma.Config{}, badSpec("%v", err)
@@ -133,7 +133,6 @@ func (r RunSpec) Config(cores int) (ascoma.Config, error) {
 		Scale:          r.Scale,
 		MaxCycles:      r.MaxCycles,
 		SampleInterval: r.SampleInterval,
-		Cores:          cores,
 		Tiers:          r.Tiers,
 		PagePolicy:     r.PagePolicy,
 	}, nil
@@ -172,7 +171,7 @@ var figureArchs = []ascoma.Arch{ascoma.SCOMA, ascoma.ASCOMA, ascoma.VCNUMA, asco
 // cells validates the spec and expands it into configs, in the
 // deterministic app-major, arch-then-pressure order results are assembled
 // in.
-func (g GridSpec) cells(cores, maxCells int) ([]ascoma.Config, error) {
+func (g GridSpec) cells(maxCells int) ([]ascoma.Config, error) {
 	apps := g.Apps
 	if len(apps) == 0 {
 		apps = report.FigureApps(0)
@@ -225,7 +224,7 @@ func (g GridSpec) cells(cores, maxCells int) ([]ascoma.Config, error) {
 	add := func(arch ascoma.Arch, app string, pressure int) {
 		cells = append(cells, ascoma.Config{
 			Arch: arch, Workload: app, Pressure: pressure,
-			Scale: g.Scale, MaxCycles: g.MaxCycles, Cores: cores,
+			Scale: g.Scale, MaxCycles: g.MaxCycles,
 			Tiers: g.Tiers, PagePolicy: g.PagePolicy,
 		})
 	}
@@ -279,13 +278,12 @@ func (f FigureSpec) validate() error {
 // ReportOptions validates the spec and converts it to report.Options —
 // the synchronous figure endpoint and the async figure job share this, so
 // both reject the same nonsense the same way.
-func (f FigureSpec) ReportOptions(runner *runcache.Runner, cores int) (report.Options, error) {
+func (f FigureSpec) ReportOptions(runner *runcache.Runner) (report.Options, error) {
 	if err := f.validate(); err != nil {
 		return report.Options{}, err
 	}
 	return report.Options{
 		Runner:     runner,
-		Cores:      cores,
 		Scale:      f.Scale,
 		Pressures:  f.Pressures,
 		Format:     f.Format,

@@ -11,7 +11,7 @@ import (
 
 func TestRunSpecValidation(t *testing.T) {
 	good := RunSpec{Arch: "AS-COMA", Workload: "uniform", Pressure: 70, Scale: 8}
-	if _, err := good.Config(1); err != nil {
+	if _, err := good.Config(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
 	for name, mut := range map[string]func(*RunSpec){
@@ -30,7 +30,7 @@ func TestRunSpecValidation(t *testing.T) {
 	} {
 		r := good
 		mut(&r)
-		_, err := r.Config(1)
+		_, err := r.Config()
 		if err == nil {
 			t.Errorf("%s: accepted", name)
 		} else if !IsValidation(err) {
@@ -44,7 +44,7 @@ func TestGridCellsFigureDefault(t *testing.T) {
 	// baseline plus the four adaptive architectures at every pressure, per
 	// app — so a default grid job warms precisely what a figure render reads.
 	g := GridSpec{Apps: []string{"uniform"}, Scale: 8}
-	cells, err := g.cells(1, 4096)
+	cells, err := g.cells(4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestGridCellsFigureDefault(t *testing.T) {
 		t.Errorf("cell 1 is %v@%d", cells[1].Arch, cells[1].Pressure)
 	}
 	for _, c := range cells {
-		if c.Scale != 8 || c.Cores != 1 || c.Workload != "uniform" {
+		if c.Scale != 8 || c.Workload != "uniform" {
 			t.Fatalf("cell carries wrong knobs: %+v", c)
 		}
 	}
@@ -71,7 +71,7 @@ func TestGridCellsDeterministicOrder(t *testing.T) {
 		Pressures: []int{90, 10, 90}, // unsorted, with a duplicate
 		Scale:     8,
 	}
-	cells, err := g.cells(1, 4096)
+	cells, err := g.cells(4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestGridCellsDeterministicOrder(t *testing.T) {
 
 func TestGridCellsBound(t *testing.T) {
 	g := GridSpec{Apps: []string{"uniform"}, Scale: 8}
-	if _, err := g.cells(1, 3); err == nil || !IsValidation(err) {
+	if _, err := g.cells(3); err == nil || !IsValidation(err) {
 		t.Errorf("oversize grid: %v, want validation error", err)
 	}
 	// The bound is checked before expanding: an oversize grid is rejected
@@ -117,7 +117,7 @@ func TestGridCellsBound(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := many.cells(1, 4096)
+	_, err := many.cells(4096)
 	runtime.ReadMemStats(&after)
 	if !IsValidation(err) {
 		t.Errorf("3000-app grid: %v, want validation error", err)

@@ -19,7 +19,7 @@ func twoTiers() []ascoma.TierSpec {
 func TestRunSpecTierValidation(t *testing.T) {
 	good := RunSpec{Arch: "AS-COMA", Workload: "uniform", Pressure: 70, Scale: 8,
 		Tiers: twoTiers(), PagePolicy: "hybrid"}
-	cfg, err := good.Config(1)
+	cfg, err := good.Config()
 	if err != nil {
 		t.Fatalf("valid tiered spec rejected: %v", err)
 	}
@@ -36,7 +36,7 @@ func TestRunSpecTierValidation(t *testing.T) {
 		r := good
 		r.Tiers = twoTiers()
 		mut(&r)
-		_, err := r.Config(1)
+		_, err := r.Config()
 		if err == nil {
 			t.Errorf("%s: accepted", name)
 		} else if !IsValidation(err) {
@@ -47,7 +47,7 @@ func TestRunSpecTierValidation(t *testing.T) {
 
 func TestGridSpecTierValidation(t *testing.T) {
 	g := GridSpec{Apps: []string{"uniform"}, Scale: 8, Tiers: twoTiers(), PagePolicy: "open"}
-	cells, err := g.cells(1, 4096)
+	cells, err := g.cells(4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,14 +57,14 @@ func TestGridSpecTierValidation(t *testing.T) {
 		}
 	}
 	g.PagePolicy = "fifo"
-	if _, err := g.cells(1, 4096); err == nil || !IsValidation(err) {
+	if _, err := g.cells(4096); err == nil || !IsValidation(err) {
 		t.Errorf("unknown grid policy: %v, want validation error", err)
 	}
 }
 
 func TestFigureSpecTierValidation(t *testing.T) {
 	f := FigureSpec{App: "uniform", Scale: 8, Tiers: twoTiers(), PagePolicy: "closed"}
-	opts, err := f.ReportOptions(nil, 1)
+	opts, err := f.ReportOptions(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestFigureSpecTierValidation(t *testing.T) {
 		t.Fatalf("tier fields not threaded into report.Options: %+v", opts)
 	}
 	f.Tiers[0].CapacityPct = -5
-	if _, err := f.ReportOptions(nil, 1); err == nil || !IsValidation(err) {
+	if _, err := f.ReportOptions(nil); err == nil || !IsValidation(err) {
 		t.Errorf("negative capacity: %v, want validation error", err)
 	}
 }
@@ -158,7 +158,7 @@ func TestEstimateSpecTiers(t *testing.T) {
 }
 
 func TestTierGridJob(t *testing.T) {
-	m := NewManager(&runcache.Runner{Jobs: 4}, Options{Cores: 1})
+	m := NewManager(&runcache.Runner{Jobs: 4}, Options{})
 	defer m.Close()
 	j, err := m.Submit(Spec{TierGrid: &TierGridSpec{
 		App: "uniform", Scale: 16, Pressures: []int{70},
@@ -193,7 +193,7 @@ func TestTierGridJob(t *testing.T) {
 }
 
 func TestTierGridJobDuplicateAxes(t *testing.T) {
-	m := NewManager(&runcache.Runner{Jobs: 4}, Options{Cores: 1})
+	m := NewManager(&runcache.Runner{Jobs: 4}, Options{})
 	defer m.Close()
 	j, err := m.Submit(Spec{TierGrid: &TierGridSpec{
 		App: "uniform", Scale: 16, Pressures: []int{70, 70},

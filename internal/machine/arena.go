@@ -106,7 +106,6 @@ func (m *Machine) recycle() {
 	m.checker = nil
 	m.nextSample = 0
 	m.nextEpoch = 0
-	m.fetchCount, m.fetchTotal, m.fwdCount, m.invCount = 0, 0, 0, 0
 }
 
 // Release returns the machine's recyclable state (caches, page tables,
@@ -130,10 +129,6 @@ func (m *Machine) Release() {
 	}
 	m.gen = nil
 	m.net = nil
-	// The parallel core is torn down when RunContext's parallel branch
-	// exits; drop the pointer so a pooled machine can never observe a
-	// previous run's core.
-	m.par = nil
 	m.st = nil
 	m.samples = nil
 	m.checker = nil

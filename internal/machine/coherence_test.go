@@ -5,6 +5,7 @@ import (
 
 	"ascoma/internal/addr"
 	"ascoma/internal/core"
+	"ascoma/internal/directory"
 	"ascoma/internal/params"
 	"ascoma/internal/stats"
 	"ascoma/internal/vm"
@@ -81,7 +82,10 @@ func TestRACWriteHitAfterWriteFetch(t *testing.T) {
 }
 
 // TestDirtyRemoteDataForwarded: a read of a block dirty at a third node is
-// supplied by three-hop forwarding and the owner keeps a clean copy.
+// supplied by three-hop forwarding and the owner keeps a clean copy. Node
+// 2's read is the only traffic after the barrier, so its stall is exactly
+// the uncontended three-hop path: request to the home (node 0), forward to
+// the owner (node 1), the owner's memory, reply to the requester.
 func TestDirtyRemoteDataForwarded(t *testing.T) {
 	gen := newProbe(3, 1)
 	gen.programs[1].Walk(gen.section(0), params.LineSize, params.LineSize, 1, workload.Write, 0)
@@ -92,9 +96,16 @@ func TestDirtyRemoteDataForwarded(t *testing.T) {
 	if st.Nodes[2].TotalMisses() != 1 {
 		t.Fatalf("node 2 misses = %d", st.Nodes[2].TotalMisses())
 	}
-	_, _, forwards, _ := m.DebugFetchStats()
-	if forwards != 1 {
-		t.Errorf("forwards = %d, want 1", forwards)
+	p := m.p
+	hop := func(from, to int) int64 { return m.net.Latency(from, to) + p.NetPortOccupancy }
+	want := 2*(p.BusCycles+p.DSMProcCycles) + hop(2, 0) + p.DirCycles + hop(0, 1) +
+		p.LocalMemCycles + hop(1, 2) + p.L1HitCycles
+	if got := st.Nodes[2].Time[stats.UShMem]; got != want {
+		t.Errorf("node 2 U-SH-MEM = %d, want the three-hop latency %d", got, want)
+	}
+	state, copyset := m.Directory().State(addr.BlockOf(gen.section(0)))
+	if state != directory.SharedState || copyset != 1<<1|1<<2 {
+		t.Errorf("directory after the read: %v copyset %b, want Shared with nodes 1 and 2", state, copyset)
 	}
 }
 

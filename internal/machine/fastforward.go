@@ -12,11 +12,11 @@ import (
 //
 // This is the simulator's dominant regime — the paper's workloads hit the L1
 // on the vast majority of references — and such a reference is fully
-// determined by local state: it consumes Think + L1HitCycles cycles, bumps
-// three per-node counters, and (for a write) sets the line's dirty bit. None
-// of that is visible to any other node, no shared resource is occupied, and
-// no event is scheduled, so a run of k such references can be applied in one
-// pass without consulting the event queue.
+// determined by local state: it consumes Think + L1HitCycles cycles and
+// bumps three per-node counters. None of that is visible to any other node,
+// no shared resource is occupied, and no event is scheduled, so a run of k
+// such references can be applied in one pass without consulting the event
+// queue.
 //
 // Exactness argument, per reference, against the slow path in runNode/access:
 //
@@ -24,11 +24,10 @@ import (
 //     before every reference; the inner loop here checks the same pair with
 //     the same pre-think `now`, so fast-forward stops exactly where the slow
 //     loop would have stopped issuing.
-//   - L1 outcome: cache.L1.Lookup is time-independent. On a hit its only
-//     side effect is setting dirty for writes — identical on both paths. On
-//     a miss it has no side effect at all, so probing it here and replaying
-//     the same reference through access (via the Pending/Skip contract:
-//     unconsumed refs stay in the chunk) is equivalent to calling it once.
+//   - L1 outcome: cache.L1.Lookup is time-independent and has no side
+//     effect, so probing it here and replaying a missing reference through
+//     access (via the Pending/Skip contract: unconsumed refs stay in the
+//     chunk) is equivalent to calling it once.
 //   - Accounting: the slow hit path does Time[UInstr]+=Think, now+=Think,
 //     Shared/PrivateRefs++, L1Hits++, Time[UShMem|ULcMem]+=L1HitCycles,
 //     now+=L1HitCycles. The deltas accumulated below are those exact sums.
@@ -145,14 +144,9 @@ type walkMemo struct {
 //     shared or private ref — the walk never crosses a region boundary —
 //     think to UInstr, L1HitCycles to UShMem or ULcMem), so k references
 //     add k times each.
-//   - Dirty bits: a write hit marks its line dirty, and dirty bits decide
-//     writeback traffic and flush cost. The closed form marks nothing,
-//     because in this L1 a valid writable line is already dirty (Insert
-//     sets both bits from the fill's write; every invalidation, flush and
-//     downgrade clears both), and a write hit needs a writable line. So
-//     every mark the skipped references would make is a no-op.
-//     cache.TestL1WritableImpliesDirty pins that invariant; an L1 state
-//     that breaks it (a clean exclusive line) fails that test first.
+//   - Writebacks: a write hit needs a writable line, and in this L1 a
+//     writable line is the dirty one, so no hit changes what later
+//     evictions and flushes write back (cache.TestL1WritableImpliesDirty).
 //   - Stream: AdvanceWalk leaves the decode cursor where decoding the k
 //     references would have; the window stays empty, so the next refill
 //     decodes from there.
@@ -224,7 +218,7 @@ func (nd *node) verifyWalk(w *workload.Walk) bool {
 	// walk that does not verify (a cold first pass, a tile larger than the
 	// L1) usually fails on the first probe.
 	for c, j := int64(0), w.I; c < w.Count; c++ {
-		if !nd.l1.Probe(addr.LineOf(first+addr.GVA(j*w.Stride)), w.Write(j)) {
+		if !nd.l1.Lookup(addr.LineOf(first+addr.GVA(j*w.Stride)), w.Write(j)) {
 			return false
 		}
 		if j++; j == w.Count {

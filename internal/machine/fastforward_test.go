@@ -37,7 +37,7 @@ func runStats(t *testing.T, cfg Config, gen workload.Generator) []byte {
 // generator's chunk-compiled streams (fast-forward and closed-form walk
 // skipping active) and once from a recorded trace whose streams are not
 // Chunked (interpretive path only) — and requires byte-identical
-// statistics, on the sequential loop and on the parallel core. Quantum 1
+// statistics. Quantum 1
 // stops fast-forward at every reference (each one straddles the deadline);
 // quantum 3 lands boundaries mid-chunk at awkward phases; the default
 // quantum exercises long hit runs; quanta 1000 and 5000 cover whole walk
@@ -75,12 +75,9 @@ func TestFastForwardExactness(t *testing.T) {
 				for _, q := range quanta {
 					cfg := Config{Arch: arch, Pressure: 50, Quantum: q, MaxCycles: 1 << 40}
 					slow := runStats(t, cfg, trace)
-					for _, cores := range []int{1, 2} {
-						cfg.Cores = cores
-						if fast := runStats(t, cfg, gen); !bytes.Equal(fast, slow) {
-							t.Errorf("%s/%v quantum=%d cores=%d: fast-forward stats diverge from interpretive run\nfast: %s\nslow: %s",
-								name, arch, q, cores, fast, slow)
-						}
+					if fast := runStats(t, cfg, gen); !bytes.Equal(fast, slow) {
+						t.Errorf("%s/%v quantum=%d: fast-forward stats diverge from interpretive run\nfast: %s\nslow: %s",
+							name, arch, q, fast, slow)
 					}
 				}
 			}
@@ -91,11 +88,8 @@ func TestFastForwardExactness(t *testing.T) {
 			for _, q := range []int64{100, 1000} {
 				cfg := Config{Arch: params.ASCOMA, Pressure: 50, Params: p, Quantum: q, MaxCycles: 1 << 40}
 				slow := runStats(t, cfg, trace)
-				for _, cores := range []int{1, 2} {
-					cfg.Cores = cores
-					if fast := runStats(t, cfg, gen); !bytes.Equal(fast, slow) {
-						t.Errorf("%s daemon-interval=7 quantum=%d cores=%d: fast-forward stats diverge from interpretive run", name, q, cores)
-					}
+				if fast := runStats(t, cfg, gen); !bytes.Equal(fast, slow) {
+					t.Errorf("%s daemon-interval=7 quantum=%d: fast-forward stats diverge from interpretive run", name, q)
 				}
 			}
 		})

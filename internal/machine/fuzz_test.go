@@ -11,20 +11,20 @@ import (
 
 // FuzzWalkSkip is the closed-form walk skip's differential check: for any
 // walk geometry — size, stride (sub-line too), passes, write period, op,
-// think (zero and negative too), private or shared base — on any quantum,
-// core count and architecture, a run from the generator (where verified
+// think (zero and negative too), private or shared base — on any quantum
+// and architecture, a run from the generator (where verified
 // walks are skipped in closed form) must produce the same statistics as
 // the run of its recorded trace (interpretive path only). Both nodes walk
 // the same shape; on a shared base both walk node 0's section, so node 0's
 // home accesses and node 1's remote ones invalidate and downgrade each
 // other's L1 lines mid-walk.
 func FuzzWalkSkip(f *testing.F) {
-	f.Add(uint16(4096), uint16(32), uint8(16), uint8(4), false, int8(2), false, uint16(1000), uint8(1), uint8(2))
-	f.Add(uint16(2048), uint16(8), uint8(40), uint8(3), false, int8(0), false, uint16(5000), uint8(0), uint8(4))
-	f.Add(uint16(1024), uint16(32), uint8(30), uint8(0), true, int8(0), true, uint16(1000), uint8(1), uint8(0))
-	f.Add(uint16(512), uint16(4), uint8(25), uint8(0), false, int8(1), true, uint16(3), uint8(1), uint8(2))
-	f.Add(uint16(64), uint16(64), uint8(200), uint8(1), false, int8(-5), false, uint16(97), uint8(0), uint8(1))
-	f.Fuzz(func(t *testing.T, size, stride uint16, passes, wEvery uint8, write bool, think int8, shared bool, quantum uint16, cores, arch uint8) {
+	f.Add(uint16(4096), uint16(32), uint8(16), uint8(4), false, int8(2), false, uint16(1000), uint8(2))
+	f.Add(uint16(2048), uint16(8), uint8(40), uint8(3), false, int8(0), false, uint16(5000), uint8(4))
+	f.Add(uint16(1024), uint16(32), uint8(30), uint8(0), true, int8(0), true, uint16(1000), uint8(0))
+	f.Add(uint16(512), uint16(4), uint8(25), uint8(0), false, int8(1), true, uint16(3), uint8(2))
+	f.Add(uint16(64), uint16(64), uint8(200), uint8(1), false, int8(-5), false, uint16(97), uint8(1))
+	f.Fuzz(func(t *testing.T, size, stride uint16, passes, wEvery uint8, write bool, think int8, shared bool, quantum uint16, arch uint8) {
 		const pages = 4
 		gen := newProbe(2, pages)
 		gen.priv = pages
@@ -52,7 +52,6 @@ func FuzzWalkSkip(f *testing.F) {
 			MaxCycles: 1 << 40,
 		}
 		slow := runStats(t, cfg, workload.Record(gen))
-		cfg.Cores = 1 + int(cores)%2
 		if fast := runStats(t, cfg, gen); !bytes.Equal(fast, slow) {
 			t.Fatalf("%+v: generator stats diverge from the trace's\nfast: %s\nslow: %s", cfg, fast, slow)
 		}

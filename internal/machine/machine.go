@@ -52,13 +52,7 @@ type Config struct {
 	// standard policy for Arch). Used by the ablation benchmarks to run
 	// AS-COMA variants.
 	PolicyFactory func(arch params.Arch, p *params.Params) core.Policy
-	// Cores is the number of worker threads driving the event loop (see
-	// internal/machine/parallel.go). Values < 2 — and any run with the
-	// coherence checker attached or a single-node workload — use the
-	// sequential loop. Results are bit-identical at every value: the
-	// parallel core only precomputes node-local work and commits it in the
-	// sequential dispatch order, so Cores is a host-performance knob, never
-	// a simulation parameter.
+	// Deprecated: runs are sequential; ignored.
 	Cores int
 	// CheckCoherence enables the version-shadowing coherence checker:
 	// every locally satisfied access is validated against the block's
@@ -93,8 +87,6 @@ type Sample struct {
 // touches the scheduling flags, the chunk window, and the stats pointer on
 // every event, so they share the node's leading cache lines; the ~1 KB TLB
 // array sits last.
-//
-//ascoma:par-commit-state
 type node struct {
 	// blocked is the node's scheduling state as a bitmask (see ndDone etc.):
 	// runNode's entry check — taken once per event — tests one byte instead
@@ -111,13 +103,8 @@ type node struct {
 	// invGen counts mutations of this node's L1 that can change a hit
 	// outcome: cross-node ones (invalidation and downgrade callbacks, the
 	// home bus snoop, migration flushes) and the node's own fills and page
-	// flushes (l1Fill, relocate, evict). Dirty marking on a write hit is
-	// not counted: it changes no line's tag, valid or writable bit. The
-	// parallel core captures invGen when arming a lookahead scan and
-	// discards the precompute if it moved by commit time (see parallel.go;
-	// the node's own bumps never do that, because they happen only in
-	// inline code after its last armed segment). The closed-form walk skip
-	// keys its verification on it (see walkMemo).
+	// flushes (l1Fill, relocate, evict). Hits change no line's state. The
+	// closed-form walk skip keys its verification on it (see walkMemo).
 	invGen uint32
 
 	nextDaemon int64
@@ -179,8 +166,6 @@ func (nd *node) refillWindow() []workload.Ref {
 }
 
 // Machine is one configured simulation.
-//
-//ascoma:par-commit-state reads-ok
 type Machine struct {
 	cfg   Config
 	p     *params.Params
@@ -197,14 +182,6 @@ type Machine struct {
 	maxCycles  int64
 	sampleIntv int64
 	epochIntv  int64
-
-	// par is the parallel simulation core, non-nil only while RunContext's
-	// parallel branch is driving the run (see parallel.go).
-	par *parCore
-	// parEntries is the core's per-node state, kept across the runs of a
-	// pooled machine: startPar reuses its write-mark buffers and L1
-	// snapshots (about 1 MB at 16 nodes) instead of allocating them per run.
-	parEntries []parEntry
 
 	// Observability instruments (nil when Config.Obs is unset). rec is
 	// shared with the per-node VMs and the directory, which emit through
@@ -237,21 +214,6 @@ type Machine struct {
 	samples    []Sample
 	nextSample int64
 	nextEpoch  int64
-
-	// Remote-fetch latency accounting for capacity analysis (DebugFetch).
-	fetchCount int64
-	fetchTotal int64
-	fwdCount   int64
-	invCount   int64
-}
-
-// DebugFetchStats returns the count and mean latency of remote fetches and
-// how many were three-hop forwards or carried invalidation delays.
-func (m *Machine) DebugFetchStats() (count int64, mean float64, forwards, withInvals int64) {
-	if m.fetchCount > 0 {
-		mean = float64(m.fetchTotal) / float64(m.fetchCount)
-	}
-	return m.fetchCount, mean, m.fwdCount, m.invCount
 }
 
 // New builds a machine for the given workload. The workload's node count
@@ -484,7 +446,7 @@ func (m *Machine) onInvalidate(nodeID int, b addr.Block) {
 	// Bump the generation only when the L1 actually lost lines: the copyset
 	// tracks RAC and S-COMA caching too, so the tiny L1 has usually evicted
 	// the block long before an invalidation arrives, and an untouched L1
-	// leaves every armed lookahead probe valid (see parallel.go).
+	// leaves the node's walk memo valid.
 	if nd.l1.InvalidateBlock(b) > 0 {
 		nd.invGen++
 	}
@@ -511,7 +473,7 @@ func (m *Machine) onWriteback(nodeID int, b addr.Block, invalidate bool) {
 	}
 	nd := m.nodes[nodeID]
 	// As in onInvalidate: only a real downgrade of live L1 lines can
-	// perturb an armed lookahead probe.
+	// change a hit outcome.
 	if nd.l1.CleanBlock(b) > 0 {
 		nd.invGen++
 	}
@@ -544,18 +506,7 @@ func (m *Machine) RunContext(ctx context.Context) (*stats.Machine, error) {
 	for i := range m.nodes {
 		m.q.Push(sim.Event{Time: 0, Node: int32(i)})
 	}
-	if m.cfg.Cores > 1 && m.checker == nil && len(m.nodes) > 1 {
-		// The parallel core: identical pop order, poll cadence, and abort
-		// semantics, with node-local work precomputed between dispatches
-		// (see parallel.go). The coherence checker needs its per-hit hooks
-		// on live state, so a checked run stays sequential — exactly as it
-		// already forces the interpretive path over fast-forward.
-		m.startPar(m.cfg.Cores)
-		m.runLoopParallel(ctx)
-		m.stopPar()
-	} else {
-		m.runLoop(ctx)
-	}
+	m.runLoop(ctx)
 	if m.aborted != nil {
 		return nil, m.aborted
 	}
@@ -571,7 +522,7 @@ func (m *Machine) RunContext(ctx context.Context) (*stats.Machine, error) {
 	return m.st, nil
 }
 
-// runLoop is the sequential event loop: pop, poll, bound, dispatch.
+// runLoop is the event loop: pop, poll, bound, dispatch.
 func (m *Machine) runLoop(ctx context.Context) {
 	poll := 0
 	for m.aborted == nil {
@@ -610,13 +561,6 @@ func (m *Machine) runNode(nd *node, now int64) {
 		m.takeEpoch(now)
 	}
 	deadline := now + m.quantum
-	if m.par != nil {
-		// Consume this dispatch's precomputed fast-forward segment, if one
-		// is armed and still valid (see parallel.go). A full segment lands
-		// at or past the deadline and the loop below just reschedules; a
-		// partial one resumes inline from the exact stopping state.
-		now = m.par.apply(nd, now)
-	}
 	for now < deadline {
 		if now >= nd.nextDaemon {
 			now += m.runDaemon(nd, now)
@@ -1022,14 +966,6 @@ func (m *Machine) remoteFetch(nd *node, pte *vm.PTE, b addr.Block, write, haveDa
 	}
 	t += p.DSMProcCycles // requester's DSM engine stages the reply
 	t = nd.bus.Acquire(t, p.BusCycles)
-	m.fetchCount++
-	m.fetchTotal += t + p.L1HitCycles - now
-	if res.Forwarded {
-		m.fwdCount++
-	}
-	if m.invDelay > 0 {
-		m.invCount++
-	}
 	return t + p.L1HitCycles, res
 }
 

@@ -69,26 +69,6 @@ func (n *Net) Latency(from, to int) sim.Time {
 	return n.lat[from*n.nodes+to]
 }
 
-// MinRemoteLatency returns the smallest uncontended one-way latency between
-// two distinct nodes — the conservative-PDES lookahead bound: no action a
-// node takes at time t can become visible to any other node before
-// t + MinRemoteLatency() + the destination port occupancy. A single-node
-// machine has no remote pairs and returns 0.
-func (n *Net) MinRemoteLatency() sim.Time {
-	var min sim.Time
-	for from := 0; from < n.nodes; from++ {
-		for to := 0; to < n.nodes; to++ {
-			if from == to {
-				continue
-			}
-			if l := n.lat[from*n.nodes+to]; min == 0 || l < min {
-				min = l
-			}
-		}
-	}
-	return min
-}
-
 // Send delivers a message from node `from` to node `to`, leaving at time t.
 // The destination input port serializes arrivals. The returned time is when
 // the message is available at the destination.

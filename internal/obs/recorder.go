@@ -132,7 +132,6 @@ func NewRecorder(capacity int) *Recorder {
 // the call site means a disabled run pays exactly one branch.
 //
 //ascoma:hotpath
-//ascoma:par-commit
 func (r *Recorder) Emit(kind Kind, node int, a, b uint32) {
 	r.buf[r.pos] = Event{Time: r.Clock, A: a, B: b, Kind: kind, Node: uint16(node)}
 	r.pos++

@@ -38,11 +38,6 @@ type Options struct {
 	// bounded by Jobs). Passing a shared Runner lets callers reuse its
 	// result cache across figures, tables, and server requests.
 	Runner *runcache.Runner
-	// Cores is the per-run worker count (ascoma.Config.Cores): values < 2
-	// leave every simulation on the sequential event loop. Results are
-	// bit-identical at any core count, so Cores composes freely with Jobs
-	// and never splits the result cache.
-	Cores int
 	// Tiers applies a tiered-memory configuration (ascoma.Config.Tiers) to
 	// every simulated cell, so any figure or table can be rendered under
 	// asymmetric memory. Nil keeps the default one tier.
@@ -139,7 +134,7 @@ func runGrid(ctx context.Context, app string, o Options) (map[runKey]*ascoma.Res
 	for i, k := range keys {
 		cells[i] = ascoma.Config{
 			Arch: k.arch, Workload: app, Pressure: k.pressure, Scale: o.Scale,
-			Cores: o.Cores, Tiers: o.Tiers, PagePolicy: o.PagePolicy,
+			Tiers: o.Tiers, PagePolicy: o.PagePolicy,
 		}
 	}
 	results := make(map[runKey]*ascoma.Result, len(keys))
@@ -258,7 +253,7 @@ func Table5(ctx context.Context, w io.Writer, apps []string, o Options) error {
 			return err
 		}
 		gens[i] = gen
-		cells[i] = ascoma.Config{Arch: ascoma.SCOMA, Workload: a, Pressure: 5, Scale: o.Scale, Cores: o.Cores}
+		cells[i] = ascoma.Config{Arch: ascoma.SCOMA, Workload: a, Pressure: 5, Scale: o.Scale}
 	}
 	results, err := o.Runner.RunAll(ctx, cells, nil)
 	if err != nil {
@@ -284,7 +279,7 @@ func Table6(ctx context.Context, w io.Writer, apps []string, o Options) error {
 	o = o.withDefaults()
 	cells := make([]ascoma.Config, len(apps))
 	for i, a := range apps {
-		cells[i] = ascoma.Config{Arch: ascoma.CCNUMA, Workload: a, Pressure: 10, Scale: o.Scale, Cores: o.Cores}
+		cells[i] = ascoma.Config{Arch: ascoma.CCNUMA, Workload: a, Pressure: 10, Scale: o.Scale}
 	}
 	results, err := o.Runner.RunAll(ctx, cells, nil)
 	if err != nil {

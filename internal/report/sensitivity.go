@@ -18,7 +18,7 @@ import (
 func SensitivityThreshold(ctx context.Context, w io.Writer, o Options) error {
 	o = o.withDefaults()
 	const app, pressure = "radix", 70
-	base, err := o.Runner.Run(ctx, ascoma.Config{Arch: ascoma.CCNUMA, Workload: app, Pressure: pressure, Scale: o.Scale, Cores: o.Cores})
+	base, err := o.Runner.Run(ctx, ascoma.Config{Arch: ascoma.CCNUMA, Workload: app, Pressure: pressure, Scale: o.Scale})
 	if err != nil {
 		return err
 	}
@@ -28,7 +28,7 @@ func SensitivityThreshold(ctx context.Context, w io.Writer, o Options) error {
 		p.RefetchThreshold = th
 		row := []interface{}{th}
 		for _, arch := range []ascoma.Arch{ascoma.RNUMA, ascoma.ASCOMA} {
-			res, err := o.Runner.Run(ctx, ascoma.Config{Arch: arch, Workload: app, Pressure: pressure, Scale: o.Scale, Params: p, Cores: o.Cores})
+			res, err := o.Runner.Run(ctx, ascoma.Config{Arch: arch, Workload: app, Pressure: pressure, Scale: o.Scale, Params: p})
 			if err != nil {
 				return err
 			}
@@ -57,7 +57,7 @@ func SensitivityRAC(ctx context.Context, w io.Writer, o Options) error {
 	for _, entries := range []int{0, 1, 2, 4, 16} {
 		p := ascoma.DefaultParams()
 		p.RACEntries = entries
-		res, err := o.Runner.Run(ctx, ascoma.Config{Arch: ascoma.CCNUMA, Workload: app, Pressure: pressure, Scale: o.Scale, Params: p, Cores: o.Cores})
+		res, err := o.Runner.Run(ctx, ascoma.Config{Arch: ascoma.CCNUMA, Workload: app, Pressure: pressure, Scale: o.Scale, Params: p})
 		if err != nil {
 			return err
 		}
@@ -84,12 +84,12 @@ func SensitivityNodes(ctx context.Context, w io.Writer, o Options) error {
 	o = o.withDefaults()
 	t := &stats.Table{Header: []string{"nodes", "CC-NUMA exec", "AS-COMA exec", "AS-COMA rel", "remote misses saved"}}
 	for _, nodes := range []int{4, 8, 16, 32} {
-		base, err := o.Runner.RunGenerator(ctx, ascoma.Config{Arch: ascoma.CCNUMA, Pressure: 50, Cores: o.Cores},
+		base, err := o.Runner.RunGenerator(ctx, ascoma.Config{Arch: ascoma.CCNUMA, Pressure: 50},
 			workload.NewHotColdN(nodes, o.Scale))
 		if err != nil {
 			return err
 		}
-		res, err := o.Runner.RunGenerator(ctx, ascoma.Config{Arch: ascoma.ASCOMA, Pressure: 50, Cores: o.Cores},
+		res, err := o.Runner.RunGenerator(ctx, ascoma.Config{Arch: ascoma.ASCOMA, Pressure: 50},
 			workload.NewHotColdN(nodes, o.Scale))
 		if err != nil {
 			return err

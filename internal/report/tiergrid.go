@@ -106,7 +106,7 @@ func TierGrid(ctx context.Context, w io.Writer, app string, shares, asyms []int,
 	}
 	cfgs := make([]ascoma.Config, len(cells))
 	for i, c := range cells {
-		cfgs[i] = ascoma.Config{Arch: c.arch, Workload: app, Pressure: c.pressure, Scale: o.Scale, Cores: o.Cores}
+		cfgs[i] = ascoma.Config{Arch: c.arch, Workload: app, Pressure: c.pressure, Scale: o.Scale}
 		if c.share > 0 {
 			cfgs[i].Tiers = TierSpecsFor(c.share, c.asym)
 			cfgs[i].PagePolicy = pol

@@ -21,7 +21,7 @@ import (
 // returns its base URL.
 func benchServer(b *testing.B) string {
 	b.Helper()
-	s := New(Config{Cache: runcache.NewWithBackends(64), Jobs: 2, Cores: 1, Timeout: time.Minute})
+	s := New(Config{Cache: runcache.NewWithBackends(64), Jobs: 2, Timeout: time.Minute})
 	ts := httptest.NewServer(s.Handler())
 	b.Cleanup(func() { ts.Close(); s.Close() })
 	return ts.URL

@@ -44,7 +44,7 @@ func FuzzDecodeSpecs(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var run jobs.RunSpec
 		if decodeSpec(bytes.NewReader(body), &run) == nil {
-			if _, err := run.Config(1); err != nil && !jobs.IsValidation(err) {
+			if _, err := run.Config(); err != nil && !jobs.IsValidation(err) {
 				t.Errorf("RunSpec.Config: non-validation error %v", err)
 			}
 		}

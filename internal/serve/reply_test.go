@@ -94,7 +94,7 @@ func runSpecBody(arch string, pressure int) string {
 }
 
 func runCfg(arch ascoma.Arch, pressure int) ascoma.Config {
-	return ascoma.Config{Arch: arch, Workload: "uniform", Pressure: pressure, Scale: 32, SampleInterval: 20000, Cores: 1}
+	return ascoma.Config{Arch: arch, Workload: "uniform", Pressure: pressure, Scale: 32, SampleInterval: 20000}
 }
 
 func TestRunReplyRepeatIdentical(t *testing.T) {

@@ -42,7 +42,7 @@ type Config struct {
 	Cache *runcache.Cache
 	// Jobs bounds concurrent simulations (< 1 = NumCPU).
 	Jobs int
-	// Cores is the per-simulation worker count (see ascoma.Config.Cores).
+	// Deprecated: runs are sequential; ignored.
 	Cores int
 	// Timeout bounds each synchronous request's simulation work.
 	Timeout time.Duration
@@ -61,7 +61,6 @@ type Server struct {
 	cache   *runcache.Cache
 	mgr     *jobs.Manager
 	timeout time.Duration
-	cores   int
 	pprofOn bool
 
 	reg        *obs.Registry
@@ -78,15 +77,12 @@ type Server struct {
 // New builds a Server over cfg.
 func New(cfg Config) *Server {
 	runner := &runcache.Runner{Cache: cfg.Cache, Jobs: cfg.Jobs}
-	jo := cfg.JobOpts
-	jo.Cores = cfg.Cores
 	reg := obs.NewRegistry()
 	s := &Server{
 		runner:  runner,
 		cache:   cfg.Cache,
-		mgr:     jobs.NewManager(runner, jo),
+		mgr:     jobs.NewManager(runner, cfg.JobOpts),
 		timeout: cfg.Timeout,
-		cores:   cfg.Cores,
 		pprofOn: cfg.Pprof,
 		reg:     reg,
 		archRuns: reg.NewCounterVec("ascoma_requests_total",
@@ -218,7 +214,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "epochInterval requires the async jobs endpoint (POST /api/v1/jobs)", http.StatusBadRequest)
 		return
 	}
-	cfg, err := spec.Config(s.cores)
+	cfg, err := spec.Config()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -354,7 +350,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		}
 		fig.Pressures = plist
 	}
-	opts, err := fig.ReportOptions(s.runner, s.cores)
+	opts, err := fig.ReportOptions(s.runner)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

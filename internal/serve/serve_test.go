@@ -21,7 +21,6 @@ func newTestServer(t *testing.T, opts ...func(*Config)) (*Server, *httptest.Serv
 	cfg := Config{
 		Cache:   runcache.NewWithBackends(64),
 		Jobs:    4,
-		Cores:   1,
 		Timeout: time.Minute,
 	}
 	for _, o := range opts {
@@ -555,7 +554,7 @@ func TestSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke covered by endpoint tests")
 	}
-	s := New(Config{Cache: runcache.NewWithBackends(64), Jobs: 4, Cores: 1, Timeout: time.Minute})
+	s := New(Config{Cache: runcache.NewWithBackends(64), Jobs: 4, Timeout: time.Minute})
 	if err := Smoke(s); err != nil {
 		t.Fatal(err)
 	}

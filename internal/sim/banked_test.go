@@ -3,10 +3,10 @@ package sim
 // Banked.Init aliases b.banks to the struct's own inline array for small
 // bank counts, which makes an initialized Banked a must-not-copy value: a
 // copy's banks slice still points into the *original's* storage. The
-// parallel core recycles scratch state through sync.Pools from multiple
-// goroutines, so these tests pin the aliasing contract and prove that
-// re-Init on a recycled value always lands on the value's own storage with
-// fully reset banks.
+// machine arena recycles released machines, banks included, through a
+// sync.Pool shared by concurrent runs, so these tests pin the aliasing
+// contract and prove that re-Init on a recycled value always lands on the
+// value's own storage with fully reset banks.
 
 import (
 	"sync"
@@ -58,7 +58,7 @@ func TestBankedCopyHazard(t *testing.T) {
 }
 
 // TestBankedPoolRecycle drives Banked values through a sync.Pool from many
-// goroutines, the way the parallel core recycles per-entry scratch state.
+// goroutines, the way the machine arena recycles released machines.
 // Every Get must come back (after Init) with banks anchored to the
 // recycled value's own inline array and every bank idle, regardless of
 // what the previous owner did or which goroutine that was.

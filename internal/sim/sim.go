@@ -105,13 +105,6 @@ func (q *Queue) Peek() (e Event, ok bool) {
 // Len returns the number of pending events.
 func (q *Queue) Len() int { return q.n }
 
-// At returns the i-th pending event in dispatch order (0 == the event Peek
-// returns) without removing it. The parallel core's arming pass snapshots
-// the queue through it. i must be in [0, Len()).
-func (q *Queue) At(i int) Event {
-	return q.ring[(q.head+i)&(len(q.ring)-1)]
-}
-
 // Reset empties the queue, retaining its storage — a recycled queue
 // schedules events in exactly the order a fresh one would.
 func (q *Queue) Reset() {

@@ -232,40 +232,6 @@ func (s *Compiled) AdvanceWalk(k int64) {
 	}
 }
 
-// Window returns the undelivered references of the current chunk without
-// refilling an exhausted one (Pending minus the refill). The parallel core
-// uses it to restore a node's borrowed chunk window after a stream swap:
-// an empty window is indistinguishable from an exhausted chunk, and the
-// next Pending call refills as usual.
-func (s *Compiled) Window() []Ref { return s.buf[s.pos:s.n] }
-
-// CopyStateFrom makes dst an independent continuation of src with the first
-// skip undelivered references already consumed: same program, same decode
-// cursor, and the remaining pending references rebased to the front of
-// dst's buffer. Rebasing is invisible to consumers — Pending/Skip/Next
-// expose only the undelivered suffix, never buffer offsets — so a copy
-// delivers exactly the references src would have delivered. The parallel
-// core's lookahead scan runs on such copies so a discarded precompute
-// leaves the live stream untouched.
-func (dst *Compiled) CopyStateFrom(src *Compiled, skip int) {
-	dst.prog = src.prog
-	dst.pc, dst.pass, dst.i, dst.runOff = src.pc, src.pass, src.i, src.runOff
-	dst.rnd = src.rnd
-	dst.pos = 0
-	dst.n = copy(dst.buf[:], src.buf[src.pos+skip:src.n])
-}
-
-// Scratch checks an unbound Compiled out of the chunk pool for use as a
-// CopyStateFrom destination. Return it with Recycle.
-func Scratch() *Compiled {
-	s := compiledPool.Get().(*Compiled)
-	s.prog = nil
-	s.pc, s.pass, s.i, s.runOff = 0, 0, 0, 0
-	s.rnd = rng{}
-	s.pos, s.n = 0, 0
-	return s
-}
-
 // refill decodes the next chunk of references into the buffer. The decode
 // loops write into the stream's fixed chunk array; nothing here may
 // allocate (ascoma-vet enforces it).

@@ -248,9 +248,9 @@ func (m *Mismatch) Stream(node int) Stream { return m.progs[node].Stream() }
 // communication-heavy phases, so none of the existing generators exercises
 // the opposite regime — the L1-hit-dominated stretches where an
 // execution-driven simulator spends its host time in reference
-// interpretation rather than event processing. That regime is exactly what
-// the parallel simulation core's epoch-window lookahead accelerates (see
-// internal/machine/parallel.go), making this the scaling benchmark's
+// interpretation rather than event processing. That regime is what
+// fast-forward and the closed-form walk skip accelerate (see
+// internal/machine/fastforward.go), making this BenchmarkResident's
 // workload; it also pins down the fast-forward path's statistics under a
 // near-100% hit rate.
 type Resident struct {

@@ -1,10 +1,10 @@
 package ascoma
 
 // Tiered-memory end-to-end pins: asymmetric tiers and row-buffer policies
-// must be exactly as deterministic as the flat model — run to run and
-// across core counts — and the placement machinery (fast-first allocation,
-// daemon demotion, hot promotion, row-buffer hits) must actually fire on a
-// pressured configuration, not just sit behind dead flags.
+// must be exactly as deterministic as the flat model, run to run, and the
+// placement machinery (fast-first allocation, daemon demotion, hot
+// promotion, row-buffer hits) must actually fire on a pressured
+// configuration, not just sit behind dead flags.
 
 import (
 	"bytes"
@@ -13,7 +13,7 @@ import (
 	"ascoma/internal/obs"
 )
 
-func tieredConfig(cores int) Config {
+func tieredConfig() Config {
 	return Config{
 		Arch:     ASCOMA,
 		Workload: "radix",
@@ -24,16 +24,15 @@ func tieredConfig(cores int) Config {
 			{CapacityPct: 70, ReadCycles: 120, WriteCycles: 300},
 		},
 		PagePolicy: "hybrid",
-		Cores:      cores,
 	}
 }
 
 func TestTieredDeterminism(t *testing.T) {
-	a, err := Run(tieredConfig(0))
+	a, err := Run(tieredConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(tieredConfig(0))
+	b, err := Run(tieredConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,30 +41,14 @@ func TestTieredDeterminism(t *testing.T) {
 	}
 }
 
-func TestTieredCoresBitIdentical(t *testing.T) {
-	want := ""
-	for _, cores := range []int{1, 2, 4} {
-		res, err := Run(tieredConfig(cores))
-		if err != nil {
-			t.Fatalf("cores=%d: %v", cores, err)
-		}
-		sum := statsChecksum(t, res)
-		if want == "" {
-			want = sum
-		} else if sum != want {
-			t.Fatalf("cores=%d diverged: %s vs %s", cores, sum, want)
-		}
-	}
-}
-
 func TestTieredSlowTierCostsTime(t *testing.T) {
-	flat := tieredConfig(0)
+	flat := tieredConfig()
 	flat.Tiers, flat.PagePolicy = nil, ""
 	fres, err := Run(flat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tres, err := Run(tieredConfig(0))
+	tres, err := Run(tieredConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +60,7 @@ func TestTieredSlowTierCostsTime(t *testing.T) {
 }
 
 func TestTieredAdaptationFires(t *testing.T) {
-	cfg := tieredConfig(0)
+	cfg := tieredConfig()
 	// The fast tier must exceed the resident home set (70% of pages at
 	// this pressure) or it is permanently full of home pages and no
 	// S-COMA page can ever sit in — or move through — it.
@@ -129,14 +112,14 @@ func TestTieredAdaptationFires(t *testing.T) {
 }
 
 func TestPagePolicyWithoutTiers(t *testing.T) {
-	cfg := tieredConfig(0)
+	cfg := tieredConfig()
 	cfg.Tiers = nil
 	cfg.PagePolicy = "open"
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat := tieredConfig(0)
+	flat := tieredConfig()
 	flat.Tiers, flat.PagePolicy = nil, ""
 	fres, err := Run(flat)
 	if err != nil {
@@ -150,12 +133,12 @@ func TestPagePolicyWithoutTiers(t *testing.T) {
 }
 
 func TestBadTierConfigRejected(t *testing.T) {
-	cfg := tieredConfig(0)
+	cfg := tieredConfig()
 	cfg.Tiers = []TierSpec{{CapacityPct: 50, ReadCycles: 40, WriteCycles: 60}}
 	if _, err := Run(cfg); err == nil {
 		t.Error("capacities summing to 50% accepted")
 	}
-	cfg = tieredConfig(0)
+	cfg = tieredConfig()
 	cfg.PagePolicy = "lru"
 	if _, err := Run(cfg); err == nil {
 		t.Error("unknown page policy accepted")
