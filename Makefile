@@ -1,6 +1,7 @@
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: all build test verify vet bench race fuzz-smoke clean serve-smoke trace-check model-check e2e perfbench-test
+.PHONY: all build test verify vet fmt-check bench race fuzz-smoke clean serve-smoke trace-check model-check e2e perfbench-test
 
 all: build
 
@@ -36,6 +37,15 @@ vet:
 	$(GO) vet ./...
 	$(GO) build -o .bin/ascoma-vet ./cmd/ascoma-vet
 	.bin/ascoma-vet ./...
+
+# fmt-check fails when a Go file is not gofmt-formatted, and when gofmt
+# itself fails (not on PATH, or a file it cannot parse). The analyzer
+# corpora under testdata/ are left out: their layout is part of what
+# their `want` comments pin. Build output directories are skipped too.
+fmt-check:
+	@out=$$(find . \( -name testdata -o -name .bench_build -o -name .bin -o -name .git \) -prune \
+		-o -name '*.go' -print | xargs $(GOFMT) -l) || { echo "fmt-check: gofmt failed"; exit 1; }; \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # perfbench-test vets and tests the benchmark (perfbench/, a module of its
 # own that replaces ascoma with the parent directory). go build ./... and
@@ -80,11 +90,11 @@ trace-check:
 model-check:
 	$(GO) test -run '^TestModelCheck$$' -count=1 -v ./internal/estimate/
 
-# verify is the pre-commit gate: vet (stock + ascoma-vet), build, the full
-# test suite (including the golden determinism test), a short race-detector
-# smoke over the internal packages, the estimator accuracy gate, the
-# trace-determinism check, and the server smoke test.
-verify: vet
+# verify is the pre-commit gate: the gofmt check, vet (stock + ascoma-vet),
+# build, the full test suite (including the golden determinism test), a
+# short race-detector smoke over the internal packages, the estimator
+# accuracy gate, the trace-determinism check, and the server smoke test.
+verify: fmt-check vet
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -race -short ./internal/...

@@ -13,6 +13,8 @@
 // *T pointers across inserts.
 package dense
 
+import "math/bits"
+
 // chunkShift sets the chunk granularity: 512 entries per chunk keeps the
 // per-chunk allocation modest for fat entry types (the directory's per-page
 // entry is ~1 KB) while covering a node's whole private region in a few
@@ -23,66 +25,96 @@ const (
 	chunkMask  = chunkSize - 1
 )
 
+// chunk is one allocation of chunkSize entries plus the mark set of the
+// entries GetOrCreate has handed out since the last Reset. The marks live
+// inside the chunk allocation, so a table's sparse chunk directory stays
+// one pointer per slot.
+type chunk[T any] struct {
+	marks  [chunkSize / 64]uint64
+	listed bool // on the table's used list
+	e      [chunkSize]T
+}
+
 // Table is a sparse array of T keyed by a non-negative dense index. The zero
 // value is an empty table.
 type Table[T any] struct {
-	chunks [][]T
+	chunks []*chunk[T]
+	used   []*chunk[T] // chunks holding a marked entry, in first-mark order
 }
 
 // Get returns the entry at index i, or nil when its chunk has never been
 // touched. The returned pointer aliases table storage: mutations through it
-// are visible to later calls, and the pointer stays valid forever.
+// are visible to later calls, and the pointer stays valid forever. Get
+// marks nothing, so callers must write only entries GetOrCreate handed out
+// since the last Reset: Reset clears those alone.
 func (t *Table[T]) Get(i int) *T {
 	c := i >> chunkShift
 	if c >= len(t.chunks) || t.chunks[c] == nil {
 		return nil
 	}
-	return &t.chunks[c][i&chunkMask]
+	return &t.chunks[c].e[i&chunkMask]
 }
 
 // GetOrCreate returns the entry at index i, allocating its chunk on first
-// touch. New entries are zero-valued.
+// touch, and marks it live until the next Reset. New entries are
+// zero-valued.
 func (t *Table[T]) GetOrCreate(i int) *T {
 	c := i >> chunkShift
 	if c >= len(t.chunks) {
 		//ascoma:allow-alloc chunk index grows once per new high-water chunk; steady state is a bounds check
-		grown := make([][]T, c+1)
+		grown := make([]*chunk[T], c+1)
 		copy(grown, t.chunks)
 		t.chunks = grown
 	}
-	if t.chunks[c] == nil {
+	ch := t.chunks[c]
+	if ch == nil {
 		//ascoma:allow-alloc each chunk materializes once on first touch; steady state is a nil check
-		t.chunks[c] = make([]T, chunkSize)
+		ch = new(chunk[T])
+		t.chunks[c] = ch
 	}
-	return &t.chunks[c][i&chunkMask]
+	j := i & chunkMask
+	if bit := uint64(1) << (j & 63); ch.marks[j>>6]&bit == 0 {
+		ch.marks[j>>6] |= bit
+		if !ch.listed {
+			ch.listed = true
+			//ascoma:allow-alloc the used list grows once per newly live chunk and is kept across Reset; steady state appends in place
+			t.used = append(t.used, ch)
+		}
+	}
+	return &ch.e[j]
 }
 
-// Reset zeroes every allocated chunk in place, retaining the chunk storage.
-// A recycled table serves the same index ranges without reallocating — the
-// point of the machine arena: back-to-back runs of the same configuration
-// pay a memclr instead of fresh chunk allocations and the GC traffic behind
-// them.
+// Reset zeroes the entries handed out since the last Reset, retaining the
+// chunk storage. A recycled table serves the same index ranges without
+// reallocating — the point of the machine arena — and pays only for the
+// entries the last run touched, not for every chunk the table has kept.
 func (t *Table[T]) Reset() {
 	var zero T
-	for _, chunk := range t.chunks {
-		for j := range chunk {
-			chunk[j] = zero
+	for _, ch := range t.used {
+		for w, m := range ch.marks {
+			for ; m != 0; m &= m - 1 {
+				ch.e[w<<6+bits.TrailingZeros64(m)] = zero
+			}
 		}
+		ch.marks = [chunkSize / 64]uint64{}
+		ch.listed = false
 	}
+	t.used = t.used[:0]
 }
 
-// Range calls f for every entry in every allocated chunk, in ascending index
-// order (zero-valued entries included — callers distinguish live entries by
-// their own presence marker). It stops early when f returns false.
+// Range calls f for every entry GetOrCreate has handed out since the last
+// Reset, in ascending index order. It stops early when f returns false.
 func (t *Table[T]) Range(f func(i int, v *T) bool) {
-	for c, chunk := range t.chunks {
-		if chunk == nil {
+	for c, ch := range t.chunks {
+		if ch == nil || !ch.listed {
 			continue
 		}
-		base := c << chunkShift
-		for j := range chunk {
-			if !f(base+j, &chunk[j]) {
-				return
+		for w, m := range ch.marks {
+			for ; m != 0; m &= m - 1 {
+				j := w<<6 + bits.TrailingZeros64(m)
+				if !f(c<<chunkShift+j, &ch.e[j]) {
+					return
+				}
 			}
 		}
 	}

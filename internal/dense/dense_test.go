@@ -1,6 +1,10 @@
 package dense
 
-import "testing"
+import (
+	"math/rand"
+	"sort"
+	"testing"
+)
 
 func TestGetMissingReturnsNil(t *testing.T) {
 	var tb Table[int]
@@ -67,5 +71,88 @@ func TestRangeOrderAndEarlyStop(t *testing.T) {
 	tb.Range(func(int, *int) bool { calls++; return false })
 	if calls != 1 {
 		t.Fatalf("Range ignored early stop: %d calls", calls)
+	}
+}
+
+// TestResetMatchesMapModel runs random GetOrCreate/Get/Reset sequences at
+// sparse indices against a map model of the live entries. Reset clears
+// only the entries handed out since the previous Reset, so the sequences
+// revisit chunks allocated before an earlier Reset: after every Reset each
+// Get must return nil or a zero entry and Range must see only zero
+// entries, and between Resets Range must visit exactly the live entries in
+// ascending order.
+func TestResetMatchesMapModel(t *testing.T) {
+	// Chunk numbers spread like a VM table's sparse page-index space.
+	chunks := []int{0, 1, 2, 7, 900, 1399}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var tb Table[uint64]
+		model := map[int]uint64{}
+		seen := map[int]bool{} // every index ever handed out
+		index := func() int {
+			c := chunks[rng.Intn(len(chunks))]
+			return c<<chunkShift + rng.Intn(chunkSize)
+		}
+		checkRange := func(step int) {
+			var got []int
+			tb.Range(func(i int, v *uint64) bool {
+				if *v != model[i] {
+					t.Fatalf("seed %d step %d: Range(%d) = %d, want %d", seed, step, i, *v, model[i])
+				}
+				got = append(got, i)
+				return true
+			})
+			want := make([]int, 0, len(model))
+			for i := range model {
+				want = append(want, i)
+			}
+			sort.Ints(want)
+			if len(got) != len(want) {
+				t.Fatalf("seed %d step %d: Range visited %d entries, want %d", seed, step, len(got), len(want))
+			}
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("seed %d step %d: Range visited %v, want %v", seed, step, got, want)
+				}
+			}
+		}
+		for step := 0; step < 3000; step++ {
+			switch op := rng.Intn(20); {
+			case op < 10:
+				i := index()
+				p := tb.GetOrCreate(i)
+				if *p != model[i] {
+					t.Fatalf("seed %d step %d: GetOrCreate(%d) = %d, want %d", seed, step, i, *p, model[i])
+				}
+				*p = rng.Uint64() | 1
+				model[i] = *p
+				seen[i] = true
+			case op < 19:
+				i := index()
+				p := tb.Get(i)
+				if v, live := model[i]; live {
+					if p == nil || *p != v {
+						t.Fatalf("seed %d step %d: Get(%d) lost live entry %d", seed, step, i, v)
+					}
+				} else if p != nil && *p != 0 {
+					t.Fatalf("seed %d step %d: Get(%d) = %d, want nil or zero", seed, step, i, *p)
+				}
+			default:
+				tb.Reset()
+				clear(model)
+				for i := range seen {
+					if p := tb.Get(i); p != nil && *p != 0 {
+						t.Fatalf("seed %d step %d: Get(%d) = %d after Reset, want nil or zero", seed, step, i, *p)
+					}
+				}
+				tb.Range(func(i int, v *uint64) bool {
+					if *v != 0 {
+						t.Fatalf("seed %d step %d: Range saw %d = %d after Reset", seed, step, i, *v)
+					}
+					return true
+				})
+			}
+			checkRange(step)
+		}
 	}
 }

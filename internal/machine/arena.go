@@ -5,8 +5,8 @@
 // rebuilt the dense page tables, directory chunks, L1 arrays and event queue
 // from scratch — construction allocations that rival the simulation itself
 // at benchmark scale. Released machines park here keyed by the sizes their
-// storage is allocated with, and New reuses one by zeroing its tables in
-// place (a memclr over retained chunks) instead of reallocating.
+// storage is allocated with, and New reuses one by zeroing in place the
+// table entries the last run handed out instead of reallocating.
 //
 // Recycling is exact: every component exposes a Reset that restores its
 // just-built state, including the event queue's deterministic tie-break
@@ -28,17 +28,16 @@ import (
 
 // shape is the allocation identity of a machine's recyclable state: the
 // sizes newShaped allocates with. Two machines with the same shape differ
-// only in run parameters, which New applies on every build. homePages (the
-// workload's home pages per node) stays in the key because it bounds the
-// dense page-index range a run touches, and a Reset clears every chunk a
-// table has kept: a machine shared across workload scales would clear a
-// paper-scale directory before every small run.
+// only in run parameters, which New applies on every build. The dense page
+// tables grow on demand and their Reset clears only the entries the last
+// run handed out, so the page-index range a run touches is no part of the
+// key: a machine kept from a paper-scale run serves a small one for the
+// cost of what the small one touches.
 type shape struct {
 	nodes      int
 	l1Bytes    int
 	racEntries int
 	memBanks   int
-	homePages  int
 }
 
 // arena maps shape -> *sync.Pool of released *Machine. sync.Pool gives

@@ -53,15 +53,23 @@ func recordedRun(t *testing.T, cfg Config, gen workload.Generator) (*Machine, []
 }
 
 // TestArenaRecycleAcrossRunParams pins that a machine recycled from a cell
-// with different run parameters — pressure, tiers and page policy all
-// differ — runs exactly as a fresh one: same stats, same recorded events
-// and epoch series.
+// with different run parameters runs exactly as a fresh one: same stats,
+// same recorded events and epoch series. The arena key holds only
+// allocation sizes, so the earlier cell may differ in pressure, tiers and
+// page policy, and also in footprint: a larger or smaller scale of the same
+// app, or another app on the same node count, leaves table entries the
+// recycled run must not see.
 func TestArenaRecycleAcrossRunParams(t *testing.T) {
-	gen, err := workload.New("fft", 8)
-	if err != nil {
-		t.Fatal(err)
+	gen := func(app string, scale int) workload.Generator {
+		t.Helper()
+		g, err := workload.New(app, scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
 	}
 	cellB := Config{Arch: params.ASCOMA, Pressure: 10, MaxCycles: 1 << 40}
+	genB := gen("fft", 8)
 	cellA := Config{Arch: params.ASCOMA, Pressure: 90, MaxCycles: 1 << 40,
 		Tiers: []mem.TierSpec{
 			{CapacityPct: 30, ReadCycles: 40, WriteCycles: 60},
@@ -69,36 +77,54 @@ func TestArenaRecycleAcrossRunParams(t *testing.T) {
 		},
 		PagePolicy: mem.PolicyHybrid,
 	}
-
-	emptyArena()
-	fresh, freshStats, freshRec := recordedRun(t, cellB, gen)
-	fresh.Release()
-	emptyArena()
-
-	// sync.Pool may drop a Put (it does so at random under the race
-	// detector), so retry until B lands on A's released machine.
-	for attempt := 0; attempt < 20; attempt++ {
-		a, _, _ := recordedRun(t, cellA, gen)
-		a.Release()
-		b, stats, rec := recordedRun(t, cellB, gen)
-		b.Release()
-		if b != a {
-			continue
-		}
-		if !bytes.Equal(stats, freshStats) {
-			t.Error("recycled machine produced different stats than a fresh one")
-		}
-		if !bytes.Equal(rec, freshRec) {
-			t.Error("recycled machine recorded different events or epochs than a fresh one")
-		}
-		return
+	cases := []struct {
+		name string
+		cfg  Config
+		gen  workload.Generator
+	}{
+		{"run params", cellA, genB},
+		{"larger footprint", cellA, gen("fft", 4)},
+		{"smaller footprint", cellA, gen("fft", 16)},
+		{"other app", cellA, gen("ocean", 8)},
 	}
-	t.Fatal("no run of cell B was recycled from cell A's machine")
+
+	emptyArena()
+	fresh, freshStats, freshRec := recordedRun(t, cellB, genB)
+	fresh.Release()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.gen.Nodes() != genB.Nodes() {
+				t.Fatalf("cell A runs on %d nodes, cell B on %d: no recycling", tc.gen.Nodes(), genB.Nodes())
+			}
+			emptyArena()
+			// sync.Pool may drop a Put (it does so at random under the
+			// race detector), so retry until B lands on A's released
+			// machine.
+			for attempt := 0; attempt < 20; attempt++ {
+				a, _, _ := recordedRun(t, tc.cfg, tc.gen)
+				a.Release()
+				b, stats, rec := recordedRun(t, cellB, genB)
+				b.Release()
+				if b != a {
+					continue
+				}
+				if !bytes.Equal(stats, freshStats) {
+					t.Error("recycled machine produced different stats than a fresh one")
+				}
+				if !bytes.Equal(rec, freshRec) {
+					t.Error("recycled machine recorded different events or epochs than a fresh one")
+				}
+				return
+			}
+			t.Fatal("no run of cell B was recycled from cell A's machine")
+		})
+	}
 }
 
 // TestArenaKeyedByAllocationSize pins the arena's pool key: one app's cells
 // across pressures, tier configs, page policies and architectures share one
-// pool; a different node count or home-page footprint adds one more each.
+// pool; a different node count adds one more, and a different home-page
+// footprint (another scale of the same app) adds none.
 func TestArenaKeyedByAllocationSize(t *testing.T) {
 	build := func(app string, scale int, cfg Config) {
 		t.Helper()
@@ -137,7 +163,7 @@ func TestArenaKeyedByAllocationSize(t *testing.T) {
 		t.Fatalf("a different node count left %d arena keys, want 2", n)
 	}
 	build("fft", 16, Config{Arch: params.ASCOMA, Pressure: 50})
-	if n := arenaKeys(); n != 3 {
-		t.Fatalf("a different home-page footprint left %d arena keys, want 3", n)
+	if n := arenaKeys(); n != 2 {
+		t.Fatalf("a different home-page footprint left %d arena keys, want 2", n)
 	}
 }

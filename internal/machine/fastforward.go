@@ -109,14 +109,13 @@ func (m *Machine) fastForward(nd *node, now, deadline int64) int64 {
 	return now
 }
 
-// walkMemo is a node's last walk verification: the pass geometry it
-// probed, the L1 generation (node.invGen) it probed under, and the outcome.
+// walkMemo is a node's last walk verification: the walk geometry it
+// probed (compile gives a run of equal walks one *Walk), the L1 generation
+// (node.invGen) it probed under, and the outcome.
 type walkMemo struct {
-	base                  addr.GVA
-	stride, count, wEvery int64
-	op                    workload.Op
-	gen                   uint32
-	hits                  bool // every position of a pass hits the L1
+	w    *workload.Walk
+	gen  uint32
+	hits bool // every position of a pass hits the L1
 }
 
 // skipWalk consumes references of the walk an exhausted window would decode
@@ -156,15 +155,15 @@ type walkMemo struct {
 //
 //ascoma:hotpath
 func (m *Machine) skipWalk(nd *node, now, deadline int64) int64 {
-	w, ok := nd.nextWalk()
-	if !ok || !nd.verifyWalk(&w) {
+	w, pass, i := nd.nextWalk()
+	if w == nil || !nd.verifyWalk(w, i) {
 		return now
 	}
 	bound := min(deadline, nd.nextDaemon)
 	think := max(int64(w.Think), 0)
 	hit := m.p.L1HitCycles
 	per := think + hit
-	k := w.Remaining()
+	k := w.Remaining(pass, i)
 	if n := (bound - now + per - 1) / per; n < k {
 		k = n
 	}
@@ -182,12 +181,12 @@ func (m *Machine) skipWalk(nd *node, now, deadline int64) int64 {
 }
 
 // nextWalk reports the node's consumed window to the stream and asks for
-// the walk it decodes next (workload.Chunked.NextWalk). Call it only with
-// an exhausted window; the window stays empty, so the next refillWindow
-// decodes from the stream's cursor.
+// the walk it decodes next, with its cursor (workload.Compiled.NextWalk).
+// Call it only with an exhausted window; the window stays empty, so the
+// next refillWindow decodes from the stream's cursor.
 //
 //ascoma:hotpath
-func (nd *node) nextWalk() (workload.Walk, bool) {
+func (nd *node) nextWalk() (w *workload.Walk, pass, i int64) {
 	nd.chunks.Skip(nd.pendPos)
 	nd.pend, nd.pendPos = nd.pend[:0], 0
 	return nd.chunks.NextWalk()
@@ -196,17 +195,17 @@ func (nd *node) nextWalk() (workload.Walk, bool) {
 // verifyWalk reports whether every position of a pass over w hits nd's L1
 // with its own operation and the walk stays inside one address region
 // (shared, or private below or above the shared region). The outcome is
-// memoized with the pass geometry and the L1 generation; a memo is reused
-// while both still match.
+// memoized with the geometry pointer and the L1 generation; a memo is
+// reused while both still match. at is the walk's cursor within its pass,
+// where probing starts.
 //
 //ascoma:hotpath
-func (nd *node) verifyWalk(w *workload.Walk) bool {
+func (nd *node) verifyWalk(w *workload.Walk, at int64) bool {
 	mm := &nd.walk
-	if mm.gen == nd.invGen && mm.base == w.Base && mm.stride == w.Stride &&
-		mm.count == w.Count && mm.wEvery == w.WEvery && mm.op == w.Op {
+	if mm.w == w && mm.gen == nd.invGen {
 		return mm.hits
 	}
-	*mm = walkMemo{base: w.Base, stride: w.Stride, count: w.Count, wEvery: w.WEvery, op: w.Op, gen: nd.invGen}
+	*mm = walkMemo{w: w, gen: nd.invGen}
 	first := w.Base
 	last := first + addr.GVA((w.Count-1)*w.Stride)
 	if w.Op > workload.Write || last < first ||
@@ -217,7 +216,7 @@ func (nd *node) verifyWalk(w *workload.Walk) bool {
 	// the cursor are the ones the current pass has not touched yet, so a
 	// walk that does not verify (a cold first pass, a tile larger than the
 	// L1) usually fails on the first probe.
-	for c, j := int64(0), w.I; c < w.Count; c++ {
+	for c, j := int64(0), at; c < w.Count; c++ {
 		if !nd.l1.Lookup(addr.LineOf(first+addr.GVA(j*w.Stride)), w.Write(j)) {
 			return false
 		}

@@ -36,7 +36,7 @@ func runStats(t *testing.T, cfg Config, gen workload.Generator) []byte {
 // TestFastForwardExactness runs the same workloads twice — once from the
 // generator's chunk-compiled streams (fast-forward and closed-form walk
 // skipping active) and once from a recorded trace whose streams are not
-// Chunked (interpretive path only) — and requires byte-identical
+// *workload.Compiled (interpretive path only) — and requires byte-identical
 // statistics. Quantum 1
 // stops fast-forward at every reference (each one straddles the deadline);
 // quantum 3 lands boundaries mid-chunk at awkward phases; the default
@@ -68,8 +68,8 @@ func TestFastForwardExactness(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			trace := workload.Record(gen)
-			if _, chunked := trace.Stream(0).(workload.Chunked); chunked {
-				t.Fatal("trace streams implement Chunked; the test no longer isolates the interpretive path")
+			if _, chunked := trace.Stream(0).(*workload.Compiled); chunked {
+				t.Fatal("trace streams are compiled streams; the test no longer isolates the interpretive path")
 			}
 			for _, arch := range archs {
 				for _, q := range quanta {
@@ -219,8 +219,8 @@ func TestReleaseKeepsStats(t *testing.T) {
 func TestFastForwardCounters(t *testing.T) {
 	gen := newProbe(1, 2)
 	gen.programs[0].Walk(gen.section(0), 128, 64, 1000, workload.Write, 0)
-	if _, chunked := gen.Stream(0).(workload.Chunked); !chunked {
-		t.Fatal("Program.Stream no longer implements Chunked; fast-forward is dead code")
+	if _, chunked := gen.Stream(0).(*workload.Compiled); !chunked {
+		t.Fatal("Program.Stream no longer returns a *workload.Compiled; fast-forward is dead code")
 	}
 	_, st := run(t, params.CCNUMA, gen, 50)
 	var hits int64
@@ -261,21 +261,21 @@ func TestSkipWalkConsumesInClosedForm(t *testing.T) {
 		ev, _ := m.q.Pop()
 		now = ev.Time
 	}
-	w0, ok := nd.nextWalk()
-	if !ok {
+	w0, pass0, i0 := nd.nextWalk()
+	if w0 == nil {
 		t.Fatal("no walk pending once the first chunk drained")
 	}
 	m.runNode(nd, now)
 	if rest := len(nd.pend) - nd.pendPos; rest != 0 {
 		t.Fatalf("window holds %d decoded refs after a verified walk; want the closed form to skip decoding", rest)
 	}
-	w1, ok := nd.nextWalk()
-	if !ok {
+	w1, pass1, i1 := nd.nextWalk()
+	if w1 != w0 {
 		t.Fatal("walk ended early")
 	}
 	per := int64(think) + m.p.L1HitCycles
 	want := (quantum + per - 1) / per
-	if got := w0.Remaining() - w1.Remaining(); got != want {
+	if got := w0.Remaining(pass0, i0) - w1.Remaining(pass1, i1); got != want {
 		t.Errorf("dispatch consumed %d refs, want %d (ceil(quantum / (think + L1HitCycles)))", got, want)
 	}
 	if !nd.walk.hits {
@@ -301,7 +301,7 @@ func TestSkipWalkConsumesInClosedForm(t *testing.T) {
 func TestSkipWalkReverifies(t *testing.T) {
 	gen := newProbe(2, 2)
 	page := addr.PageOf(gen.section(1)) // homed at node 1: remote for node 0
-	w := workload.Walk{Base: page.Base(), Stride: params.LineSize, Count: 8, Passes: 4, Op: workload.Write}
+	w := &workload.Walk{Base: page.Base(), Stride: params.LineSize, Count: 8, Passes: 4, Op: workload.Write}
 	line := func(j int64) addr.Line { return addr.LineOf(w.Base + addr.GVA(j*w.Stride)) }
 	cases := []struct {
 		name   string
@@ -342,11 +342,11 @@ func TestSkipWalkReverifies(t *testing.T) {
 			for j := int64(0); j < w.Count; j++ {
 				m.l1Fill(nd, line(j), true, 0)
 			}
-			if !nd.verifyWalk(&w) {
+			if !nd.verifyWalk(w, 0) {
 				t.Fatal("walk over freshly filled lines does not verify")
 			}
 			c.mutate(m, nd, pte)
-			if nd.verifyWalk(&w) {
+			if nd.verifyWalk(w, 0) {
 				t.Errorf("walk still verifies after the %s evicted one of its lines: the memo outlived the L1 state", c.name)
 			}
 		})

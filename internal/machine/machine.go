@@ -120,7 +120,7 @@ type node struct {
 	pendPos int
 
 	stream workload.Stream
-	chunks workload.Chunked // stream's chunk interface, nil if unsupported
+	chunks *workload.Compiled // stream as a chunked compiled stream, nil if it is not one
 	// st accumulates this node's statistics in place — embedded so the
 	// per-reference counter updates land on the node's own cache lines;
 	// finalize copies it into the returned stats.Machine.
@@ -267,7 +267,6 @@ func New(cfg Config, gen workload.Generator) (*Machine, error) {
 		l1Bytes:    cfg.Params.L1Bytes,
 		racEntries: cfg.Params.RACEntries,
 		memBanks:   cfg.Params.MemBanks,
-		homePages:  homePages,
 	}
 	m := arenaGet(sh)
 	if m == nil {
@@ -339,7 +338,7 @@ func New(cfg Config, gen workload.Generator) (*Machine, error) {
 	for i := 0; i < n; i++ {
 		nd := m.nodes[i]
 		nd.stream = gen.Stream(i)
-		nd.chunks, _ = nd.stream.(workload.Chunked)
+		nd.chunks, _ = nd.stream.(*workload.Compiled)
 		nd.pend, nd.pendPos = nil, 0
 		nd.ffSkip, nd.ffBackoff = 0, 0
 		nd.invGen = 0

@@ -17,8 +17,9 @@ package workload
 //     that can consume whole runs of references (the machine's L1-hit
 //     fast-forward) borrow the decoded chunk directly via Pending/Skip;
 //   - per walk pass: a caller that can account for whole passes in closed
-//     form reads the next walk's geometry and cursor (NextWalk) and moves
-//     the cursor past references it never decodes (AdvanceWalk).
+//     form reads the next walk's shared geometry and its cursor
+//     (NextWalk) and moves the cursor past references it never decodes
+//     (AdvanceWalk), copying nothing.
 //
 // The compiled expansion is bit-identical to the interpreter — the golden
 // harness and TestCompiledMatchesInterpreted hold it to that.
@@ -35,37 +36,16 @@ import (
 // machine touches per quantum.
 const ChunkSize = 256
 
-// Chunked is implemented by streams that expose their decoded lookahead.
-// The machine's hit fast-forward consumes references straight out of the
-// chunk without going through Next.
-type Chunked interface {
-	Stream
-	// Pending returns the undelivered references of the current chunk,
-	// refilling it if exhausted. An empty slice means end of stream.
-	Pending() []Ref
-	// Skip consumes the first n references of Pending.
-	Skip(n int)
-	// NextWalk reports the walk the stream decodes next, with its cursor,
-	// when the current chunk is fully consumed and the next instruction is
-	// a walk; ok is false otherwise (chunk not exhausted, a scatter or sync
-	// instruction next, or end of stream).
-	NextWalk() (w Walk, ok bool)
-	// AdvanceWalk consumes the next k references of the walk NextWalk
-	// reports without decoding them. k must be at least 1 and at most
-	// Walk.Remaining.
-	AdvanceWalk(k int64)
-}
-
-// Walk is the geometry and decode cursor of a strided walk: Passes sweeps
-// of Count references at Base, Base+Stride, ..., each issued after Think
-// instruction cycles. The next reference is position I of pass Pass.
+// Walk is the immutable geometry of a strided walk: Passes sweeps of Count
+// references at Base, Base+Stride, ..., each issued after Think instruction
+// cycles. A walk that repeats the program's previous walk reports that
+// walk's *Walk (compiledProg.walkAt), so a run of identical phases, even
+// with sync steps between them, is one pointer to the verification memo.
 type Walk struct {
 	Base   addr.GVA
 	Stride int64
 	Count  int64 // refs per pass
 	Passes int64
-	Pass   int64 // current pass, in [0, Passes)
-	I      int64 // next position within the pass, in [0, Count)
 	WEvery int64 // every WEvery'th position is a write; 0 for none
 	Op     Op
 	Think  int32
@@ -77,20 +57,17 @@ func (w *Walk) Write(j int64) bool {
 	return w.Op == Write || (w.WEvery > 0 && j%w.WEvery == w.WEvery-1)
 }
 
-// Remaining returns the number of references the walk issues from its
-// cursor on.
-func (w *Walk) Remaining() int64 { return (w.Passes-w.Pass)*w.Count - w.I }
+// Remaining returns the number of references the walk issues from the
+// cursor at position i of pass pass on.
+func (w *Walk) Remaining(pass, i int64) int64 { return (w.Passes-pass)*w.Count - i }
 
 // cinstr is one decoded program step with its derived constants resolved.
+// Walks and scatters keep their geometry in geom (a scatter leaves Passes
+// unused); sync steps keep their address in geom.Base.
 type cinstr struct {
 	kind   instrKind
-	op     Op
-	think  int32
-	base   addr.GVA
-	stride int64
-	count  int64 // refs per pass
-	passes int64
-	wEvery int64
+	first  int32 // walk: index of the first walk of its run of equal walks
+	geom   Walk
 	runLen int64  // scatter: normalized to >= 1
 	slots  uint64 // scatter: random start slots
 	seed   uint64
@@ -104,14 +81,26 @@ type compiledProg struct {
 
 func compile(p *Program) *compiledProg {
 	cp := &compiledProg{instrs: make([]cinstr, len(p.instrs))}
+	prev := -1 // the previous walk
 	for i := range p.instrs {
 		in := &p.instrs[i]
 		ci := &cp.instrs[i]
 		*ci = cinstr{
-			kind: in.kind, op: in.op, think: in.think,
-			base: in.base, stride: in.stride,
-			count: in.count, passes: in.passes,
-			wEvery: in.wEvery, seed: in.seed,
+			kind: in.kind,
+			geom: Walk{
+				Base: in.base, Stride: in.stride, Count: in.count, Passes: in.passes,
+				WEvery: in.wEvery, Op: in.op, Think: in.think,
+			},
+			seed: in.seed,
+		}
+		if in.kind == iWalk {
+			// The memo keeps one geometry, so only a repeat of the
+			// previous walk could reuse its pointer: one compare finds it.
+			ci.first = int32(i)
+			if prev >= 0 && cp.instrs[prev].geom == ci.geom {
+				ci.first = cp.instrs[prev].first
+			}
+			prev = i
 		}
 		if in.kind == iScatter {
 			ci.runLen = in.runLen
@@ -122,6 +111,15 @@ func compile(p *Program) *compiledProg {
 		}
 	}
 	return cp
+}
+
+// walkAt returns the geometry of the walk at pc, shared by its run of
+// equal walks, or nil when the step at pc is not a walk.
+func (cp *compiledProg) walkAt(pc int) *Walk {
+	if cp.instrs[pc].kind != iWalk {
+		return nil
+	}
+	return &cp.instrs[cp.instrs[pc].first].geom
 }
 
 // compiled returns the program's compiled form, building it on first use.
@@ -186,7 +184,8 @@ func (s *Compiled) Next() (Ref, bool) {
 	return r, true
 }
 
-// Pending returns the undelivered references of the current chunk.
+// Pending returns the undelivered references of the current chunk,
+// refilling it if exhausted. An empty slice means end of stream.
 func (s *Compiled) Pending() []Ref {
 	if s.pos == s.n {
 		s.refill()
@@ -197,36 +196,32 @@ func (s *Compiled) Pending() []Ref {
 // Skip consumes the first n references of Pending.
 func (s *Compiled) Skip(n int) { s.pos += n }
 
-// NextWalk reports the walk the stream decodes next (see Chunked). The
-// cursor is always normalized — refillWalk and AdvanceWalk leave I in
-// [0, Count) and Pass in [0, Passes) — so a reported walk has at least one
-// reference left.
+// NextWalk reports the walk the stream decodes next and its cursor —
+// position i of pass pass — when the current chunk is fully consumed and
+// the next instruction is a walk; w is nil otherwise (chunk not exhausted,
+// a scatter or sync instruction next, or end of stream). The cursor is
+// always normalized — refillWalk and AdvanceWalk leave i in [0, Count) and
+// pass in [0, Passes) — so a reported walk has at least one reference left.
 //
 //ascoma:hotpath
-func (s *Compiled) NextWalk() (Walk, bool) {
+func (s *Compiled) NextWalk() (w *Walk, pass, i int64) {
 	if s.pos != s.n || s.pc >= len(s.prog.instrs) {
-		return Walk{}, false
+		return nil, 0, 0
 	}
-	in := &s.prog.instrs[s.pc]
-	if in.kind != iWalk {
-		return Walk{}, false
-	}
-	return Walk{
-		Base: in.base, Stride: in.stride, Count: in.count, Passes: in.passes,
-		Pass: s.pass, I: s.i, WEvery: in.wEvery, Op: in.op, Think: in.think,
-	}, true
+	return s.prog.walkAt(s.pc), s.pass, s.i
 }
 
-// AdvanceWalk moves the walk cursor k references forward (see Chunked),
-// leaving it exactly where refillWalk would after decoding them.
+// AdvanceWalk consumes the next k references of the walk NextWalk reports
+// without decoding them, leaving the cursor exactly where refillWalk would
+// after decoding them. k must be at least 1 and at most Walk.Remaining.
 //
 //ascoma:hotpath
 func (s *Compiled) AdvanceWalk(k int64) {
-	in := &s.prog.instrs[s.pc]
+	w := &s.prog.instrs[s.pc].geom
 	i := s.i + k
-	s.pass += i / in.count
-	s.i = i % in.count
-	if s.pass >= in.passes {
+	s.pass += i / w.Count
+	s.i = i % w.Count
+	if s.pass >= w.Passes {
 		s.pass = 0
 		s.pc++
 	}
@@ -243,19 +238,19 @@ func (s *Compiled) refill() {
 		in := &s.prog.instrs[s.pc]
 		switch in.kind {
 		case iBarrier:
-			s.buf[s.n] = Ref{Addr: in.base, Op: Barrier}
+			s.buf[s.n] = Ref{Addr: in.geom.Base, Op: Barrier}
 			s.n++
 			s.pc++
 		case iLock:
-			s.buf[s.n] = Ref{Addr: in.base, Op: Lock}
+			s.buf[s.n] = Ref{Addr: in.geom.Base, Op: Lock}
 			s.n++
 			s.pc++
 		case iUnlock:
-			s.buf[s.n] = Ref{Addr: in.base, Op: Unlock}
+			s.buf[s.n] = Ref{Addr: in.geom.Base, Op: Unlock}
 			s.n++
 			s.pc++
 		case iWalk:
-			s.refillWalk(in)
+			s.refillWalk(&in.geom)
 		case iScatter:
 			s.refillScatter(in)
 		}
@@ -267,45 +262,45 @@ func (s *Compiled) refill() {
 // stride), so (count-1)*stride < bytes always.
 //
 //ascoma:hotpath
-func (s *Compiled) refillWalk(in *cinstr) {
+func (s *Compiled) refillWalk(w *Walk) {
 	for {
-		left := in.count - s.i
+		left := w.Count - s.i
 		if space := int64(ChunkSize - s.n); left > space {
 			left = space
 		}
-		i, off, n := s.i, s.i*in.stride, s.n
-		if in.wEvery > 0 {
+		i, off, n := s.i, s.i*w.Stride, s.n
+		if w.WEvery > 0 {
 			// Carry the write-phase counter across the loop instead of
-			// dividing per reference: w == wEvery-1 marks the write slot.
-			w := i % in.wEvery
+			// dividing per reference: ph == WEvery-1 marks the write slot.
+			ph := i % w.WEvery
 			for end := i + left; i < end; i++ {
-				op := in.op
-				if w == in.wEvery-1 {
+				op := w.Op
+				if ph == w.WEvery-1 {
 					op = Write
-					w = 0
+					ph = 0
 				} else {
-					w++
+					ph++
 				}
-				s.buf[n] = Ref{Addr: in.base + addr.GVA(off), Op: op, Think: in.think}
+				s.buf[n] = Ref{Addr: w.Base + addr.GVA(off), Op: op, Think: w.Think}
 				n++
-				off += in.stride
+				off += w.Stride
 			}
 		} else {
-			r := Ref{Op: in.op, Think: in.think}
+			r := Ref{Op: w.Op, Think: w.Think}
 			for end := i + left; i < end; i++ {
-				r.Addr = in.base + addr.GVA(off)
+				r.Addr = w.Base + addr.GVA(off)
 				s.buf[n] = r
 				n++
-				off += in.stride
+				off += w.Stride
 			}
 		}
 		s.i, s.n = i, n
-		if s.i < in.count {
+		if s.i < w.Count {
 			return // chunk full mid-pass
 		}
 		s.i = 0
 		s.pass++
-		if s.pass >= in.passes {
+		if s.pass >= w.Passes {
 			s.pass = 0
 			s.pc++
 			return
@@ -329,32 +324,32 @@ func (s *Compiled) refillScatter(in *cinstr) {
 	// position within the write period.
 	rl := s.i % in.runLen
 	var w int64
-	if in.wEvery > 0 {
-		w = s.i % in.wEvery
+	if in.geom.WEvery > 0 {
+		w = s.i % in.geom.WEvery
 	}
-	for s.n < ChunkSize && s.i < in.count {
+	for s.n < ChunkSize && s.i < in.geom.Count {
 		if rl == 0 {
-			s.runOff = int64(s.rnd.intn(in.slots)) * in.stride
+			s.runOff = int64(s.rnd.intn(in.slots)) * in.geom.Stride
 		} else {
-			s.runOff += in.stride
+			s.runOff += in.geom.Stride
 		}
 		if rl++; rl == in.runLen {
 			rl = 0
 		}
-		op := in.op
-		if in.wEvery > 0 {
-			if w == in.wEvery-1 {
+		op := in.geom.Op
+		if in.geom.WEvery > 0 {
+			if w == in.geom.WEvery-1 {
 				op = Write
 				w = 0
 			} else {
 				w++
 			}
 		}
-		s.buf[s.n] = Ref{Addr: in.base + addr.GVA(s.runOff), Op: op, Think: in.think}
+		s.buf[s.n] = Ref{Addr: in.geom.Base + addr.GVA(s.runOff), Op: op, Think: in.geom.Think}
 		s.n++
 		s.i++
 	}
-	if s.i >= in.count {
+	if s.i >= in.geom.Count {
 		s.i = 0
 		s.pc++
 	}

@@ -93,9 +93,9 @@ func TestCompiledPendingSkip(t *testing.T) {
 	}
 
 	for _, take := range []int{1, 7, ChunkSize - 1, ChunkSize} {
-		s, ok := p.Stream().(Chunked)
+		s, ok := p.Stream().(*Compiled)
 		if !ok {
-			t.Fatal("Program.Stream does not implement Chunked")
+			t.Fatal("Program.Stream does not return a *Compiled")
 		}
 		var got []Ref
 		for {
@@ -191,4 +191,52 @@ func TestNewMemoizes(t *testing.T) {
 	Recycle(s1)
 	Recycle(s2)
 	Recycle(s3)
+}
+
+// TestCompileInternsWalks pins the identity the machine's walk-skip memo
+// keys on: a walk whose geometry equals the program's previous walk shares
+// that walk's *Walk, sync and scatter steps between them notwithstanding;
+// a walk differing in any geometry field gets its own. The memo holds one
+// geometry, so an equal walk after a different one gets its own *Walk too.
+func TestCompileInternsWalks(t *testing.T) {
+	p := &Program{}
+	p.Walk(addr.SharedBase, 4096, 64, 3, Read, 1)        // 0
+	p.Barrier(0)                                         // 1
+	p.Walk(addr.SharedBase, 4096, 64, 3, Read, 1)        // 2: equal to 0
+	p.Walk(addr.SharedBase, 4096, 64, 3, Write, 1)       // 3: op
+	p.Walk(addr.SharedBase, 4096, 32, 3, Read, 1)        // 4: stride
+	p.Walk(addr.SharedBase, 4096, 64, 4, Read, 1)        // 5: passes
+	p.Walk(addr.SharedBase, 4096, 64, 3, Read, 2)        // 6: think
+	p.Walk(addr.SharedBase+64, 4096, 64, 3, Read, 1)     // 7: base
+	p.WalkRW(addr.SharedBase, 4096, 64, 3, 4, 1)         // 8: write period
+	p.WalkRW(addr.SharedBase, 4096, 64, 3, 4, 1)         // 9: equal to 8
+	p.Scatter(addr.SharedBase, 4096, 64, 10, Read, 1, 7) // 10
+	p.WalkRW(addr.SharedBase, 4096, 64, 3, 4, 1)         // 11: equal to 9
+	p.Walk(addr.SharedBase, 4096, 64, 3, Read, 1)        // 12: equal to 0, not to 11
+	cp := p.compiled()
+	if cp.walkAt(0) == nil || cp.walkAt(0) != cp.walkAt(2) ||
+		cp.walkAt(8) != cp.walkAt(9) || cp.walkAt(9) != cp.walkAt(11) {
+		t.Fatal("a walk equal to the previous walk does not share its *Walk")
+	}
+	if cp.walkAt(1) != nil || cp.walkAt(10) != nil {
+		t.Fatal("a non-walk instruction reports a walk geometry")
+	}
+	distinct := map[*Walk]bool{}
+	for _, j := range []int{0, 3, 4, 5, 6, 7, 8, 12} {
+		distinct[cp.walkAt(j)] = true
+	}
+	if len(distinct) != 8 {
+		t.Fatalf("%d distinct *Walk for 8 walks that differ from the walk before them", len(distinct))
+	}
+	for j := range cp.instrs {
+		src := &p.instrs[j]
+		if src.kind != iWalk {
+			continue
+		}
+		want := Walk{Base: src.base, Stride: src.stride, Count: src.count, Passes: src.passes,
+			WEvery: src.wEvery, Op: src.op, Think: src.think}
+		if got := cp.walkAt(j); *got != want {
+			t.Fatalf("instruction %d: geometry %+v, want %+v", j, *got, want)
+		}
+	}
 }

@@ -34,8 +34,8 @@ func drainMatch(t *testing.T, label string, p *Program) {
 // interpreted reference, and at every exhausted chunk followed by a walk
 // moves the cursor k references forward with AdvanceWalk (k drawn from
 // seed, 1..Remaining): the skipped references must be exactly the ones the
-// reported Walk describes, and the decoded continuation must equal the
-// interpreted stream with those k references skipped.
+// reported Walk and cursor describe, and the decoded continuation must
+// equal the interpreted stream with those k references skipped.
 func skipMatch(t *testing.T, label string, p *Program, seed uint64) {
 	t.Helper()
 	want := p.Interpreted()
@@ -59,23 +59,23 @@ func skipMatch(t *testing.T, label string, p *Program, seed uint64) {
 			return
 		}
 		got.Skip(len(pend))
-		w, ok := got.NextWalk()
-		if !ok {
+		w, pass, at := got.NextWalk()
+		if w == nil {
 			continue
 		}
 		r ^= r << 13
 		r ^= r >> 7
 		r ^= r << 17
-		k := 1 + int64(r%uint64(w.Remaining()))
+		k := 1 + int64(r%uint64(w.Remaining(pass, at)))
 		got.AdvanceWalk(k)
-		for c, j := int64(0), w.I; c < k; c++ {
+		for c, j := int64(0), at; c < k; c++ {
 			wr, ok := want.Next()
 			op := w.Op
 			if w.Write(j) {
 				op = Write
 			}
 			if sk := (Ref{Addr: w.Base + addr.GVA(j*w.Stride), Op: op, Think: w.Think}); !ok || wr != sk {
-				t.Fatalf("%s ref %d: skipped %+v per %+v, interpreted %+v (ok=%v)", label, i, sk, w, wr, ok)
+				t.Fatalf("%s ref %d: skipped %+v per %+v at pass %d, interpreted %+v (ok=%v)", label, i, sk, *w, pass, wr, ok)
 			}
 			if j++; j == w.Count {
 				j = 0
