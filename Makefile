@@ -126,8 +126,10 @@ race:
 # every run, job and estimate request body decodes into a 400 or a valid
 # spec (with a canonical estimate reply key), never a 500 or a panic, that
 # the runcache disk/peer payload decoder accepts only keyed, non-empty
-# payloads that round-trip, and that a cell filled from a run's pressure
-# ceiling equals its simulation.
+# payloads that round-trip, that a cell filled from a run's pressure
+# ceiling equals its simulation, and that every architecture a run
+# certifies (Result.SameArchs) simulates to the same statistics, at the
+# run's pressure and at any pressure up to its ceiling.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCompiledMatchesInterpreted -fuzztime 10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecording$$' -fuzztime 10s ./internal/obs
@@ -138,6 +140,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSpecs$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 10s ./internal/runcache
 	$(GO) test -run '^$$' -fuzz '^FuzzPressureCeiling$$' -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz '^FuzzSameArchs$$' -fuzztime 10s .
 
 clean:
 	$(GO) clean ./...

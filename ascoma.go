@@ -181,7 +181,16 @@ type Result struct {
 	// label (0 = none; see machine.PressureCeiling). It is never encoded,
 	// so a result read back from a cache or a reply carries 0.
 	PressureCeiling int `json:"-"`
+	// SameArchs certifies that every architecture in it gives the same
+	// statistics as this run but for the Arch label, at this run's
+	// pressure and at every pressure up to PressureCeiling (empty = none;
+	// see machine.SameArchs for the argument). Like PressureCeiling it is
+	// never encoded.
+	SameArchs ArchSet `json:"-"`
 }
+
+// ArchSet is a set of architectures (see Result.SameArchs).
+type ArchSet = core.ArchSet
 
 // Run executes one simulation.
 func Run(cfg Config) (*Result, error) {
@@ -244,7 +253,7 @@ func RunGeneratorContext(ctx context.Context, cfg Config, gen workload.Generator
 		return nil, err
 	}
 	st, err := m.RunContext(ctx)
-	samples, ceiling := m.Samples(), m.PressureCeiling()
+	samples, ceiling, same := m.Samples(), m.PressureCeiling(), m.SameArchs()
 	// The machine's dense tables and chunk buffers go back to the arena for
 	// the next cell of the grid; st and samples are per-run allocations that
 	// Release leaves untouched.
@@ -252,7 +261,7 @@ func RunGeneratorContext(ctx context.Context, cfg Config, gen workload.Generator
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Machine: st, ArchID: cfg.Arch, Samples: samples, PressureCeiling: ceiling}, nil
+	return &Result{Machine: st, ArchID: cfg.Arch, Samples: samples, PressureCeiling: ceiling, SameArchs: same}, nil
 }
 
 // Generator re-exports the workload generator interface so applications can

@@ -113,7 +113,7 @@ func main() {
 		defer func() {
 			st := cache.Stats()
 			fmt.Fprintf(os.Stderr, "sweep: cache %s\n", st)
-			fmt.Fprintf(os.Stderr, "sweep: pressure sharing: %d cells filled from a run that certified their pressure, %d simulated\n",
+			fmt.Fprintf(os.Stderr, "sweep: cell sharing: %d cells filled from a run that certified their architecture and pressure, %d simulated\n",
 				st.Shared, st.Sims)
 			fmt.Fprintln(os.Stderr, "sweep: run metrics:")
 			reg.WriteText(os.Stderr) //ascoma:allow-errdrop best-effort exit report

@@ -67,8 +67,8 @@ const FailTolerance = 2
 // MaxIntervalScale caps the daemon-interval back-off multiplier.
 const MaxIntervalScale = 16
 
-func newASCOMA(p *params.Params) *ASCOMA {
-	return &ASCOMA{
+func makeASCOMA(p *params.Params) ASCOMA {
+	return ASCOMA{
 		initial:       p.RefetchThreshold,
 		increment:     p.ThresholdIncrement,
 		max:           p.ThresholdMax,
@@ -97,14 +97,14 @@ const (
 
 // NewASCOMAVariant builds an AS-COMA policy with one improvement disabled.
 func NewASCOMAVariant(p *params.Params, v ASCOMAVariant) *ASCOMA {
-	a := newASCOMA(p)
+	a := makeASCOMA(p)
 	switch v {
 	case NoSCOMAAlloc:
 		a.numaFirst = true
 	case NoBackoff:
 		a.noBackoff = true
 	}
-	return a
+	return &a
 }
 
 // Arch returns params.ASCOMA.

@@ -30,8 +30,8 @@ type mignuma struct {
 	migrations int64
 }
 
-func newMIGNUMA(p *params.Params) *mignuma {
-	return &mignuma{
+func makeMIGNUMA(p *params.Params) mignuma {
+	return mignuma{
 		initial:   p.RefetchThreshold,
 		increment: p.ThresholdIncrement,
 		threshold: p.RefetchThreshold,

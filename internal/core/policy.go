@@ -80,11 +80,14 @@ func New(arch params.Arch, p *params.Params) Policy {
 	case params.RNUMA:
 		return &rnuma{threshold: p.RefetchThreshold}
 	case params.VCNUMA:
-		return newVCNUMA(p)
+		v := makeVCNUMA(p)
+		return &v
 	case params.ASCOMA:
-		return newASCOMA(p)
+		a := makeASCOMA(p)
+		return &a
 	case params.MIGNUMA:
-		return newMIGNUMA(p)
+		m := makeMIGNUMA(p)
+		return &m
 	}
 	panic("core: unknown architecture")
 }

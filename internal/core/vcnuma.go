@@ -32,12 +32,12 @@ type vcnuma struct {
 	thrashEvents int64
 }
 
-func newVCNUMA(p *params.Params) *vcnuma {
+func makeVCNUMA(p *params.Params) vcnuma {
 	cap := p.VCThresholdCap
 	if cap < p.RefetchThreshold {
 		cap = p.RefetchThreshold
 	}
-	return &vcnuma{
+	return vcnuma{
 		initial:   p.RefetchThreshold,
 		increment: p.ThresholdIncrement,
 		breakEven: p.VCBreakEven,

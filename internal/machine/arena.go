@@ -21,6 +21,7 @@ import (
 	"sync"
 
 	"ascoma/internal/cache"
+	"ascoma/internal/core"
 	"ascoma/internal/directory"
 	"ascoma/internal/vm"
 	"ascoma/internal/workload"
@@ -123,7 +124,7 @@ func (m *Machine) Release() {
 		nd.stream = nil
 		nd.chunks = nil
 		nd.pend, nd.pendPos = nil, 0
-		nd.pol = nil
+		nd.pols = core.Set{} // drops a PolicyFactory's policy
 		nd.vmm.SetRecorder(nil)
 	}
 	m.gen = nil

@@ -1,6 +1,9 @@
 package machine
 
-import "ascoma/internal/vm"
+import (
+	"ascoma/internal/core"
+	"ascoma/internal/vm"
+)
 
 // nodePages returns a node's physical page count at the given memory
 // pressure: the resident set (home plus private pages) fills pressure% of
@@ -43,12 +46,11 @@ func nodePages(resident, pressure int) int {
 //
 // The argument assumes the policy reads the pool only through these
 // comparisons, as every policy in internal/core does. Runs whose outputs
-// carry the pool's size, or that attach extra checks, certify nothing:
-// observed runs (Obs), sampled runs (SampleInterval), coherence-checked
-// runs and multi-tier runs.
+// carry the pool's size, or that attach extra checks, certify nothing (see
+// certifies).
 func (m *Machine) PressureCeiling() int {
 	c := &m.cfg
-	if c.Obs != nil || c.SampleInterval > 0 || c.CheckCoherence || len(c.Tiers) > 1 {
+	if !m.certifies() {
 		return 0
 	}
 	resident := m.gen.HomePagesPerNode() + m.gen.PrivatePagesPerNode()
@@ -69,4 +71,59 @@ func (m *Machine) PressureCeiling() int {
 		ceiling = q
 	}
 	return ceiling
+}
+
+// certifies reports whether the run's configuration lets it certify other
+// cells at all. Observed runs (Obs) and sampled runs (SampleInterval) carry
+// the pool's size and the policy's threshold in their outputs;
+// coherence-checked runs attach extra checks; multi-tier runs allocate
+// frames from tiers sized by the pressure.
+func (m *Machine) certifies() bool {
+	c := &m.cfg
+	return c.Obs == nil && c.SampleInterval == 0 && !c.CheckCoherence && len(c.Tiers) <= 1
+}
+
+// SameArchs returns the architectures other than this run's whose
+// simulation of the same configuration is bit-identical to this finished
+// run in every statistic but the Arch label, at this run's pressure and at
+// every pressure up to PressureCeiling. Call it after Run and before
+// Release.
+//
+// The machine reads the architecture only through each node's policy and
+// the Arch label, and every policy query goes through the node's core.Set.
+// B is in the result when, on every node, B's shadow policy answered every
+// query of this run with the outcome the primary returned, and ended with
+// the same ThrashEvents. Every Note* call reached B's shadow with the
+// arguments its own run would pass, and the shadow starts in the state
+// New gives B's policy. Compare a run of B with this one, by induction over
+// the event sequence: while both have executed the same events, the
+// machines are in the same state and B's policy is in its shadow's state,
+// so B answers the next query as its shadow did, which is as the primary
+// did, and both runs execute the same next event. The runs are therefore
+// identical event for event, and ThrashEvents, the one statistic the
+// policy reports itself, agrees at the end. The comparison is of the
+// outcome the machine branches on, not of raw answers: relocation is
+// RelocationEnabled() && count >= Threshold(), so CC-NUMA, which never
+// relocates, agrees with VC-NUMA while no page reaches VC-NUMA's
+// threshold.
+//
+// The pressure axis composes with this. Up to PressureCeiling, every read
+// of the pool has a fixed outcome in this run, and so at P' for every
+// policy in internal/core (see PressureCeiling): B's shadow would answer
+// this run at P' as it answered here. So B at P' equals this run at P',
+// which equals this run.
+//
+// Runs that certify no pressure by configuration (see certifies) certify
+// no architecture either, and neither do runs whose policy comes from a
+// PolicyFactory: that policy is none of the set's, so the set shadows
+// nothing (core.Set.Reset).
+func (m *Machine) SameArchs() core.ArchSet {
+	if !m.certifies() {
+		return 0
+	}
+	same := ^core.ArchSet(0)
+	for _, nd := range m.nodes {
+		same &= nd.pols.Same()
+	}
+	return same
 }

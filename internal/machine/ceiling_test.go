@@ -8,7 +8,8 @@ import (
 )
 
 // TestPressureCeilingCoherenceChecked: the same low-pressure run
-// certifies pressures without the checker and nothing with it.
+// certifies pressures and architectures without the checker and nothing
+// with it.
 func TestPressureCeilingCoherenceChecked(t *testing.T) {
 	for _, check := range []bool{false, true} {
 		gen, err := workload.New("fft", 16)
@@ -22,13 +23,27 @@ func TestPressureCeilingCoherenceChecked(t *testing.T) {
 		if _, err := m.Run(); err != nil {
 			t.Fatal(err)
 		}
-		got := m.PressureCeiling()
+		got, same := m.PressureCeiling(), m.SameArchs()
 		m.Release()
-		if check && got != 0 {
-			t.Errorf("coherence-checked run: ceiling %d, want 0", got)
+		if check && (got != 0 || same != 0) {
+			t.Errorf("coherence-checked run: ceiling %d, same %v, want 0 and none", got, same)
 		}
-		if !check && got < 10 {
-			t.Errorf("plain run: ceiling %d, want at least its own 10%%", got)
+		if !check && (got < 10 || !same.Has(params.SCOMA)) {
+			t.Errorf("plain run: ceiling %d, same %v, want at least its own 10%% and S-COMA", got, same)
+		}
+	}
+}
+
+// TestNewRejectsUnknownArch: an architecture outside the six is a
+// configuration error, not a panic.
+func TestNewRejectsUnknownArch(t *testing.T) {
+	for _, a := range []params.Arch{-1, params.MIGNUMA + 1} {
+		gen, err := workload.New("fft", 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(Config{Arch: a, Pressure: 10}, gen); err == nil {
+			t.Errorf("New accepted architecture %d", int(a))
 		}
 	}
 }

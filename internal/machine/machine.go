@@ -134,7 +134,6 @@ type node struct {
 
 	rac *cache.RAC
 	vmm *vm.VM
-	pol core.Policy
 	bus sim.Resource // split-transaction memory bus: BusCycles per transaction
 	mem mem.Memory   // embedded: one acquire per miss, no pointer chase
 	dir sim.Resource // directory-controller occupancy at this node
@@ -144,6 +143,10 @@ type node struct {
 	walk walkMemo
 
 	tlb tlb // software translation cache over vmm's page table
+
+	// pols is the node's policy with its shadows (see core.Set): every
+	// decision goes through it. Kept as a value so a run allocates none.
+	pols core.Set
 }
 
 // Scheduling states for node.blocked: a done node never runs again; a
@@ -228,6 +231,9 @@ func New(cfg Config, gen workload.Generator) (*Machine, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
 	}
+	if cfg.Arch < params.CCNUMA || cfg.Arch > params.MIGNUMA {
+		return nil, fmt.Errorf("machine: unknown architecture %d", int(cfg.Arch))
+	}
 	if cfg.Pressure < 1 || cfg.Pressure > 99 {
 		return nil, fmt.Errorf("machine: memory pressure %d%% out of range [1,99]", cfg.Pressure)
 	}
@@ -303,17 +309,17 @@ func New(cfg Config, gen workload.Generator) (*Machine, error) {
 	m.st.Workload = gen.Name()
 	m.st.Pressure = cfg.Pressure
 
-	newPolicy := cfg.PolicyFactory
-	if newPolicy == nil {
-		newPolicy = core.New
-	}
 	for i := 0; i < n; i++ {
 		nd := m.nodes[i]
-		nd.pol = newPolicy(cfg.Arch, p)
+		var primary core.Policy // nil: the set's own policy for cfg.Arch
+		if cfg.PolicyFactory != nil {
+			primary = cfg.PolicyFactory(cfg.Arch, p)
+		}
+		nd.pols.Reset(cfg.Arch, p, primary)
 		nd.st = stats.Node{}
 		nd.nextDaemon = p.DaemonInterval
 		nd.daemonInterval = p.DaemonInterval
-		nd.prevThresh = nd.pol.Threshold()
+		nd.prevThresh = nd.pols.Primary().Threshold()
 		// The run parameters, applied here for fresh and recycled
 		// machines alike. Configure must run on the Memory's final
 		// address: small bank counts store their banks inside the
@@ -854,8 +860,7 @@ func (m *Machine) access(nd *node, ref workload.Ref, now int64) int64 {
 			// The R-NUMA relocation mechanism: the home piggybacks a
 			// threshold crossing; the requester takes an interrupt and
 			// remaps the page to S-COMA mode.
-			if res.Refetch && nd.pol.RelocationEnabled() &&
-				int(res.RefetchCount) >= nd.pol.Threshold() {
+			if res.Refetch && nd.pols.Relocates(int(res.RefetchCount)) {
 				nd.st.Time[stats.UShMem] += done - now
 				m.l1Fill(nd, line, write, done)
 				return done + m.relocate(nd, pte, done)
@@ -1050,10 +1055,10 @@ func (m *Machine) pageFault(nd *node, page addr.Page, now int64) (*vm.PTE, int64
 	nd.st.RemotePagesSeen++
 	var overhead int64
 	var pte *vm.PTE
-	if nd.pol.InitialSCOMA(nd.vmm.Free(), nd.vmm.FreeMin()) {
+	if nd.pols.InitialSCOMA(nd.vmm.Free(), nd.vmm.FreeMin()) {
 		pte = nd.vmm.MapSCOMA(page, home)
 	}
-	if pte == nil && nd.pol.PureSCOMA() {
+	if pte == nil && nd.pols.PureSCOMA() {
 		// Pure S-COMA must back the page locally: synchronously replace
 		// another page. This is the S-COMA thrashing path.
 		if victim := nd.vmm.ForceVictim(); victim != nil {
@@ -1077,8 +1082,8 @@ func (m *Machine) pageFault(nd *node, page addr.Page, now int64) (*vm.PTE, int64
 // kernel cycles consumed. Migration policies (core.Migrator) move the page
 // instead of replicating it.
 func (m *Machine) relocate(nd *node, pte *vm.PTE, now int64) int64 {
-	if mig, ok := nd.pol.(core.Migrator); ok && mig.Migrates() {
-		return m.migrate(nd, mig, pte, now)
+	if nd.pols.Migrates() {
+		return m.migrate(nd, pte, now)
 	}
 	p := m.p
 	cost := p.InterruptCycles
@@ -1088,7 +1093,7 @@ func (m *Machine) relocate(nd *node, pte *vm.PTE, now int64) int64 {
 	m.dir.ResetRefetch(pte.Page, nd.id)
 
 	ok := nd.vmm.Upgrade(pte)
-	if !ok && nd.pol.AllowHotEviction() {
+	if !ok && nd.pols.AllowHotEviction() {
 		// R-NUMA and VC-NUMA replace synchronously at the interrupt:
 		// second-chance for a cold victim first, then any page ("even if
 		// it must evict another hot page to do so"). AS-COMA never does
@@ -1120,7 +1125,7 @@ func (m *Machine) relocate(nd *node, pte *vm.PTE, now int64) int64 {
 			m.rec.Emit(obs.EvTLBShootdown, nd.id, uint32(pte.Page.MustIndex()), obs.ShootdownUpgrade)
 		}
 	} else {
-		nd.pol.NoteUpgradeBlocked()
+		nd.pols.NoteUpgradeBlocked()
 		nd.st.RelocDenied++
 		if m.rec != nil {
 			m.rec.Emit(obs.EvRelocDenied, nd.id, uint32(pte.Page.MustIndex()), uint32(nd.vmm.Free()))
@@ -1136,7 +1141,7 @@ func (m *Machine) relocate(nd *node, pte *vm.PTE, now int64) int64 {
 // shipped block by block, all page tables are updated (modeled as a global
 // TLB-shootdown cost), and the requester pins a free physical page to hold
 // the new home copy. Returns the kernel cycles consumed by the requester.
-func (m *Machine) migrate(nd *node, mig core.Migrator, pte *vm.PTE, now int64) int64 {
+func (m *Machine) migrate(nd *node, pte *vm.PTE, now int64) int64 {
 	p := m.p
 	cost := p.InterruptCycles
 	page := pte.Page
@@ -1203,7 +1208,7 @@ func (m *Machine) migrate(nd *node, mig core.Migrator, pte *vm.PTE, now int64) i
 
 	cost += p.MigrationCycles
 	nd.st.Migrations++
-	mig.NoteMigration()
+	nd.pols.NoteMigration()
 	if m.rec != nil {
 		m.rec.Emit(obs.EvMigrate, nd.id, uint32(page.MustIndex()), uint32(oldHome))
 		m.rec.Emit(obs.EvTLBShootdown, nd.id, uint32(page.MustIndex()), obs.ShootdownMigrate)
@@ -1225,7 +1230,7 @@ func (m *Machine) evict(nd *node, victim *vm.PTE) int64 {
 	_, dirty := m.dir.FlushNode(victim.Page, nd.id)
 	hits := victim.SComaHits
 	nd.vmm.Downgrade(victim)
-	if nd.pol.PureSCOMA() {
+	if nd.pols.PureSCOMA() {
 		// Pure S-COMA has no CC-NUMA fallback: the evicted page loses
 		// its mapping and the next access must fault and re-replace.
 		nd.vmm.Unmap(victim)
@@ -1233,7 +1238,7 @@ func (m *Machine) evict(nd *node, victim *vm.PTE) int64 {
 	// The remap (or unmap) shoots down the node's cached translation.
 	nd.tlb.invalidate(victim.Page)
 	nd.st.Downgrades++
-	nd.pol.NoteEviction(hits, nd.vmm.SComaPages())
+	nd.pols.NoteEviction(hits, nd.vmm.SComaPages())
 	if m.rec != nil {
 		// Callers (relocate, runDaemon, pageFault) stamp the clock at entry.
 		m.rec.Emit(obs.EvDowngrade, nd.id, uint32(victim.Page.MustIndex()), hits)
@@ -1292,13 +1297,13 @@ func (m *Machine) runDaemon(nd *node, now int64) int64 {
 			reclaimed++
 		}
 		nd.st.DaemonReclaimed += int64(reclaimed)
-		scale := nd.pol.NoteDaemonPass(vmm.Free(), vmm.FreeTarget(), reclaimed, totalScanned)
+		scale := nd.pols.NoteDaemonPass(vmm.Free(), vmm.FreeTarget(), reclaimed, totalScanned)
 		nd.daemonInterval = p.DaemonInterval * scale
 		if m.rec != nil {
 			m.noteThreshold(nd) // the daemon pass may relax a backed-off threshold
 		}
 	} else if vmm.Free() >= vmm.FreeTarget() {
-		scale := nd.pol.NoteDaemonPass(vmm.Free(), vmm.FreeTarget(), 0, 0)
+		scale := nd.pols.NoteDaemonPass(vmm.Free(), vmm.FreeTarget(), 0, 0)
 		nd.daemonInterval = p.DaemonInterval * scale
 		if m.rec != nil {
 			m.rec.Clock = now
@@ -1366,7 +1371,7 @@ func (m *Machine) finalize() {
 		if nd.st.FinishTime > max {
 			max = nd.st.FinishTime
 		}
-		nd.st.ThrashEvents = nd.pol.ThrashEvents()
+		nd.st.ThrashEvents = nd.pols.Primary().ThrashEvents()
 		m.st.Nodes[i] = nd.st
 	}
 	m.st.ExecTime = max
@@ -1383,7 +1388,7 @@ func (m *Machine) Directory() *directory.Directory { return m.dir }
 func (m *Machine) NodeVM(i int) *vm.VM { return m.nodes[i].vmm }
 
 // NodePolicy exposes node i's policy for tests and probes.
-func (m *Machine) NodePolicy(i int) core.Policy { return m.nodes[i].pol }
+func (m *Machine) NodePolicy(i int) core.Policy { return m.nodes[i].pols.Primary() }
 
 // takeSample records one adaptation-timeline point for node 0.
 //
@@ -1391,12 +1396,12 @@ func (m *Machine) NodePolicy(i int) core.Policy { return m.nodes[i].pol }
 func (m *Machine) takeSample(nd *node, now int64) {
 	m.samples = append(m.samples, Sample{
 		Time:       now,
-		Threshold:  nd.pol.Threshold(),
+		Threshold:  nd.pols.Primary().Threshold(),
 		FreePages:  nd.vmm.Free(),
 		SComaPages: nd.vmm.SComaPages(),
 		Upgrades:   nd.st.Upgrades,
 		Downgrades: nd.st.Downgrades,
-		Thrash:     nd.pol.ThrashEvents(),
+		Thrash:     nd.pols.Primary().ThrashEvents(),
 		KOverhead:  nd.st.Time[stats.KOverhead],
 	})
 	m.nextSample = now + m.sampleIntv
@@ -1417,7 +1422,7 @@ func (m *Machine) takeEpoch(now int64) {
 	for _, nd := range m.nodes {
 		m.ep.Set(obs.ProbeFreePages, nd.id, int64(nd.vmm.Free()))
 		m.ep.Set(obs.ProbeSComaPages, nd.id, int64(nd.vmm.SComaPages()))
-		m.ep.Set(obs.ProbeThreshold, nd.id, int64(nd.pol.Threshold()))
+		m.ep.Set(obs.ProbeThreshold, nd.id, int64(nd.pols.Primary().Threshold()))
 		m.ep.Set(obs.ProbeUpgrades, nd.id, nd.st.Upgrades)
 		m.ep.Set(obs.ProbeDowngrades, nd.id, nd.st.Downgrades)
 		m.ep.Set(obs.ProbeShMemStall, nd.id, nd.st.Time[stats.UShMem])
@@ -1449,7 +1454,7 @@ func (m *Machine) takeEpoch(now int64) {
 // reconstructed from daemon-pass context. Callers guarantee m.rec != nil
 // and a freshly stamped clock.
 func (m *Machine) noteThreshold(nd *node) {
-	if t := nd.pol.Threshold(); t != nd.prevThresh {
+	if t := nd.pols.Primary().Threshold(); t != nd.prevThresh {
 		m.rec.Emit(obs.EvThreshold, nd.id, uint32(t), uint32(nd.prevThresh))
 		nd.prevThresh = t
 	}

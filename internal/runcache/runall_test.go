@@ -130,15 +130,24 @@ func TestRunAllCancelledBeforeStart(t *testing.T) {
 	}
 }
 
+// archCell is testCfg(pressure) on another architecture.
+func archCell(arch ascoma.Arch, pressure int) ascoma.Config {
+	cfg := testCfg(pressure)
+	cfg.Arch = arch
+	return cfg
+}
+
 // TestRunAllOneSlotOrderWithFills: on one slot, cells start in slice order
-// even when some are filled from an earlier run, and the fills are
-// counted as shared, not simulated.
+// even when some are filled from an earlier run, of the same architecture
+// or of one it certifies, and the fills are counted as shared, not
+// simulated.
 func TestRunAllOneSlotOrderWithFills(t *testing.T) {
 	cache, err := New(16, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cells := runAllCells(4, 90, 8, 12, 6)
+	cells[2].Arch, cells[4].Arch = ascoma.SCOMA, ascoma.SCOMA
 	r := &Runner{Cache: cache, Jobs: 1}
 	var order []int
 	res, err := r.RunAll(context.Background(), cells, func(i int, _ *ascoma.Result) {
@@ -150,16 +159,17 @@ func TestRunAllOneSlotOrderWithFills(t *testing.T) {
 	if want := []int{0, 1, 2, 3, 4}; !reflect.DeepEqual(order, want) {
 		t.Errorf("one-slot order %v, want %v", order, want)
 	}
-	if res[0].PressureCeiling < 12 {
-		t.Fatalf("4%% ceiling %d; the test needs it to cover 12%%", res[0].PressureCeiling)
+	if res[0].PressureCeiling < 12 || !res[0].SameArchs.Has(ascoma.SCOMA) {
+		t.Fatalf("AS-COMA@4 ceiling %d, same %08b; the test needs it to cover S-COMA and 12%%", res[0].PressureCeiling, res[0].SameArchs)
 	}
-	// 4 and 90 simulate; 8, 12 and 6 are filled from 4.
+	// AS-COMA@4 and @90 simulate; S-COMA@8, AS-COMA@12 and S-COMA@6
+	// are filled from AS-COMA@4.
 	if st := cache.Stats(); st.Sims != 2 || st.Shared != 3 || st.HitRate() != 0.6 {
 		t.Errorf("stats = %+v, want 2 sims and 3 shared (60%% hit rate)", st)
 	}
 	for i, cfg := range cells {
-		if res[i].Pressure != cfg.Pressure {
-			t.Errorf("result %d carries pressure %d, want %d", i, res[i].Pressure, cfg.Pressure)
+		if res[i].Pressure != cfg.Pressure || res[i].Arch != cfg.Arch.String() || res[i].ArchID != cfg.Arch {
+			t.Errorf("result %d carries %s/%v(%d%%), want %v(%d%%)", i, res[i].Arch, res[i].ArchID, res[i].Pressure, cfg.Arch, cfg.Pressure)
 		}
 	}
 	if &res[2].Nodes[0] == &res[0].Nodes[0] {
@@ -201,31 +211,90 @@ func TestRunAllFailureAfterFillsStopsDispatch(t *testing.T) {
 	}
 }
 
-// TestScheduleDefersBusyGroups drives the scheduler with stand-in results:
-// cells of a group with a run in flight wait while other groups' cells
-// start; a finished run fills the cells its ceiling covers; and once only
-// busy groups' cells remain, the highest pressure starts next.
-func TestScheduleDefersBusyGroups(t *testing.T) {
-	other := testCfg(50)
-	other.Arch = ascoma.RNUMA
-	cells := append(runAllCells(10, 30, 50, 70, 90), other)
-	s := newSchedule(cells)
-	claim := func(wantCell int, wantFill bool) {
+// claimer returns a helper that claims from s and checks the cell and
+// whether it is a fill.
+func claimer(t *testing.T, s *schedule) func(wantCell int, wantFill bool) {
+	return func(wantCell int, wantFill bool) {
 		t.Helper()
 		i, src := s.claim()
 		if i != wantCell || (src != nil) != wantFill {
 			t.Fatalf("claim = %d (fill %v), want %d (fill %v)", i, src != nil, wantCell, wantFill)
 		}
 	}
+}
+
+// TestScheduleDefersBusyGroups drives the scheduler with stand-in results:
+// cells that a run in flight could cover wait while other cells start; a
+// finished run fills the cells of its own and its certified architectures
+// that its ceiling covers, and those at its own pressure; and once only
+// busy groups' cells remain, the highest pressure starts next.
+func TestScheduleDefersBusyGroups(t *testing.T) {
+	cells := append(runAllCells(10, 30, 50, 70, 90),
+		archCell(ascoma.RNUMA, 50), archCell(ascoma.SCOMA, 30), archCell(ascoma.VCNUMA, 50))
+	s := newSchedule(cells)
+	claim := claimer(t, s)
 	claim(0, false) // AS-COMA@10 simulates
 	claim(5, false) // AS-COMA@30..90 wait; R-NUMA starts
-	claim(4, false) // only the busy group is left: its highest pressure
-	s.finish(0, true, &ascoma.Result{PressureCeiling: 55})
-	claim(1, true) // 30 and 50 are covered by the 10% run
+	claim(4, false) // S-COMA@30 and VC-NUMA@50 wait too: the highest pressure starts
+	s.finish(0, true, &ascoma.Result{PressureCeiling: 55, SameArchs: ascoma.ArchSet(0).With(ascoma.SCOMA)})
+	claim(1, true) // AS-COMA@30 and @50 and S-COMA@30 are covered by AS-COMA@10
 	claim(2, true)
-	claim(3, false) // 70 is not
+	claim(6, true)
+	claim(3, false) // AS-COMA@70 is not
+	s.finish(5, true, &ascoma.Result{SameArchs: ascoma.ArchSet(0).With(ascoma.VCNUMA)})
+	claim(7, true) // R-NUMA@50 certifies VC-NUMA at its own pressure, ceiling or not
 	if i, _ := s.claim(); i != -1 {
 		t.Fatalf("claim = %d after every cell was taken", i)
+	}
+}
+
+// TestScheduleDefersOnlyKin: a run in flight defers the cells it could
+// cover, those of architectures that map a first remote page as its own
+// does, and no others. An in-flight S-COMA@10 defers AS-COMA@10, not
+// VC-NUMA@10, and its certificate later fills AS-COMA@10.
+func TestScheduleDefersOnlyKin(t *testing.T) {
+	cells := []ascoma.Config{archCell(ascoma.SCOMA, 10), archCell(ascoma.ASCOMA, 10), archCell(ascoma.VCNUMA, 10)}
+	s := newSchedule(cells)
+	claim := claimer(t, s)
+	claim(0, false) // S-COMA@10 simulates
+	claim(2, false) // AS-COMA@10 waits; VC-NUMA@10 starts
+	s.finish(0, true, &ascoma.Result{PressureCeiling: 10, SameArchs: ascoma.ArchSet(0).With(ascoma.ASCOMA)})
+	claim(1, true)
+	if i, _ := s.claim(); i != -1 {
+		t.Fatalf("claim = %d after every cell was taken", i)
+	}
+}
+
+// TestRunAllFillCarriesTargetArch: a cell filled from another
+// architecture's run carries its own Arch label and ArchID, the source's
+// ceiling, and the source's certificate relabelled to name the source, and
+// it equals a direct run of the cell.
+func TestRunAllFillCarriesTargetArch(t *testing.T) {
+	cache, err := New(4, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := []ascoma.Config{archCell(ascoma.SCOMA, 10), archCell(ascoma.ASCOMA, 10)}
+	res, err := (&Runner{Cache: cache, Jobs: 1}).RunAll(context.Background(), cells, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Sims != 1 || st.Shared != 1 {
+		t.Fatalf("stats = %+v, want AS-COMA@10 filled from S-COMA@10", st)
+	}
+	fill := res[1]
+	if fill.Arch != "AS-COMA" || fill.ArchID != ascoma.ASCOMA {
+		t.Errorf("fill labelled %s/%v, want AS-COMA", fill.Arch, fill.ArchID)
+	}
+	if fill.PressureCeiling != res[0].PressureCeiling || fill.SameArchs != ascoma.ArchSet(0).With(ascoma.SCOMA) {
+		t.Errorf("fill certifies %d%% and %08b, want %d%% and %08b", fill.PressureCeiling, fill.SameArchs, res[0].PressureCeiling, ascoma.ArchSet(0).With(ascoma.SCOMA))
+	}
+	want, err := ascoma.Run(cells[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fill.Machine, want.Machine) {
+		t.Error("fill differs from a direct run of AS-COMA@10")
 	}
 }
 

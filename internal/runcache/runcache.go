@@ -60,7 +60,7 @@ type Stats struct {
 	RemoteHits int64 `json:"remoteHits"` // served from a remote (peer) backend
 	Dedups     int64 `json:"dedups"`     // waited on an identical in-flight run
 	Sims       int64 `json:"sims"`       // simulations actually executed
-	Shared     int64 `json:"shared"`     // filled from a run certifying their pressure
+	Shared     int64 `json:"shared"`     // filled from a run certifying their architecture and pressure
 	Errors     int64 `json:"errors"`     // failed fills (never cached)
 }
 
@@ -184,7 +184,7 @@ func (c *Cache) Publish(reg *obs.Registry) {
 	reg.NewCounterFunc("ascoma_runcache_sims_total",
 		"Simulations actually executed.", c.sims.Load)
 	reg.NewCounterFunc("ascoma_runcache_shared_total",
-		"Grid cells filled from a finished run that certified their pressure.", c.shared.Load)
+		"Grid cells filled from a finished run that certified their architecture and pressure.", c.shared.Load)
 	reg.NewCounterFunc("ascoma_runcache_errors_total",
 		"Failed fills (never cached).", c.errs.Load)
 	reg.NewGaugeFunc("ascoma_runcache_hit_ratio",

@@ -64,8 +64,9 @@ func (r *Runner) Reply(ctx context.Context, cfg ascoma.Config, encode func(*asco
 
 // run is Run that also returns the cache key the result is filed under
 // ("" when the run bypasses the cache). A non-nil src is a finished run
-// whose ceiling covers cfg's pressure: it stands in for the simulation as
-// a copy relabelled with that pressure, counted as shared, not simulated.
+// that certifies cfg's architecture and pressure (see schedule): it stands
+// in for the simulation as a copy relabelled with cfg's architecture and
+// pressure, counted as shared, not simulated.
 func (r *Runner) run(ctx context.Context, cfg ascoma.Config, src *ascoma.Result) (Key, *ascoma.Result, error) {
 	r.once.Do(r.init)
 	if err := ctx.Err(); err != nil {
@@ -86,8 +87,11 @@ func (r *Runner) run(ctx context.Context, cfg ascoma.Config, src *ascoma.Result)
 		sim = func(context.Context) (*ascoma.Result, error) {
 			st := *src.Machine
 			st.Nodes = slices.Clone(src.Nodes)
-			st.Pressure = cfg.Pressure
-			return &ascoma.Result{Machine: &st, ArchID: src.ArchID, PressureCeiling: src.PressureCeiling}, nil
+			st.Arch, st.Pressure = cfg.Arch.String(), cfg.Pressure
+			return &ascoma.Result{
+				Machine: &st, ArchID: cfg.Arch, PressureCeiling: src.PressureCeiling,
+				SameArchs: src.SameArchs.With(src.ArchID).Without(cfg.Arch),
+			}, nil
 		}
 	}
 	if r.Cache == nil || cfg.Obs != nil {

@@ -240,3 +240,52 @@ func TestCompileInternsWalks(t *testing.T) {
 		}
 	}
 }
+
+// TestAdvanceWalkCursor moves the cursor within a pass, across one pass
+// end, across several, and off the end of each walk, checking the cursor
+// after every skip and that the next reference is the barrier after the
+// walks.
+func TestAdvanceWalkCursor(t *testing.T) {
+	p := &Program{}
+	p.Walk(addr.SharedBase, 640, 64, 20, Read, 1) // 20 passes of 10
+	p.Walk(addr.SharedBase, 640, 64, 2, Write, 1)
+	p.Walk(addr.SharedBase, 640, 64, 9, Read, 2)
+	p.Barrier(0)
+	s := p.Stream().(*Compiled)
+	defer Recycle(s)
+	for _, step := range []struct {
+		k         int64
+		pass, i   int64
+		walkEnded bool
+	}{
+		{3, 0, 3, false},   // within a pass
+		{9, 1, 2, false},   // one pass end
+		{25, 3, 7, false},  // two pass ends
+		{95, 13, 2, false}, // ten pass ends
+		{3, 13, 5, false},  // within a pass again
+		{65, 0, 0, true},   // seven pass ends, the walk's last
+		{20, 0, 0, true},   // the second walk whole
+		{90, 0, 0, true},   // the third walk whole
+	} {
+		w, pass, i := s.NextWalk()
+		if w == nil {
+			t.Fatalf("advance %d: no walk reported", step.k)
+		}
+		s.AdvanceWalk(step.k)
+		if step.walkEnded {
+			if s.pass != 0 || s.i != 0 {
+				t.Fatalf("advance %d from pass %d, position %d: cursor %d/%d after the walk ended", step.k, pass, i, s.pass, s.i)
+			}
+			continue
+		}
+		if s.pass != step.pass || s.i != step.i {
+			t.Fatalf("advance %d from pass %d, position %d: cursor %d/%d, want %d/%d", step.k, pass, i, s.pass, s.i, step.pass, step.i)
+		}
+	}
+	if w, _, _ := s.NextWalk(); w != nil {
+		t.Fatal("a walk is reported after every walk was consumed")
+	}
+	if r, ok := s.Next(); !ok || r.Op != Barrier {
+		t.Fatalf("next reference %+v (ok=%v), want the barrier", r, ok)
+	}
+}

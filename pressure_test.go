@@ -1,10 +1,12 @@
 package ascoma_test
 
-// Pressure sharing: a finished run certifies every pressure up to its
-// PressureCeiling, and Runner.RunAll fills certified cells from it instead
-// of simulating them. These tests hold the fills to the simulations they
-// replace, byte for byte: over the six figure grids, over the golden
-// matrix, and over random configurations (FuzzPressureCeiling).
+// Cell sharing: a finished run certifies every pressure up to its
+// PressureCeiling and every architecture in its SameArchs, and
+// Runner.RunAll fills certified cells from it instead of simulating them.
+// These tests hold the fills to the simulations they replace, byte for
+// byte, Arch and Pressure labels included: over the six figure grids, over
+// the golden matrix, and over random configurations (FuzzPressureCeiling,
+// FuzzSameArchs).
 
 import (
 	"bytes"
@@ -12,11 +14,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"testing"
 
 	"ascoma"
 	"ascoma/internal/report"
 	"ascoma/internal/runcache"
+	"ascoma/internal/stats"
 )
 
 // statsJSON is the full statistics of a run, Pressure label included.
@@ -29,15 +33,15 @@ func statsJSON(t testing.TB, res *ascoma.Result) []byte {
 	return blob
 }
 
-// runAllShared runs cells through RunAll on a cached two-slot Runner and
-// returns the results with the number of cells that were shared.
-func runAllShared(t *testing.T, cells []ascoma.Config) ([]*ascoma.Result, int64) {
+// runAllShared runs cells through RunAll on a cached Runner with the given
+// number of slots and returns the results with the cache's counters.
+func runAllShared(t *testing.T, cells []ascoma.Config, jobs int) ([]*ascoma.Result, runcache.Stats) {
 	t.Helper()
 	cache, err := runcache.New(len(cells), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := (&runcache.Runner{Cache: cache, Jobs: 2}).RunAll(context.Background(), cells, nil)
+	res, err := (&runcache.Runner{Cache: cache, Jobs: jobs}).RunAll(context.Background(), cells, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +49,13 @@ func runAllShared(t *testing.T, cells []ascoma.Config) ([]*ascoma.Result, int64)
 	if st.Sims+st.Shared+st.MemHits+st.Dedups != int64(len(cells)) {
 		t.Errorf("cache stats %+v do not account for %d cells", st, len(cells))
 	}
-	return res, st.Shared
+	return res, st
 }
 
 // TestSharedFigureCellsMatchDirectRuns runs the six figure grids at scale
-// 8 through RunAll and compares every cell with a direct simulation.
+// 8 through RunAll, on one slot and on two, and compares every cell with a
+// direct simulation. On one slot the grids simulate at most 72 of their
+// 126 cells: pressure sharing alone left 84.
 func TestSharedFigureCellsMatchDirectRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates the six figure grids twice")
@@ -63,20 +69,29 @@ func TestSharedFigureCellsMatchDirectRuns(t *testing.T) {
 			}
 		}
 	}
-	got, shared := runAllShared(t, cells)
-	if shared == 0 {
-		t.Error("no figure cell was shared")
-	}
+	want := make([][]byte, len(cells))
 	for i, cfg := range cells {
-		want, err := ascoma.RunContext(context.Background(), cfg)
+		res, err := ascoma.RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(statsJSON(t, got[i]), statsJSON(t, want)) {
-			t.Errorf("%s %v(%d%%): RunAll result differs from a direct run", cfg.Workload, cfg.Arch, cfg.Pressure)
-		}
+		want[i] = statsJSON(t, res)
 	}
-	t.Logf("%d of %d figure cells shared", shared, len(cells))
+	for _, jobs := range []int{1, 2} {
+		got, st := runAllShared(t, cells, jobs)
+		for i, cfg := range cells {
+			if !bytes.Equal(statsJSON(t, got[i]), want[i]) {
+				t.Errorf("%d jobs: %s %v(%d%%): RunAll result differs from a direct run", jobs, cfg.Workload, cfg.Arch, cfg.Pressure)
+			}
+			if got[i].ArchID != cfg.Arch {
+				t.Errorf("%d jobs: %s %v(%d%%): result carries ArchID %v", jobs, cfg.Workload, cfg.Arch, cfg.Pressure, got[i].ArchID)
+			}
+		}
+		if jobs == 1 && (st.Sims > 72 || st.Shared < 42) {
+			t.Errorf("one slot: %d simulated and %d shared of %d cells; want at most 72 simulated and at least 42 shared", st.Sims, st.Shared, len(cells))
+		}
+		t.Logf("%d jobs: %d of %d figure cells simulated, %d shared", jobs, st.Sims, len(cells), st.Shared)
+	}
 }
 
 // TestSharedGoldenCellsMatchPins runs the golden matrix through RunAll:
@@ -102,7 +117,7 @@ func TestSharedGoldenCellsMatchPins(t *testing.T) {
 			}
 		}
 	}
-	got, shared := runAllShared(t, cells)
+	got, st := runAllShared(t, cells, 2)
 	if len(cells) != len(want) {
 		t.Fatalf("%d golden cells, %d pins", len(cells), len(want))
 	}
@@ -112,7 +127,7 @@ func TestSharedGoldenCellsMatchPins(t *testing.T) {
 			t.Errorf("%s: RunAll checksum %s, pinned %s", key, sum, want[key])
 		}
 	}
-	t.Logf("%d of %d golden cells shared", shared, len(cells))
+	t.Logf("%d of %d golden cells shared", st.Shared, len(cells))
 }
 
 func goldenKeyOf(cfg ascoma.Config) string {
@@ -145,16 +160,16 @@ func TestPressureCeilingRefusesPressuredCells(t *testing.T) {
 }
 
 // TestPressureCeilingZeroForInstrumentedRuns: observed, sampled and
-// multi-tier runs certify nothing (coherence-checked runs are covered in
-// internal/machine, where the checker is configured).
+// multi-tier runs certify no pressure and no architecture (coherence-checked
+// runs are covered in internal/machine, where the checker is configured).
 func TestPressureCeilingZeroForInstrumentedRuns(t *testing.T) {
 	base := ascoma.Config{Arch: ascoma.ASCOMA, Workload: "fft", Pressure: 10, Scale: 16}
 	plain, err := ascoma.Run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.PressureCeiling < 10 {
-		t.Fatalf("plain run ceiling %d; the cases below would test nothing", plain.PressureCeiling)
+	if plain.PressureCeiling < 10 || !plain.SameArchs.Has(ascoma.SCOMA) {
+		t.Fatalf("plain run ceiling %d, same %08b; the cases below would test nothing", plain.PressureCeiling, plain.SameArchs)
 	}
 	observed, sampled, tiered := base, base, base
 	observed.Obs = ascoma.NewRecording(0, 10_000)
@@ -165,10 +180,128 @@ func TestPressureCeilingZeroForInstrumentedRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.PressureCeiling != 0 {
-			t.Errorf("%s run: ceiling %d, want 0", name, res.PressureCeiling)
+		if res.PressureCeiling != 0 || res.SameArchs != 0 {
+			t.Errorf("%s run: ceiling %d, same %08b; want 0 and none", name, res.PressureCeiling, res.SameArchs)
 		}
 	}
+}
+
+// TestSameArchsNoneForAblations: an ablated AS-COMA runs a policy from a
+// PolicyFactory, which no shadow mirrors, so it certifies no architecture.
+// (NoSCOMAAlloc maps like R-NUMA, so a shadowed run could have matched
+// one.)
+func TestSameArchsNoneForAblations(t *testing.T) {
+	for _, ab := range []ascoma.Ablation{ascoma.AblationNoSCOMAAlloc, ascoma.AblationNoBackoff} {
+		res, err := ascoma.Run(ascoma.Config{Arch: ascoma.ASCOMA, Workload: "fft", Pressure: 10, Scale: 16, Ablation: ab})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SameArchs != 0 {
+			t.Errorf("ablation %d certifies %08b, want none", ab, res.SameArchs)
+		}
+	}
+}
+
+// cappedVC returns the default parameters with VC-NUMA's threshold cap at
+// the initial threshold: VC-NUMA's detector then counts thrash events
+// without ever moving the threshold, so it answers every query as R-NUMA
+// does and differs from it only in ThrashEvents.
+func cappedVC() ascoma.Params {
+	p := ascoma.DefaultParams()
+	p.VCThresholdCap = p.RefetchThreshold
+	return p
+}
+
+// TestSameArchsChecksThrashEvents: with VC-NUMA's threshold capped, radix
+// makes VC-NUMA count thrash events while it answers every query as
+// R-NUMA does. The R-NUMA run must not certify VC-NUMA.
+func TestSameArchsChecksThrashEvents(t *testing.T) {
+	cfg := ascoma.Config{Arch: ascoma.RNUMA, Workload: "radix", Pressure: 90, Scale: 16, Params: cappedVC()}
+	rn, err := ascoma.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Arch = ascoma.VCNUMA
+	vc, err := ascoma.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vc.Counter(func(n *stats.Node) int64 { return n.ThrashEvents }) == 0 {
+		t.Fatal("capped VC-NUMA counted no thrash events; the case tests nothing")
+	}
+	if rn.SameArchs.Has(ascoma.VCNUMA) {
+		t.Errorf("R-NUMA certifies VC-NUMA, whose run counts thrash events R-NUMA does not")
+	}
+}
+
+// FuzzSameArchs draws a small configuration, with VC-NUMA's threshold
+// optionally capped (cappedVC), and runs it. Every architecture B in the
+// run's SameArchs must simulate to the same statistics but for the Arch
+// label, and B's run must certify the drawn architecture in turn. When the
+// run has a pressure ceiling, B at a drawn pressure P' up to it must also
+// simulate to the run's statistics but for the Arch and Pressure labels:
+// the cross-architecture, cross-pressure fill RunAll hands out.
+func FuzzSameArchs(f *testing.F) {
+	apps := ascoma.Workloads()
+	archs := append(ascoma.Archs(), ascoma.MIGNUMA)
+	archIdx := func(a ascoma.Arch) uint8 { return uint8(slices.Index(archs, a)) }
+	idx := func(app string) uint8 { return uint8(slices.Index(apps, app)) }
+	// arch, app, scale, pressure, quantum, capped VC-NUMA, P' pick
+	f.Add(archIdx(ascoma.ASCOMA), idx("fft"), uint8(0), uint8(9), uint16(0), false, uint8(3))
+	f.Add(archIdx(ascoma.SCOMA), idx("em3d"), uint8(1), uint8(9), uint16(0), false, uint8(0))
+	f.Add(archIdx(ascoma.RNUMA), idx("lu"), uint8(0), uint8(69), uint16(0), false, uint8(20))
+	f.Add(archIdx(ascoma.VCNUMA), idx("lu"), uint8(1), uint8(29), uint16(1000), false, uint8(7))
+	f.Add(archIdx(ascoma.CCNUMA), idx("ocean"), uint8(0), uint8(49), uint16(10), false, uint8(90))
+	f.Add(archIdx(ascoma.RNUMA), idx("radix"), uint8(0), uint8(89), uint16(0), true, uint8(45))
+	f.Fuzz(func(t *testing.T, arch, app, scale uint8, pressure uint8, quantum uint16, capped bool, pick uint8) {
+		cfg := ascoma.Config{
+			Arch:     archs[int(arch)%len(archs)],
+			Workload: apps[int(app)%len(apps)],
+			Scale:    16 << (scale % 2),
+			Pressure: 1 + int(pressure)%99,
+			Quantum:  int64(quantum % 2000),
+		}
+		if capped {
+			cfg.Params = cappedVC()
+		}
+		res, err := ascoma.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SameArchs.Has(cfg.Arch) {
+			t.Fatalf("%+v certifies its own architecture: %08b", cfg, res.SameArchs)
+		}
+		for _, b := range archs {
+			if !res.SameArchs.Has(b) {
+				continue
+			}
+			other := cfg
+			other.Arch = b
+			want, err := ascoma.Run(other)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := *res.Machine
+			got.Arch = want.Arch
+			if !bytes.Equal(statsJSON(t, &ascoma.Result{Machine: &got}), statsJSON(t, want)) {
+				t.Fatalf("%+v certifies %v, whose run differs", cfg, b)
+			}
+			if !want.SameArchs.Has(cfg.Arch) {
+				t.Fatalf("%+v certifies %v, whose run certifies %08b without %v", cfg, b, want.SameArchs, cfg.Arch)
+			}
+			if res.PressureCeiling == 0 {
+				continue
+			}
+			other.Pressure = 1 + int(pick)%res.PressureCeiling
+			if want, err = ascoma.Run(other); err != nil {
+				t.Fatal(err)
+			}
+			got.Pressure = want.Machine.Pressure
+			if !bytes.Equal(statsJSON(t, &ascoma.Result{Machine: &got}), statsJSON(t, want)) {
+				t.Fatalf("%+v (ceiling %d) certifies %v, whose run at %d%% differs", cfg, res.PressureCeiling, b, other.Pressure)
+			}
+		}
+	})
 }
 
 // FuzzPressureCeiling draws a small configuration, runs it, and picks a
