@@ -112,6 +112,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkEstimate$$|BenchmarkEstimateProfile$$' -benchmem -count 3 .
 	$(GO) test -run '^$$' -bench 'BenchmarkStreamGeneration$$' -count 3 .
 	$(GO) test -run '^$$' -bench 'BenchmarkResident$$' -benchtime 10x -count 3 .
+	$(GO) test -run '^$$' -bench 'BenchmarkResidentQuantum' -benchtime 10x -count 3 .
 
 race:
 	$(GO) test -race ./...
@@ -119,8 +120,10 @@ race:
 # fuzz-smoke runs each fuzz target briefly over its seeded corpus plus a
 # few seconds of generated inputs — a CI-sized differential check that the
 # compiled workload streams still match the interpreted reference (also
-# with walks partly skipped undecoded), that a machine skipping verified
-# walks in closed form matches the interpretive run, that the trace decoder
+# with walks partly skipped undecoded, and with walks repeated back to back
+# or across barriers, which compile folds or interns), that a machine
+# skipping verified walks in closed form — cruising whole quanta of them,
+# folded walks included — matches the interpretive run, that the trace decoder
 # turns any input into a clean error or a canonical trace, that the tier,
 # page-policy and pressure parsers accept only valid specs, that
 # every run, job and estimate request body decodes into a 400 or a valid

@@ -306,6 +306,25 @@ func BenchmarkResident(b *testing.B) {
 	}
 }
 
+// BenchmarkResidentQuantum is BenchmarkResident at quanta 10, 100 and
+// 1000: a smaller quantum cuts every walk into more events, so it measures
+// the host cost per event of the L1-resident regime, the cost a smaller
+// default quantum would multiply.
+func BenchmarkResidentQuantum(b *testing.B) {
+	for _, q := range []int64{10, 100, 1000} {
+		b.Run(fmt.Sprintf("q%d", q), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, err := Run(Config{Arch: ASCOMA, Workload: "resident", Pressure: 30,
+					Scale: 1, Quantum: q})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // --- simulator micro benchmarks ----------------------------------------------
 
 // BenchmarkSimulatorThroughput measures end-to-end simulated references per

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"ascoma/internal/addr"
+	"ascoma/internal/sim"
 	"ascoma/internal/stats"
 	"ascoma/internal/workload"
 )
@@ -150,6 +151,9 @@ type walkMemo struct {
 //     references would have; the window stays empty, so the next refill
 //     decodes from there.
 //
+// A skip that stops at the quantum deadline, with references of the walk
+// left, fills the node's cruise record (see cruise).
+//
 // Checked runs never get here: runNode skips fast-forward under the
 // coherence checker.
 //
@@ -165,6 +169,9 @@ func (m *Machine) skipWalk(nd *node, now, deadline int64) int64 {
 	per := think + hit
 	k := w.Remaining(pass, i)
 	if n := (bound - now + per - 1) / per; n < k {
+		if deadline <= nd.nextDaemon {
+			m.fillCruise(nd, w, think, k-n)
+		}
 		k = n
 	}
 	nd.chunks.AdvanceWalk(k)
@@ -230,3 +237,106 @@ func (nd *node) verifyWalk(w *workload.Walk, at int64) bool {
 
 // crosses reports whether boundary b lies in (first, last].
 func crosses(first, last, b addr.GVA) bool { return first < b && last >= b }
+
+// cruise is a node's record of a walk skip that stopped at its quantum
+// deadline: the verified walk, the L1 generation it verified under, and
+// what every later quantum of that walk consumes. While it holds, the run
+// loop serves the node's events from it (serveCruise) instead of calling
+// runNode, and defers the stream's cursor move to one AdvanceWalk when the
+// record is dropped (dropCruise).
+type cruise struct {
+	w    *workload.Walk // nil: no record
+	gen  uint32         // node.invGen the walk verified under
+	left int64          // references of the walk not yet consumed
+	owed int64          // references served but not yet advanced past in the stream
+
+	// Per-quantum deltas: kq = ceil(Quantum / per) references, per =
+	// think + L1HitCycles.
+	kq     int64
+	cycles int64 // kq * per
+	uinstr int64 // kq * think, to Time[UInstr]
+	stall  int64 // kq * L1HitCycles, to Time[UShMem] or Time[ULcMem]
+	shared bool  // the walk lies in the shared region
+}
+
+// fillCruise records a walk skip that is about to stop at the quantum
+// deadline with left references of w still to come; think is the walk's
+// clamped think time.
+//
+//ascoma:hotpath
+func (m *Machine) fillCruise(nd *node, w *workload.Walk, think, left int64) {
+	hit := m.p.L1HitCycles
+	kq := (m.quantum + think + hit - 1) / (think + hit)
+	nd.cruise = cruise{
+		w: w, gen: nd.invGen, left: left,
+		kq: kq, cycles: kq * (think + hit), uinstr: kq * think, stall: kq * hit,
+		shared: addr.IsShared(w.Base),
+	}
+}
+
+// serveCruise serves nd's event at now from its cruise record and reports
+// whether it did; when it does not, it drops the record and the caller
+// runs runNode. It serves the event only when runNode would reach skipWalk
+// straight away and skipWalk would consume a whole quantum of the walk and
+// stop at the deadline with references left:
+//
+//   - runNode: the node is unblocked (its entry check), node 0 takes no
+//     sample or epoch at now (its next two checks, mirrored exactly), and
+//     now+Quantum <= nextDaemon, so the daemon does not run first. A
+//     record exists only after fastForward ran with ffSkip == 0 and
+//     consumed references, which leaves ffSkip == 0 and ffBackoff == 0;
+//     nothing but runNode changes them, so fastForward runs at once.
+//   - fastForward: the window is empty (nextWalk emptied it and nothing
+//     decoded since), so it calls skipWalk with now and deadline =
+//     now+Quantum.
+//   - skipWalk: the stream's next walk is still w — more than kq of its
+//     references were left at the last event, and the deferred advance
+//     keeps the cursor inside it — and the memo holds (w, gen) with hits,
+//     so with invGen == gen verifyWalk answers true from the memo. The
+//     bound is the deadline, so it consumes ceil(Quantum/per) = kq
+//     references (fewer than left), adds the record's deltas, and returns
+//     now + kq*per.
+//   - Back in fastForward and runNode: now + kq*per >= deadline ends both
+//     loops, ffBackoff stays 0, and runNode pushes one event at
+//     now + kq*per — the one push below, made at the same point of the
+//     event order, so FIFO ties resolve as before.
+//
+// The stream itself is not moved: two AdvanceWalk calls within one walk
+// compose (each leaves the cursor where decoding would), so the kq
+// references of every served event are advanced past in one AdvanceWalk
+// of their sum when the record is dropped, before runNode next reads the
+// stream. Nothing else reads a node's stream.
+//
+//ascoma:hotpath
+func (m *Machine) serveCruise(nd *node, now int64) bool {
+	c := &nd.cruise
+	if nd.blocked != 0 || nd.invGen != c.gen || c.left <= c.kq || now+m.quantum > nd.nextDaemon ||
+		nd.id == 0 && (m.sampleIntv > 0 && now >= m.nextSample || m.epochIntv > 0 && now >= m.nextEpoch) {
+		nd.dropCruise()
+		return false
+	}
+	c.left -= c.kq
+	c.owed += c.kq
+	nd.st.L1Hits += c.kq
+	nd.st.Time[stats.UInstr] += c.uinstr
+	if c.shared {
+		nd.st.SharedRefs += c.kq
+		nd.st.Time[stats.UShMem] += c.stall
+	} else {
+		nd.st.PrivateRefs += c.kq
+		nd.st.Time[stats.ULcMem] += c.stall
+	}
+	m.q.Push(sim.Event{Time: now + c.cycles, Node: int32(nd.id)})
+	m.cruised++
+	return true
+}
+
+// dropCruise applies the record's deferred cursor move and clears it.
+//
+//ascoma:hotpath
+func (nd *node) dropCruise() {
+	if nd.cruise.owed > 0 {
+		nd.chunks.AdvanceWalk(nd.cruise.owed)
+	}
+	nd.cruise = cruise{}
+}

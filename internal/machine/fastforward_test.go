@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"ascoma/internal/addr"
+	"ascoma/internal/obs"
 	"ascoma/internal/params"
+	"ascoma/internal/sim"
 	"ascoma/internal/stats"
 	"ascoma/internal/vm"
 	"ascoma/internal/workload"
@@ -44,8 +46,9 @@ func runStats(t *testing.T, cfg Config, gen workload.Generator) []byte {
 // passes per dispatch, where walks are skipped in closed form. Tiny daemon
 // intervals force the daemon-deadline bound, critsec puts lock/unlock refs
 // mid-chunk, resident is the L1-resident regime the closed form targets,
-// and walkProbe mixes sub-line strides, think-free write walks and
-// invalidations landing mid-phase.
+// walkProbe mixes sub-line strides, think-free write walks and
+// invalidations landing mid-phase, and the cruise cases hold the events
+// served from a cruise record to the same standard (testCruiseExactness).
 func TestFastForwardExactness(t *testing.T) {
 	apps := []string{"fft", "critsec", "uniform", "resident"}
 	if !testing.Short() {
@@ -94,6 +97,173 @@ func TestFastForwardExactness(t *testing.T) {
 			}
 		})
 	}
+	t.Run("cruise", testCruiseExactness)
+}
+
+// stepRun drives m to completion as RunContext does, calling see before
+// each event is dispatched, and returns the statistics as JSON with the
+// workload name blanked (as runStats does). see observes the node's state
+// at the event, before the cruise record serves it or is dropped.
+func stepRun(t *testing.T, m *Machine, see func(nd *node, now int64)) []byte {
+	t.Helper()
+	for i := range m.nodes {
+		m.q.Push(sim.Event{Time: 0, Node: int32(i)})
+	}
+	for m.aborted == nil {
+		ev, ok := m.q.Pop()
+		if !ok {
+			break
+		}
+		nd := m.nodes[ev.Node]
+		see(nd, ev.Time)
+		m.dispatch(nd, ev.Time)
+	}
+	if m.aborted != nil || m.active > 0 {
+		t.Fatalf("stepped run did not finish: aborted=%v active=%d", m.aborted, m.active)
+	}
+	m.finalize()
+	m.st.Workload = ""
+	buf, err := json.Marshal(m.st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// testCruiseExactness holds the cruise record (serveCruise) to the
+// interpretive run of a recorded trace, byte for byte, in the cases that
+// end a cruise before its walk does, and checks that each case happened:
+// that events were served from a record, and that a record met the
+// condition the case is named for. Quanta 10 and 100 cut resident's walks
+// into many short cruises; "invalidated" has node 1 write into the shared
+// lines node 0 walks, so node 0's L1 generation changes under a record;
+// "daemon" wakes the pageout daemon inside resident's walks; "epochs" and
+// "samples" take epoch probes and adaptation samples on node 0's dispatch
+// during its cruises, and also compare the recordings and samples. Each
+// run is also checked against Run.
+func testCruiseExactness(t *testing.T) {
+	resident, err := workload.New("resident", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	daemon := params.Default()
+	daemon.DaemonInterval = 20_000
+	cases := []struct {
+		name   string
+		gen    workload.Generator
+		cfg    Config
+		epochs int64 // epoch interval; 0 for none
+		// met reports whether the event at now meets the case's condition
+		// while nd holds a cruise record.
+		met func(m *Machine, nd *node, now int64) bool
+	}{
+		{"resident/q10", resident, Config{Arch: params.ASCOMA, Pressure: 50, Quantum: 10}, 0, nil},
+		{"resident/q100", resident, Config{Arch: params.ASCOMA, Pressure: 50, Quantum: 100}, 0, nil},
+		{"invalidated", sharedWriter(), Config{Arch: params.ASCOMA, Pressure: 50, Quantum: 1000}, 0, func(m *Machine, nd *node, now int64) bool {
+			return nd.invGen != nd.cruise.gen
+		}},
+		// At 90% pressure the pool runs below free_min, so a daemon pass
+		// costs cycles and evicts: one run late would show.
+		{"daemon", resident, Config{Arch: params.ASCOMA, Pressure: 90, Quantum: 1000, Params: daemon}, 0, func(m *Machine, nd *node, now int64) bool {
+			return now+m.quantum > nd.nextDaemon
+		}},
+		{"epochs", resident, Config{Arch: params.ASCOMA, Pressure: 50, Quantum: 1000}, 5_000, func(m *Machine, nd *node, now int64) bool {
+			return nd.id == 0 && now >= m.nextEpoch
+		}},
+		{"samples", resident, Config{Arch: params.ASCOMA, Pressure: 50, Quantum: 1000, SampleInterval: 5_000}, 0, func(m *Machine, nd *node, now int64) bool {
+			return nd.id == 0 && now >= m.nextSample
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			trace := workload.Record(c.gen)
+			cfg := c.cfg
+			cfg.MaxCycles = 1 << 40
+			// run steps one machine over gen and returns its stats, its
+			// samples and its encoded recording.
+			run := func(gen workload.Generator, see func(m *Machine, nd *node, now int64)) (st, samples, rec []byte, cruised int64) {
+				cfg := cfg
+				var r *obs.Recording
+				if c.epochs > 0 {
+					r = obs.NewRecording(1<<14, c.epochs)
+					cfg.Obs = r
+				}
+				m, err := New(cfg, gen)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer m.Release()
+				st = stepRun(t, m, func(nd *node, now int64) { see(m, nd, now) })
+				if samples, err = json.Marshal(m.Samples()); err != nil {
+					t.Fatal(err)
+				}
+				if r != nil {
+					rec = obs.AppendRecording(nil, r)
+				}
+				return st, samples, rec, m.cruised
+			}
+			slow, slowSamples, slowRec, _ := run(trace, func(*Machine, *node, int64) {})
+			met := 0
+			fast, fastSamples, fastRec, cruised := run(c.gen, func(m *Machine, nd *node, now int64) {
+				if c.met != nil && nd.cruise.w != nil && c.met(m, nd, now) {
+					met++
+				}
+			})
+			if !bytes.Equal(fast, slow) {
+				t.Fatalf("cruising stats diverge from the interpretive run\nfast: %s\nslow: %s", fast, slow)
+			}
+			if !bytes.Equal(fastSamples, slowSamples) || !bytes.Equal(fastRec, slowRec) {
+				t.Fatal("cruising samples or recording diverge from the interpretive run's")
+			}
+			if direct := runStats(t, cfg, c.gen); !bytes.Equal(direct, fast) {
+				t.Fatal("Run's stats differ from the stepped run's")
+			}
+			if cruised == 0 {
+				t.Fatal("no event was served from a cruise record")
+			}
+			if c.met != nil && met == 0 {
+				t.Fatalf("%d events cruised, but no record met the %s condition", cruised, c.name)
+			}
+			t.Logf("%d events cruised, %d records met the condition", cruised, met)
+		})
+	}
+}
+
+// sharedWriter has node 0 walk lines of its own shared section, pass after
+// pass, while node 1 writes one of those lines every few hundred cycles:
+// each write invalidates node 0's L1 copy through the home snoop, under
+// whatever cruise record node 0 holds.
+func sharedWriter() *probe {
+	gen := newProbe(2, 2)
+	gen.priv = 1
+	gen.programs[0].Walk(gen.section(0), 1024, params.LineSize, 400, workload.Read, 1)
+	for r := 0; r < 12; r++ {
+		gen.programs[1].Walk(addr.PrivateRegion(1), 256, params.LineSize, 40, workload.Read, 3)
+		gen.programs[1].Walk(gen.section(0)+addr.GVA(r%16*params.LineSize), params.LineSize, params.LineSize, 1, workload.Write, 0)
+	}
+	return gen
+}
+
+// TestCruiseServesResident pins that the cruise carries the L1-resident
+// regime it exists for: in BenchmarkResident's run (scale 1, quantum
+// 1000) most events are served from a cruise record.
+func TestCruiseServesResident(t *testing.T) {
+	gen, err := workload.New("resident", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(Config{Arch: params.ASCOMA, Pressure: 30, Quantum: 1000}, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Release()
+	events := 0
+	stepRun(t, m, func(*node, int64) { events++ })
+	if m.cruised*10 < int64(events)*6 {
+		t.Errorf("%d of %d events served from a cruise record, want at least 60%%", m.cruised, events)
+	}
+	t.Logf("%d of %d events served from a cruise record", m.cruised, events)
 }
 
 // walkProbe builds multi-pass walks that stress the closed-form skip: a

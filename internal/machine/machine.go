@@ -110,6 +110,11 @@ type node struct {
 	nextDaemon int64
 	id         int
 
+	// cruise serves the node's next events from its last walk skip when
+	// that skip stopped at the quantum deadline (see fastforward.go); the
+	// run loop reads it once per event.
+	cruise cruise
+
 	// Chunk window (chunked streams only): pend borrows the stream's decoded
 	// chunk and pendPos is the consumption cursor — refs before it have been
 	// consumed by the node but not yet reported to the stream. The cursor is
@@ -217,6 +222,10 @@ type Machine struct {
 	samples    []Sample
 	nextSample int64
 	nextEpoch  int64
+
+	// cruised counts the events served from a cruise record instead of
+	// runNode; tests read it to see that cruising engaged.
+	cruised int64
 }
 
 // New builds a machine for the given workload. The workload's node count
@@ -349,7 +358,9 @@ func New(cfg Config, gen workload.Generator) (*Machine, error) {
 		nd.ffSkip, nd.ffBackoff = 0, 0
 		nd.invGen = 0
 		nd.walk = walkMemo{}
+		nd.cruise = cruise{}
 	}
+	m.cruised = 0
 	m.active = n
 	if cfg.CheckCoherence {
 		m.checker = newCoherenceChecker(n)
@@ -546,13 +557,26 @@ func (m *Machine) runLoop(ctx context.Context) {
 			m.aborted = fmt.Errorf("machine: exceeded MaxCycles=%d (arch=%v workload=%s)", m.cfg.MaxCycles, m.cfg.Arch, m.gen.Name())
 			break
 		}
-		m.runNode(m.nodes[ev.Node], ev.Time)
+		m.dispatch(m.nodes[ev.Node], ev.Time)
 	}
 }
 
+// dispatch runs nd's event at now: from the node's cruise record when that
+// serves it (see fastforward.go), through runNode otherwise.
+//
+//ascoma:hotpath
+func (m *Machine) dispatch(nd *node, now int64) {
+	if nd.cruise.w != nil && m.serveCruise(nd, now) {
+		return
+	}
+	m.runNode(nd, now)
+}
+
 // runNode advances one node by up to one quantum of simulated time. It is
-// the simulator's step loop — every simulated reference passes through it —
-// and must stay allocation-free (ascoma-vet enforces this; see BENCH_PR1).
+// the simulator's step loop — every simulated reference passes through it
+// or through a cruise record (serveCruise) — and must stay allocation-free
+// (ascoma-vet enforces this; see BENCH_PR1). dispatch calls it only for a
+// node without a cruise record.
 //
 //ascoma:hotpath
 func (m *Machine) runNode(nd *node, now int64) {

@@ -38,9 +38,11 @@ const ChunkSize = 256
 
 // Walk is the immutable geometry of a strided walk: Passes sweeps of Count
 // references at Base, Base+Stride, ..., each issued after Think instruction
-// cycles. A walk that repeats the program's previous walk reports that
-// walk's *Walk (compiledProg.walkAt), so a run of identical phases, even
-// with sync steps between them, is one pointer to the verification memo.
+// cycles. compile folds back-to-back walks that differ only in Passes into
+// one walk with the passes summed, and a walk that repeats the program's
+// previous walk reports that walk's *Walk (compiledProg.walkAt), so a run
+// of identical phases, even with sync steps between them, is one pointer
+// to the verification memo.
 type Walk struct {
 	Base   addr.GVA
 	Stride int64
@@ -74,18 +76,32 @@ type cinstr struct {
 }
 
 // compiledProg is the immutable compiled form of a Program, shared by every
-// stream over it.
+// stream over it. Its instructions are the program's with back-to-back
+// equal walks folded, so they need not line up with the program's indices.
 type compiledProg struct {
 	instrs []cinstr
 }
 
+// compile decodes p into its compiled form in two steps:
+//
+//   - Folding: a walk directly after a walk that equals it in every
+//     geometry field but Passes, nothing between them, becomes part of
+//     that walk (the passes summed). Every pass of either walk issues the
+//     same Count references — position j's address, operation and think
+//     depend on j and the shared geometry only, and each pass starts at
+//     position 0 — so passes a then b decode exactly as a+b passes of one
+//     walk. Folding changes no reference, only how many instructions the
+//     references take: the 16 back-to-back tile phases of a resident
+//     superphase become one walk that a verified closed-form skip rides
+//     to its end.
+//   - Interning: a walk equal to the previous walk (sync or scatter steps
+//     between them) reports that walk's *Walk, so the machine's walk memo,
+//     keyed on the pointer, survives the repeat.
 func compile(p *Program) *compiledProg {
-	cp := &compiledProg{instrs: make([]cinstr, len(p.instrs))}
-	prev := -1 // the previous walk
+	cp := &compiledProg{instrs: make([]cinstr, 0, len(p.instrs))}
 	for i := range p.instrs {
 		in := &p.instrs[i]
-		ci := &cp.instrs[i]
-		*ci = cinstr{
+		ci := cinstr{
 			kind: in.kind,
 			geom: Walk{
 				Base: in.base, Stride: in.stride, Count: in.count, Passes: in.passes,
@@ -93,14 +109,10 @@ func compile(p *Program) *compiledProg {
 			},
 			seed: in.seed,
 		}
-		if in.kind == iWalk {
-			// The memo keeps one geometry, so only a repeat of the
-			// previous walk could reuse its pointer: one compare finds it.
-			ci.first = int32(i)
-			if prev >= 0 && cp.instrs[prev].geom == ci.geom {
-				ci.first = cp.instrs[prev].first
-			}
-			prev = i
+		if n := len(cp.instrs); in.kind == iWalk && n > 0 && cp.instrs[n-1].kind == iWalk &&
+			foldable(&cp.instrs[n-1].geom, &ci.geom) {
+			cp.instrs[n-1].geom.Passes += ci.geom.Passes
+			continue
 		}
 		if in.kind == iScatter {
 			ci.runLen = in.runLen
@@ -109,8 +121,32 @@ func compile(p *Program) *compiledProg {
 			}
 			ci.slots = uint64(in.bytes/in.stride) - uint64(ci.runLen) + 1
 		}
+		cp.instrs = append(cp.instrs, ci)
+	}
+	// Intern after folding: a folded walk's Passes is final only now. The
+	// memo keeps one geometry, so only a repeat of the previous walk could
+	// reuse its pointer: one compare finds it.
+	prev := -1 // the previous walk
+	for i := range cp.instrs {
+		ci := &cp.instrs[i]
+		if ci.kind != iWalk {
+			continue
+		}
+		ci.first = int32(i)
+		if prev >= 0 && cp.instrs[prev].geom == ci.geom {
+			ci.first = cp.instrs[prev].first
+		}
+		prev = i
 	}
 	return cp
+}
+
+// foldable reports whether walk b directly after walk a decodes as more
+// passes of a: every geometry field but Passes is equal.
+func foldable(a, b *Walk) bool {
+	x := *b
+	x.Passes = a.Passes
+	return x == *a
 }
 
 // walkAt returns the geometry of the walk at pc, shared by its run of

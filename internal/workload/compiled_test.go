@@ -193,50 +193,91 @@ func TestNewMemoizes(t *testing.T) {
 	Recycle(s3)
 }
 
-// TestCompileInternsWalks pins the identity the machine's walk-skip memo
-// keys on: a walk whose geometry equals the program's previous walk shares
-// that walk's *Walk, sync and scatter steps between them notwithstanding;
-// a walk differing in any geometry field gets its own. The memo holds one
-// geometry, so an equal walk after a different one gets its own *Walk too.
+// TestCompileInternsWalks pins the two rules compile applies to walks.
+// Folding: a walk directly after a walk equal to it in every geometry
+// field but Passes becomes one instruction with the passes summed. Interning,
+// which the machine's walk-skip memo keys on: a walk whose (folded)
+// geometry equals the program's previous walk shares that walk's *Walk,
+// sync and scatter steps between them notwithstanding; a walk differing in
+// any geometry field gets its own. The memo holds one geometry, so an
+// equal walk after a different one gets its own *Walk too.
 func TestCompileInternsWalks(t *testing.T) {
 	p := &Program{}
-	p.Walk(addr.SharedBase, 4096, 64, 3, Read, 1)        // 0
-	p.Barrier(0)                                         // 1
-	p.Walk(addr.SharedBase, 4096, 64, 3, Read, 1)        // 2: equal to 0
-	p.Walk(addr.SharedBase, 4096, 64, 3, Write, 1)       // 3: op
-	p.Walk(addr.SharedBase, 4096, 32, 3, Read, 1)        // 4: stride
-	p.Walk(addr.SharedBase, 4096, 64, 4, Read, 1)        // 5: passes
-	p.Walk(addr.SharedBase, 4096, 64, 3, Read, 2)        // 6: think
-	p.Walk(addr.SharedBase+64, 4096, 64, 3, Read, 1)     // 7: base
-	p.WalkRW(addr.SharedBase, 4096, 64, 3, 4, 1)         // 8: write period
-	p.WalkRW(addr.SharedBase, 4096, 64, 3, 4, 1)         // 9: equal to 8
-	p.Scatter(addr.SharedBase, 4096, 64, 10, Read, 1, 7) // 10
-	p.WalkRW(addr.SharedBase, 4096, 64, 3, 4, 1)         // 11: equal to 9
-	p.Walk(addr.SharedBase, 4096, 64, 3, Read, 1)        // 12: equal to 0, not to 11
-	cp := p.compiled()
-	if cp.walkAt(0) == nil || cp.walkAt(0) != cp.walkAt(2) ||
-		cp.walkAt(8) != cp.walkAt(9) || cp.walkAt(9) != cp.walkAt(11) {
-		t.Fatal("a walk equal to the previous walk does not share its *Walk")
+	// Each source instruction with the compiled instruction it lands in.
+	at := []int{}
+	add := func(c int, build func()) {
+		build()
+		at = append(at, c)
 	}
-	if cp.walkAt(1) != nil || cp.walkAt(10) != nil {
+	// Each walk from 3 to 9 differs from the walk before it in one
+	// geometry field (passes aside), so none may fold.
+	add(0, func() { p.Walk(addr.SharedBase, 4096, 64, 3, Read, 1) })
+	add(0, func() { p.Walk(addr.SharedBase, 4096, 64, 2, Read, 1) }) // folds: passes 5
+	add(1, func() { p.Barrier(0) })
+	add(2, func() { p.Walk(addr.SharedBase, 4096, 64, 5, Read, 1) })     // equal to folded 0
+	add(3, func() { p.Walk(addr.SharedBase, 4096, 64, 3, Write, 1) })    // op
+	add(4, func() { p.Walk(addr.SharedBase, 2048, 32, 3, Write, 1) })    // stride (same count)
+	add(5, func() { p.Walk(addr.SharedBase, 2048, 32, 3, Write, 2) })    // think
+	add(6, func() { p.Walk(addr.SharedBase+64, 2048, 32, 3, Write, 2) }) // base
+	add(7, func() { p.Walk(addr.SharedBase+64, 1024, 32, 3, Write, 2) }) // count
+	add(8, func() { p.WalkRW(addr.SharedBase+64, 1024, 32, 3, 4, 2) })   // op and write period
+	add(9, func() { p.WalkRW(addr.SharedBase+64, 1024, 32, 3, 3, 2) })   // write period
+	add(10, func() { p.WalkRW(addr.SharedBase, 4096, 64, 3, 4, 1) })
+	add(10, func() { p.WalkRW(addr.SharedBase, 4096, 64, 3, 4, 1) }) // folds: passes 6
+	add(10, func() { p.WalkRW(addr.SharedBase, 4096, 64, 1, 4, 1) }) // folds: passes 7
+	add(11, func() { p.Scatter(addr.SharedBase, 4096, 64, 10, Read, 1, 7) })
+	add(12, func() { p.WalkRW(addr.SharedBase, 4096, 64, 7, 4, 1) }) // equal to folded 10
+	add(13, func() { p.Barrier(1) })
+	add(14, func() { p.WalkRW(addr.SharedBase, 4096, 64, 6, 4, 1) })  // passes differ from 12
+	add(15, func() { p.Walk(addr.SharedBase, 4096, 64, 5, Read, 1) }) // equal to 0, not to 14
+	cp := p.compiled()
+	if len(p.instrs) != len(at) {
+		t.Fatalf("%d source instructions, want %d", len(p.instrs), len(at))
+	}
+	if len(cp.instrs) != 16 {
+		t.Fatalf("%d compiled instructions, want 16 (three folds)", len(cp.instrs))
+	}
+	if cp.walkAt(0) != cp.walkAt(2) || cp.walkAt(10) != cp.walkAt(12) {
+		t.Fatal("a walk equal to the previous walk does not share its *Walk across a sync or scatter step")
+	}
+	if cp.walkAt(1) != nil || cp.walkAt(11) != nil || cp.walkAt(13) != nil {
 		t.Fatal("a non-walk instruction reports a walk geometry")
 	}
 	distinct := map[*Walk]bool{}
-	for _, j := range []int{0, 3, 4, 5, 6, 7, 8, 12} {
+	for _, j := range []int{0, 3, 4, 5, 6, 7, 8, 9, 10, 14, 15} {
 		distinct[cp.walkAt(j)] = true
 	}
-	if len(distinct) != 8 {
-		t.Fatalf("%d distinct *Walk for 8 walks that differ from the walk before them", len(distinct))
+	if len(distinct) != 11 {
+		t.Fatalf("%d distinct *Walk for 11 walks that differ from the walk before them", len(distinct))
 	}
-	for j := range cp.instrs {
+	// Each compiled walk's geometry is its source walks' with the passes
+	// summed.
+	want := make([]Walk, len(cp.instrs))
+	for j := range p.instrs {
 		src := &p.instrs[j]
+		c := at[j]
+		if cp.instrs[c].kind != src.kind {
+			t.Fatalf("source instruction %d (kind %d) landed in compiled instruction %d of kind %d", j, src.kind, c, cp.instrs[c].kind)
+		}
 		if src.kind != iWalk {
 			continue
 		}
-		want := Walk{Base: src.base, Stride: src.stride, Count: src.count, Passes: src.passes,
+		w := Walk{Base: src.base, Stride: src.stride, Count: src.count,
 			WEvery: src.wEvery, Op: src.op, Think: src.think}
-		if got := cp.walkAt(j); *got != want {
-			t.Fatalf("instruction %d: geometry %+v, want %+v", j, *got, want)
+		if want[c].Passes > 0 {
+			if w.Passes = want[c].Passes; w != want[c] {
+				t.Fatalf("source walk %d folded into compiled walk %d of another geometry", j, c)
+			}
+		}
+		w.Passes += src.passes
+		want[c] = w
+	}
+	for c := range cp.instrs {
+		if cp.instrs[c].kind != iWalk {
+			continue
+		}
+		if got := cp.walkAt(c); *got != want[c] {
+			t.Fatalf("compiled walk %d: geometry %+v, want %+v", c, *got, want[c])
 		}
 	}
 }

@@ -90,16 +90,23 @@ func skipMatch(t *testing.T, label string, p *Program, seed uint64) {
 // for any registered workload at any scale, and for any raw scatter/walk
 // program built from fuzzed geometry and seed, the compiled chunk stream
 // must replay exactly the interpreted reference, also when walks are
-// partly skipped with AdvanceWalk (skipMatch).
+// partly skipped with AdvanceWalk (skipMatch). The raw program ends in
+// repeat%4 copies of one walk, back to back (compile folds them into one
+// walk) or, when repeat&4 is set, with a barrier between copies (compile
+// interns them to one *Walk).
 func FuzzCompiledMatchesInterpreted(f *testing.F) {
 	names := Names()
 	for i := range names {
-		f.Add(uint8(i), uint8(16), uint64(0x9e3779b97f4a7c15), uint16(i), int64(64*1024), int64(64), int64(300))
+		f.Add(uint8(i), uint8(16), uint64(0x9e3779b97f4a7c15), uint16(i), int64(64*1024), int64(64), int64(300), uint8(0))
 	}
 	// A degenerate-geometry seed: stride > span, tiny scatter.
-	f.Add(uint8(0), uint8(255), uint64(1), uint16(255), int64(128), int64(4096), int64(1))
+	f.Add(uint8(0), uint8(255), uint64(1), uint16(255), int64(128), int64(4096), int64(1), uint8(0))
+	// A walk repeated three times back to back, then with barriers
+	// between the copies.
+	f.Add(uint8(1), uint8(32), uint64(7), uint16(0), int64(8*1024), int64(32), int64(301), uint8(3))
+	f.Add(uint8(1), uint8(32), uint64(7), uint16(0), int64(8*1024), int64(32), int64(301), uint8(7))
 
-	f.Fuzz(func(t *testing.T, nameIdx, scaleRaw uint8, seed uint64, nodeRaw uint16, bytes, stride, count int64) {
+	f.Fuzz(func(t *testing.T, nameIdx, scaleRaw uint8, seed uint64, nodeRaw uint16, bytes, stride, count int64, repeat uint8) {
 		// Registered workload: name and node wrap around the registry, and
 		// scale is clamped to the cheap end (scale divides the dataset, so
 		// small scales are the expensive full-size runs).
@@ -129,6 +136,12 @@ func FuzzCompiledMatchesInterpreted(f *testing.F) {
 		p.ScatterRuns(addr.SharedBase, bytes, stride, count, 7, 2, 1, seed^0xdeadbeef)
 		p.Walk(addr.SharedBase, bytes, stride/64+1, count%9+1, Write, 0)
 		p.Walk(addr.SharedBase, bytes, stride, count%5+1, Read, 3)
+		for c := 0; c < int(repeat%4); c++ {
+			if c > 0 && repeat&4 != 0 {
+				p.Barrier(2 + c)
+			}
+			p.WalkRW(addr.SharedBase, bytes, stride, count%3+1, 2, 1)
+		}
 		drainMatch(t, "raw", p)
 		skipMatch(t, "raw", p, seed)
 	})

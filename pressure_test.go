@@ -92,6 +92,35 @@ func TestSharedFigureCellsMatchDirectRuns(t *testing.T) {
 		}
 		t.Logf("%d jobs: %d of %d figure cells simulated, %d shared", jobs, st.Sims, len(cells), st.Shared)
 	}
+	// The grid lists S-COMA before AS-COMA and VC-NUMA before R-NUMA, so
+	// on one slot the first of each pair decides it and the second is the
+	// shadow. Run it again with the architectures reversed: an R-NUMA or
+	// AS-COMA primary then certifies its partner, and a shadow the set
+	// fed wrongly shows as a fill that differs from the direct run.
+	direct := map[string][]byte{}
+	for i, cfg := range cells {
+		direct[cellName(cfg)] = want[i]
+	}
+	var rev []ascoma.Config
+	for _, app := range report.FigureApps(0) {
+		for _, a := range []ascoma.Arch{ascoma.RNUMA, ascoma.VCNUMA, ascoma.ASCOMA, ascoma.SCOMA} {
+			for _, p := range report.DefaultPressures {
+				rev = append(rev, ascoma.Config{Arch: a, Workload: app, Pressure: p, Scale: 8})
+			}
+		}
+	}
+	got, st := runAllShared(t, rev, 1)
+	for i, cfg := range rev {
+		if !bytes.Equal(statsJSON(t, got[i]), direct[cellName(cfg)]) {
+			t.Errorf("reversed order: %s: RunAll result differs from a direct run", cellName(cfg))
+		}
+	}
+	t.Logf("reversed order, 1 job: %d of %d cells simulated, %d shared", st.Sims, len(rev), st.Shared)
+}
+
+// cellName names a grid cell by its workload, architecture and pressure.
+func cellName(cfg ascoma.Config) string {
+	return fmt.Sprintf("%s %v(%d%%)", cfg.Workload, cfg.Arch, cfg.Pressure)
 }
 
 // TestSharedGoldenCellsMatchPins runs the golden matrix through RunAll:
