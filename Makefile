@@ -102,9 +102,13 @@ verify: fmt-check vet
 	$(MAKE) trace-check
 	$(GO) run ./cmd/ascoma-serve -smoke
 
-# bench runs the full tracked benchmark set (BENCH_PR*.json) with the exact
-# flags the before/after numbers in those files were collected with; see
-# README.md ("Benchmarking") for the benchstat workflow.
+# bench runs the tracked go-test benchmarks for a benchstat comparison;
+# see README.md ("Benchmarking") for the workflow. The first line and the
+# estimator line use the flags the before/after numbers in BENCH_PR1,
+# BENCH_PR3 and BENCH_PR8.json were collected with; the tiered, row-buffer,
+# stream-generation and resident benchmarks have no recorded numbers there
+# (the resident ones are in CHANGES.md). The end-to-end benchmark is
+# perfbench (BENCHMARK.json).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig2FFT$$|BenchmarkHotPath$$|BenchmarkGridRow$$' -benchtime 3x -count 3 .
 	$(GO) test -run '^$$' -bench 'BenchmarkHotPathTiered$$' -benchtime 3x -count 3 .

@@ -27,6 +27,7 @@ import (
 	"ascoma/internal/cache"
 	"ascoma/internal/directory"
 	"ascoma/internal/estimate"
+	"ascoma/internal/model"
 	"ascoma/internal/params"
 	"ascoma/internal/sim"
 	"ascoma/internal/stats"
@@ -84,16 +85,12 @@ func BenchmarkFig3Radix(b *testing.B) { figureGrid(b, "radix", []int{10, 30, 90}
 func BenchmarkTable1OverheadModel(b *testing.B) {
 	b.ReportAllocs()
 	p := DefaultParams()
-	var model float64
+	var overhead float64
 	for i := 0; i < b.N; i++ {
 		res := benchRun(b, RNUMA, "radix", 70)
-		m := res.SumMisses()
-		tsum := res.SumTime()
-		npc := m[stats.SComa]
-		nrem := m[stats.Cold] + m[stats.ConfCapc]
-		model = float64(npc*(p.BusCycles+p.LocalMemCycles) + nrem*p.RemoteMemCycles() + tsum[stats.KOverhead])
+		overhead = float64(model.Extract(res.Machine, &p).Overhead())
 	}
-	b.ReportMetric(model, "model_cycles")
+	b.ReportMetric(overhead, "model_cycles")
 }
 
 // --- Table 2: storage-state upkeep -------------------------------------------
@@ -293,8 +290,8 @@ func BenchmarkSensitivityRACSize(b *testing.B) {
 }
 
 // BenchmarkResident is one full run over the L1-resident workload (L1 hit
-// rate ~99.7%, quantum 1000): nearly every reference is consumed by
-// fast-forward or the closed-form walk skip, so it measures those paths.
+// rate ~99.7%, quantum 1000): nearly every reference is consumed by the
+// closed-form walk skip or a cruise record, so it measures those paths.
 func BenchmarkResident(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

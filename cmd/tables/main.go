@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"ascoma"
+	"ascoma/internal/model"
 	"ascoma/internal/params"
 	"ascoma/internal/stats"
 )
@@ -38,7 +39,8 @@ func main() {
 }
 
 // table1 prints the remote-memory-overhead model of each architecture and
-// evaluates its terms on a live radix run, demonstrating that the measured
+// evaluates its terms on a live radix run through internal/model, the one
+// implementation of the formula, demonstrating that the measured
 // statistics plug into the paper's formulas.
 func table1() {
 	fmt.Println("== Table 1: Remote Memory Overhead of Various Models ==")
@@ -50,23 +52,18 @@ func table1() {
 
 	fmt.Println("\n-- model terms measured on radix at 70% pressure (scale 4) --")
 	p := ascoma.DefaultParams()
-	tl := &stats.Table{Header: []string{"arch", "Npagecache", "Nremote+Ncold", "Ncold(induced)", "Toverhead(cycles)", "overhead model (cycles)"}}
+	tl := &stats.Table{Header: []string{"arch", "Npagecache", "Nremote+Ncold", "Ncold(induced)", "Nrac", "Toverhead(cycles)", "overhead model (cycles)"}}
 	for _, a := range []ascoma.Arch{ascoma.CCNUMA, ascoma.SCOMA, ascoma.ASCOMA, ascoma.VCNUMA, ascoma.RNUMA} {
 		res, err := ascoma.Run(ascoma.Config{Arch: a, Workload: "radix", Pressure: 70, Scale: 4})
 		if err != nil {
 			fmt.Println("error:", err)
 			continue
 		}
-		m := res.SumMisses()
-		tsum := res.SumTime()
-		npc := m[stats.SComa]
-		nrem := m[stats.Cold] + m[stats.ConfCapc]
-		induced := res.Counter(func(n *stats.Node) int64 { return n.InducedCold })
-		tov := tsum[stats.KOverhead]
-		model := npc*(p.BusCycles+p.LocalMemCycles) + nrem*p.RemoteMemCycles() + tov
-		tl.AddRow(a, npc, nrem, induced, tov, model)
+		t := model.Extract(res.Machine, &p)
+		tl.AddRow(a, t.Npagecache, t.RemoteMisses(), t.NcoldInduced, t.Nrac, t.Toverhead, t.Overhead())
 	}
 	fmt.Print(tl.String())
+	fmt.Println("overhead model = the Hybrid formula + (Nrac x Trac): RAC hits would otherwise be remote misses")
 	fmt.Println()
 }
 

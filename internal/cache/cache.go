@@ -56,8 +56,8 @@ func (c *L1) index(l addr.Line) int { return int(uint64(l) & c.mask) }
 // satisfies a read; only a writable copy satisfies a write. A write to a
 // read-only copy misses and must obtain ownership. Lookup has no side
 // effect, so probing a reference and replaying it later is the same as
-// probing it once. Probed once per reference — the step loop,
-// fast-forward and walk verification all call it.
+// probing it once. Probed once per reference: the step loop (through
+// access) and walk verification both call it.
 //
 //ascoma:hotpath
 func (c *L1) Lookup(l addr.Line, write bool) bool {

@@ -483,20 +483,12 @@ func (m *Manager) runOne(j *Job, ctx context.Context, cfg ascoma.Config, epochIn
 	return RunResult{Result: stats.Report(res.Machine), Samples: res.Samples}, nil
 }
 
-// runGrid runs the cells through Runner.RunAll in the estimator's
-// most-expensive-first order (see costOrder), so the pool never finishes a
-// grid waiting on one late-started straggler. Results map back to spec
-// order, so the seeding changes only wall-clock, never output bytes. The
-// first failure cancels the outstanding cells.
+// runGrid runs the cells through Runner.RunAll in spec order; the first
+// failure cancels the outstanding cells.
 func (m *Manager) runGrid(j *Job, ctx context.Context, cells []ascoma.Config) (any, error) {
-	order := costOrder(cells)
-	dispatch := make([]ascoma.Config, len(cells))
-	for k, i := range order {
-		dispatch[k] = cells[i]
-	}
 	results := make([]CellResult, len(cells))
-	_, err := m.runner.RunAll(ctx, dispatch, func(k int, res *ascoma.Result) {
-		i, cfg := order[k], dispatch[k]
+	_, err := m.runner.RunAll(ctx, cells, func(i int, res *ascoma.Result) {
+		cfg := cells[i]
 		results[i] = CellResult{
 			Arch: cfg.Arch.String(), Workload: cfg.Workload,
 			Pressure: cfg.Pressure, Result: stats.Report(res.Machine),

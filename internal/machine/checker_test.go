@@ -104,3 +104,37 @@ func TestCheckerErrorBounded(t *testing.T) {
 		t.Errorf("error list unbounded: %d", len(c.errs))
 	}
 }
+
+// TestCheckerSeesEveryHit pins that a checked run resolves every reference
+// through access, whose L1-hit branch calls the checker's hooks: the
+// closed-form walk skip never runs under the checker, so no walk is
+// verified and no event cruises. The unchecked twin must skip walks, or
+// the test would pass vacuously.
+func TestCheckerSeesEveryHit(t *testing.T) {
+	gen, err := workload.New("resident", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, checked := range []bool{false, true} {
+		m, err := New(Config{Arch: params.ASCOMA, Pressure: 50, Quantum: 1000, CheckCoherence: checked}, gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		verified := 0
+		for _, nd := range m.nodes {
+			if nd.walk.w != nil {
+				verified++
+			}
+		}
+		switch {
+		case checked && (verified > 0 || m.cruised > 0):
+			t.Errorf("checked run: %d nodes verified a walk, %d events cruised; want every reference through access", verified, m.cruised)
+		case !checked && (verified == 0 || m.cruised == 0):
+			t.Errorf("unchecked run: %d nodes verified a walk, %d events cruised; the closed form no longer engages", verified, m.cruised)
+		}
+		m.Release()
+	}
+}

@@ -36,11 +36,11 @@ func runStats(t *testing.T, cfg Config, gen workload.Generator) []byte {
 }
 
 // TestFastForwardExactness runs the same workloads twice — once from the
-// generator's chunk-compiled streams (fast-forward and closed-form walk
-// skipping active) and once from a recorded trace whose streams are not
-// *workload.Compiled (interpretive path only) — and requires byte-identical
-// statistics. Quantum 1
-// stops fast-forward at every reference (each one straddles the deadline);
+// generator's chunk-compiled streams (borrowed chunk windows and the
+// closed-form walk skip active) and once from a recorded trace whose
+// streams are not *workload.Compiled (one Next per reference, no walk
+// skip) — and requires byte-identical statistics. Quantum 1
+// stops a walk skip at every reference (each one straddles the deadline);
 // quantum 3 lands boundaries mid-chunk at awkward phases; the default
 // quantum exercises long hit runs; quanta 1000 and 5000 cover whole walk
 // passes per dispatch, where walks are skipped in closed form. Tiny daemon
@@ -79,20 +79,20 @@ func TestFastForwardExactness(t *testing.T) {
 					cfg := Config{Arch: arch, Pressure: 50, Quantum: q, MaxCycles: 1 << 40}
 					slow := runStats(t, cfg, trace)
 					if fast := runStats(t, cfg, gen); !bytes.Equal(fast, slow) {
-						t.Errorf("%s/%v quantum=%d: fast-forward stats diverge from interpretive run\nfast: %s\nslow: %s",
+						t.Errorf("%s/%v quantum=%d: compiled-stream stats diverge from interpretive run\nfast: %s\nslow: %s",
 							name, arch, q, fast, slow)
 					}
 				}
 			}
 			// Daemon-deadline edge: wake the pageout daemon every few cycles so
-			// fast-forward constantly runs into nextDaemon mid-chunk.
+			// walk skips constantly run into nextDaemon mid-walk.
 			p := params.Default()
 			p.DaemonInterval = 7
 			for _, q := range []int64{100, 1000} {
 				cfg := Config{Arch: params.ASCOMA, Pressure: 50, Params: p, Quantum: q, MaxCycles: 1 << 40}
 				slow := runStats(t, cfg, trace)
 				if fast := runStats(t, cfg, gen); !bytes.Equal(fast, slow) {
-					t.Errorf("%s daemon-interval=7 quantum=%d: fast-forward stats diverge from interpretive run", name, q)
+					t.Errorf("%s daemon-interval=7 quantum=%d: compiled-stream stats diverge from interpretive run", name, q)
 				}
 			}
 		})
@@ -383,14 +383,15 @@ func TestReleaseKeepsStats(t *testing.T) {
 	m2.Release()
 }
 
-// TestFastForwardCounters sanity-checks that the fast path actually engages
-// (the exactness tests above would pass vacuously if chunked streams were
-// never detected) by confirming a generator-driven run reports L1 hits.
+// TestFastForwardCounters sanity-checks that the chunked path actually
+// engages (the exactness tests above would pass vacuously if chunked
+// streams were never detected) by confirming a generator-driven run
+// reports L1 hits.
 func TestFastForwardCounters(t *testing.T) {
 	gen := newProbe(1, 2)
 	gen.programs[0].Walk(gen.section(0), 128, 64, 1000, workload.Write, 0)
 	if _, chunked := gen.Stream(0).(*workload.Compiled); !chunked {
-		t.Fatal("Program.Stream no longer returns a *workload.Compiled; fast-forward is dead code")
+		t.Fatal("Program.Stream no longer returns a *workload.Compiled; the chunk window and the walk skip are dead code")
 	}
 	_, st := run(t, params.CCNUMA, gen, 50)
 	var hits int64
@@ -421,7 +422,7 @@ func TestSkipWalkConsumesInClosedForm(t *testing.T) {
 	}
 	nd := m.nodes[0]
 	// Dispatch until the first decoded chunk is consumed: the cold pass
-	// fills the walk's eight lines, fast-forward drains the rest.
+	// fills the walk's eight lines, runNode's hit path drains the rest.
 	var now int64
 	for i := 0; nd.pend == nil || len(nd.pend) != nd.pendPos; i++ {
 		if i == 100 {

@@ -93,13 +93,6 @@ type node struct {
 	// of three booleans.
 	blocked uint8
 
-	// Fast-forward probe backoff (see fastforward.go). A probe that consumes
-	// nothing doubles ffBackoff and skips that many future probes; a probe
-	// that consumes anything resets it. Purely a scheduling heuristic: the
-	// probe is exact whenever it runs, so skipping it cannot change results.
-	ffSkip    int32
-	ffBackoff int32
-
 	// invGen counts mutations of this node's L1 that can change a hit
 	// outcome: cross-node ones (invalidation and downgrade callbacks, the
 	// home bus snoop, migration flushes) and the node's own fills and page
@@ -111,7 +104,7 @@ type node struct {
 	id         int
 
 	// cruise serves the node's next events from its last walk skip when
-	// that skip stopped at the quantum deadline (see fastforward.go); the
+	// that skip stopped at the quantum deadline (see walkskip.go); the
 	// run loop reads it once per event.
 	cruise cruise
 
@@ -144,7 +137,7 @@ type node struct {
 	dir sim.Resource // directory-controller occupancy at this node
 
 	// walk memoizes the last closed-form walk verification (see
-	// fastforward.go); read once per exhausted chunk window.
+	// walkskip.go); read once per exhausted chunk window.
 	walk walkMemo
 
 	tlb tlb // software translation cache over vmm's page table
@@ -355,7 +348,6 @@ func New(cfg Config, gen workload.Generator) (*Machine, error) {
 		nd.stream = gen.Stream(i)
 		nd.chunks, _ = nd.stream.(*workload.Compiled)
 		nd.pend, nd.pendPos = nil, 0
-		nd.ffSkip, nd.ffBackoff = 0, 0
 		nd.invGen = 0
 		nd.walk = walkMemo{}
 		nd.cruise = cruise{}
@@ -562,7 +554,7 @@ func (m *Machine) runLoop(ctx context.Context) {
 }
 
 // dispatch runs nd's event at now: from the node's cruise record when that
-// serves it (see fastforward.go), through runNode otherwise.
+// serves it (see walkskip.go), through runNode otherwise.
 //
 //ascoma:hotpath
 func (m *Machine) dispatch(nd *node, now int64) {
@@ -597,30 +589,18 @@ func (m *Machine) runNode(nd *node, now int64) {
 		}
 		var ref workload.Ref
 		if nd.chunks != nil {
-			// Batch the common case: consume the chunk's prefix of
-			// L1-hitting reads/writes in one pass (see fastforward.go). The
-			// checker needs its per-hit hooks, so it forces the interpretive
-			// path. Miss-heavy phases would pay for a fruitless probe on
-			// every reference, so fruitless probes back off exponentially
-			// (capped); any productive probe re-arms immediately. The probe
-			// is exact whenever it runs, so the backoff only trades
-			// fast-path coverage, never correctness.
-			if m.checker == nil {
-				if nd.ffSkip > 0 {
-					nd.ffSkip--
-				} else if t := m.fastForward(nd, now, deadline); t != now {
-					now = t
-					nd.ffBackoff = 0
-					continue
-				} else {
-					if nd.ffBackoff < 1024 {
-						nd.ffBackoff = nd.ffBackoff*2 + 1
-					}
-					nd.ffSkip = nd.ffBackoff
-				}
-			}
 			refs, pos := nd.pend, nd.pendPos
 			if pos == len(refs) {
+				// The window ran dry: a walk every position of which hits
+				// the L1 is consumed in closed form instead of decoded (see
+				// walkskip.go). The checker needs its per-hit hooks, so it
+				// keeps every reference on this loop.
+				if m.checker == nil {
+					if t := m.skipWalk(nd, now, deadline); t != now {
+						now = t
+						continue
+					}
+				}
 				if refs = nd.refillWindow(); len(refs) == 0 {
 					nd.blocked = ndDone
 					nd.st.FinishTime = now

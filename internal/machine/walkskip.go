@@ -7,109 +7,6 @@ import (
 	"ascoma/internal/workload"
 )
 
-// fastForward advances nd through the maximal prefix of its pending
-// reference chunk that consists of plain reads and writes hitting in the L1,
-// and returns the new local clock (== now when it could not advance at all).
-//
-// This is the simulator's dominant regime — the paper's workloads hit the L1
-// on the vast majority of references — and such a reference is fully
-// determined by local state: it consumes Think + L1HitCycles cycles and
-// bumps three per-node counters. None of that is visible to any other node,
-// no shared resource is occupied, and no event is scheduled, so a run of k
-// such references can be applied in one pass without consulting the event
-// queue.
-//
-// Exactness argument, per reference, against the slow path in runNode/access:
-//
-//   - Bounds: the slow loop re-checks `now < deadline` and the daemon timer
-//     before every reference; the inner loop here checks the same pair with
-//     the same pre-think `now`, so fast-forward stops exactly where the slow
-//     loop would have stopped issuing.
-//   - L1 outcome: cache.L1.Lookup is time-independent and has no side
-//     effect, so probing it here and replaying a missing reference through
-//     access (via the Pending/Skip contract: unconsumed refs stay in the
-//     chunk) is equivalent to calling it once.
-//   - Accounting: the slow hit path does Time[UInstr]+=Think, now+=Think,
-//     Shared/PrivateRefs++, L1Hits++, Time[UShMem|ULcMem]+=L1HitCycles,
-//     now+=L1HitCycles. The deltas accumulated below are those exact sums.
-//   - Sync/locks and the coherence checker observe references the fast path
-//     never consumes: any ref with Op > Write stops the scan, and runNode
-//     skips fast-forward entirely when a checker is installed (checker hooks
-//     fire on L1 hits).
-//
-// Sampling is unaffected: takeSample runs only at runNode entry, and
-// fast-forward never crosses a quantum boundary.
-//
-// When the window is exhausted and the stream's next instruction is a walk
-// every position of which hits the L1, the walk's references are consumed
-// in closed form instead of being decoded (skipWalk).
-//
-//ascoma:hotpath
-func (m *Machine) fastForward(nd *node, now, deadline int64) int64 {
-	hitCycles := m.p.L1HitCycles
-	var (
-		k                int   // refs consumed
-		uinstr           int64 // Time[UInstr] delta
-		shRefs, lcRefs   int64 // SharedRefs / PrivateRefs deltas
-		shStall, lcStall int64 // Time[UShMem] / Time[ULcMem] deltas
-	)
-	for now < deadline && now < nd.nextDaemon {
-		refs := nd.pend[nd.pendPos:]
-		if len(refs) == 0 {
-			if t := m.skipWalk(nd, now, deadline); t != now {
-				now = t
-				continue
-			}
-			if refs = nd.refillWindow(); len(refs) == 0 {
-				break // stream drained
-			}
-		}
-		n := 0
-		for i := range refs {
-			if now >= deadline || now >= nd.nextDaemon {
-				break
-			}
-			r := &refs[i]
-			if r.Op > workload.Write {
-				break // sync ref: the slow path owns it
-			}
-			if !nd.l1.Lookup(addr.LineOf(r.Addr), r.Op == workload.Write) {
-				break // L1 miss: replay through access
-			}
-			if r.Think > 0 {
-				uinstr += int64(r.Think)
-				now += int64(r.Think)
-			}
-			if addr.IsShared(r.Addr) {
-				shRefs++
-				shStall += hitCycles
-			} else {
-				lcRefs++
-				lcStall += hitCycles
-			}
-			now += hitCycles
-			n++
-		}
-		if n == 0 {
-			break
-		}
-		nd.pendPos += n
-		k += n
-		if n < len(refs) {
-			break // stopped inside the chunk: blocked on a miss or sync ref
-		}
-	}
-	if k > 0 {
-		nd.st.L1Hits += int64(k)
-		nd.st.SharedRefs += shRefs
-		nd.st.PrivateRefs += lcRefs
-		nd.st.Time[stats.UInstr] += uinstr
-		nd.st.Time[stats.UShMem] += shStall
-		nd.st.Time[stats.ULcMem] += lcStall
-	}
-	return now
-}
-
 // walkMemo is a node's last walk verification: the walk geometry it
 // probed (compile gives a run of equal walks one *Walk), the L1 generation
 // (node.invGen) it probed under, and the outcome.
@@ -124,12 +21,19 @@ type walkMemo struct {
 // (verifyWalk). It returns the new local clock, == now when it did not
 // apply. The caller guarantees now < min(deadline, nd.nextDaemon).
 //
-// Exactness argument, against the per-reference loop in fastForward (itself
-// exact against the slow path, above):
+// In an L1-resident compute phase a node sweeps the same tile pass after
+// pass, and each reference of the sweep is fully determined by local
+// state: it consumes Think + L1HitCycles cycles and bumps three per-node
+// counters; no other node sees it, no shared resource is occupied and no
+// event is scheduled.
+//
+// Exactness argument, against runNode's per-reference loop, which resolves
+// each reference through access:
 //
 //   - Outcome: each position j issues the same operation on the same line
-//     in every pass, and verification probed exactly that pair with the
-//     slow path's hit predicate. A hit outcome depends only on the line's
+//     in every pass, and verification probed exactly that pair with
+//     access's hit predicate (cache.L1.Lookup, which is time-independent
+//     and has no side effect). A hit outcome depends only on the line's
 //     tag and its valid and writable bits; every change to those bumps
 //     invGen — cross-node callbacks, and the node's own l1Fill, relocate
 //     and evict — and verification is keyed on it. Hits themselves never
@@ -140,10 +44,11 @@ type walkMemo struct {
 //     L1HitCycles, a constant here. It therefore issues exactly
 //     k = ceil((B-now) / per) references, or the walk's remainder if that
 //     is smaller — the k consumed below.
-//   - Accounting: every reference adds the same deltas (one L1 hit, one
-//     shared or private ref — the walk never crosses a region boundary —
-//     think to UInstr, L1HitCycles to UShMem or ULcMem), so k references
-//     add k times each.
+//   - Accounting: access's hit path adds, per reference, think to UInstr
+//     and to now, one shared or private ref (the walk never crosses a
+//     region boundary), one L1 hit and L1HitCycles to UShMem or ULcMem and
+//     to now. Every reference of the walk adds the same deltas, so k
+//     references add k times each.
 //   - Writebacks: a write hit needs a writable line, and in this L1 a
 //     writable line is the dirty one, so no hit changes what later
 //     evictions and flushes write back (cache.TestL1WritableImpliesDirty).
@@ -154,8 +59,10 @@ type walkMemo struct {
 // A skip that stops at the quantum deadline, with references of the walk
 // left, fills the node's cruise record (see cruise).
 //
-// Checked runs never get here: runNode skips fast-forward under the
-// coherence checker.
+// Checked runs never get here: the checker hooks every L1 hit, so runNode
+// does not call skipWalk under it. A walk of sync operations never
+// verifies, and sampling is unaffected: takeSample runs only at runNode
+// entry, and a skip never crosses the quantum deadline.
 //
 //ascoma:hotpath
 func (m *Machine) skipWalk(nd *node, now, deadline int64) int64 {
@@ -282,13 +189,10 @@ func (m *Machine) fillCruise(nd *node, w *workload.Walk, think, left int64) {
 //
 //   - runNode: the node is unblocked (its entry check), node 0 takes no
 //     sample or epoch at now (its next two checks, mirrored exactly), and
-//     now+Quantum <= nextDaemon, so the daemon does not run first. A
-//     record exists only after fastForward ran with ffSkip == 0 and
-//     consumed references, which leaves ffSkip == 0 and ffBackoff == 0;
-//     nothing but runNode changes them, so fastForward runs at once.
-//   - fastForward: the window is empty (nextWalk emptied it and nothing
-//     decoded since), so it calls skipWalk with now and deadline =
-//     now+Quantum.
+//     now+Quantum <= nextDaemon, so the daemon does not run first. The
+//     window is empty (nextWalk emptied it and nothing decoded since), and
+//     a record exists only in an unchecked run, so runNode calls skipWalk
+//     at once, with now and deadline = now+Quantum.
 //   - skipWalk: the stream's next walk is still w — more than kq of its
 //     references were left at the last event, and the deferred advance
 //     keeps the cursor inside it — and the memo holds (w, gen) with hits,
@@ -296,10 +200,9 @@ func (m *Machine) fillCruise(nd *node, w *workload.Walk, think, left int64) {
 //     bound is the deadline, so it consumes ceil(Quantum/per) = kq
 //     references (fewer than left), adds the record's deltas, and returns
 //     now + kq*per.
-//   - Back in fastForward and runNode: now + kq*per >= deadline ends both
-//     loops, ffBackoff stays 0, and runNode pushes one event at
-//     now + kq*per — the one push below, made at the same point of the
-//     event order, so FIFO ties resolve as before.
+//   - Back in runNode: now + kq*per >= deadline ends its loop, and it
+//     pushes one event at now + kq*per — the one push below, made at the
+//     same point of the event order, so FIFO ties resolve as before.
 //
 // The stream itself is not moved: two AdvanceWalk calls within one walk
 // compose (each leaves the cursor where decoding would), so the kq

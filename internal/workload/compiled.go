@@ -13,9 +13,9 @@ package workload
 //     compiled form;
 //   - per reference: a Compiled stream expands the program chunk-wise into a
 //     fixed [ChunkSize]Ref buffer with one tight loop per instruction
-//     segment, so Next is a bounds check and an index increment, and callers
-//     that can consume whole runs of references (the machine's L1-hit
-//     fast-forward) borrow the decoded chunk directly via Pending/Skip;
+//     segment, so Next is a bounds check and an index increment, and a
+//     caller that reads references in bulk (the machine's step loop)
+//     borrows the decoded chunk directly via Pending/Skip;
 //   - per walk pass: a caller that can account for whole passes in closed
 //     form reads the next walk's shared geometry and its cursor
 //     (NextWalk) and moves the cursor past references it never decodes

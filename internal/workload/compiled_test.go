@@ -72,7 +72,7 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 }
 
 // TestCompiledPendingSkip checks the chunk-borrowing contract the machine's
-// fast-forward relies on: interleaving Pending/Skip with Next in any split
+// step loop relies on: interleaving Pending/Skip with Next in any split
 // yields the same sequence as Next alone, and Pending refills across chunk
 // boundaries.
 func TestCompiledPendingSkip(t *testing.T) {

@@ -86,29 +86,6 @@ type Profile struct {
 	PerNode             []NodeProfile
 }
 
-// Profiler is implemented by generators that expose a structural profile.
-// All generators in this package implement it; ProfileOf falls back to a
-// generic stream replay for any Generator, so the interface is a
-// convenience, not a requirement.
-type Profiler interface {
-	Profile() *Profile
-}
-
-// Profile returns the structural profile for a paper application.
-func (b *base) Profile() *Profile { return ProfileOf(b) }
-
-// Profile returns the structural profile for a synthetic workload.
-func (s *Synthetic) Profile() *Profile { return ProfileOf(s) }
-
-// Profile returns the structural profile for the mismatch workload.
-func (m *Mismatch) Profile() *Profile { return ProfileOf(m) }
-
-// Profile returns the structural profile for the resident workload.
-func (r *Resident) Profile() *Profile { return ProfileOf(r) }
-
-// Profile returns the structural profile for the critsec workload.
-func (c *CritSec) Profile() *Profile { return ProfileOf(c) }
-
 // ProfileFor builds (or returns the memoized) profile for a registered
 // workload at the given scale.
 func ProfileFor(name string, scale int) (*Profile, error) {

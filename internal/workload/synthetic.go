@@ -248,10 +248,10 @@ func (m *Mismatch) Stream(node int) Stream { return m.progs[node].Stream() }
 // communication-heavy phases, so none of the existing generators exercises
 // the opposite regime — the L1-hit-dominated stretches where an
 // execution-driven simulator spends its host time in reference
-// interpretation rather than event processing. That regime is what
-// fast-forward and the closed-form walk skip accelerate (see
-// internal/machine/fastforward.go), making this BenchmarkResident's
-// workload; it also pins down the fast-forward path's statistics under a
+// interpretation rather than event processing. That regime is what the
+// closed-form walk skip and its cruise records accelerate (see
+// internal/machine/walkskip.go), making this BenchmarkResident's
+// workload; it also pins down the walk skip's statistics under a
 // near-100% hit rate.
 type Resident struct {
 	nodes  int
