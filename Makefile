@@ -26,13 +26,11 @@ e2e:
 	$(GO) test -count=1 -v ./e2e/
 
 # vet runs the stock go vet suite plus the repo's own analyzers. ascoma-vet
-# loads the module once and runs all six analyzers on that load, in
-# process: the per-package checks (nondet, statsintegrity, ctxflow,
-# errdrop) and the whole-program ones on the interprocedural call graph
-# (hotpathflow, dirlint — which also fails any escape hatch lacking a
-# reason). ./... covers the analyzers' own packages too, so the
-# suite holds itself to the discipline it enforces. See DESIGN.md §9 and
-# §14.
+# loads the module once and runs nondet, errdrop and dirlint (which fails
+# any escape hatch lacking a reason) on each package, in process. ./...
+# covers the analyzers' own packages too, so the suite holds itself to
+# the discipline it enforces. The allocation, stats and cancellation
+# invariants are tests in go test ./...; see DESIGN.md §9.
 vet:
 	$(GO) vet ./...
 	$(GO) build -o .bin/ascoma-vet ./cmd/ascoma-vet
@@ -91,9 +89,10 @@ model-check:
 	$(GO) test -run '^TestModelCheck$$' -count=1 -v ./internal/estimate/
 
 # verify is the pre-commit gate: the gofmt check, vet (stock + ascoma-vet),
-# build, the full test suite (including the golden determinism test), a
-# short race-detector smoke over the internal packages, the estimator
-# accuracy gate, the trace-determinism check, and the server smoke test.
+# build, the full test suite (including the golden determinism test and
+# the allocation pins over the golden matrix), a short race-detector smoke
+# over the internal packages, the estimator accuracy gate, the
+# trace-determinism check, and the server smoke test.
 verify: fmt-check vet
 	$(GO) build ./...
 	$(GO) test ./...

@@ -424,7 +424,7 @@ func BenchmarkGridRow(b *testing.B) {
 // BenchmarkEstimate is BenchmarkGridRow's analytical twin: the same
 // nine-pressure AS-COMA row over fft, answered by internal/estimate's
 // steady-state model instead of simulation. Predict is allocation-free
-// (the //ascoma:hotpath contract), so allocs/op must stay 0 and ns/op
+// (TestHotPathAllocs pins it), so allocs/op must stay 0 and ns/op
 // divided by nine is the per-cell prediction cost — the number
 // BENCH_PR8.json tracks against BenchmarkGridRow's per-cell simulation
 // cost (>=100x apart). Estimator construction (one stream replay per

@@ -1,29 +1,21 @@
 // Command ascoma-vet is the repository's analyzer suite: repo-specific
-// static checks that protect the properties the simulator's results rest on.
+// static checks for the fault classes no test catches (DESIGN.md §9 keeps
+// the ledger of which mutant each one exists for).
 //
-// Per-package analyzers (each runs on the packages it is scoped to):
+//	nondet   no wall-clock, global math/rand, or map iteration in the
+//	         deterministic packages (golden-checksum safety)
+//	errdrop  no statement calls that silently discard an error result
+//	         (the CSV-write bug class)
+//	dirlint  //ascoma: escape hatches audited: known names only, a
+//	         reason on every one
 //
-//	nondet          no wall-clock, global math/rand, or map iteration in
-//	                the deterministic packages (golden-checksum safety)
-//	statsintegrity  every stats field reaches both the finalize step and
-//	                the golden-checksum serialization
-//	ctxflow         exported Run* entry points accept and propagate
-//	                context.Context (the cancellation contract)
-//	errdrop         no statement calls that silently discard an error
-//	                result (the PR 2 CSV-write bug class)
-//
-// Whole-program analyzers (on the interprocedural call graph built by
-// internal/analysis/program):
-//
-//	hotpathflow     no heap-allocating constructs in //ascoma:hotpath
-//	                functions or anything they transitively call (the
-//	                zero-alloc event path)
-//	dirlint         //ascoma: directives audited: known names only, a
-//	                reason on every escape hatch
+// The zero-allocation event path, the stats serialization contract and
+// the cancellation contract are tests, not analyzers: TestHotPathAllocs,
+// TestStatsFieldsReachReport and TestRunEntryPointsCancel.
 //
 // The driver loads the module enclosing the working directory once with
-// program.Load (nested modules excluded) and runs all six analyzers on
-// that load, in process. Findings in packages matched by the patterns are
+// program.Load (nested modules excluded) and runs every analyzer on that
+// load, in process. Findings in packages matched by the patterns are
 // printed to stderr, one line each, sorted by file, line and column, with
 // paths relative to the working directory; any finding exits 1. This is
 // what make vet and CI run:
@@ -32,9 +24,6 @@
 //	.bin/ascoma-vet ./...
 //	.bin/ascoma-vet -nondet -errdrop ./internal/machine/...
 //	.bin/ascoma-vet help
-//
-// See DESIGN.md §9 and §14 for each analyzer's rules, annotations, and
-// escape hatches.
 package main
 
 import (
@@ -48,27 +37,17 @@ import (
 	"strings"
 
 	"ascoma/internal/analysis"
-	"ascoma/internal/analysis/ctxflow"
 	"ascoma/internal/analysis/dirlint"
 	"ascoma/internal/analysis/errdrop"
-	"ascoma/internal/analysis/hotpathflow"
 	"ascoma/internal/analysis/nondet"
 	"ascoma/internal/analysis/program"
-	"ascoma/internal/analysis/statsintegrity"
 )
 
-var (
-	pkgAnalyzers = []*analysis.Analyzer{
-		nondet.Analyzer,
-		statsintegrity.Analyzer,
-		ctxflow.Analyzer,
-		errdrop.Analyzer,
-	}
-	progAnalyzers = []*program.Analyzer{
-		hotpathflow.Analyzer,
-		dirlint.Analyzer,
-	}
-)
+var analyzers = []*analysis.Analyzer{
+	nondet.Analyzer,
+	errdrop.Analyzer,
+	dirlint.Analyzer,
+}
 
 const progname = "ascoma-vet"
 
@@ -92,43 +71,28 @@ func run(wd string, args []string, stdout, stderr io.Writer) int {
 		fs.PrintDefaults()
 	}
 	selected := make(map[string]*bool)
-	for _, a := range pkgAnalyzers {
-		selected[a.Name] = fs.Bool(a.Name, false, "enable only the "+a.Name+" analyzer (default: all)")
-	}
-	for _, a := range progAnalyzers {
+	for _, a := range analyzers {
 		selected[a.Name] = fs.Bool(a.Name, false, "enable only the "+a.Name+" analyzer (default: all)")
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	pkgs, progs := pkgAnalyzers, progAnalyzers
-	chosen := false
-	for _, on := range selected {
-		chosen = chosen || *on
+	var chosen []*analysis.Analyzer
+	for _, a := range analyzers {
+		if *selected[a.Name] {
+			chosen = append(chosen, a)
+		}
 	}
-	if chosen {
-		pkgs, progs = nil, nil
-		for _, a := range pkgAnalyzers {
-			if *selected[a.Name] {
-				pkgs = append(pkgs, a)
-			}
-		}
-		for _, a := range progAnalyzers {
-			if *selected[a.Name] {
-				progs = append(progs, a)
-			}
-		}
+	if chosen == nil {
+		chosen = analyzers
 	}
 
 	patterns := fs.Args()
 	if len(patterns) == 1 && patterns[0] == "help" {
 		fmt.Fprintf(stdout, "%s is the AS-COMA repository's analyzer suite. Analyzers:\n\n", progname)
-		for _, a := range pkgs {
+		for _, a := range chosen {
 			fmt.Fprintf(stdout, "  %-16s %s\n", a.Name, a.Doc)
-		}
-		for _, a := range progs {
-			fmt.Fprintf(stdout, "  %-16s %s (whole-program)\n", a.Name, a.Doc)
 		}
 		fmt.Fprintf(stdout, "\nRun it from inside the module: %s ./...\n", progname)
 		return 0
@@ -137,7 +101,7 @@ func run(wd string, args []string, stdout, stderr io.Writer) int {
 		patterns = []string{"./..."}
 	}
 
-	code, err := vet(wd, patterns, pkgs, progs, stderr)
+	code, err := vet(wd, patterns, chosen, stderr)
 	if err != nil {
 		fmt.Fprintf(stderr, "%s: %v\n", progname, err)
 		return 1
@@ -147,7 +111,7 @@ func run(wd string, args []string, stdout, stderr io.Writer) int {
 
 // vet loads the module enclosing wd, runs the analyzers, and prints the
 // findings whose file lies in a package matched by the patterns.
-func vet(wd string, patterns []string, pkgs []*analysis.Analyzer, progs []*program.Analyzer, out io.Writer) (int, error) {
+func vet(wd string, patterns []string, analyzers []*analysis.Analyzer, out io.Writer) (int, error) {
 	root, err := moduleRoot(wd)
 	if err != nil {
 		return 0, err
@@ -164,7 +128,7 @@ func vet(wd string, patterns []string, pkgs []*analysis.Analyzer, progs []*progr
 	if err != nil {
 		return 0, err
 	}
-	diags, err := program.RunAnalyzers(prog, pkgs, progs)
+	diags, err := program.RunAnalyzers(prog, analyzers)
 	if err != nil {
 		return 0, err
 	}

@@ -85,7 +85,6 @@ func PrivateRegion(node int) GVA {
 
 func (a GVA) String() string { return fmt.Sprintf("gva:%#x", uint64(a)) }
 
-//ascoma:allow-alloc diagnostic formatting; hot code reaches String only on panic paths
 func (p Page) String() string { return fmt.Sprintf("page:%#x", uint64(p)) }
 
 func (b Block) String() string { return fmt.Sprintf("block:%#x", uint64(b)) }

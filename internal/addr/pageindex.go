@@ -56,7 +56,6 @@ func (p Page) Index() (idx PageIndex, ok bool) {
 func (p Page) MustIndex() PageIndex {
 	idx, ok := p.Index()
 	if !ok {
-		//ascoma:allow-alloc panic message; legal pages never take this branch
 		panic("addr: page " + p.String() + " outside the legal address regions")
 	}
 	return idx

@@ -27,34 +27,21 @@ import (
 	"ascoma/internal/analysis/program"
 )
 
-// Run applies the analyzer to the corpus in dir (a path relative to the
-// test, e.g. "../testdata/src/nondet"), loaded like RunProgram's, and
-// reports expectation mismatches as test errors. The corpus's synthetic
-// package paths match no Packages restriction, so the harness lifts it.
+// Run applies the analyzer to the corpus tree rooted at dir (a path
+// relative to the test, e.g. "../testdata/src/nondet") and reports
+// expectation mismatches as test errors. The directory and each
+// subdirectory holding .go files become one package each (see
+// program.LoadDir). The corpus's synthetic package paths match no Packages
+// restriction, so the harness lifts it.
 func Run(t *testing.T, a *analysis.Analyzer, dir string) {
 	t.Helper()
 	unscoped := *a
 	unscoped.Packages = nil
-	run(t, dir, []*analysis.Analyzer{&unscoped}, nil)
-}
-
-// RunProgram applies a whole-program analyzer to the corpus tree rooted at
-// dir: the directory and each subdirectory holding .go files become one
-// package each, importing one another as "<base(dir)>/<sub>" (see
-// program.LoadDir). Expectations are the same // want comments, collected
-// across every package of the fixture.
-func RunProgram(t *testing.T, a *program.Analyzer, dir string) {
-	t.Helper()
-	run(t, dir, nil, []*program.Analyzer{a})
-}
-
-func run(t *testing.T, dir string, pkgAnalyzers []*analysis.Analyzer, progAnalyzers []*program.Analyzer) {
-	t.Helper()
 	prog, err := program.LoadDir(dir, filepath.Base(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := program.RunAnalyzers(prog, pkgAnalyzers, progAnalyzers)
+	got, err := program.RunAnalyzers(prog, []*analysis.Analyzer{&unscoped})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +100,7 @@ func expectations(t *testing.T, fset *token.FileSet, files []*ast.File) map[stri
 				// Block form for lines whose diagnostic lands on a line
 				// comment (e.g. dirlint reporting a bad directive), where a
 				// trailing // want could never fit on the same line:
-				//   /* want `unknown directive` */ //ascoma:hotpah
+				//   /* want `unknown directive` */ //ascoma:allow-nondt
 				if rest, isBlock := strings.CutPrefix(text, "/*"); isBlock {
 					text = strings.TrimSuffix(rest, "*/")
 				}

@@ -8,62 +8,32 @@ import (
 
 // Directives are magic comments of the form
 //
-//	//ascoma:<name> [argument...]
+//	//ascoma:<name> <reason>
 //
-// (no space after //, like //go: directives). Two families exist:
+// (no space after //, like //go: directives). Each is an escape hatch that
+// suppresses one finding of one analyzer, and each REQUIRES a reason after
+// the name: a hatch without a reason suppresses nothing, and dirlint fails
+// the build on it.
 //
-//   - annotations that opt code in to a check: //ascoma:hotpath,
-//     //ascoma:stats, //ascoma:stats-serialize, //ascoma:stats-finalize T;
-//   - escape hatches that suppress one finding: //ascoma:allow-nondet,
-//     //ascoma:allow-alloc, //ascoma:allow-unserialized,
-//     //ascoma:allow-noctx — each REQUIRES a reason after the name; a
-//     hatch without a reason does not suppress anything.
+// A hatch suppresses diagnostics positioned on its own line or on the line
+// directly below it, so both trailing-comment and line-above styles work:
 //
-// An escape hatch suppresses diagnostics positioned on its own line or on
-// the line directly below it, so both trailing-comment and line-above
-// styles work, and a hatch written as the last line of a declaration's doc
-// comment covers the declaration:
-//
-//	for k := range m { // ascoma-vet would flag this, but:
 //	//ascoma:allow-nondet order folded into a commutative sum
 //	for k := range m {
 const directivePrefix = "//ascoma:"
 
-// A DirectiveKind classifies a known directive name.
-type DirectiveKind int
-
-const (
-	// Annotation opts a declaration in to a check (reason optional).
-	Annotation DirectiveKind = iota
-	// Hatch suppresses or cuts one finding and REQUIRES a reason; dirlint
-	// fails the build on a reasonless hatch.
-	Hatch
-)
-
-// KnownDirectives is the registry of every //ascoma: directive the suite
-// understands. dirlint flags any name outside this table.
-var KnownDirectives = map[string]DirectiveKind{
-	// Annotations.
-	"hotpath":         Annotation, // zero-alloc function (hotpathflow root)
-	"stats":           Annotation, // stats struct (statsintegrity)
-	"stats-serialize": Annotation, // golden-checksum serialization func
-	"stats-finalize":  Annotation, // stats finalize func (arg: union type)
-
-	// Escape hatches and graph cuts (reason required).
-	"allow-nondet":       Hatch, // nondet
-	"allow-alloc":        Hatch, // hotpathflow
-	"allow-unserialized": Hatch, // statsintegrity
-	"allow-noctx":        Hatch, // ctxflow
-	"allow-errdrop":      Hatch, // errdrop
-	"allow-hotcall":      Hatch, // hotpathflow: exempt one call site from the closure
-	"hotpath-stop":       Hatch, // hotpathflow: cut the closure at this function
+// KnownDirectives is the set of //ascoma: directives the suite
+// understands. dirlint flags any name outside it.
+var KnownDirectives = map[string]bool{
+	"allow-nondet":  true, // nondet
+	"allow-errdrop": true, // errdrop
 }
 
 // A Directive is one parsed //ascoma: comment.
 type Directive struct {
 	Pos  token.Pos
-	Name string // e.g. "hotpath", "allow-nondet"
-	Arg  string // remainder of the line, trimmed; the reason for hatches
+	Name string // e.g. "allow-nondet"
+	Arg  string // remainder of the line, trimmed: the reason
 }
 
 // ParseDirective parses a single comment, reporting ok=false for ordinary
@@ -81,32 +51,6 @@ func ParseDirective(c *ast.Comment) (Directive, bool) {
 	return Directive{Pos: c.Pos(), Name: name, Arg: strings.TrimSpace(arg)}, true
 }
 
-// DeclDirectives returns the directives attached to a declaration's doc
-// comment.
-func DeclDirectives(doc *ast.CommentGroup) []Directive {
-	if doc == nil {
-		return nil
-	}
-	var out []Directive
-	for _, c := range doc.List {
-		if d, ok := ParseDirective(c); ok {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// HasDirective reports whether the doc comment carries the named directive
-// and returns its argument.
-func HasDirective(doc *ast.CommentGroup, name string) (string, bool) {
-	for _, d := range DeclDirectives(doc) {
-		if d.Name == name {
-			return d.Arg, true
-		}
-	}
-	return "", false
-}
-
 type lineKey struct {
 	file string
 	line int
@@ -114,7 +58,7 @@ type lineKey struct {
 
 // A DirectiveIndex maps each source line to the //ascoma: directives
 // written on it. The program loader builds one over every loaded file, and
-// both kinds of pass answer Allowed from it.
+// every Pass answers Allowed from it.
 type DirectiveIndex struct {
 	fset  *token.FileSet
 	lines map[lineKey][]Directive

@@ -8,5 +8,5 @@ import (
 )
 
 func TestDirlint(t *testing.T) {
-	analysistest.RunProgram(t, dirlint.Analyzer, "../testdata/src/dirlint")
+	analysistest.Run(t, dirlint.Analyzer, "../testdata/src/dirlint")
 }

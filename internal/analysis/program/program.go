@@ -1,11 +1,6 @@
 // Package program loads every package of the repository in one shot and
-// runs the whole analyzer suite on that one load. Per-package analyzers
-// (analysis.Analyzer) get a Pass per loaded package; the whole-repo
-// analyzers (hotpathflow, dirlint) get the interprocedural facts built
-// here — a call graph with static, interface, and func-value edges, plus a
-// program-wide directive index — so the invariants that live in call
-// chains (whether a //ascoma:hotpath root transitively allocates) are
-// proved across packages.
+// runs the analyzer suite on that one load: each analyzer gets a Pass per
+// loaded package it applies to.
 //
 // Repo packages are parsed from source, topologically sorted by their
 // intra-module imports, and type-checked against a shared source-importer
@@ -41,32 +36,19 @@ type Package struct {
 }
 
 // A Program holds every package of one module (or one test corpus tree)
-// plus the interprocedural indexes built over them.
+// plus the line index of their //ascoma: directives.
 type Program struct {
 	Fset       *token.FileSet
 	Pkgs       []*Package // topological order (dependencies first)
 	ModulePath string
-	Root       string
-
-	funcs      []*Func
-	funcByObj  map[*types.Func]*Func
-	funcByLit  map[*ast.FuncLit]*Func
-	namedTypes []*types.TypeName
 
 	directives *analysis.DirectiveIndex
-	typeDirs   []TypeDirective
-}
-
-// A TypeDirective is a //ascoma: directive attached to a type declaration.
-type TypeDirective struct {
-	Obj *types.TypeName
-	Dir analysis.Directive
 }
 
 // Load loads the module rooted at root (the directory containing go.mod):
 // every package directory is parsed (testdata, vendor, dot/underscore and
 // tool directories and nested modules are skipped; _test.go files are
-// excluded) and type-checked, and the call graph is built.
+// excluded) and type-checked.
 func Load(root string) (*Program, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
@@ -109,13 +91,7 @@ func modulePath(gomod string) (string, error) {
 }
 
 func load(root, modpath string) (*Program, error) {
-	p := &Program{
-		Fset:       token.NewFileSet(),
-		ModulePath: modpath,
-		Root:       root,
-		funcByObj:  make(map[*types.Func]*Func),
-		funcByLit:  make(map[*ast.FuncLit]*Func),
-	}
+	p := &Program{Fset: token.NewFileSet(), ModulePath: modpath}
 
 	dirs, err := packageDirs(root)
 	if err != nil {
@@ -171,11 +147,11 @@ func load(root, modpath string) (*Program, error) {
 	}
 	p.Pkgs = ordered
 
-	p.indexDirectives()
-	p.indexNamedTypes()
-	if err := p.buildGraph(); err != nil {
-		return nil, err
+	var files []*ast.File
+	for _, pkg := range p.Pkgs {
+		files = append(files, pkg.Files...)
 	}
+	p.directives = analysis.IndexDirectives(p.Fset, files)
 	return p, nil
 }
 
@@ -298,100 +274,33 @@ func moduleImports(pkg *Package, modpath string) []string {
 	return out
 }
 
-// indexDirectives builds the program-wide line index of //ascoma: comments
-// used by Allowed, and the list of type-level directives.
-func (p *Program) indexDirectives() {
-	var files []*ast.File
-	for _, pkg := range p.Pkgs {
-		files = append(files, pkg.Files...)
-	}
-	p.directives = analysis.IndexDirectives(p.Fset, files)
-
-	// Type-level directives: a doc comment on the TypeSpec, or on a
-	// single-spec GenDecl.
-	for _, pkg := range p.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok || gd.Tok != token.TYPE {
-					continue
-				}
-				for _, spec := range gd.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					doc := ts.Doc
-					if doc == nil && len(gd.Specs) == 1 {
-						doc = gd.Doc
-					}
-					obj, _ := pkg.Info.Defs[ts.Name].(*types.TypeName)
-					if obj == nil {
-						continue
-					}
-					for _, d := range analysis.DeclDirectives(doc) {
-						p.typeDirs = append(p.typeDirs, TypeDirective{Obj: obj, Dir: d})
-					}
-				}
+// RunAnalyzers applies analyzers to an already-loaded program and returns
+// the collected diagnostics in report order; drivers sort before printing.
+// Each analyzer runs on every package it AppliesTo. It is the only place a
+// Pass is built.
+func RunAnalyzers(prog *Program, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
+	var diags []analysis.Diagnostic
+	report := func(d analysis.Diagnostic) { diags = append(diags, d) }
+	for _, pkg := range prog.Pkgs {
+		for _, a := range analyzers {
+			if !a.AppliesTo(pkg.Path) {
+				continue
+			}
+			pass := &analysis.Pass{
+				Analyzer:   a,
+				Fset:       prog.Fset,
+				Files:      pkg.Files,
+				Pkg:        pkg.Pkg,
+				TypesInfo:  pkg.Info,
+				Directives: prog.directives,
+				Report:     report,
+			}
+			if err := a.Run(pass); err != nil {
+				return diags, fmt.Errorf("analyzer %s on %s: %v", a.Name, pkg.Path, err)
 			}
 		}
 	}
-}
-
-// indexNamedTypes collects every named type declared in the program, in
-// deterministic order, for interface-dispatch resolution.
-func (p *Program) indexNamedTypes() {
-	for _, pkg := range p.Pkgs {
-		scope := pkg.Pkg.Scope()
-		names := scope.Names() // already sorted
-		for _, name := range names {
-			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
-				p.namedTypes = append(p.namedTypes, tn)
-			}
-		}
-	}
-}
-
-// Allowed reports whether a diagnostic at pos is suppressed by the named
-// escape hatch, anywhere in the program (see analysis.DirectiveIndex).
-func (p *Program) Allowed(pos token.Pos, hatch string) bool {
-	return p.directives.Allowed(pos, hatch)
-}
-
-// TypesWithDirective returns the type-level directives with the given name,
-// in declaration order.
-func (p *Program) TypesWithDirective(name string) []TypeDirective {
-	var out []TypeDirective
-	for _, td := range p.typeDirs {
-		if td.Dir.Name == name {
-			out = append(out, td)
-		}
-	}
-	return out
-}
-
-// FuncsWithDirective returns the declared functions annotated with the
-// given directive, in program order.
-func (p *Program) FuncsWithDirective(name string) []*Func {
-	var out []*Func
-	for _, f := range p.funcs {
-		if _, ok := f.Directive(name); ok {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// Funcs returns every function and function literal in the program, in
-// deterministic program order.
-func (p *Program) Funcs() []*Func { return p.funcs }
-
-// FuncOf returns the graph node for a declared function or method, or nil.
-func (p *Program) FuncOf(obj *types.Func) *Func {
-	if obj == nil {
-		return nil
-	}
-	return p.funcByObj[obj.Origin()]
+	return diags, nil
 }
 
 type importerFunc func(path string) (*types.Package, error)

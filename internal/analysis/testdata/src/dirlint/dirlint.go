@@ -5,18 +5,17 @@
 // analysistest.
 package dirlint
 
-// A correctly spelled annotation needs no argument.
+// A typo in the directive name would silently disable a check, and a
+// directive of a deleted analyzer silences nothing.
 //
-//ascoma:hotpath
-func hot() {}
+/* want `unknown directive //ascoma:allow-nondt` */ //ascoma:allow-nondt
+func typo()                                         {}
 
-// A typo in the directive name would silently disable a check.
-//
-/* want `unknown directive //ascoma:hotpah` */ //ascoma:hotpah
-func typo()                                    {}
+/* want `unknown directive //ascoma:hotpath` */ //ascoma:hotpath
+func retired()                                  {}
 
-/* want `escape hatch //ascoma:allow-alloc requires a reason` */ //ascoma:allow-alloc
-func reasonless() {}
+/* want `escape hatch //ascoma:allow-errdrop requires a reason` */ //ascoma:allow-errdrop
+func reasonless()                                                  {}
 
-//ascoma:allow-alloc the buffer is reused across calls
+//ascoma:allow-errdrop the caller logs the failure
 func justified() {}

@@ -58,8 +58,6 @@ func (c *L1) index(l addr.Line) int { return int(uint64(l) & c.mask) }
 // effect, so probing a reference and replaying it later is the same as
 // probing it once. Probed once per reference: the step loop (through
 // access) and walk verification both call it.
-//
-//ascoma:hotpath
 func (c *L1) Lookup(l addr.Line, write bool) bool {
 	s := &c.lines[c.index(l)]
 	return s.valid && s.tag == l && (!write || s.writable)

@@ -61,14 +61,12 @@ func (t *Table[T]) Get(i int) *T {
 func (t *Table[T]) GetOrCreate(i int) *T {
 	c := i >> chunkShift
 	if c >= len(t.chunks) {
-		//ascoma:allow-alloc chunk index grows once per new high-water chunk; steady state is a bounds check
 		grown := make([]*chunk[T], c+1)
 		copy(grown, t.chunks)
 		t.chunks = grown
 	}
 	ch := t.chunks[c]
 	if ch == nil {
-		//ascoma:allow-alloc each chunk materializes once on first touch; steady state is a nil check
 		ch = new(chunk[T])
 		t.chunks[c] = ch
 	}
@@ -77,7 +75,6 @@ func (t *Table[T]) GetOrCreate(i int) *T {
 		ch.marks[j>>6] |= bit
 		if !ch.listed {
 			ch.listed = true
-			//ascoma:allow-alloc the used list grows once per newly live chunk and is kept across Reset; steady state appends in place
 			t.used = append(t.used, ch)
 		}
 	}

@@ -276,7 +276,6 @@ func (d *Directory) Fetch(node int, b addr.Block, write, haveData bool) FetchRes
 	p := b.Page()
 	e := d.entry(p)
 	if e == nil {
-		//ascoma:allow-alloc panic message; unreachable when the VM allocates before access
 		panic(fmt.Sprintf("directory: fetch of unallocated page %v", p))
 	}
 	bd := &e.blocks[b.Index()]
@@ -288,7 +287,6 @@ func (d *Directory) Fetch(node int, b addr.Block, write, haveData bool) FetchRes
 	if pi := int(p.MustIndex()); pi < len(d.touched) {
 		d.touched[pi] = 1
 	} else {
-		//ascoma:allow-alloc touched bitmap grows once per newly seen page index, amortized over the run
 		d.touched = append(d.touched, make([]uint8, pi+1-len(d.touched))...)
 		d.touched[pi] = 1
 	}

@@ -224,8 +224,6 @@ type archCost struct {
 // Predict returns the headline prediction for one (arch, pressure) cell.
 // It is the estimator's hot path: called once per grid cell of an
 // estimate request, so it must not allocate.
-//
-//ascoma:hotpath
 func (e *Estimator) Predict(arch params.Arch, pressure int) Prediction {
 	p := &e.p
 	prof := e.prof
@@ -337,8 +335,6 @@ func (a *archCost) add(b *archCost) {
 }
 
 // nodeCost evaluates one node's page classes under one architecture.
-//
-//ascoma:hotpath
 func (e *Estimator) nodeCost(ac *archCost, arch params.Arch, n int, pool, cap, capMin int64) {
 	p := &e.p
 	np := &e.prof.PerNode[n]
@@ -611,8 +607,6 @@ func (e *Estimator) nodeCost(ac *archCost, arch params.Arch, n int, pool, cap, c
 // denials solves for how many relocation interrupts AS-COMA's additive
 // back-off denies before the escalating threshold outruns a page's
 // refetch supply: the largest d with d*theta0 + inc*d*(d-1)/2 <= refetches.
-//
-//ascoma:hotpath
 func denials(refetches, theta0, inc int64) int64 {
 	var d int64
 	budget := refetches
@@ -629,8 +623,6 @@ func denials(refetches, theta0, inc int64) int64 {
 // have an LRU stack distance of at least w pages — the episodes that
 // refault when the page pool holds w pages. The straddling histogram
 // bucket is interpolated linearly.
-//
-//ascoma:hotpath
 func reuseAtLeast(np *workload.NodeProfile, w int64) float64 {
 	var total float64
 	for k := 0; k < len(np.ReuseHist); k++ {

@@ -50,8 +50,6 @@ func (c *coherenceChecker) onInvalidate(node int, b addr.Block) {
 }
 
 // onLocalHit asserts the node's copy is current.
-//
-//ascoma:hotpath-stop debug coherence assertion; formats diagnostics only on detected violations
 func (c *coherenceChecker) onLocalHit(node int, b addr.Block, site string) {
 	have, ok := c.held[node][b]
 	if !ok {

@@ -157,8 +157,6 @@ const (
 
 // refillWindow reports the consumed prefix to the stream and borrows the
 // next pending window. An empty result means end of stream.
-//
-//ascoma:hotpath
 func (nd *node) refillWindow() []workload.Ref {
 	nd.chunks.Skip(nd.pendPos)
 	nd.pendPos = 0
@@ -223,8 +221,6 @@ type Machine struct {
 
 // New builds a machine for the given workload. The workload's node count
 // overrides Params.Nodes.
-//
-//ascoma:stats-finalize stats.Machine
 func New(cfg Config, gen workload.Generator) (*Machine, error) {
 	if cfg.Params.Nodes == 0 {
 		cfg.Params = params.Default()
@@ -407,8 +403,6 @@ func (m *Machine) lockFor(id addr.GVA, create bool) *lockState {
 
 // acquireLock attempts to take the mutex; it returns the cycles consumed
 // and whether the node must park.
-//
-//ascoma:hotpath-stop lock operations are rare next to memory references; contended bookkeeping allocates by design
 func (m *Machine) acquireLock(nd *node, id addr.GVA, now int64) (cost int64, blocked bool) {
 	l := m.lockFor(id, true)
 	cost = m.lockCost(nd, id)
@@ -422,8 +416,6 @@ func (m *Machine) acquireLock(nd *node, id addr.GVA, now int64) (cost int64, blo
 }
 
 // releaseLock frees the mutex and hands it to the first waiter, waking it.
-//
-//ascoma:hotpath-stop lock operations are rare next to memory references; the error path formats a diagnostic
 func (m *Machine) releaseLock(nd *node, id addr.GVA, now int64) (int64, error) {
 	l := m.lockFor(id, false)
 	if l == nil || !l.held || l.owner != nd.id {
@@ -555,8 +547,6 @@ func (m *Machine) runLoop(ctx context.Context) {
 
 // dispatch runs nd's event at now: from the node's cruise record when that
 // serves it (see walkskip.go), through runNode otherwise.
-//
-//ascoma:hotpath
 func (m *Machine) dispatch(nd *node, now int64) {
 	if nd.cruise.w != nil && m.serveCruise(nd, now) {
 		return
@@ -567,10 +557,8 @@ func (m *Machine) dispatch(nd *node, now int64) {
 // runNode advances one node by up to one quantum of simulated time. It is
 // the simulator's step loop — every simulated reference passes through it
 // or through a cruise record (serveCruise) — and must stay allocation-free
-// (ascoma-vet enforces this; see BENCH_PR1). dispatch calls it only for a
+// (TestHotPathAllocs pins it; see BENCH_PR1). dispatch calls it only for a
 // node without a cruise record.
-//
-//ascoma:hotpath
 func (m *Machine) runNode(nd *node, now int64) {
 	if nd.blocked != 0 {
 		return
@@ -632,7 +620,6 @@ func (m *Machine) runNode(nd *node, now int64) {
 		if ref.Op == workload.Barrier {
 			nd.blocked |= ndWaiting
 			nd.arriveTime = now
-			//ascoma:allow-alloc waiters keeps its capacity across barriers; grows only on the first fill
 			m.waiters = append(m.waiters, nd.id)
 			m.checkBarrier()
 			return
@@ -893,8 +880,6 @@ func (m *Machine) classify(nd *node, res directory.FetchResult) {
 // localAccess models an access satisfied by this node's DRAM (home data,
 // page cache, or private data): bus transaction plus a memory-bank access
 // whose occupancy comes from the page's tier and the row-buffer policy.
-//
-//ascoma:hotpath
 func (m *Machine) localAccess(nd *node, pte *vm.PTE, b addr.Block, write bool, now int64) int64 {
 	t := nd.bus.Acquire(now, m.p.BusCycles)
 	return nd.mem.Acquire(int(pte.Tier), uint64(b), t, write)
@@ -904,8 +889,6 @@ func (m *Machine) localAccess(nd *node, pte *vm.PTE, b addr.Block, write bool, n
 // fetch supply, writeback landing, dirty-owner retrieval). With more than
 // one tier the block's tier is resolved through the serving node's page
 // table; with one it is always 0, and the lookup is skipped.
-//
-//ascoma:hotpath
 func (m *Machine) memAcquire(nd *node, b addr.Block, t int64, write bool) int64 {
 	tier := 0
 	if nd.mem.NumTiers() > 1 {
@@ -1257,8 +1240,6 @@ func (m *Machine) evict(nd *node, victim *vm.PTE) int64 {
 // reached or no cold pages remain, then let the policy observe the outcome
 // (AS-COMA's thrash detector lives in that observation). Returns the cycles
 // consumed, charged as K-OVERHD.
-//
-//ascoma:hotpath-stop episodic pageout daemon; runs at scan cadence off the per-reference path
 func (m *Machine) runDaemon(nd *node, now int64) int64 {
 	p := m.p
 	vmm := nd.vmm
@@ -1326,8 +1307,6 @@ const tierPromoteHits = 64
 
 // promote moves a hot S-COMA page one tier up, returning the kernel
 // cycles of the page copy (0 when the faster tier has no headroom).
-//
-//ascoma:hotpath-stop episodic tier management off the per-reference path
 func (m *Machine) promote(nd *node, pte *vm.PTE, now int64) int64 {
 	from := int(pte.Tier)
 	if !nd.vmm.Promote(pte) {
@@ -1346,8 +1325,6 @@ func (m *Machine) promote(nd *node, pte *vm.PTE, now int64) int64 {
 // returning the copy cost and whether the demotion happened. The clock
 // hand is advanced past the page: it stays enrolled, and a page the
 // daemon just demoted must not be re-victimized in the same sweep.
-//
-//ascoma:hotpath-stop episodic tier management off the per-reference path
 func (m *Machine) demote(nd *node, victim *vm.PTE) (int64, bool) {
 	from := int(victim.Tier)
 	if !nd.vmm.Demote(victim) {
@@ -1363,12 +1340,9 @@ func (m *Machine) demote(nd *node, victim *vm.PTE) (int64, bool) {
 
 // finalize computes the run-level aggregates. Together with New (which
 // stamps the run identity) it must populate every field of the returned
-// stats — the statsintegrity analyzer checks the pair against the struct
-// definitions, so a counter added to stats.Node or stats.Machine cannot
-// silently stay zero in the goldens.
-//
-//ascoma:stats-finalize stats.Machine
-//ascoma:stats-finalize stats.Node
+// stats — TestStatsFieldsPopulated holds every field to a run that sets
+// it, so a counter added to stats.Node or stats.Machine cannot silently
+// stay zero in the goldens.
 func (m *Machine) finalize() {
 	var max int64
 	for i, nd := range m.nodes {
@@ -1395,8 +1369,6 @@ func (m *Machine) NodeVM(i int) *vm.VM { return m.nodes[i].vmm }
 func (m *Machine) NodePolicy(i int) core.Policy { return m.nodes[i].pols.Primary() }
 
 // takeSample records one adaptation-timeline point for node 0.
-//
-//ascoma:hotpath-stop sampling probe at window cadence, not per-reference
 func (m *Machine) takeSample(nd *node, now int64) {
 	m.samples = append(m.samples, Sample{
 		Time:       now,
@@ -1419,8 +1391,6 @@ func (m *Machine) Samples() []Sample { return m.samples }
 // epoch series. Like takeSample it runs on node 0's dispatch, so each row
 // is captured at a deterministic point of the event order and the series
 // is bit-identical across identical runs.
-//
-//ascoma:hotpath-stop epoch-boundary bookkeeping at window cadence, not per-reference
 func (m *Machine) takeEpoch(now int64) {
 	m.ep.Begin(now)
 	for _, nd := range m.nodes {

@@ -63,8 +63,6 @@ type walkMemo struct {
 // does not call skipWalk under it. A walk of sync operations never
 // verifies, and sampling is unaffected: takeSample runs only at runNode
 // entry, and a skip never crosses the quantum deadline.
-//
-//ascoma:hotpath
 func (m *Machine) skipWalk(nd *node, now, deadline int64) int64 {
 	w, pass, i := nd.nextWalk()
 	if w == nil || !nd.verifyWalk(w, i) {
@@ -98,8 +96,6 @@ func (m *Machine) skipWalk(nd *node, now, deadline int64) int64 {
 // the walk it decodes next, with its cursor (workload.Compiled.NextWalk).
 // Call it only with an exhausted window; the window stays empty, so the
 // next refillWindow decodes from the stream's cursor.
-//
-//ascoma:hotpath
 func (nd *node) nextWalk() (w *workload.Walk, pass, i int64) {
 	nd.chunks.Skip(nd.pendPos)
 	nd.pend, nd.pendPos = nd.pend[:0], 0
@@ -112,8 +108,6 @@ func (nd *node) nextWalk() (w *workload.Walk, pass, i int64) {
 // memoized with the geometry pointer and the L1 generation; a memo is
 // reused while both still match. at is the walk's cursor within its pass,
 // where probing starts.
-//
-//ascoma:hotpath
 func (nd *node) verifyWalk(w *workload.Walk, at int64) bool {
 	mm := &nd.walk
 	if mm.w == w && mm.gen == nd.invGen {
@@ -169,8 +163,6 @@ type cruise struct {
 // fillCruise records a walk skip that is about to stop at the quantum
 // deadline with left references of w still to come; think is the walk's
 // clamped think time.
-//
-//ascoma:hotpath
 func (m *Machine) fillCruise(nd *node, w *workload.Walk, think, left int64) {
 	hit := m.p.L1HitCycles
 	kq := (m.quantum + think + hit - 1) / (think + hit)
@@ -209,8 +201,6 @@ func (m *Machine) fillCruise(nd *node, w *workload.Walk, think, left int64) {
 // references of every served event are advanced past in one AdvanceWalk
 // of their sum when the record is dropped, before runNode next reads the
 // stream. Nothing else reads a node's stream.
-//
-//ascoma:hotpath
 func (m *Machine) serveCruise(nd *node, now int64) bool {
 	c := &nd.cruise
 	if nd.blocked != 0 || nd.invGen != c.gen || c.left <= c.kq || now+m.quantum > nd.nextDaemon ||
@@ -235,8 +225,6 @@ func (m *Machine) serveCruise(nd *node, now int64) bool {
 }
 
 // dropCruise applies the record's deferred cursor move and clears it.
-//
-//ascoma:hotpath
 func (nd *node) dropCruise() {
 	if nd.cruise.owed > 0 {
 		nd.chunks.AdvanceWalk(nd.cruise.owed)

@@ -275,8 +275,6 @@ func (m *Memory) MoveCost(from, to int) int64 { return m.moveCost[from][to] }
 // the bank is selected by key, the base occupancy by the tier's
 // read/write latency, and the row-buffer policy scales it by whether the
 // bank's active row matches the block's row.
-//
-//ascoma:hotpath
 func (m *Memory) Acquire(tier int, key uint64, t sim.Time, write bool) sim.Time {
 	ts := &m.tiers[tier]
 	lat := ts.read
@@ -300,8 +298,6 @@ func (m *Memory) Acquire(tier int, key uint64, t sim.Time, write bool) sim.Time 
 // occupancy: 75% of the base latency on a row hit, 150% on a row conflict
 // (precharge then activate), the base latency on an access to a
 // precharged bank.
-//
-//ascoma:hotpath
 func (m *Memory) rowOccupancy(idx int, row, lat int64) int64 {
 	occ := lat
 	switch open := m.rowOpen[idx]; {

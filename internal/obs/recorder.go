@@ -103,7 +103,8 @@ const DefaultEventCap = 1 << 16
 // Recorder is a fixed-capacity flight recorder: a ring of the last Cap
 // events emitted, plus the count of everything ever emitted. It is
 // single-threaded by design — exactly one machine writes it at a time — and
-// emission is allocation-free (the hotpathflow analyzer enforces it).
+// emission is allocation-free (TestEmitZeroAlloc and TestHotPathAllocs pin
+// it).
 type Recorder struct {
 	// Clock is the current simulated cycle, stamped onto emitted events.
 	// The driving machine updates it on entry to every emitting path, so
@@ -130,8 +131,6 @@ func NewRecorder(capacity int) *Recorder {
 // Emit appends one event stamped with the recorder's Clock. Callers hold a
 // possibly-nil *Recorder and must check it first; keeping the nil test at
 // the call site means a disabled run pays exactly one branch.
-//
-//ascoma:hotpath
 func (r *Recorder) Emit(kind Kind, node int, a, b uint32) {
 	r.buf[r.pos] = Event{Time: r.Clock, A: a, B: b, Kind: kind, Node: uint16(node)}
 	r.pos++

@@ -53,8 +53,8 @@ func TestRecorderDefaultCap(t *testing.T) {
 
 // TestEmitZeroAlloc pins the recorder's zero-allocation contract: the
 // machine step loop emits behind a single nil-check, so Emit itself must
-// never touch the heap. The //ascoma:hotpath annotation has ascoma-vet
-// checking the same property statically.
+// never touch the heap. TestHotPathAllocs pins the same property over
+// whole observed runs.
 func TestEmitZeroAlloc(t *testing.T) {
 	r := NewRecorder(1024)
 	allocs := testing.AllocsPerRun(1000, func() {

@@ -68,7 +68,6 @@ var archNames = [...]string{"CC-NUMA", "S-COMA", "R-NUMA", "VC-NUMA", "AS-COMA",
 // String returns the conventional hyphenated architecture name.
 func (a Arch) String() string {
 	if a < 0 || int(a) >= len(archNames) {
-		//ascoma:allow-alloc fallback for out-of-range values; never hit for the six real architectures
 		return fmt.Sprintf("Arch(%d)", int(a))
 	}
 	return archNames[a]

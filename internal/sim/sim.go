@@ -67,8 +67,6 @@ func (q *Queue) Push(e Event) {
 }
 
 // grow doubles the ring, linearizing pending events to the front.
-//
-//ascoma:hotpath-stop amortized doubling of the event ring; steady state reuses capacity
 func (q *Queue) grow() {
 	c := len(q.ring) * 2
 	if c == 0 {

@@ -42,11 +42,9 @@ func missMap(t [NumMissCats]int64) map[string]int64 {
 	return out
 }
 
-// counterMap flattens a node's scalar counters by name. It is the
-// serialization point the statsintegrity analyzer checks Node's counter
-// fields against: a counter missing here never reaches -json consumers.
-//
-//ascoma:stats-serialize
+// counterMap flattens a node's scalar counters by name. A counter missing
+// here never reaches -json consumers, and TestStatsFieldsReachReport
+// fails.
 func counterMap(n *Node) map[string]int64 {
 	return map[string]int64{
 		"sharedRefs":      n.SharedRefs,
@@ -69,8 +67,6 @@ func counterMap(n *Node) map[string]int64 {
 }
 
 // Report builds the JSON view of a finished run.
-//
-//ascoma:stats-serialize
 func Report(m *Machine) JSONReport {
 	r := JSONReport{
 		Arch:     m.Arch,

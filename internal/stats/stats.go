@@ -71,10 +71,8 @@ func (c MissCat) String() string {
 // Every field must be exported and reach the flattened JSON report — the
 // golden checksums hash json.Marshal of this struct, and downstream tooling
 // reads the name-keyed view built by counterMap/Report in json.go. Add a
-// field here and ascoma-vet (statsintegrity) fails until it appears there
+// field here and TestStatsFieldsReachReport fails until it appears there
 // too.
-//
-//ascoma:stats
 type Node struct {
 	Time   [NumTimeCats]int64 // cycles per execution-time category
 	Misses [NumMissCats]int64 // shared-data miss counts by satisfaction site
@@ -121,9 +119,7 @@ func (n *Node) TotalMisses() int64 {
 // Machine aggregates per-node statistics for one simulation run.
 //
 // Like Node, every field is pinned by the golden checksums and must reach
-// the serialized report; see the //ascoma:stats contract in DESIGN.md §9.
-//
-//ascoma:stats
+// the serialized report (TestStatsFieldsReachReport; DESIGN.md §9).
 type Machine struct {
 	Arch     string
 	Workload string

@@ -484,7 +484,6 @@ func (v *VM) Unmap(pte *PTE) {
 
 func (v *VM) enroll(pte *PTE) {
 	pte.ring = len(v.ring)
-	//ascoma:allow-alloc the clock ring grows once per mapped page on the paging slow path
 	v.ring = append(v.ring, pte)
 }
 

@@ -206,8 +206,6 @@ func Recycle(s Stream) {
 }
 
 // Next returns the next reference; ok is false at end of stream.
-//
-//ascoma:hotpath
 func (s *Compiled) Next() (Ref, bool) {
 	if s.pos == s.n {
 		s.refill()
@@ -238,8 +236,6 @@ func (s *Compiled) Skip(n int) { s.pos += n }
 // a scatter or sync instruction next, or end of stream). The cursor is
 // always normalized — refillWalk and AdvanceWalk leave i in [0, Count) and
 // pass in [0, Passes) — so a reported walk has at least one reference left.
-//
-//ascoma:hotpath
 func (s *Compiled) NextWalk() (w *Walk, pass, i int64) {
 	if s.pos != s.n || s.pc >= len(s.prog.instrs) {
 		return nil, 0, 0
@@ -250,8 +246,6 @@ func (s *Compiled) NextWalk() (w *Walk, pass, i int64) {
 // AdvanceWalk consumes the next k references of the walk NextWalk reports
 // without decoding them, leaving the cursor exactly where refillWalk would
 // after decoding them. k must be at least 1 and at most Walk.Remaining.
-//
-//ascoma:hotpath
 func (s *Compiled) AdvanceWalk(k int64) {
 	w := &s.prog.instrs[s.pc].geom
 	i := s.i + k
@@ -265,9 +259,7 @@ func (s *Compiled) AdvanceWalk(k int64) {
 
 // refill decodes the next chunk of references into the buffer. The decode
 // loops write into the stream's fixed chunk array; nothing here may
-// allocate (ascoma-vet enforces it).
-//
-//ascoma:hotpath
+// allocate (TestHotPathAllocs pins it).
 func (s *Compiled) refill() {
 	s.pos, s.n = 0, 0
 	for s.n < ChunkSize && s.pc < len(s.prog.instrs) {
@@ -296,8 +288,6 @@ func (s *Compiled) refill() {
 // refillWalk expands as much of the current walk as fits in the chunk.
 // Walk offsets never need the interpreter's clamp: count = ceil(bytes /
 // stride), so (count-1)*stride < bytes always.
-//
-//ascoma:hotpath
 func (s *Compiled) refillWalk(w *Walk) {
 	for {
 		left := w.Count - s.i
@@ -348,8 +338,6 @@ func (s *Compiled) refillWalk(w *Walk) {
 }
 
 // refillScatter expands as much of the current scatter as fits in the chunk.
-//
-//ascoma:hotpath
 func (s *Compiled) refillScatter(in *cinstr) {
 	if s.i == 0 {
 		s.rnd = newRNG(in.seed)
