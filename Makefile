@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test verify vet fmt-check bench race fuzz-smoke clean serve-smoke trace-check model-check e2e perfbench-test
+.PHONY: all build test verify vet fmt-check bench profile race fuzz-smoke clean serve-smoke trace-check model-check e2e perfbench-test
 
 all: build
 
@@ -116,6 +116,15 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkStreamGeneration$$' -count 3 .
 	$(GO) test -run '^$$' -bench 'BenchmarkResident$$' -benchtime 10x -count 3 .
 	$(GO) test -run '^$$' -bench 'BenchmarkResidentQuantum' -benchtime 10x -count 3 .
+
+# profile writes a CPU profile of the scale-8 figure regeneration on one
+# job (sweep -scale 8 -jobs 1, the figures grid without the Runner's
+# interleaving) to .bin/cpu.out and prints the hottest functions, so the
+# CPU shares quoted in ROADMAP.md's ablation ledger can be reproduced.
+profile:
+	$(GO) build -o .bin/sweep ./cmd/sweep
+	.bin/sweep -scale 8 -jobs 1 -cpuprofile .bin/cpu.out >/dev/null
+	$(GO) tool pprof -top -nodecount=40 .bin/sweep .bin/cpu.out
 
 race:
 	$(GO) test -race ./...

@@ -17,15 +17,15 @@ type allocCase struct {
 }
 
 // runAllocs is the allocation count of one run on a recycled machine: the
-// Result, the stats.Machine and its Nodes slice, the network, the
-// machine's run state, and returning the machine to the arena. The event
-// path itself allocates nothing.
-const runAllocs = 9
+// Result, the stats.Machine and its Nodes slice, and the machine's run
+// state. The interconnect is recycled with the machine, and the arena
+// finds its pool without storing. The event path itself allocates
+// nothing, contended locks included: their waiter queues are linked
+// through the nodes.
+const runAllocs = 4
 
 // allocCases lists the inputs of TestHotPathAllocs: the 72-config golden
 // matrix, then the configurations whose paths the matrix does not reach.
-//   - radix takes contended locks, whose waiter queues grow by append
-//     (acquireLock); MIG-NUMA's radix takes two more.
 //   - MIG-NUMA barnes at 90% migrates into a node with no free frame, and
 //     S-COMA em3d at 90% forces out a victim while every page is
 //     referenced. Both branches run in the figure grid and perfbench's
@@ -42,14 +42,7 @@ const runAllocs = 9
 func allocCases() []allocCase {
 	var cases []allocCase
 	for _, cfg := range goldenConfigs() {
-		want := float64(runAllocs)
-		if cfg.Workload == "radix" {
-			want += 16
-			if cfg.Arch == MIGNUMA {
-				want += 2
-			}
-		}
-		cases = append(cases, allocCase{goldenKey(cfg), cfg, want})
+		cases = append(cases, allocCase{goldenKey(cfg), cfg, runAllocs})
 	}
 	tiers := []TierSpec{
 		{CapacityPct: 30, ReadCycles: 40, WriteCycles: 60},

@@ -14,13 +14,25 @@ import (
 	"ascoma/internal/params"
 )
 
-// l1Set is one direct-mapped set: the full line tag plus its state bits,
-// packed so a lookup or fill touches a single 16-byte record (one cache
-// line of the host covers four sets) instead of parallel slices.
-type l1Set struct {
-	tag      addr.Line
-	valid    bool
-	writable bool
+// l1Set is one direct-mapped set packed into a word: the full line tag
+// shifted left 2, the writable bit (bit 1) and the valid bit (bit 0). A
+// lookup or fill touches one 8-byte word (a host cache line covers eight
+// sets), and an invalid set is the zero word.
+type l1Set uint64
+
+const (
+	l1Valid    l1Set = 1 << 0
+	l1Writable l1Set = 1 << 1
+	l1TagShift       = 2
+)
+
+// word is the set word of a valid line l, writable when write is set.
+func word(l addr.Line, write bool) l1Set {
+	w := l1Set(l)<<l1TagShift | l1Valid
+	if write {
+		w |= l1Writable
+	}
+	return w
 }
 
 // L1 is a direct-mapped write-back processor cache. Each line carries a
@@ -59,8 +71,11 @@ func (c *L1) index(l addr.Line) int { return int(uint64(l) & c.mask) }
 // probing it once. Probed once per reference: the step loop (through
 // access) and walk verification both call it.
 func (c *L1) Lookup(l addr.Line, write bool) bool {
-	s := &c.lines[c.index(l)]
-	return s.valid && s.tag == l && (!write || s.writable)
+	s := c.lines[c.index(l)]
+	if write {
+		return s == word(l, true)
+	}
+	return s&^l1Writable == word(l, false)
 }
 
 // Insert fills line l, evicting whatever occupied its set. Write fills are
@@ -68,11 +83,9 @@ func (c *L1) Lookup(l addr.Line, write bool) bool {
 // it was valid and dirty (a dirty victim must be written back).
 func (c *L1) Insert(l addr.Line, write bool) (victim addr.Line, wasValid, wasDirty bool) {
 	s := &c.lines[c.index(l)]
-	victim, wasValid, wasDirty = s.tag, s.valid, s.valid && s.writable
-	s.tag = l
-	s.valid = true
-	s.writable = write
-	return victim, wasValid, wasDirty
+	old := *s
+	*s = word(l, write)
+	return addr.Line(old >> l1TagShift), old&l1Valid != 0, old&l1Writable != 0
 }
 
 // InvalidateBlock drops every line of coherence block b that is present and
@@ -84,9 +97,8 @@ func (c *L1) InvalidateBlock(b addr.Block) int {
 	for j := 0; j < params.LinesPerBlock; j++ {
 		l := b.LineAt(j)
 		s := &c.lines[c.index(l)]
-		if s.valid && s.tag == l {
-			s.valid = false
-			s.writable = false
+		if *s&^l1Writable == word(l, false) {
+			*s = 0
 			n++
 		}
 	}
@@ -101,12 +113,11 @@ func (c *L1) FlushPage(p addr.Page) (flushed, dirty int) {
 	for j := 0; j < params.LinesPerPage; j++ {
 		l := base + addr.Line(j)
 		s := &c.lines[c.index(l)]
-		if s.valid && s.tag == l {
-			if s.writable {
+		if *s&^l1Writable == word(l, false) {
+			if *s&l1Writable != 0 {
 				dirty++
 			}
-			s.valid = false
-			s.writable = false
+			*s = 0
 			flushed++
 		}
 	}
@@ -123,8 +134,8 @@ func (c *L1) CleanBlock(b addr.Block) int {
 	for j := 0; j < params.LinesPerBlock; j++ {
 		l := b.LineAt(j)
 		s := &c.lines[c.index(l)]
-		if s.valid && s.tag == l && s.writable {
-			s.writable = false
+		if *s == word(l, true) {
+			*s = word(l, false)
 			n++
 		}
 	}
@@ -132,17 +143,13 @@ func (c *L1) CleanBlock(b addr.Block) int {
 }
 
 // Reset invalidates the whole cache.
-func (c *L1) Reset() {
-	for i := range c.lines {
-		c.lines[i] = l1Set{}
-	}
-}
+func (c *L1) Reset() { clear(c.lines) }
 
 // Occupancy returns the number of valid lines (for tests).
 func (c *L1) Occupancy() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
+	for _, s := range c.lines {
+		if s&l1Valid != 0 {
 			n++
 		}
 	}
@@ -160,6 +167,8 @@ func (c *L1) Sets() int { return c.sets }
 // satisfy only reads.
 type RAC struct {
 	entries int
+	mask    uint64 // entries-1 when a power of two (index path), else unused
+	pow2    bool
 	tags    []addr.Block
 	valid   []bool
 	owned   []bool
@@ -169,13 +178,23 @@ type RAC struct {
 func NewRAC(n int) *RAC {
 	return &RAC{
 		entries: n,
+		mask:    uint64(n - 1),
+		pow2:    n&(n-1) == 0,
 		tags:    make([]addr.Block, n),
 		valid:   make([]bool, n),
 		owned:   make([]bool, n),
 	}
 }
 
-func (r *RAC) index(b addr.Block) int { return int(uint64(b) % uint64(r.entries)) }
+// index selects block b's entry: b mod entries, masked for the common
+// power-of-two sizes (the default single entry included) to keep a 64-bit
+// divide off every remote miss. Callers have already returned for n == 0.
+func (r *RAC) index(b addr.Block) int {
+	if r.pow2 {
+		return int(uint64(b) & r.mask)
+	}
+	return int(uint64(b) % uint64(r.entries))
+}
 
 // Lookup reports whether block b can satisfy the access: any hit satisfies
 // a read; only an owned hit satisfies a write.

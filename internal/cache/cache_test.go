@@ -1,8 +1,11 @@
 package cache
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"ascoma/internal/addr"
 	"ascoma/internal/params"
@@ -186,17 +189,29 @@ func TestL1OccupancyProperty(t *testing.T) {
 	}
 }
 
-// refL1 is a reference L1 that keeps an explicit dirty bit beside the
-// writable bit, with the textbook rules: a fill sets dirty from its write, a
-// write hit marks the line dirty, and every invalidation, flush and
-// downgrade clears it.
+// refL1 is a reference L1 that keeps its tag, valid, writable and an
+// explicit dirty bit in parallel arrays, with the textbook rules: a fill
+// sets dirty from its write, a write hit marks the line dirty, and every
+// invalidation, flush and downgrade clears it. A page flush probes each of
+// the page's lines in turn.
 type refL1 struct {
-	tag             [32]addr.Line
-	valid, w, dirty [32]bool
+	tag             []addr.Line
+	valid, w, dirty []bool
 }
 
+func newRefL1(sets int) *refL1 {
+	return &refL1{
+		tag:   make([]addr.Line, sets),
+		valid: make([]bool, sets),
+		w:     make([]bool, sets),
+		dirty: make([]bool, sets),
+	}
+}
+
+func (r *refL1) set(l addr.Line) int { return int(l) % len(r.tag) }
+
 func (r *refL1) lookup(l addr.Line, write bool) bool {
-	i := int(l) % 32
+	i := r.set(l)
 	if !r.valid[i] || r.tag[i] != l || (write && !r.w[i]) {
 		return false
 	}
@@ -206,76 +221,130 @@ func (r *refL1) lookup(l addr.Line, write bool) bool {
 	return true
 }
 
-func (r *refL1) drop(l addr.Line, keep bool) int {
-	i := int(l) % 32
+// drop clears line l's write permission, and its validity unless keep is
+// set. It reports whether l was present and whether it was dirty.
+func (r *refL1) drop(l addr.Line, keep bool) (present, dirty bool) {
+	i := r.set(l)
 	if !r.valid[i] || r.tag[i] != l {
-		return 0
+		return false, false
 	}
-	d := 0
-	if r.dirty[i] {
-		d = 1
-	}
+	dirty = r.dirty[i]
 	r.valid[i] = keep
 	r.w[i], r.dirty[i] = false, false
-	return d
+	return true, dirty
 }
 
-// Property: under any sequence of operations, a valid line of the reference
-// L1 is dirty exactly when it is writable, so the L1's writable bit reports
-// every writeback the reference's dirty bit does: the same hits, the same
-// dirty victims and the same dirty flush counts. machine.skipWalk relies on
-// this when it consumes write hits in closed form without touching their
-// lines.
+// Property: under any sequence of operations, the packed L1 agrees with the
+// reference: the same hits, the same victims, the same invalidation,
+// downgrade and page-flush counts, and the same occupancy. In the
+// reference a valid line is dirty exactly when it is writable, so the L1's
+// writable bit reports every writeback the dirty bit does (machine.skipWalk
+// relies on this when it consumes write hits in closed form without
+// touching their lines). The sizes bracket a page: a 1 or 2 KB L1 has
+// fewer sets than a page has lines, so a page's lines wrap around the
+// whole cache, while 8 and 16 KB hold a page in a range of their sets.
 func TestL1WritableImpliesDirty(t *testing.T) {
-	f := func(ops []uint16) bool {
-		c := NewL1(1024) // 32 sets
-		var r refL1
-		for _, v := range ops {
-			l := line(uint64((v >> 3) % 128)) // four lines per set, one page
-			switch v % 8 {
-			case 0, 1:
-				write := v%8 == 1
-				i := int(l) % 32
-				rv, rd := r.tag[i], r.valid[i] && r.dirty[i]
-				victim, wasValid, wasDirty := c.Insert(l, write)
-				if wasValid != r.valid[i] || (wasValid && victim != rv) || wasDirty != rd {
-					return false
+	for _, kb := range []int{1, 2, 8, 16} {
+		sets := kb * 1024 / params.LineSize
+		// Lines span four times the larger of a page and the cache, so
+		// sets see conflicts and flushes see other pages' lines.
+		span := uint64(4 * max(sets, params.LinesPerPage))
+		var flushedAll, dirtyAll int
+		f := func(ops []uint16) bool {
+			c := NewL1(kb * 1024)
+			r := newRefL1(sets)
+			for _, v := range ops {
+				l := line(uint64(v>>3) % span)
+				switch v % 8 {
+				case 0, 1:
+					write := v%8 == 1
+					i := r.set(l)
+					rv, rd := r.tag[i], r.valid[i] && r.dirty[i]
+					victim, wasValid, wasDirty := c.Insert(l, write)
+					if wasValid != r.valid[i] || (wasValid && victim != rv) || wasDirty != rd {
+						return false
+					}
+					r.tag[i], r.valid[i], r.w[i], r.dirty[i] = l, true, write, write
+				case 2, 3:
+					if c.Lookup(l, v%8 == 3) != r.lookup(l, v%8 == 3) {
+						return false
+					}
+				case 4, 5:
+					keep := v%8 == 5
+					var n int
+					if keep {
+						n = c.CleanBlock(l.Block())
+					} else {
+						n = c.InvalidateBlock(l.Block())
+					}
+					want := 0
+					for j := 0; j < params.LinesPerBlock; j++ {
+						bl := l.Block().LineAt(j)
+						writable := r.valid[r.set(bl)] && r.tag[r.set(bl)] == bl && r.w[r.set(bl)]
+						if present, _ := r.drop(bl, keep); present && (!keep || writable) {
+							want++
+						}
+					}
+					if n != want {
+						return false
+					}
+				case 6, 7:
+					flushed, dirty := c.FlushPage(l.Page())
+					wantF, wantD := 0, 0
+					for j := 0; j < params.LinesPerPage; j++ {
+						present, d := r.drop(addr.LineOf(l.Page().Base())+addr.Line(j), false)
+						if present {
+							wantF++
+						}
+						if d {
+							wantD++
+						}
+					}
+					if flushed != wantF || dirty != wantD {
+						return false
+					}
+					flushedAll += flushed
+					dirtyAll += dirty
 				}
-				r.tag[i], r.valid[i], r.w[i], r.dirty[i] = l, true, write, write
-			case 2, 3:
-				if c.Lookup(l, v%8 == 3) != r.lookup(l, v%8 == 3) {
-					return false
+				valid := 0
+				for i := range r.valid {
+					if r.valid[i] {
+						valid++
+						if r.w[i] != r.dirty[i] {
+							return false
+						}
+					}
 				}
-			case 4:
-				c.InvalidateBlock(l.Block())
-				for j := 0; j < params.LinesPerBlock; j++ {
-					r.drop(l.Block().LineAt(j), false)
-				}
-			case 5:
-				c.CleanBlock(l.Block())
-				for j := 0; j < params.LinesPerBlock; j++ {
-					r.drop(l.Block().LineAt(j), true)
-				}
-			case 6, 7:
-				_, dirty := c.FlushPage(l.Page())
-				want := 0
-				for j := 0; j < params.LinesPerPage; j++ {
-					want += r.drop(addr.LineOf(l.Page().Base())+addr.Line(j), false)
-				}
-				if dirty != want {
+				if c.Occupancy() != valid {
 					return false
 				}
 			}
-			for i := range r.valid {
-				if r.valid[i] && r.w[i] != r.dirty[i] {
-					return false
-				}
-			}
+			return true
 		}
-		return true
+		if err := quick.Check(f, &quick.Config{MaxCount: 200, Values: longOps}); err != nil {
+			t.Errorf("%d KB: %v", kb, err)
+		}
+		if flushedAll == 0 || dirtyAll == 0 {
+			t.Errorf("%d KB: page flushes found %d lines, %d dirty; the property never compared a nonzero count", kb, flushedAll, dirtyAll)
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
+}
+
+// longOps draws a 1000-operation sequence, long enough for the L1 to fill
+// before flushes (testing/quick's own slices hold at most 50 elements).
+func longOps(args []reflect.Value, r *rand.Rand) {
+	ops := make([]uint16, 1000)
+	for i := range ops {
+		ops[i] = uint16(r.Intn(1 << 16))
+	}
+	args[0] = reflect.ValueOf(ops)
+}
+
+// TestL1SetSize pins a set at one 8-byte word: eight sets per host cache
+// line, and Reset clears 8 bytes a set.
+func TestL1SetSize(t *testing.T) {
+	if n := unsafe.Sizeof(l1Set(0)); n != 8 {
+		t.Errorf("sizeof(l1Set) = %d, want 8", n)
 	}
 }
 

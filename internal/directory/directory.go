@@ -251,15 +251,15 @@ func (d *Directory) ForceHome(p addr.Page, home int) {
 // HomePages returns the number of home pages owned by node i.
 func (d *Directory) HomePages(i int) int { return d.homeCount[i] }
 
-// FetchResult describes the directory's handling of one block fetch.
+// FetchResult describes the directory's handling of one block fetch. It
+// is returned on every remote miss, so it stays at four fields of 16 bytes:
+// the compiler keeps a struct that small in registers instead of writing
+// it to memory and copying it back.
 type FetchResult struct {
-	Home          int       // the page's home node
-	Forwarded     bool      // dirty at a third node: three-hop transfer
-	ForwardOwner  int       // the owner that supplied the block (if Forwarded)
-	Invalidations int       // sharers invalidated (write fetches)
-	Refetch       bool      // requester was already in the copyset
-	RefetchCount  uint32    // post-increment refetch counter for (page, node)
-	Class         MissClass // cold/induced/conflict classification
+	ForwardOwner int       // the dirty owner that supplied the block (three-hop transfer); -1: the home did
+	RefetchCount uint32    // post-increment refetch counter for (page, node)
+	Refetch      bool      // requester was already in the copyset
+	Class        MissClass // cold/induced/conflict classification
 }
 
 // Fetch processes a block fetch from `node` (which must not be the home —
@@ -282,7 +282,7 @@ func (d *Directory) Fetch(node int, b addr.Block, write, haveData bool) FetchRes
 	bit := uint64(1) << uint(node)
 	idx := b.Index()
 
-	res := FetchResult{Home: e.home}
+	res := FetchResult{ForwardOwner: -1}
 	e.remoteAccessed |= bit
 	if pi := int(p.MustIndex()); pi < len(d.touched) {
 		d.touched[pi] = 1
@@ -330,7 +330,6 @@ func (d *Directory) Fetch(node int, b addr.Block, write, haveData bool) FetchRes
 				nb := uint64(1) << uint(n)
 				if bd.copyset&nb != 0 && n != node {
 					d.invalidate(n, b)
-					res.Invalidations++
 				}
 			}
 			bd.copyset = 0
@@ -338,11 +337,9 @@ func (d *Directory) Fetch(node int, b addr.Block, write, haveData bool) FetchRes
 	case Modified:
 		owner := int(bd.owner)
 		if owner != node {
-			res.Forwarded = true
 			res.ForwardOwner = owner
-			d.writeback(owner, b, write)
+			d.writeback(owner, b, write) // a write takes the owner's copy
 			if write {
-				res.Invalidations++ // the owner loses its copy
 				bd.copyset = 0
 			} else {
 				bd.copyset = uint64(1) << uint(owner)

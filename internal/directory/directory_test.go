@@ -1,7 +1,9 @@
 package directory
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"ascoma/internal/addr"
 )
@@ -142,11 +144,14 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 	rec.reset()
 
 	res := d.Fetch(3, b, true, false)
-	if res.Invalidations != 2 {
-		t.Errorf("invalidations = %d, want 2", res.Invalidations)
+	if res.ForwardOwner != -1 {
+		t.Errorf("clean block forwarded from node %d", res.ForwardOwner)
 	}
-	if len(rec.invals) != 2 {
-		t.Errorf("callback fired %d times", len(rec.invals))
+	if len(rec.invals) != 2 || rec.invals[0] != (event{node: 1, b: b}) || rec.invals[1] != (event{node: 2, b: b}) {
+		t.Errorf("invalidations = %+v, want nodes 1 and 2", rec.invals)
+	}
+	if len(rec.writebacks) != 0 {
+		t.Errorf("writebacks = %+v, want none", rec.writebacks)
 	}
 	if st, cs := d.State(b); st != Modified || cs != 1<<3 {
 		t.Errorf("after write: state=%v copyset=%b", st, cs)
@@ -175,11 +180,14 @@ func TestThreeHopForwardOnRead(t *testing.T) {
 	rec.reset()
 
 	res := d.Fetch(2, b, false, false)
-	if !res.Forwarded || res.ForwardOwner != 1 {
-		t.Errorf("forward = %v owner=%d", res.Forwarded, res.ForwardOwner)
+	if res.ForwardOwner != 1 {
+		t.Errorf("forward owner = %d, want 1", res.ForwardOwner)
 	}
-	if len(rec.writebacks) != 1 || rec.writebacks[0].inv {
+	if len(rec.writebacks) != 1 || rec.writebacks[0] != (event{node: 1, b: b}) {
 		t.Errorf("writeback callbacks: %+v", rec.writebacks)
+	}
+	if len(rec.invals) != 0 {
+		t.Errorf("invalidations = %+v, want none", rec.invals)
 	}
 	// Owner downgraded to sharer, requester added.
 	if st, cs := d.State(b); st != SharedState || cs != (1<<1|1<<2) {
@@ -195,8 +203,15 @@ func TestThreeHopForwardOnWrite(t *testing.T) {
 	rec.reset()
 
 	res := d.Fetch(2, b, true, false)
-	if !res.Forwarded || res.Invalidations != 1 {
-		t.Errorf("forward=%v invals=%d", res.Forwarded, res.Invalidations)
+	if res.ForwardOwner != 1 {
+		t.Errorf("forward owner = %d, want 1", res.ForwardOwner)
+	}
+	// The owner loses its copy through the invalidating writeback.
+	if len(rec.writebacks) != 1 || rec.writebacks[0] != (event{node: 1, b: b, inv: true}) {
+		t.Errorf("writeback callbacks: %+v", rec.writebacks)
+	}
+	if len(rec.invals) != 0 {
+		t.Errorf("invalidations = %+v, want none", rec.invals)
 	}
 	if st, cs := d.State(b); st != Modified || cs != 1<<2 {
 		t.Errorf("state=%v copyset=%b", st, cs)
@@ -210,8 +225,8 @@ func TestOwnerRewriteNoForward(t *testing.T) {
 	d.Fetch(1, b, true, false)
 	rec.reset()
 	res := d.Fetch(1, b, true, false) // owner refetches its own dirty block
-	if res.Forwarded || res.Invalidations != 0 {
-		t.Errorf("self rewrite: forward=%v invals=%d", res.Forwarded, res.Invalidations)
+	if res.ForwardOwner != -1 || len(rec.invals) != 0 || len(rec.writebacks) != 0 {
+		t.Errorf("self rewrite: forward owner=%d invals=%+v writebacks=%+v", res.ForwardOwner, rec.invals, rec.writebacks)
 	}
 }
 
@@ -490,5 +505,17 @@ func TestMigratePageUnknown(t *testing.T) {
 	d, _ := newDir(2)
 	if inv, dirty := d.MigratePage(addr.Page(0xeeee), 1); inv != 0 || dirty != 0 {
 		t.Error("migrating an unknown page did something")
+	}
+}
+
+// TestFetchResultSize pins FetchResult at four fields in 32 bytes or less:
+// the compiler keeps a struct that small in registers through Fetch and
+// its callers on every remote miss, while a fifth field sends it to memory.
+func TestFetchResultSize(t *testing.T) {
+	if n := reflect.TypeOf(FetchResult{}).NumField(); n > 4 {
+		t.Errorf("FetchResult has %d fields, want at most 4", n)
+	}
+	if n := unsafe.Sizeof(FetchResult{}); n > 32 {
+		t.Errorf("sizeof(FetchResult) = %d, want at most 32", n)
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"ascoma/internal/cache"
 	"ascoma/internal/core"
 	"ascoma/internal/directory"
+	"ascoma/internal/network"
 	"ascoma/internal/vm"
 	"ascoma/internal/workload"
 )
@@ -55,16 +56,23 @@ func arenaGet(sh shape) *Machine {
 	return nil
 }
 
+// arenaPut parks a released machine. The pool of its shape exists after
+// the shape's first release, so Load finds it without storing: only the
+// first release boxes the key and allocates a pool.
 func arenaPut(m *Machine) {
-	p, _ := arena.LoadOrStore(m.shape, &sync.Pool{})
+	p, ok := arena.Load(m.shape)
+	if !ok {
+		p, _ = arena.LoadOrStore(m.shape, &sync.Pool{})
+	}
 	p.(*sync.Pool).Put(m)
 }
 
 // newShaped allocates the storage of a machine: nodes with their caches,
-// VM and contention resources, plus the directory. It configures nothing:
-// New applies the run parameters to fresh and recycled machines alike.
+// VM and contention resources, the interconnect and the directory. It
+// configures nothing: New applies the run parameters to fresh and
+// recycled machines alike.
 func newShaped(sh shape) *Machine {
-	m := &Machine{shape: sh}
+	m := &Machine{shape: sh, net: new(network.Net)}
 	m.nodes = make([]*node, sh.nodes)
 	for i := range m.nodes {
 		m.nodes[i] = &node{
@@ -109,11 +117,11 @@ func (m *Machine) recycle() {
 }
 
 // Release returns the machine's recyclable state (caches, page tables,
-// directory chunks, event queue, stream chunk buffers) to the process-wide
-// arena for reuse by a later run of the same shape. The machine must not be
-// used after Release. Statistics and samples returned by Run are allocated
-// per run and remain valid — Release drops the machine's references to them
-// so pooling does not pin them.
+// directory chunks, interconnect, event queue, stream chunk buffers) to
+// the process-wide arena for reuse by a later run of the same shape. The
+// machine must not be used after Release. Statistics and samples returned
+// by Run are allocated per run and remain valid — Release drops the
+// machine's references to them so pooling does not pin them.
 func (m *Machine) Release() {
 	if m.released {
 		return
@@ -128,7 +136,6 @@ func (m *Machine) Release() {
 		nd.vmm.SetRecorder(nil)
 	}
 	m.gen = nil
-	m.net = nil
 	m.st = nil
 	m.samples = nil
 	m.checker = nil

@@ -138,3 +138,48 @@ func TestLockTraceRoundTrip(t *testing.T) {
 		t.Errorf("trace replay diverged: %d vs %d", direct.ExecTime, replayed.ExecTime)
 	}
 }
+
+// TestLockQueueFIFO drives one mutex's waiter queue directly: waiters get
+// the mutex in the order they parked, the queue drains to a free mutex,
+// and an emptied queue starts over.
+func TestLockQueueFIFO(t *testing.T) {
+	m, err := New(Config{Arch: params.CCNUMA, Pressure: 50}, newProbe(4, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = 9
+	acquire := func(n int, wantBlocked bool) {
+		t.Helper()
+		if _, blocked := m.acquireLock(m.nodes[n], id, 0); blocked != wantBlocked {
+			t.Fatalf("node %d acquire: blocked = %v, want %v", n, blocked, wantBlocked)
+		}
+	}
+	release := func(n, wantOwner int) {
+		t.Helper()
+		if _, err := m.releaseLock(m.nodes[n], id, 0); err != nil {
+			t.Fatal(err)
+		}
+		l := m.lockFor(id, false)
+		if wantOwner < 0 {
+			if l.held {
+				t.Fatalf("node %d released: owner %d, want a free mutex", n, l.owner)
+			}
+		} else if !l.held || l.owner != wantOwner {
+			t.Fatalf("node %d released: held=%v owner=%d, want owner %d", n, l.held, l.owner, wantOwner)
+		}
+	}
+	acquire(0, false)
+	acquire(2, true)
+	acquire(1, true)
+	acquire(3, true)
+	release(0, 2)
+	acquire(0, true) // parks behind 1 and 3
+	release(2, 1)
+	release(1, 3)
+	release(3, 0)
+	release(0, -1)
+	acquire(3, false)
+	acquire(1, true)
+	release(3, 1)
+	release(1, -1)
+}

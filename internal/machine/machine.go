@@ -126,6 +126,7 @@ type node struct {
 	l1 cache.L1 // embedded: looked up on every reference, no pointer chase
 
 	arriveTime     int64 // barrier/lock arrival time
+	lockNext       int32 // next node (id + 1, 0: none) parked on the mutex this node waits for
 	daemonInterval int64
 	prevThresh     int   // last relocation threshold seen by the flight recorder
 	prevRowConf    int64 // row conflicts at the last epoch boundary (EvRowConflict deltas)
@@ -301,7 +302,7 @@ func New(cfg Config, gen workload.Generator) (*Machine, error) {
 	}
 	m.dir.Reset(homePages, p.RefetchThreshold)
 	m.dir.SetRecorder(m.rec)
-	m.net = network.New(p)
+	m.net.Configure(p)
 	m.st = stats.NewMachine(n)
 	m.st.Arch = cfg.Arch.String()
 	m.st.Workload = gen.Name()
@@ -360,9 +361,13 @@ func New(cfg Config, gen workload.Generator) (*Machine, error) {
 // barrier operations; locks are arbitrated at a home node (hashed from the
 // lock id) with FIFO handoff.
 type lockState struct {
-	held    bool
-	owner   int
-	waiters []int
+	held  bool
+	owner int
+	// head and tail are the FIFO of nodes parked on the mutex, as node
+	// id + 1 (0: none), linked through node.lockNext. A parked node waits
+	// on one mutex only, so one link per node threads every queue and a
+	// queue has no storage of its own to allocate or reset.
+	head, tail int32
 }
 
 // lockCost returns the latency of one atomic lock operation by nd on the
@@ -411,7 +416,13 @@ func (m *Machine) acquireLock(nd *node, id addr.GVA, now int64) (cost int64, blo
 		l.owner = nd.id
 		return cost, false
 	}
-	l.waiters = append(l.waiters, nd.id)
+	nd.lockNext = 0
+	if l.tail == 0 {
+		l.head = int32(nd.id + 1)
+	} else {
+		m.nodes[l.tail-1].lockNext = int32(nd.id + 1)
+	}
+	l.tail = int32(nd.id + 1)
 	return cost, true
 }
 
@@ -422,14 +433,16 @@ func (m *Machine) releaseLock(nd *node, id addr.GVA, now int64) (int64, error) {
 		return 0, fmt.Errorf("machine: node %d unlocked mutex %#x it does not hold", nd.id, uint64(id))
 	}
 	cost := m.lockCost(nd, id)
-	if len(l.waiters) == 0 {
+	if l.head == 0 {
 		l.held = false
 		return cost, nil
 	}
-	next := l.waiters[0]
-	l.waiters = l.waiters[1:]
-	l.owner = next
+	next := int(l.head - 1)
 	w := m.nodes[next]
+	if l.head = w.lockNext; l.head == 0 {
+		l.tail = 0
+	}
+	l.owner = next
 	// The handoff reaches the waiter after the release plus a transfer.
 	resume := now + cost + m.net.Latency(nd.id, next) + m.p.NetPortOccupancy
 	w.st.Time[stats.Sync] += resume - w.arriveTime
@@ -941,8 +954,7 @@ func (m *Machine) remoteFetch(nd *node, pte *vm.PTE, b addr.Block, write, haveDa
 		m.nodes[home].invGen++
 	}
 
-	if res.Forwarded {
-		o := res.ForwardOwner
+	if o := res.ForwardOwner; o >= 0 {
 		t = m.net.Send(home, o, t)
 		t = m.memAcquire(m.nodes[o], b, t, false)
 		t = m.net.Send(o, nd.id, t)

@@ -28,22 +28,41 @@ type Net struct {
 
 // New builds the interconnect for the given configuration.
 func New(p *params.Params) *Net {
-	n := &Net{
-		nodes:       p.Nodes,
-		radix:       p.SwitchRadix,
-		prop:        p.NetPropCycles,
-		fallThrough: p.NetFallThrough,
-		portOcc:     p.NetPortOccupancy,
-		inPort:      make([]sim.Resource, p.Nodes),
+	n := new(Net)
+	n.Configure(p)
+	return n
+}
+
+// Configure readies n for a run with the given configuration, every port
+// idle. A machine recycles its Net, so Configure reuses the port and
+// latency storage, and rebuilds the latency table only when the topology
+// parameters differ from the last run's.
+func (n *Net) Configure(p *params.Params) {
+	if len(n.inPort) == p.Nodes {
+		for i := range n.inPort {
+			n.inPort[i].Reset()
+		}
+	} else {
+		n.inPort = make([]sim.Resource, p.Nodes)
 	}
-	n.lat = make([]sim.Time, p.Nodes*p.Nodes)
+	n.portOcc = p.NetPortOccupancy
+	if len(n.lat) == p.Nodes*p.Nodes && n.nodes == p.Nodes && n.radix == p.SwitchRadix &&
+		n.prop == p.NetPropCycles && n.fallThrough == p.NetFallThrough {
+		return
+	}
+	n.nodes = p.Nodes
+	n.radix = p.SwitchRadix
+	n.prop = p.NetPropCycles
+	n.fallThrough = p.NetFallThrough
+	if len(n.lat) != p.Nodes*p.Nodes {
+		n.lat = make([]sim.Time, p.Nodes*p.Nodes)
+	}
 	for from := 0; from < p.Nodes; from++ {
 		for to := 0; to < p.Nodes; to++ {
 			h := int64(n.Hops(from, to))
 			n.lat[from*p.Nodes+to] = h*(n.prop+n.fallThrough) + n.prop
 		}
 	}
-	return n
 }
 
 // Hops returns the number of switch traversals between two nodes in the

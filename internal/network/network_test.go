@@ -116,3 +116,40 @@ func TestLargerMachineHops(t *testing.T) {
 		t.Errorf("Hops(0,15) = %d, want 3", h)
 	}
 }
+
+// TestConfigureMatchesNew: a recycled Net, configured for a run after
+// serving another, behaves as a fresh one built for that run: ports idle,
+// latencies rebuilt when the topology parameters change and kept when
+// they do not.
+func TestConfigureMatchesNew(t *testing.T) {
+	p := params.Default()
+	n := New(&p)
+	n.Send(0, 1, 0)
+	steps := []func(*params.Params){
+		func(*params.Params) {},
+		func(q *params.Params) { q.NetPortOccupancy++ },
+		func(q *params.Params) { q.NetPropCycles++ },
+		func(q *params.Params) { q.NetFallThrough++ },
+		func(q *params.Params) { q.SwitchRadix = 2 },
+		func(q *params.Params) { q.Nodes = 16 },
+		func(q *params.Params) { q.Nodes = 8 },
+	}
+	for i, change := range steps {
+		change(&p)
+		n.Configure(&p)
+		fresh := New(&p)
+		for a := 0; a < p.Nodes; a++ {
+			if n.PortBusy(a) != 0 {
+				t.Errorf("step %d: port %d busy %d after Configure", i, a, n.PortBusy(a))
+			}
+			for b := 0; b < p.Nodes; b++ {
+				if n.Latency(a, b) != fresh.Latency(a, b) {
+					t.Errorf("step %d: Latency(%d,%d) = %d, fresh %d", i, a, b, n.Latency(a, b), fresh.Latency(a, b))
+				}
+			}
+		}
+		if got, want := n.Send(0, 1, 0), fresh.Send(0, 1, 0); got != want {
+			t.Errorf("step %d: Send = %d, fresh %d", i, got, want)
+		}
+	}
+}
