@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test verify vet fmt-check bench profile race fuzz-smoke clean serve-smoke trace-check model-check e2e perfbench-test
+.PHONY: all build test verify vet fmt-check bench profile race fuzz-smoke clean serve-smoke trace-check model-check e2e perfbench-test examples
 
 all: build
 
@@ -79,6 +79,14 @@ trace-check:
 	.bin/ascoma-sim -replay .bin/trace-ra >/dev/null
 	.bin/ascoma-inspect summary .bin/trace-ra >/dev/null
 
+# examples runs every program under examples/ and fails on the first
+# non-zero exit. go build ./... compiles them; only this target runs them.
+examples:
+	@for d in examples/*/; do \
+		echo "examples: $$d"; \
+		$(GO) run ./$$d >/dev/null || { echo "examples: $$d failed"; exit 1; }; \
+	done
+
 # model-check validates the analytical steady-state estimator
 # (internal/estimate) against the 72-config golden matrix: every cell is
 # simulated and the relative-execution-time error must stay inside the
@@ -92,13 +100,14 @@ model-check:
 # build, the full test suite (including the golden determinism test and
 # the allocation pins over the golden matrix), a short race-detector smoke
 # over the internal packages, the estimator accuracy gate, the
-# trace-determinism check, and the server smoke test.
+# trace-determinism check, the examples, and the server smoke test.
 verify: fmt-check vet
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -race -short ./internal/...
 	$(MAKE) model-check
 	$(MAKE) trace-check
+	$(MAKE) examples
 	$(GO) run ./cmd/ascoma-serve -smoke
 
 # bench runs the tracked go-test benchmarks for a benchstat comparison;

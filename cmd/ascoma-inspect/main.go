@@ -1,6 +1,6 @@
 // Command ascoma-inspect decodes a binary flight-recorder trace written by
-// ascoma-sim -trace, sweep -trace, or ascoma.WriteTrace, and renders it as
-// a human-readable summary (with ASCII sparklines over the epoch series and,
+// ascoma-sim -trace or ascoma.WriteTrace, and renders it as a
+// human-readable summary (with ASCII sparklines over the epoch series and,
 // for ascoma-sim -refs traces, per-node reference counts by op) or as CSV
 // for downstream analysis. Decoding is strict: a truncated or
 // corrupted trace fails with a clear error instead of partial output.

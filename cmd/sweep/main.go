@@ -58,8 +58,6 @@ var (
 	cacheDir    = flag.String("cachedir", "", "persist simulation results in this directory and reuse them across invocations")
 	cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	trace       = flag.String("trace", "", "record a flight-recorder trace of one AS-COMA run to this file (requires -app; inspect with ascoma-inspect)")
-	epoch       = flag.Int64("epoch", 0, "with -trace, sample per-node epoch probes every N cycles (0 = events only)")
 	tiers       = flag.String("tiers", "", "run every cell under tiered memory: capPct:readCycles:writeCycles,... fastest first")
 	pagePolicy  = flag.String("pagepolicy", "", "DRAM row-buffer page policy for every cell: open, closed, hybrid (empty = off)")
 	tierGrid    = flag.Bool("tiergrid", false, "render the tiered-memory adaptation grid (fast-share x asymmetry x pressure) instead of figures")
@@ -141,13 +139,6 @@ func main() {
 		apps = report.FigureApps(*fig)
 	}
 
-	if *trace != "" {
-		if *app == "" {
-			fail(fmt.Errorf("sweep: -trace requires -app"))
-		}
-		run(recordTrace(ctx, runner, *app, plist, *scale, *trace, *epoch))
-	}
-
 	switch *table {
 	case 5:
 		run(report.Table5(ctx, os.Stdout, apps, opts))
@@ -196,30 +187,6 @@ func main() {
 			run(writeSVGs(ctx, *svgDir, a, opts))
 		}
 	}
-}
-
-// recordTrace runs the application's most pressured AS-COMA cell with a
-// flight recorder attached and writes the binary trace. Observed runs
-// bypass the result cache (the simulation must actually execute to fill
-// the recording), so this costs one extra simulation even on a warm cache.
-func recordTrace(ctx context.Context, runner *runcache.Runner, app string, pressures []int, scale int, path string, epoch int64) error {
-	rec := ascoma.NewRecording(0, epoch)
-	p := slices.Max(pressures)
-	if _, err := runner.Run(ctx, ascoma.Config{
-		Arch:     ascoma.ASCOMA,
-		Workload: app,
-		Pressure: p,
-		Scale:    scale,
-		Obs:      rec,
-	}); err != nil {
-		return err
-	}
-	if err := ascoma.WriteTrace(path, rec); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "sweep: wrote %s (AS-COMA %s pressure=%d%%, %d events recorded)\n",
-		path, app, p, rec.Events.Total())
-	return nil
 }
 
 // writeSVGs renders one application's two panels into <dir>/<app>_time.svg

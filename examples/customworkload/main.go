@@ -2,10 +2,12 @@
 //
 //	go run ./examples/customworkload
 //
-// This builds a producer/consumer pipeline workload from scratch with the
-// workload package's program DSL — node 0 produces batches into its own
-// section, every other node repeatedly consumes (reads) them — records it
-// to a trace, and runs the trace on all five architectures. Single-writer
+// This builds a producer/consumer pipeline workload from scratch on
+// workload.Programs with the workload package's program DSL — node 0
+// produces batches into its own section, every other node repeatedly
+// consumes (reads) them — records it to a trace, and runs the trace on all
+// five architectures; the simulator reads the trace's streams through the
+// same chunk window as compiled ones. Single-writer
 // multi-reader data is the best case for page-grained caching, so the
 // S-COMA-style architectures win decisively.
 package main
@@ -15,54 +17,33 @@ import (
 	"log"
 
 	"ascoma"
-	"ascoma/internal/addr"
 	"ascoma/internal/params"
 	"ascoma/internal/workload"
 )
 
-// pipeline is a Generator: one producer node, nodes-1 consumer nodes.
-type pipeline struct {
-	nodes    int
-	pages    int
-	rounds   int
-	sections []addr.GVA
-	programs []*workload.Program
-}
-
-func newPipeline(nodes, pages, rounds int) *pipeline {
-	p := &pipeline{nodes: nodes, pages: pages, rounds: rounds}
-	l := workload.NewLayout()
-	p.sections = l.Distributed(nodes, pages)
-	p.programs = make([]*workload.Program, nodes)
-	for n := range p.programs {
-		pr := &workload.Program{}
-		p.programs[n] = pr
+// newPipeline builds a Generator with one producer node and nodes-1
+// consumer nodes. workload.Programs supplies the Generator methods: section
+// i is pages pages homed at node i, and each node replays its own Program.
+func newPipeline(nodes, pages, rounds int) *workload.Programs {
+	g := workload.NewPrograms("pipeline", nodes, pages, 0)
+	batch := g.Section(0)
+	for n := 0; n < nodes; n++ {
+		pr := g.Program(n)
 		for round := 0; round < rounds; round++ {
 			if n == 0 {
 				// Produce: write the batch into the producer's section.
-				pr.WalkRW(p.sections[0], int64(pages)*params.PageSize, params.LineSize, 1, 1, 4)
+				pr.WalkRW(batch, int64(pages)*params.PageSize, params.LineSize, 1, 1, 4)
 			}
 			pr.Barrier(2 * round)
 			if n != 0 {
 				// Consume: two block-strided read passes over the batch.
-				pr.Walk(p.sections[0], int64(pages)*params.PageSize, params.BlockSize, 2, workload.Read, 4)
+				pr.Walk(batch, int64(pages)*params.PageSize, params.BlockSize, 2, workload.Read, 4)
 			}
 			pr.Barrier(2*round + 1)
 		}
 	}
-	return p
+	return g
 }
-
-func (p *pipeline) Name() string             { return "pipeline" }
-func (p *pipeline) Nodes() int               { return p.nodes }
-func (p *pipeline) HomePagesPerNode() int    { return p.pages }
-func (p *pipeline) PrivatePagesPerNode() int { return 0 }
-func (p *pipeline) Place(place func(addr.Page, int)) {
-	for i, sec := range p.sections {
-		workload.PlacePages(place, sec, p.pages, i)
-	}
-}
-func (p *pipeline) Stream(node int) workload.Stream { return p.programs[node].Stream() }
 
 func main() {
 	gen := newPipeline(8, 24, 6)

@@ -172,18 +172,18 @@ func (d *Directory) Reset(homeLimit, threshold int) {
 // detaches).
 func (d *Directory) SetRecorder(r *obs.Recorder) { d.rec = r }
 
-// entry returns the live entry for page p, or nil when the page has no home
-// yet.
-func (d *Directory) entry(p addr.Page) *pageEntry {
+// entry returns the live entry for page p and p's dense index; the entry
+// is nil when the page has no home yet.
+func (d *Directory) entry(p addr.Page) (*pageEntry, int) {
 	idx, ok := p.Index()
 	if !ok {
-		return nil
+		return nil, -1
 	}
 	e := d.pages.Get(int(idx))
 	if e == nil || !e.present {
-		return nil
+		return nil, int(idx)
 	}
-	return e
+	return e, int(idx)
 }
 
 // createEntry installs a fresh entry for page p with the given home.
@@ -197,7 +197,7 @@ func (d *Directory) createEntry(p addr.Page, home int) *pageEntry {
 
 // Home returns the page's home node, or -1 if the page has no home yet.
 func (d *Directory) Home(p addr.Page) int {
-	e := d.entry(p)
+	e, _ := d.entry(p)
 	if e == nil {
 		return -1
 	}
@@ -212,7 +212,7 @@ func (d *Directory) Home(p addr.Page) int {
 // robin fashion to nodes that have not reached the limit." It returns the
 // chosen home.
 func (d *Directory) AssignHome(p addr.Page, toucher int) int {
-	if e := d.entry(p); e != nil {
+	if e, _ := d.entry(p); e != nil {
 		return e.home
 	}
 	home := toucher
@@ -241,7 +241,7 @@ func (d *Directory) AssignHome(p addr.Page, toucher int) int {
 // ForceHome assigns page p to an explicit home (used by workloads that
 // pre-place data, and by tests).
 func (d *Directory) ForceHome(p addr.Page, home int) {
-	if d.entry(p) != nil {
+	if e, _ := d.entry(p); e != nil {
 		return
 	}
 	d.homeCount[home]++
@@ -274,17 +274,17 @@ type FetchResult struct {
 // conflict miss, and not a coherence or cold miss").
 func (d *Directory) Fetch(node int, b addr.Block, write, haveData bool) FetchResult {
 	p := b.Page()
-	e := d.entry(p)
+	e, pi := d.entry(p)
 	if e == nil {
 		panic(fmt.Sprintf("directory: fetch of unallocated page %v", p))
 	}
-	bd := &e.blocks[b.Index()]
-	bit := uint64(1) << uint(node)
 	idx := b.Index()
+	bd := &e.blocks[idx]
+	bit := uint64(1) << uint(node)
 
 	res := FetchResult{ForwardOwner: -1}
 	e.remoteAccessed |= bit
-	if pi := int(p.MustIndex()); pi < len(d.touched) {
+	if pi < len(d.touched) {
 		d.touched[pi] = 1
 	} else {
 		d.touched = append(d.touched, make([]uint8, pi+1-len(d.touched))...)
@@ -311,7 +311,7 @@ func (d *Directory) Fetch(node int, b addr.Block, write, haveData bool) FetchRes
 			if d.rec != nil && e.everHot&bit == 0 {
 				// First crossing of the initial threshold for this
 				// (page, node): the page just became relocation-hot.
-				d.rec.Emit(obs.EvRefetchHot, node, uint32(p.MustIndex()), e.refetch[node])
+				d.rec.Emit(obs.EvRefetchHot, node, uint32(pi), e.refetch[node])
 			}
 			e.everHot |= bit
 		}
@@ -377,7 +377,7 @@ func (d *Directory) HomeWrite(b addr.Block) int {
 		// state transition below would write values already in place.
 		return 0
 	}
-	e := d.entry(p)
+	e, _ := d.entry(p)
 	if e == nil {
 		return 0
 	}
@@ -411,7 +411,7 @@ func (d *Directory) HomeWrite(b addr.Block) int {
 // remain conflict misses. It returns the number of blocks the node held and
 // how many of them it owned dirty.
 func (d *Directory) FlushNode(p addr.Page, node int) (held, dirty int) {
-	e := d.entry(p)
+	e, _ := d.entry(p)
 	if e == nil {
 		return 0, 0
 	}
@@ -446,7 +446,7 @@ func (d *Directory) HomeRead(b addr.Block) (owner int, fetched bool) {
 		// No remote copies ever existed, so no block can be dirty remotely.
 		return 0, false
 	}
-	e := d.entry(b.Page())
+	e, _ := d.entry(b.Page())
 	if e == nil {
 		return 0, false
 	}
@@ -468,7 +468,7 @@ func (d *Directory) HomeRead(b addr.Block) (owner int, fetched bool) {
 // copyset, the same conservative imprecision as silent clean replacement —
 // so a later refetch by the writer is still recognized as a conflict miss.
 func (d *Directory) WritebackDirty(node int, b addr.Block) {
-	e := d.entry(b.Page())
+	e, _ := d.entry(b.Page())
 	if e == nil {
 		return
 	}
@@ -483,7 +483,7 @@ func (d *Directory) WritebackDirty(node int, b addr.Block) {
 // state; used when a node silently loses a block to coherence invalidation
 // (the caller already invalidated the caches).
 func (d *Directory) DropCopy(node int, b addr.Block) {
-	e := d.entry(b.Page())
+	e, _ := d.entry(b.Page())
 	if e == nil {
 		return
 	}
@@ -505,7 +505,7 @@ func (d *Directory) DropCopy(node int, b addr.Block) {
 // induced cold miss. It returns the number of copies invalidated and how
 // many blocks were dirty at some node.
 func (d *Directory) MigratePage(p addr.Page, newHome int) (invalidated, dirty int) {
-	e := d.entry(p)
+	e, _ := d.entry(p)
 	if e == nil {
 		return 0, 0
 	}
@@ -539,7 +539,7 @@ func (d *Directory) MigratePage(p addr.Page, newHome int) (invalidated, dirty in
 
 // Refetches returns the refetch counter for (page, node).
 func (d *Directory) Refetches(p addr.Page, node int) uint32 {
-	e := d.entry(p)
+	e, _ := d.entry(p)
 	if e == nil {
 		return 0
 	}
@@ -549,14 +549,14 @@ func (d *Directory) Refetches(p addr.Page, node int) uint32 {
 // ResetRefetch zeroes the refetch counter for (page, node); the hybrids do
 // this when the page changes mode at that node.
 func (d *Directory) ResetRefetch(p addr.Page, node int) {
-	if e := d.entry(p); e != nil {
+	if e, _ := d.entry(p); e != nil {
 		e.refetch[node] = 0
 	}
 }
 
 // State returns the MSI state and copyset of a block (for tests).
 func (d *Directory) State(b addr.Block) (BlockState, uint64) {
-	e := d.entry(b.Page())
+	e, _ := d.entry(b.Page())
 	if e == nil {
 		return Uncached, 0
 	}

@@ -32,7 +32,7 @@ func TestProtocolInvariantsUnderRandomOps(t *testing.T) {
 				st, cs := d.State(b)
 				switch st {
 				case Modified:
-					e := d.entry(p)
+					e, _ := d.entry(p)
 					owner := e.blocks[i].owner
 					if cs != uint64(1)<<owner {
 						t.Fatalf("step %d: Modified block %v copyset %b owner %d", step, b, cs, owner)

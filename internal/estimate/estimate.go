@@ -177,10 +177,6 @@ func TierMemAdjust(p *params.Params, specs []mem.TierSpec, pol mem.Policy) int64
 	return eff - p.LocalMemCycles
 }
 
-// Baseline returns the CC-NUMA execution-time baseline RelTime is
-// normalized against.
-func (e *Estimator) Baseline() int64 { return e.baseline }
-
 // TotalPages returns the per-node physical page count at the given
 // pressure, mirroring the machine's sizing rule.
 func (e *Estimator) TotalPages(pressure int) int64 {

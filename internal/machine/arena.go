@@ -128,8 +128,7 @@ func (m *Machine) Release() {
 	}
 	m.released = true
 	for _, nd := range m.nodes {
-		workload.Recycle(nd.stream)
-		nd.stream = nil
+		workload.Recycle(nd.chunks)
 		nd.chunks = nil
 		nd.pend, nd.pendPos = nil, 0
 		nd.pols = core.Set{} // drops a PolicyFactory's policy

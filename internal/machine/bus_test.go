@@ -13,8 +13,8 @@ import (
 func TestNodeBusTransactionOccupancy(t *testing.T) {
 	p := params.Default()
 	// One local home miss on node 1 is exactly one bus transaction.
-	gen := newProbe(2, 1)
-	gen.programs[1].Walk(gen.section(1), params.LineSize, params.LineSize, 1, workload.Read, 0)
+	gen := newProbe(2, 1, 0)
+	gen.Program(1).Walk(gen.Section(1), params.LineSize, params.LineSize, 1, workload.Read, 0)
 	m, _ := run(t, params.CCNUMA, gen, 50)
 	if bus, _, _, _ := m.Utilization(1); bus != p.BusCycles {
 		t.Errorf("node 1 bus busy = %d, want %d", bus, p.BusCycles)
@@ -25,7 +25,7 @@ func TestNodeBusTransactionOccupancy(t *testing.T) {
 }
 
 func TestNodeBusTransactionsSerialize(t *testing.T) {
-	m, err := New(Config{Arch: params.CCNUMA, Pressure: 50}, newProbe(2, 1))
+	m, err := New(Config{Arch: params.CCNUMA, Pressure: 50}, newProbe(2, 1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,19 +16,18 @@ import (
 // write permission — the data is already local, so the miss classifies as
 // SCOMA even though the ownership request crosses the network.
 func TestSCOMAOwnershipUpgrade(t *testing.T) {
-	gen := newProbe(2, 1)
+	gen := newProbe(2, 1, 8)
 	// Read fills the page cache (clean), then write the same block after
 	// the L1 copy has been evicted by a private walk.
-	gen.priv = 8
-	gen.programs[1].Walk(gen.section(0), params.LineSize, params.LineSize, 1, workload.Read, 0)
-	gen.programs[1].Walk(addr.PrivateRegion(1), 8*params.PageSize, params.LineSize, 1, workload.Read, 0)
-	gen.programs[1].Walk(gen.section(0), params.LineSize, params.LineSize, 1, workload.Write, 0)
+	gen.Program(1).Walk(gen.Section(0), params.LineSize, params.LineSize, 1, workload.Read, 0)
+	gen.Program(1).Walk(addr.PrivateRegion(1), 8*params.PageSize, params.LineSize, 1, workload.Read, 0)
+	gen.Program(1).Walk(gen.Section(0), params.LineSize, params.LineSize, 1, workload.Write, 0)
 	m, st := run(t, params.SCOMA, gen, 10)
 	n := &st.Nodes[1]
 	if n.Misses[stats.SComa] != 1 {
 		t.Errorf("SCOMA misses = %d, want 1 (the ownership upgrade)", n.Misses[stats.SComa])
 	}
-	pte := m.NodeVM(1).Lookup(addr.PageOf(gen.section(0)))
+	pte := m.NodeVM(1).Lookup(addr.PageOf(gen.Section(0)))
 	if pte == nil || !pte.BlockOwned(0) {
 		t.Error("block not owned after the upgrade")
 	}
@@ -37,13 +36,12 @@ func TestSCOMAOwnershipUpgrade(t *testing.T) {
 // TestSCOMADirtyBlockAbsorbsWrites: once owned, further writes to the
 // block's other lines are satisfied by the local page cache.
 func TestSCOMADirtyBlockAbsorbsWrites(t *testing.T) {
-	gen := newProbe(2, 1)
-	gen.priv = 8
+	gen := newProbe(2, 1, 8)
 	// Write line 0 (remote fetch with ownership), flush L1 via private
 	// walk, then write line 1 of the same block: page cache, owned.
-	gen.programs[1].Walk(gen.section(0), params.LineSize, params.LineSize, 1, workload.Write, 0)
-	gen.programs[1].Walk(addr.PrivateRegion(1), 8*params.PageSize, params.LineSize, 1, workload.Read, 0)
-	gen.programs[1].Walk(gen.section(0)+params.LineSize, params.LineSize, params.LineSize, 1, workload.Write, 0)
+	gen.Program(1).Walk(gen.Section(0), params.LineSize, params.LineSize, 1, workload.Write, 0)
+	gen.Program(1).Walk(addr.PrivateRegion(1), 8*params.PageSize, params.LineSize, 1, workload.Read, 0)
+	gen.Program(1).Walk(gen.Section(0)+params.LineSize, params.LineSize, params.LineSize, 1, workload.Write, 0)
 	_, st := run(t, params.SCOMA, gen, 10)
 	n := &st.Nodes[1]
 	if n.Misses[stats.SComa] != 1 {
@@ -57,11 +55,11 @@ func TestSCOMADirtyBlockAbsorbsWrites(t *testing.T) {
 // TestRACOwnershipUpgrade: a CC-NUMA write to a block the RAC holds clean
 // upgrades in place and classifies as a RAC hit.
 func TestRACOwnershipUpgrade(t *testing.T) {
-	gen := newProbe(2, 1)
+	gen := newProbe(2, 1, 0)
 	// Read line 0 (fills RAC with the block), then write line 1: present
 	// in the RAC but unowned -> ownership upgrade, data from the RAC.
-	gen.programs[1].Walk(gen.section(0), params.LineSize, params.LineSize, 1, workload.Read, 0)
-	gen.programs[1].Walk(gen.section(0)+params.LineSize, params.LineSize, params.LineSize, 1, workload.Write, 0)
+	gen.Program(1).Walk(gen.Section(0), params.LineSize, params.LineSize, 1, workload.Read, 0)
+	gen.Program(1).Walk(gen.Section(0)+params.LineSize, params.LineSize, params.LineSize, 1, workload.Write, 0)
 	_, st := run(t, params.CCNUMA, gen, 50)
 	n := &st.Nodes[1]
 	if n.Misses[stats.RAC] != 1 {
@@ -72,8 +70,8 @@ func TestRACOwnershipUpgrade(t *testing.T) {
 // TestRACWriteHitAfterWriteFetch: a write fetch owns the block; the next
 // write to another line hits the RAC directly.
 func TestRACWriteHitAfterWriteFetch(t *testing.T) {
-	gen := newProbe(2, 1)
-	gen.programs[1].Walk(gen.section(0), 2*params.LineSize, params.LineSize, 1, workload.Write, 0)
+	gen := newProbe(2, 1, 0)
+	gen.Program(1).Walk(gen.Section(0), 2*params.LineSize, params.LineSize, 1, workload.Write, 0)
 	_, st := run(t, params.CCNUMA, gen, 50)
 	n := &st.Nodes[1]
 	if n.Misses[stats.Cold] != 1 || n.Misses[stats.RAC] != 1 {
@@ -87,11 +85,11 @@ func TestRACWriteHitAfterWriteFetch(t *testing.T) {
 // the uncontended three-hop path: request to the home (node 0), forward to
 // the owner (node 1), the owner's memory, reply to the requester.
 func TestDirtyRemoteDataForwarded(t *testing.T) {
-	gen := newProbe(3, 1)
-	gen.programs[1].Walk(gen.section(0), params.LineSize, params.LineSize, 1, workload.Write, 0)
-	gen.programs[1].Barrier(0)
-	gen.programs[2].Barrier(0)
-	gen.programs[2].Walk(gen.section(0), params.LineSize, params.LineSize, 1, workload.Read, 0)
+	gen := newProbe(3, 1, 0)
+	gen.Program(1).Walk(gen.Section(0), params.LineSize, params.LineSize, 1, workload.Write, 0)
+	gen.Program(1).Barrier(0)
+	gen.Program(2).Barrier(0)
+	gen.Program(2).Walk(gen.Section(0), params.LineSize, params.LineSize, 1, workload.Read, 0)
 	m, st := run(t, params.CCNUMA, gen, 50)
 	if st.Nodes[2].TotalMisses() != 1 {
 		t.Fatalf("node 2 misses = %d", st.Nodes[2].TotalMisses())
@@ -103,7 +101,7 @@ func TestDirtyRemoteDataForwarded(t *testing.T) {
 	if got := st.Nodes[2].Time[stats.UShMem]; got != want {
 		t.Errorf("node 2 U-SH-MEM = %d, want the three-hop latency %d", got, want)
 	}
-	state, copyset := m.Directory().State(addr.BlockOf(gen.section(0)))
+	state, copyset := m.Directory().State(addr.BlockOf(gen.Section(0)))
 	if state != directory.SharedState || copyset != 1<<1|1<<2 {
 		t.Errorf("directory after the read: %v copyset %b, want Shared with nodes 1 and 2", state, copyset)
 	}
@@ -112,11 +110,11 @@ func TestDirtyRemoteDataForwarded(t *testing.T) {
 // TestPageoutDaemonReclaimsColdPages: under S-COMA pressure the daemon
 // second-chances cold pages back to the pool.
 func TestPageoutDaemonReclaimsColdPages(t *testing.T) {
-	gen := newProbe(2, 16)
+	gen := newProbe(2, 16, 0)
 	// Stream many remote pages once (they go cold), then keep one page
 	// hot for a while so daemon passes occur.
-	gen.programs[1].Walk(gen.section(0), 16*params.PageSize, params.PageSize, 1, workload.Read, 0)
-	gen.programs[1].Walk(gen.section(0), params.LineSize, params.LineSize, 400, workload.Read, 600)
+	gen.Program(1).Walk(gen.Section(0), 16*params.PageSize, params.PageSize, 1, workload.Read, 0)
+	gen.Program(1).Walk(gen.Section(0), params.LineSize, params.LineSize, 400, workload.Read, 600)
 	_, st := run(t, params.SCOMA, gen, 85)
 	n := &st.Nodes[1]
 	if n.DaemonRuns == 0 {
@@ -129,8 +127,8 @@ func TestPageoutDaemonReclaimsColdPages(t *testing.T) {
 
 // TestAblationPolicyFactory: the machine honors a policy-factory override.
 func TestAblationPolicyFactory(t *testing.T) {
-	gen := newProbe(2, 4)
-	gen.programs[1].Walk(gen.section(0), 4*params.PageSize, params.PageSize, 1, workload.Read, 0)
+	gen := newProbe(2, 4, 0)
+	gen.Program(1).Walk(gen.Section(0), 4*params.PageSize, params.PageSize, 1, workload.Read, 0)
 	cfg := Config{
 		Arch:     params.ASCOMA,
 		Pressure: 10,
@@ -147,7 +145,7 @@ func TestAblationPolicyFactory(t *testing.T) {
 	}
 	// With NoSCOMAAlloc the faulting remote pages stay in CC-NUMA mode.
 	for i := 0; i < 4; i++ {
-		pte := m.NodeVM(1).Lookup(addr.PageOf(gen.section(0)) + addr.Page(i))
+		pte := m.NodeVM(1).Lookup(addr.PageOf(gen.Section(0)) + addr.Page(i))
 		if pte == nil || pte.Mode != vm.ModeNUMA {
 			t.Errorf("page %d mode = %v, want numa under NoSCOMAAlloc", i, pte.Mode)
 		}
@@ -157,11 +155,11 @@ func TestAblationPolicyFactory(t *testing.T) {
 // TestASCOMAInitialAllocationUsesPool: at low pressure AS-COMA maps
 // faulting remote pages straight into S-COMA mode — no refetches needed.
 func TestASCOMAInitialAllocationUsesPool(t *testing.T) {
-	gen := newProbe(2, 4)
-	gen.programs[1].Walk(gen.section(0), 4*params.PageSize, params.PageSize, 1, workload.Read, 0)
+	gen := newProbe(2, 4, 0)
+	gen.Program(1).Walk(gen.Section(0), 4*params.PageSize, params.PageSize, 1, workload.Read, 0)
 	m, st := run(t, params.ASCOMA, gen, 10)
 	for i := 0; i < 4; i++ {
-		pte := m.NodeVM(1).Lookup(addr.PageOf(gen.section(0)) + addr.Page(i))
+		pte := m.NodeVM(1).Lookup(addr.PageOf(gen.Section(0)) + addr.Page(i))
 		if pte == nil || pte.Mode != vm.ModeSCOMA {
 			t.Fatalf("page %d not S-COMA mapped at low pressure", i)
 		}
@@ -174,16 +172,16 @@ func TestASCOMAInitialAllocationUsesPool(t *testing.T) {
 // TestInvalidationClearsPageCache: a remote write must invalidate another
 // node's page-cache block, and the victim's next read refetches remotely.
 func TestInvalidationClearsPageCache(t *testing.T) {
-	gen := newProbe(3, 1)
-	gen.programs[1].Walk(gen.section(0), params.LineSize, params.LineSize, 1, workload.Read, 0)
-	gen.programs[1].Barrier(0)
-	gen.programs[2].Barrier(0)
-	gen.programs[2].Walk(gen.section(0), params.LineSize, params.LineSize, 1, workload.Write, 0)
-	gen.programs[2].Barrier(1)
-	gen.programs[1].Barrier(1)
-	gen.programs[1].Walk(gen.section(0), params.LineSize, params.LineSize, 1, workload.Read, 0)
+	gen := newProbe(3, 1, 0)
+	gen.Program(1).Walk(gen.Section(0), params.LineSize, params.LineSize, 1, workload.Read, 0)
+	gen.Program(1).Barrier(0)
+	gen.Program(2).Barrier(0)
+	gen.Program(2).Walk(gen.Section(0), params.LineSize, params.LineSize, 1, workload.Write, 0)
+	gen.Program(2).Barrier(1)
+	gen.Program(1).Barrier(1)
+	gen.Program(1).Walk(gen.Section(0), params.LineSize, params.LineSize, 1, workload.Read, 0)
 	m, st := run(t, params.SCOMA, gen, 10)
-	pte := m.NodeVM(1).Lookup(addr.PageOf(gen.section(0)))
+	pte := m.NodeVM(1).Lookup(addr.PageOf(gen.Section(0)))
 	if pte == nil || pte.Mode != vm.ModeSCOMA {
 		t.Fatal("node 1 page not S-COMA")
 	}

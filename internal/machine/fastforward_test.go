@@ -37,9 +37,12 @@ func runStats(t *testing.T, cfg Config, gen workload.Generator) []byte {
 
 // TestFastForwardExactness runs the same workloads twice — once from the
 // generator's chunk-compiled streams (borrowed chunk windows and the
-// closed-form walk skip active) and once from a recorded trace whose
-// streams are not *workload.Compiled (one Next per reference, no walk
-// skip) — and requires byte-identical statistics. Quantum 1
+// closed-form walk skip active) and once from a recorded trace — and
+// requires byte-identical statistics. The trace is still the
+// per-reference reference: its streams are not *workload.Compiled, so the
+// machine reads them through a workload.Chunked wrapper, which has no
+// program and so no walks to skip; every trace reference is simulated on
+// runNode's loop. Quantum 1
 // stops a walk skip at every reference (each one straddles the deadline);
 // quantum 3 lands boundaries mid-chunk at awkward phases; the default
 // quantum exercises long hit runs; quanta 1000 and 5000 cover whole walk
@@ -234,13 +237,12 @@ func testCruiseExactness(t *testing.T) {
 // pass, while node 1 writes one of those lines every few hundred cycles:
 // each write invalidates node 0's L1 copy through the home snoop, under
 // whatever cruise record node 0 holds.
-func sharedWriter() *probe {
-	gen := newProbe(2, 2)
-	gen.priv = 1
-	gen.programs[0].Walk(gen.section(0), 1024, params.LineSize, 400, workload.Read, 1)
+func sharedWriter() *workload.Programs {
+	gen := newProbe(2, 2, 1)
+	gen.Program(0).Walk(gen.Section(0), 1024, params.LineSize, 400, workload.Read, 1)
 	for r := 0; r < 12; r++ {
-		gen.programs[1].Walk(addr.PrivateRegion(1), 256, params.LineSize, 40, workload.Read, 3)
-		gen.programs[1].Walk(gen.section(0)+addr.GVA(r%16*params.LineSize), params.LineSize, params.LineSize, 1, workload.Write, 0)
+		gen.Program(1).Walk(addr.PrivateRegion(1), 256, params.LineSize, 40, workload.Read, 3)
+		gen.Program(1).Walk(gen.Section(0)+addr.GVA(r%16*params.LineSize), params.LineSize, params.LineSize, 1, workload.Write, 0)
 	}
 	return gen
 }
@@ -270,21 +272,21 @@ func TestCruiseServesResident(t *testing.T) {
 // read-modify-write walk at a sub-line stride, think-free write walks, and
 // node 1 reading node 0's shared section while node 0 writes it, so
 // invalidations and home-snoop downgrades land mid-phase on both nodes.
-func walkProbe() *probe {
-	gen := newProbe(3, 4)
-	gen.priv = 2
-	p0, p1, p2 := gen.programs[0], gen.programs[1], gen.programs[2]
+func walkProbe() *workload.Programs {
+	gen := newProbe(3, 4, 2)
+	p0, p1, p2 := gen.Program(0), gen.Program(1), gen.Program(2)
 	p0.WalkRW(addr.PrivateRegion(0), 2048, 8, 40, 3, 0)
-	p0.Walk(gen.section(0), 1024, params.LineSize, 30, workload.Write, 0)
-	p0.Walk(gen.section(0), 1024, 16, 30, workload.Read, 1)
-	p1.Walk(gen.section(0), 1024, params.LineSize, 30, workload.Read, 1)
+	p0.Walk(gen.Section(0), 1024, params.LineSize, 30, workload.Write, 0)
+	p0.Walk(gen.Section(0), 1024, 16, 30, workload.Read, 1)
+	p1.Walk(gen.Section(0), 1024, params.LineSize, 30, workload.Read, 1)
 	p1.WalkRW(addr.PrivateRegion(1), 4096, 16, 20, 4, 0)
-	p1.Walk(gen.section(0), 512, 8, 25, workload.Write, 0)
+	p1.Walk(gen.Section(0), 512, 8, 25, workload.Write, 0)
 	p2.Walk(addr.PrivateRegion(2), 64, params.LineSize, 400, workload.Write, 0)
-	p2.Walk(gen.section(1), 2048, params.LineSize, 20, workload.Read, 2)
-	for _, p := range gen.programs {
+	p2.Walk(gen.Section(1), 2048, params.LineSize, 20, workload.Read, 2)
+	for n := 0; n < gen.Nodes(); n++ {
+		p := gen.Program(n)
 		p.Barrier(0)
-		p.Walk(gen.section(2), 256, 4, 10, workload.Read, 0)
+		p.Walk(gen.Section(2), 256, 4, 10, workload.Read, 0)
 	}
 	return gen
 }
@@ -293,11 +295,11 @@ func walkProbe() *probe {
 // Think spanning the deadline, the node must stop issuing exactly where the
 // interpretive loop would, never borrowing references from the next quantum.
 func TestFastForwardStopsAtQuantum(t *testing.T) {
-	gen := newProbe(2, 4)
+	gen := newProbe(2, 4, 0)
 	for n := 0; n < 2; n++ {
 		// All-hit after first touch: repeated walks over one line-sized
 		// region with large Think values relative to the quantum.
-		gen.programs[n].Walk(gen.section(n), 64, 64, 400, workload.Read, 97)
+		gen.Program(n).Walk(gen.Section(n), 64, 64, 400, workload.Read, 97)
 	}
 	trace := workload.Record(gen)
 	for _, q := range []int64{1, 50, 97, 98, 99, 1000} {
@@ -388,8 +390,8 @@ func TestReleaseKeepsStats(t *testing.T) {
 // streams were never detected) by confirming a generator-driven run
 // reports L1 hits.
 func TestFastForwardCounters(t *testing.T) {
-	gen := newProbe(1, 2)
-	gen.programs[0].Walk(gen.section(0), 128, 64, 1000, workload.Write, 0)
+	gen := newProbe(1, 2, 0)
+	gen.Program(0).Walk(gen.Section(0), 128, 64, 1000, workload.Write, 0)
 	if _, chunked := gen.Stream(0).(*workload.Compiled); !chunked {
 		t.Fatal("Program.Stream no longer returns a *workload.Compiled; the chunk window and the walk skip are dead code")
 	}
@@ -412,10 +414,9 @@ func TestFastForwardCounters(t *testing.T) {
 // references the per-reference loop would issue in one quantum without
 // decoding any — the window stays empty and the walk cursor moves.
 func TestSkipWalkConsumesInClosedForm(t *testing.T) {
-	gen := newProbe(2, 1)
-	gen.priv = 1
+	gen := newProbe(2, 1, 1)
 	const think, quantum = 2, 1000
-	gen.programs[0].WalkRW(addr.PrivateRegion(0), 256, 8, 1000, 4, think)
+	gen.Program(0).WalkRW(addr.PrivateRegion(0), 256, 8, 1000, 4, think)
 	m, err := New(Config{Arch: params.ASCOMA, Pressure: 50, Quantum: quantum}, gen)
 	if err != nil {
 		t.Fatal(err)
@@ -470,8 +471,8 @@ func TestSkipWalkConsumesInClosedForm(t *testing.T) {
 // eviction, an own relocation — the walk must be re-verified (and now
 // fail), never answered from the memo.
 func TestSkipWalkReverifies(t *testing.T) {
-	gen := newProbe(2, 2)
-	page := addr.PageOf(gen.section(1)) // homed at node 1: remote for node 0
+	gen := newProbe(2, 2, 0)
+	page := addr.PageOf(gen.Section(1)) // homed at node 1: remote for node 0
 	w := &workload.Walk{Base: page.Base(), Stride: params.LineSize, Count: 8, Passes: 4, Op: workload.Write}
 	line := func(j int64) addr.Line { return addr.LineOf(w.Base + addr.GVA(j*w.Stride)) }
 	cases := []struct {

@@ -14,8 +14,8 @@ import (
 // think (zero and negative too), private or shared base — on any quantum
 // and architecture, a run from the generator (where verified walks are
 // skipped in closed form and whole quanta of them cruise) must produce the
-// same statistics as the run of its recorded trace (interpretive path
-// only). Both nodes walk the same shape, then repeat%4 more copies of the
+// same statistics as the run of its recorded trace (read through a
+// workload.Chunked wrapper, which reports no walk to skip). Both nodes walk the same shape, then repeat%4 more copies of the
 // second walk: back to back, which compile folds into one walk, or, when
 // repeat&4 is set, with a barrier between copies, which compile interns
 // to one *Walk. On a shared base both walk node 0's section, so node 0's
@@ -32,8 +32,7 @@ func FuzzWalkSkip(f *testing.F) {
 	f.Add(uint16(1024), uint16(32), uint8(20), uint8(0), true, int8(1), true, uint16(100), uint8(0), uint8(7))
 	f.Fuzz(func(t *testing.T, size, stride uint16, passes, wEvery uint8, write bool, think int8, shared bool, quantum uint16, arch uint8, repeat uint8) {
 		const pages = 4
-		gen := newProbe(2, pages)
-		gen.priv = pages
+		gen := newProbe(2, pages, pages)
 		n := 1 + int64(size)%(pages*params.PageSize)
 		st := 1 + int64(stride)%512
 		ps := 1 + int64(passes)%64
@@ -42,10 +41,11 @@ func FuzzWalkSkip(f *testing.F) {
 		if write {
 			op = workload.Write
 		}
-		for i, p := range gen.programs {
+		for i := 0; i < gen.Nodes(); i++ {
+			p := gen.Program(i)
 			base := addr.PrivateRegion(i)
 			if shared {
-				base = gen.section(0)
+				base = gen.Section(0)
 			}
 			p.WalkRW(base, n, st, ps, we, int32(think))
 			p.Walk(base, n, st, ps, op, int32(think))

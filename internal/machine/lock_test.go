@@ -11,16 +11,15 @@ import (
 
 // critProbe: every node enters the same critical section several times,
 // doing a little shared work inside and private work outside.
-func critProbe(nodes, rounds int) *probe {
-	gen := newProbe(nodes, 1)
-	gen.priv = 2
+func critProbe(nodes, rounds int) *workload.Programs {
+	gen := newProbe(nodes, 1, 2)
 	for n := 0; n < nodes; n++ {
-		pr := gen.programs[n]
+		pr := gen.Program(n)
 		for r := 0; r < rounds; r++ {
 			pr.Lock(1)
-			pr.Walk(gen.section(0), 4*params.LineSize, params.LineSize, 1, workload.Write, 5)
+			pr.Walk(gen.Section(0), 4*params.LineSize, params.LineSize, 1, workload.Write, 5)
 			pr.Unlock(1)
-			pr.Walk(gen.section(n), 16*params.LineSize, params.LineSize, 1, workload.Read, 5)
+			pr.Walk(gen.Section(n), 16*params.LineSize, params.LineSize, 1, workload.Read, 5)
 		}
 		pr.Barrier(0)
 	}
@@ -50,9 +49,9 @@ func TestLockMutualExclusionSerializes(t *testing.T) {
 func TestLockUncontendedIsCheap(t *testing.T) {
 	// A single node taking a lock nobody contends for pays only the
 	// atomic's latency.
-	gen := newProbe(2, 1)
-	gen.programs[1].Lock(7)
-	gen.programs[1].Unlock(7)
+	gen := newProbe(2, 1, 0)
+	gen.Program(1).Lock(7)
+	gen.Program(1).Unlock(7)
 	_, st := run(t, params.CCNUMA, gen, 50)
 	sync := st.Nodes[1].Time[stats.Sync]
 	p := params.Default()
@@ -71,8 +70,8 @@ func TestLockFIFOHandoff(t *testing.T) {
 }
 
 func TestUnlockWithoutHoldFails(t *testing.T) {
-	gen := newProbe(2, 1)
-	gen.programs[1].Unlock(3)
+	gen := newProbe(2, 1, 0)
+	gen.Program(1).Unlock(3)
 	m, err := New(Config{Arch: params.CCNUMA, Pressure: 50}, gen)
 	if err != nil {
 		t.Fatal(err)
@@ -83,11 +82,11 @@ func TestUnlockWithoutHoldFails(t *testing.T) {
 }
 
 func TestUnreleasedLockDeadlocks(t *testing.T) {
-	gen := newProbe(2, 1)
-	gen.programs[0].Lock(5)
+	gen := newProbe(2, 1, 0)
+	gen.Program(0).Lock(5)
 	// Node 0 exits holding the lock; node 1 blocks forever.
-	gen.programs[1].Lock(5)
-	gen.programs[1].Unlock(5)
+	gen.Program(1).Lock(5)
+	gen.Program(1).Unlock(5)
 	m, err := New(Config{Arch: params.CCNUMA, Pressure: 50}, gen)
 	if err != nil {
 		t.Fatal(err)
@@ -101,16 +100,15 @@ func TestLockWaiterNotCountedAtBarrier(t *testing.T) {
 	// Node 1 holds the lock through a long critical section while node 2
 	// waits for it; node 0 sits at the barrier. The barrier must not
 	// release until nodes 1 and 2 arrive.
-	gen := newProbe(3, 1)
-	gen.priv = 4
-	gen.programs[0].Barrier(0)
-	gen.programs[1].Lock(1)
-	gen.programs[1].Walk(gen.section(1), 64*params.LineSize, params.LineSize, 4, workload.Read, 20)
-	gen.programs[1].Unlock(1)
-	gen.programs[1].Barrier(0)
-	gen.programs[2].Lock(1)
-	gen.programs[2].Unlock(1)
-	gen.programs[2].Barrier(0)
+	gen := newProbe(3, 1, 4)
+	gen.Program(0).Barrier(0)
+	gen.Program(1).Lock(1)
+	gen.Program(1).Walk(gen.Section(1), 64*params.LineSize, params.LineSize, 4, workload.Read, 20)
+	gen.Program(1).Unlock(1)
+	gen.Program(1).Barrier(0)
+	gen.Program(2).Lock(1)
+	gen.Program(2).Unlock(1)
+	gen.Program(2).Barrier(0)
 	_, st := run(t, params.CCNUMA, gen, 50)
 	// All three nodes finish together at the barrier release.
 	f := st.Nodes[0].FinishTime
@@ -143,7 +141,7 @@ func TestLockTraceRoundTrip(t *testing.T) {
 // the mutex in the order they parked, the queue drains to a free mutex,
 // and an emptied queue starts over.
 func TestLockQueueFIFO(t *testing.T) {
-	m, err := New(Config{Arch: params.CCNUMA, Pressure: 50}, newProbe(4, 1))
+	m, err := New(Config{Arch: params.CCNUMA, Pressure: 50}, newProbe(4, 1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

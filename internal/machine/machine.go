@@ -108,17 +108,18 @@ type node struct {
 	// run loop reads it once per event.
 	cruise cruise
 
-	// Chunk window (chunked streams only): pend borrows the stream's decoded
-	// chunk and pendPos is the consumption cursor — refs before it have been
-	// consumed by the node but not yet reported to the stream. The cursor is
-	// reported lazily, with one Skip per window instead of one interface call
-	// per reference (see refillWindow), and consuming a reference writes one
+	// Chunk window: pend borrows the stream's decoded chunk and pendPos is
+	// the consumption cursor — refs before it have been consumed by the
+	// node but not yet reported to the stream. The cursor is reported
+	// lazily, with one Skip per window instead of one interface call per
+	// reference (see refillWindow), and consuming a reference writes one
 	// integer rather than re-slicing.
 	pend    []workload.Ref
 	pendPos int
 
-	stream workload.Stream
-	chunks *workload.Compiled // stream as a chunked compiled stream, nil if it is not one
+	// chunks is the node's reference stream, as every node reads it: the
+	// generator's stream through workload.Chunked.
+	chunks *workload.Compiled
 	// st accumulates this node's statistics in place — embedded so the
 	// per-reference counter updates land on the node's own cache lines;
 	// finalize copies it into the returned stats.Machine.
@@ -342,8 +343,7 @@ func New(cfg Config, gen workload.Generator) (*Machine, error) {
 
 	for i := 0; i < n; i++ {
 		nd := m.nodes[i]
-		nd.stream = gen.Stream(i)
-		nd.chunks, _ = nd.stream.(*workload.Compiled)
+		nd.chunks = workload.Chunked(gen.Stream(i))
 		nd.pend, nd.pendPos = nil, 0
 		nd.invGen = 0
 		nd.walk = walkMemo{}
@@ -588,42 +588,29 @@ func (m *Machine) runNode(nd *node, now int64) {
 			now += m.runDaemon(nd, now)
 			continue
 		}
-		var ref workload.Ref
-		if nd.chunks != nil {
-			refs, pos := nd.pend, nd.pendPos
-			if pos == len(refs) {
-				// The window ran dry: a walk every position of which hits
-				// the L1 is consumed in closed form instead of decoded (see
-				// walkskip.go). The checker needs its per-hit hooks, so it
-				// keeps every reference on this loop.
-				if m.checker == nil {
-					if t := m.skipWalk(nd, now, deadline); t != now {
-						now = t
-						continue
-					}
+		refs, pos := nd.pend, nd.pendPos
+		if pos == len(refs) {
+			// The window ran dry: a walk every position of which hits the
+			// L1 is consumed in closed form instead of decoded (see
+			// walkskip.go). The checker needs its per-hit hooks, so it
+			// keeps every reference on this loop.
+			if m.checker == nil {
+				if t := m.skipWalk(nd, now, deadline); t != now {
+					now = t
+					continue
 				}
-				if refs = nd.refillWindow(); len(refs) == 0 {
-					nd.blocked = ndDone
-					nd.st.FinishTime = now
-					m.active--
-					m.checkBarrier()
-					return
-				}
-				pos = 0
 			}
-			ref = refs[pos]
-			nd.pendPos = pos + 1
-		} else {
-			var ok bool
-			ref, ok = nd.stream.Next()
-			if !ok {
+			if refs = nd.refillWindow(); len(refs) == 0 {
 				nd.blocked = ndDone
 				nd.st.FinishTime = now
 				m.active--
 				m.checkBarrier()
 				return
 			}
+			pos = 0
 		}
+		ref := refs[pos]
+		nd.pendPos = pos + 1
 		if ref.Op <= workload.Write {
 			// Plain read/write: the overwhelmingly common case takes one
 			// compare to reach instead of falling through the sync checks.
@@ -1376,9 +1363,6 @@ func (m *Machine) Directory() *directory.Directory { return m.dir }
 
 // NodeVM exposes node i's VM state for tests and probes.
 func (m *Machine) NodeVM(i int) *vm.VM { return m.nodes[i].vmm }
-
-// NodePolicy exposes node i's policy for tests and probes.
-func (m *Machine) NodePolicy(i int) core.Policy { return m.nodes[i].pols.Primary() }
 
 // takeSample records one adaptation-timeline point for node 0.
 func (m *Machine) takeSample(nd *node, now int64) {

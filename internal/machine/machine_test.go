@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -11,41 +12,12 @@ import (
 	"ascoma/internal/workload"
 )
 
-// probe is a hand-built workload for machine-level tests: an explicit
-// program per node over a small pre-placed shared region.
-type probe struct {
-	nodes    int
-	home     int
-	priv     int
-	programs []*workload.Program
+// newProbe builds a hand-built workload for machine-level tests: an
+// explicit program per node over a small pre-placed shared region, section
+// n homePages pages at node n.
+func newProbe(nodes, homePages, privPages int) *workload.Programs {
+	return workload.NewPrograms("probe", nodes, homePages, privPages)
 }
-
-func newProbe(nodes, homePages int) *probe {
-	p := &probe{nodes: nodes, home: homePages}
-	p.programs = make([]*workload.Program, nodes)
-	for i := range p.programs {
-		p.programs[i] = &workload.Program{}
-	}
-	return p
-}
-
-func (p *probe) Name() string             { return "probe" }
-func (p *probe) Nodes() int               { return p.nodes }
-func (p *probe) HomePagesPerNode() int    { return p.home }
-func (p *probe) PrivatePagesPerNode() int { return p.priv }
-
-// section returns the base address of node n's home section.
-func (p *probe) section(n int) addr.GVA {
-	return addr.SharedBase + addr.GVA(n*p.home)*params.PageSize
-}
-
-func (p *probe) Place(place func(addr.Page, int)) {
-	for n := 0; n < p.nodes; n++ {
-		workload.PlacePages(place, p.section(n), p.home, n)
-	}
-}
-
-func (p *probe) Stream(node int) workload.Stream { return p.programs[node].Stream() }
 
 func run(t *testing.T, arch params.Arch, gen workload.Generator, pressure int) (*Machine, *stats.Machine) {
 	t.Helper()
@@ -61,7 +33,7 @@ func run(t *testing.T, arch params.Arch, gen workload.Generator, pressure int) (
 }
 
 func TestConfigValidation(t *testing.T) {
-	gen := newProbe(2, 1)
+	gen := newProbe(2, 1, 0)
 	if _, err := New(Config{Arch: params.CCNUMA, Pressure: 0}, gen); err == nil {
 		t.Error("pressure 0 accepted")
 	}
@@ -76,7 +48,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestEmptyStreamsFinishAtZero(t *testing.T) {
-	gen := newProbe(2, 1)
+	gen := newProbe(2, 1, 0)
 	_, st := run(t, params.CCNUMA, gen, 50)
 	if st.ExecTime != 0 {
 		t.Errorf("exec time %d for empty streams", st.ExecTime)
@@ -89,8 +61,8 @@ func TestTable4MinimumLatencies(t *testing.T) {
 	p := params.Default()
 
 	// L1 hit: read the same line twice; the second is a hit.
-	gen := newProbe(2, 1)
-	gen.programs[1].Walk(gen.section(1), params.LineSize, params.LineSize, 2, workload.Read, 0)
+	gen := newProbe(2, 1, 0)
+	gen.Program(1).Walk(gen.Section(1), params.LineSize, params.LineSize, 2, workload.Read, 0)
 	_, st := run(t, params.CCNUMA, gen, 50)
 	n := &st.Nodes[1]
 	if n.L1Hits != 1 {
@@ -98,8 +70,8 @@ func TestTable4MinimumLatencies(t *testing.T) {
 	}
 
 	// Local memory: one home miss.
-	gen = newProbe(2, 1)
-	gen.programs[1].Walk(gen.section(1), params.LineSize, params.LineSize, 1, workload.Read, 0)
+	gen = newProbe(2, 1, 0)
+	gen.Program(1).Walk(gen.Section(1), params.LineSize, params.LineSize, 1, workload.Read, 0)
 	_, st = run(t, params.CCNUMA, gen, 50)
 	n = &st.Nodes[1]
 	local := n.Time[stats.UShMem]
@@ -110,8 +82,8 @@ func TestTable4MinimumLatencies(t *testing.T) {
 
 	// Remote memory: one cold remote miss (node 1 reads node 0's page),
 	// then a RAC hit on the next line of the same 128-byte block.
-	gen = newProbe(2, 1)
-	gen.programs[1].Walk(gen.section(0), 2*params.LineSize, params.LineSize, 1, workload.Read, 0)
+	gen = newProbe(2, 1, 0)
+	gen.Program(1).Walk(gen.Section(0), 2*params.LineSize, params.LineSize, 1, workload.Read, 0)
 	_, st = run(t, params.CCNUMA, gen, 50)
 	n = &st.Nodes[1]
 	if n.Misses[stats.Cold] != 1 || n.Misses[stats.RAC] != 1 {
@@ -176,11 +148,11 @@ func TestMissConservation(t *testing.T) {
 }
 
 func TestBarrierSynchronizesNodes(t *testing.T) {
-	gen := newProbe(2, 1)
+	gen := newProbe(2, 1, 0)
 	// Node 0 works long before the barrier; node 1 arrives immediately.
-	gen.programs[0].Walk(gen.section(0), 64*params.LineSize, params.LineSize, 4, workload.Read, 10)
-	gen.programs[0].Barrier(0)
-	gen.programs[1].Barrier(0)
+	gen.Program(0).Walk(gen.Section(0), 64*params.LineSize, params.LineSize, 4, workload.Read, 10)
+	gen.Program(0).Barrier(0)
+	gen.Program(1).Barrier(0)
 	_, st := run(t, params.CCNUMA, gen, 50)
 	if st.Nodes[1].Time[stats.Sync] == 0 {
 		t.Error("early arriver charged no SYNC")
@@ -195,9 +167,9 @@ func TestBarrierMismatchResolves(t *testing.T) {
 	// A finished node no longer participates in barriers, so a program
 	// whose nodes have unequal barrier counts still completes: the extra
 	// barriers release once only their issuer is running.
-	gen := newProbe(2, 1)
-	gen.programs[0].Barrier(0)
-	gen.programs[0].Barrier(1) // node 1 never reaches a second barrier
+	gen := newProbe(2, 1, 0)
+	gen.Program(0).Barrier(0)
+	gen.Program(0).Barrier(1) // node 1 never reaches a second barrier
 	m, err := New(Config{Arch: params.CCNUMA, Pressure: 50}, gen)
 	if err != nil {
 		t.Fatal(err)
@@ -208,14 +180,14 @@ func TestBarrierMismatchResolves(t *testing.T) {
 }
 
 func TestFinishedNodeDoesNotBlockBarrier(t *testing.T) {
-	gen := newProbe(2, 1)
+	gen := newProbe(2, 1, 0)
 	// Node 0 finishes without any barrier; node 1 hits one... that would
 	// deadlock with a strict count, so the machine must release barriers
 	// among still-running nodes only. Give both a barrier, but node 0
 	// finishes right after while node 1 has another stretch of work.
-	gen.programs[0].Barrier(0)
-	gen.programs[1].Barrier(0)
-	gen.programs[1].Walk(gen.section(1), 8*params.LineSize, params.LineSize, 1, workload.Read, 0)
+	gen.Program(0).Barrier(0)
+	gen.Program(1).Barrier(0)
+	gen.Program(1).Walk(gen.Section(1), 8*params.LineSize, params.LineSize, 1, workload.Read, 0)
 	_, st := run(t, params.CCNUMA, gen, 50)
 	if st.ExecTime == 0 {
 		t.Error("run did not progress")
@@ -223,8 +195,8 @@ func TestFinishedNodeDoesNotBlockBarrier(t *testing.T) {
 }
 
 func TestMaxCyclesAborts(t *testing.T) {
-	gen := newProbe(2, 1)
-	gen.programs[0].Walk(gen.section(0), 1024*params.LineSize, params.LineSize, 100, workload.Read, 100)
+	gen := newProbe(2, 1, 0)
+	gen.Program(0).Walk(gen.Section(0), 1024*params.LineSize, params.LineSize, 100, workload.Read, 100)
 	m, err := New(Config{Arch: params.CCNUMA, Pressure: 50, MaxCycles: 1000}, gen)
 	if err != nil {
 		t.Fatal(err)
@@ -235,11 +207,11 @@ func TestMaxCyclesAborts(t *testing.T) {
 }
 
 func TestPageFaultsCountedOncePerPage(t *testing.T) {
-	gen := newProbe(2, 2)
+	gen := newProbe(2, 2, 0)
 	// Remote pages fault once each; the home node's own pages were
 	// mapped before the timed phase and never fault.
-	gen.programs[1].Walk(gen.section(0), 2*params.PageSize, params.LineSize, 3, workload.Read, 0)
-	gen.programs[1].Walk(gen.section(1), 2*params.PageSize, params.LineSize, 1, workload.Read, 0)
+	gen.Program(1).Walk(gen.Section(0), 2*params.PageSize, params.LineSize, 3, workload.Read, 0)
+	gen.Program(1).Walk(gen.Section(1), 2*params.PageSize, params.LineSize, 1, workload.Read, 0)
 	_, st := run(t, params.CCNUMA, gen, 50)
 	if st.Nodes[1].PageFaults != 2 {
 		t.Errorf("faults = %d, want 2", st.Nodes[1].PageFaults)
@@ -250,9 +222,8 @@ func TestPageFaultsCountedOncePerPage(t *testing.T) {
 }
 
 func TestPrivateReferencesClassified(t *testing.T) {
-	gen := newProbe(2, 1)
-	gen.priv = 2
-	gen.programs[1].Walk(addr.PrivateRegion(1), params.PageSize, params.LineSize, 1, workload.Write, 0)
+	gen := newProbe(2, 1, 2)
+	gen.Program(1).Walk(addr.PrivateRegion(1), params.PageSize, params.LineSize, 1, workload.Write, 0)
 	_, st := run(t, params.CCNUMA, gen, 50)
 	n := &st.Nodes[1]
 	if n.PrivateRefs == 0 || n.SharedRefs != 0 {
@@ -269,8 +240,8 @@ func TestPrivateReferencesClassified(t *testing.T) {
 // TestHomeAccessesStayLocal: the home node's misses are HOME-class and
 // never generate remote traffic.
 func TestHomeAccessesStayLocal(t *testing.T) {
-	gen := newProbe(2, 2)
-	gen.programs[0].WalkRW(gen.section(0), 2*params.PageSize, params.LineSize, 2, 3, 0)
+	gen := newProbe(2, 2, 0)
+	gen.Program(0).WalkRW(gen.Section(0), 2*params.PageSize, params.LineSize, 2, 3, 0)
 	_, st := run(t, params.CCNUMA, gen, 50)
 	n := &st.Nodes[0]
 	if n.Misses[stats.Home] == 0 {
@@ -287,14 +258,13 @@ func TestHomeAccessesStayLocal(t *testing.T) {
 // over remote data hits the page cache under S-COMA but refetches remotely
 // under CC-NUMA.
 func TestSCOMAPageCacheEliminatesRefetches(t *testing.T) {
-	build := func() *probe {
-		gen := newProbe(2, 4)
+	build := func() *workload.Programs {
+		gen := newProbe(2, 4, 8)
 		// Two block-strided passes with an L1-clearing private walk in
 		// between (block stride so the RAC cannot help).
-		gen.programs[1].Walk(gen.section(0), 4*params.PageSize, params.BlockSize, 1, workload.Read, 0)
-		gen.programs[1].Walk(addr.PrivateRegion(1), 8*params.PageSize, params.LineSize, 1, workload.Read, 0)
-		gen.programs[1].Walk(gen.section(0), 4*params.PageSize, params.BlockSize, 1, workload.Read, 0)
-		gen.priv = 8
+		gen.Program(1).Walk(gen.Section(0), 4*params.PageSize, params.BlockSize, 1, workload.Read, 0)
+		gen.Program(1).Walk(addr.PrivateRegion(1), 8*params.PageSize, params.LineSize, 1, workload.Read, 0)
+		gen.Program(1).Walk(gen.Section(0), 4*params.PageSize, params.BlockSize, 1, workload.Read, 0)
 		return gen
 	}
 	_, ccn := run(t, params.CCNUMA, build(), 50)
@@ -318,13 +288,12 @@ func TestSCOMAPageCacheEliminatesRefetches(t *testing.T) {
 // relocated to S-COMA mode and subsequent misses are satisfied locally.
 func TestRNUMAUpgradesHotPage(t *testing.T) {
 	p := params.Default()
-	gen := newProbe(2, 1)
-	gen.priv = 8
+	gen := newProbe(2, 1, 8)
 	// Alternate block-strided passes over the remote page with private
 	// L1-clearing walks; each pass after the first adds 32 refetches.
 	for i := 0; i < 8; i++ {
-		gen.programs[1].Walk(gen.section(0), params.PageSize, params.BlockSize, 1, workload.Read, 0)
-		gen.programs[1].Walk(addr.PrivateRegion(1), 8*params.PageSize, params.LineSize, 1, workload.Read, 0)
+		gen.Program(1).Walk(gen.Section(0), params.PageSize, params.BlockSize, 1, workload.Read, 0)
+		gen.Program(1).Walk(addr.PrivateRegion(1), 8*params.PageSize, params.LineSize, 1, workload.Read, 0)
 	}
 	m, st := run(t, params.RNUMA, gen, 50)
 	n := &st.Nodes[1]
@@ -337,7 +306,7 @@ func TestRNUMAUpgradesHotPage(t *testing.T) {
 	if n.InducedCold == 0 {
 		t.Error("the upgrade flush induced no cold misses")
 	}
-	pte := m.NodeVM(1).Lookup(addr.PageOf(gen.section(0)))
+	pte := m.NodeVM(1).Lookup(addr.PageOf(gen.Section(0)))
 	if pte == nil || pte.Mode != vm.ModeSCOMA {
 		t.Errorf("page not in S-COMA mode after upgrade: %+v", pte)
 	}
@@ -371,9 +340,9 @@ func TestCCNUMANeverRemaps(t *testing.T) {
 // TestPureSCOMAUnmapsEvictedPages: after a forced replacement the evicted
 // page must fault again, not silently become CC-NUMA.
 func TestPureSCOMAUnmapsEvictedPages(t *testing.T) {
-	gen := newProbe(2, 8)
+	gen := newProbe(2, 8, 0)
 	// Touch far more remote pages than the page cache holds, twice.
-	gen.programs[1].Walk(gen.section(0), 8*params.PageSize, params.PageSize, 2, workload.Read, 0)
+	gen.Program(1).Walk(gen.Section(0), 8*params.PageSize, params.PageSize, 2, workload.Read, 0)
 	_, st := run(t, params.SCOMA, gen, 90)
 	n := &st.Nodes[1]
 	if n.Downgrades == 0 {
@@ -388,16 +357,16 @@ func TestPureSCOMAUnmapsEvictedPages(t *testing.T) {
 // TestWriteInvalidationAcrossNodes: a write by one node invalidates the
 // other's cached copy end to end.
 func TestWriteInvalidationAcrossNodes(t *testing.T) {
-	gen := newProbe(3, 1)
+	gen := newProbe(3, 1, 0)
 	// Node 1 reads node 0's block, then node 2 writes it, then node 1
 	// reads again (remote conflict-class, since it lost the copy).
-	gen.programs[1].Walk(gen.section(0), params.LineSize, params.LineSize, 1, workload.Read, 0)
-	gen.programs[1].Barrier(0)
-	gen.programs[2].Barrier(0)
-	gen.programs[2].Walk(gen.section(0), params.LineSize, params.LineSize, 1, workload.Write, 0)
-	gen.programs[2].Barrier(1)
-	gen.programs[1].Barrier(1)
-	gen.programs[1].Walk(gen.section(0), params.LineSize, params.LineSize, 1, workload.Read, 0)
+	gen.Program(1).Walk(gen.Section(0), params.LineSize, params.LineSize, 1, workload.Read, 0)
+	gen.Program(1).Barrier(0)
+	gen.Program(2).Barrier(0)
+	gen.Program(2).Walk(gen.Section(0), params.LineSize, params.LineSize, 1, workload.Write, 0)
+	gen.Program(2).Barrier(1)
+	gen.Program(1).Barrier(1)
+	gen.Program(1).Walk(gen.Section(0), params.LineSize, params.LineSize, 1, workload.Read, 0)
 	_, st := run(t, params.CCNUMA, gen, 50)
 	if st.Nodes[1].Invalidations != 1 {
 		t.Errorf("node 1 invalidations = %d, want 1", st.Nodes[1].Invalidations)
@@ -456,5 +425,40 @@ func TestTable6Plumbing(t *testing.T) {
 	}
 	if st.RelocatedPages > st.RemotePages {
 		t.Error("more relocated than remote pages")
+	}
+}
+
+// interpreted serves a generator's programs through the interpreter, so
+// the machine must wrap every node's stream (workload.Chunked).
+type interpreted struct{ *workload.Programs }
+
+func (g interpreted) Stream(n int) workload.Stream { return g.Program(n).Interpreted() }
+
+// TestInterpretedStreamsMatchCompiled runs workloads from their compiled
+// streams and from the same programs' interpreted streams, which reach the
+// machine wrapped and never report a walk, and requires byte-identical
+// statistics on every architecture: the wrapper is a pure change of
+// source, and the walk skip the compiled streams allow changes nothing.
+func TestInterpretedStreamsMatchCompiled(t *testing.T) {
+	apps := []string{"critsec", "resident", "uniform"}
+	if !testing.Short() {
+		apps = append(apps, "radix", "barnes")
+	}
+	for _, app := range apps {
+		gen, err := workload.New(app, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs, ok := gen.(*workload.Programs)
+		if !ok {
+			t.Fatalf("%s: generator %T is not a *workload.Programs", app, gen)
+		}
+		for _, arch := range params.AllArchs() {
+			cfg := Config{Arch: arch, Pressure: 70, MaxCycles: 1 << 40}
+			want := runStats(t, cfg, progs)
+			if got := runStats(t, cfg, interpreted{progs}); !bytes.Equal(got, want) {
+				t.Errorf("%s/%v: interpreted-stream stats diverge from compiled\ngot:  %s\nwant: %s", app, arch, got, want)
+			}
+		}
 	}
 }

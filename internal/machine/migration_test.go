@@ -12,12 +12,11 @@ import (
 
 // hotRemotePage builds a probe where node 1 hammers one of node 0's pages
 // hard enough to cross the relocation threshold several times over.
-func hotRemotePage() *probe {
-	gen := newProbe(2, 1)
-	gen.priv = 8
+func hotRemotePage() *workload.Programs {
+	gen := newProbe(2, 1, 8)
 	for i := 0; i < 8; i++ {
-		gen.programs[1].Walk(gen.section(0), params.PageSize, params.BlockSize, 1, workload.Read, 0)
-		gen.programs[1].Walk(addr.PrivateRegion(1), 8*params.PageSize, params.LineSize, 1, workload.Read, 0)
+		gen.Program(1).Walk(gen.Section(0), params.PageSize, params.BlockSize, 1, workload.Read, 0)
+		gen.Program(1).Walk(addr.PrivateRegion(1), 8*params.PageSize, params.LineSize, 1, workload.Read, 0)
 	}
 	return gen
 }
@@ -25,7 +24,7 @@ func hotRemotePage() *probe {
 func TestMigrationMovesHome(t *testing.T) {
 	gen := hotRemotePage()
 	m, st := run(t, params.MIGNUMA, gen, 50)
-	page := addr.PageOf(gen.section(0))
+	page := addr.PageOf(gen.Section(0))
 	if st.Nodes[1].Migrations != 1 {
 		t.Fatalf("migrations = %d, want 1", st.Nodes[1].Migrations)
 	}
@@ -40,10 +39,10 @@ func TestMigrationMovesHome(t *testing.T) {
 		t.Errorf("node 0 mode = %v, want numa", pte.Mode)
 	}
 	// Physical-page accounting moved one page from node 0 to node 1.
-	if m.NodeVM(1).HomePages != gen.home+gen.priv+1 {
+	if m.NodeVM(1).HomePages != gen.HomePagesPerNode()+gen.PrivatePagesPerNode()+1 {
 		t.Errorf("node 1 home pages = %d", m.NodeVM(1).HomePages)
 	}
-	if m.NodeVM(0).HomePages != gen.home+gen.priv-1 {
+	if m.NodeVM(0).HomePages != gen.HomePagesPerNode()+gen.PrivatePagesPerNode()-1 {
 		t.Errorf("node 0 home pages = %d", m.NodeVM(0).HomePages)
 	}
 	// After the migration, node 1's accesses are HOME-class.
@@ -58,11 +57,10 @@ func TestMigrationMovesHome(t *testing.T) {
 func TestMigrationDeniedWithoutFreePage(t *testing.T) {
 	// Two hot remote pages but only one free physical page at 99%
 	// pressure: the first migration adopts it, the second is denied.
-	gen := newProbe(2, 2)
-	gen.priv = 8
+	gen := newProbe(2, 2, 8)
 	for i := 0; i < 8; i++ {
-		gen.programs[1].Walk(gen.section(0), 2*params.PageSize, params.BlockSize, 1, workload.Read, 0)
-		gen.programs[1].Walk(addr.PrivateRegion(1), 8*params.PageSize, params.LineSize, 1, workload.Read, 0)
+		gen.Program(1).Walk(gen.Section(0), 2*params.PageSize, params.BlockSize, 1, workload.Read, 0)
+		gen.Program(1).Walk(addr.PrivateRegion(1), 8*params.PageSize, params.LineSize, 1, workload.Read, 0)
 	}
 	m, err := New(Config{Arch: params.MIGNUMA, Pressure: 99, MaxCycles: 1 << 40}, gen)
 	if err != nil {
@@ -86,20 +84,19 @@ func TestMigrationDeniedWithoutFreePage(t *testing.T) {
 func TestMigrationCoherenceAfterMove(t *testing.T) {
 	// Three nodes: 1 migrates the page away from 0, then 2 reads it. The
 	// read must be served by the new home without stale state.
-	gen := newProbe(3, 1)
-	gen.priv = 8
+	gen := newProbe(3, 1, 8)
 	for i := 0; i < 8; i++ {
-		gen.programs[1].Walk(gen.section(0), params.PageSize, params.BlockSize, 1, workload.Read, 0)
-		gen.programs[1].Walk(addr.PrivateRegion(1), 8*params.PageSize, params.LineSize, 1, workload.Read, 0)
+		gen.Program(1).Walk(gen.Section(0), params.PageSize, params.BlockSize, 1, workload.Read, 0)
+		gen.Program(1).Walk(addr.PrivateRegion(1), 8*params.PageSize, params.LineSize, 1, workload.Read, 0)
 	}
-	gen.programs[1].Barrier(0)
-	gen.programs[2].Barrier(0)
-	gen.programs[2].Walk(gen.section(0), params.PageSize, params.BlockSize, 1, workload.Read, 0)
+	gen.Program(1).Barrier(0)
+	gen.Program(2).Barrier(0)
+	gen.Program(2).Walk(gen.Section(0), params.PageSize, params.BlockSize, 1, workload.Read, 0)
 	m, st := run(t, params.MIGNUMA, gen, 50)
 	if st.Nodes[1].Migrations == 0 {
 		t.Skip("page did not migrate in this configuration")
 	}
-	if home := m.Directory().Home(addr.PageOf(gen.section(0))); home != 1 {
+	if home := m.Directory().Home(addr.PageOf(gen.Section(0))); home != 1 {
 		t.Fatalf("home = %d", home)
 	}
 	// Node 2 read all 32 blocks remotely from the new home.

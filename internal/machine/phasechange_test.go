@@ -21,11 +21,10 @@ import (
 // back-off, and B ends up cached in S-COMA mode.
 func TestASCOMARecoversAcrossPhaseChange(t *testing.T) {
 	const pagesA, pagesB = 28, 4
-	gen := newProbe(2, pagesA+pagesB)
-	gen.priv = 8
-	pr := gen.programs[1]
-	baseA := gen.section(0)
-	baseB := gen.section(0) + addr.GVA(pagesA)*params.PageSize
+	gen := newProbe(2, pagesA+pagesB, 8)
+	pr := gen.Program(1)
+	baseA := gen.Section(0)
+	baseB := gen.Section(0) + addr.GVA(pagesA)*params.PageSize
 
 	// Phase 1: set A is hot and oversized -> thrash -> back-off.
 	for it := 0; it < 12; it++ {

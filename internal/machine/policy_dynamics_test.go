@@ -11,13 +11,12 @@ import (
 
 // churnProbe: a workload with more hot remote pages than the page cache
 // can hold, driving sustained relocation pressure.
-func churnProbe(nodes, pages, iters int) *probe {
-	gen := newProbe(nodes, pages)
-	gen.priv = 8
+func churnProbe(nodes, pages, iters int) *workload.Programs {
+	gen := newProbe(nodes, pages, 8)
 	for n := 1; n < nodes; n++ {
 		for it := 0; it < iters; it++ {
-			gen.programs[n].Walk(gen.section(0), int64(pages)*params.PageSize, params.BlockSize, 1, workload.Read, 0)
-			gen.programs[n].Walk(addr.PrivateRegion(n), 8*params.PageSize, params.LineSize, 1, workload.Read, 0)
+			gen.Program(n).Walk(gen.Section(0), int64(pages)*params.PageSize, params.BlockSize, 1, workload.Read, 0)
+			gen.Program(n).Walk(addr.PrivateRegion(n), 8*params.PageSize, params.LineSize, 1, workload.Read, 0)
 		}
 	}
 	return gen
@@ -27,7 +26,7 @@ func churnProbe(nodes, pages, iters int) *probe {
 // threshold when evicted pages never earn their keep, reducing relocations
 // relative to R-NUMA on the same stream.
 func TestVCNUMAEscalatesUnderChurn(t *testing.T) {
-	gen := func() *probe { return churnProbe(2, 24, 12) }
+	gen := func() *workload.Programs { return churnProbe(2, 24, 12) }
 	_, rn := run(t, params.RNUMA, gen(), 92)
 	_, vc := run(t, params.VCNUMA, gen(), 92)
 	rnUp := rn.Nodes[1].Upgrades
@@ -56,7 +55,7 @@ func TestASCOMAPressureModeSwitchesAllocation(t *testing.T) {
 	// stayed CC-NUMA.
 	var scoma, numa int
 	for i := 0; i < 32; i++ {
-		pte := m.NodeVM(1).Lookup(addr.PageOf(gen.section(0)) + addr.Page(i))
+		pte := m.NodeVM(1).Lookup(addr.PageOf(gen.Section(0)) + addr.Page(i))
 		if pte == nil {
 			continue
 		}
@@ -83,7 +82,7 @@ func TestASCOMAPressureModeSwitchesAllocation(t *testing.T) {
 // pressure, AS-COMA and pure S-COMA behave identically (every remote page
 // is S-COMA-mapped at fault, nothing is ever evicted).
 func TestASCOMAMatchesSCOMABelowIdealPressure(t *testing.T) {
-	gen := func() *probe { return churnProbe(2, 8, 4) }
+	gen := func() *workload.Programs { return churnProbe(2, 8, 4) }
 	_, sc := run(t, params.SCOMA, gen(), 10)
 	_, as := run(t, params.ASCOMA, gen(), 10)
 	if sc.ExecTime != as.ExecTime {
@@ -98,11 +97,10 @@ func TestASCOMAMatchesSCOMABelowIdealPressure(t *testing.T) {
 // escalation. The timeline tracks node 0, so node 0 does the remote work
 // here (reading node 1's section).
 func TestSamplesRecorded(t *testing.T) {
-	gen := newProbe(2, 32)
-	gen.priv = 8
+	gen := newProbe(2, 32, 8)
 	for it := 0; it < 10; it++ {
-		gen.programs[0].Walk(gen.section(1), 32*params.PageSize, params.BlockSize, 1, workload.Read, 0)
-		gen.programs[0].Walk(addr.PrivateRegion(0), 8*params.PageSize, params.LineSize, 1, workload.Read, 0)
+		gen.Program(0).Walk(gen.Section(1), 32*params.PageSize, params.BlockSize, 1, workload.Read, 0)
+		gen.Program(0).Walk(addr.PrivateRegion(0), 8*params.PageSize, params.LineSize, 1, workload.Read, 0)
 	}
 	m, err := New(Config{Arch: params.ASCOMA, Pressure: 92, SampleInterval: 50_000}, gen)
 	if err != nil {

@@ -43,7 +43,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 
@@ -58,11 +57,6 @@ const traceVersion = 2
 // maxRefNodes bounds a reference section's node count (the simulator's
 // copysets are 64-bit masks).
 const maxRefNodes = 64
-
-// maxTraceBytes bounds how much ReadRecording will buffer: far above any
-// real trace (the default ring is 64 Ki events), far below an allocation
-// bomb from a corrupted length field.
-const maxTraceBytes = 1 << 30
 
 // ErrCorrupt is wrapped by every decode failure caused by the input bytes
 // (truncation, bad magic, CRC mismatch, implausible counts).
@@ -172,12 +166,6 @@ func appendRefs(dst []byte, t *workload.Trace) []byte {
 		}
 	}
 	return dst
-}
-
-// WriteRecording encodes rec to w.
-func WriteRecording(w io.Writer, rec *Recording) error {
-	_, err := w.Write(AppendRecording(nil, rec))
-	return err
 }
 
 // WriteFile encodes rec to a file, atomically enough for trace diffing
@@ -516,18 +504,6 @@ func (d *decoder) refs() (*workload.Trace, error) {
 		t.Refs[n] = refs
 	}
 	return t, nil
-}
-
-// ReadRecording decodes one trace from r.
-func ReadRecording(r io.Reader) (*Recording, error) {
-	buf, err := io.ReadAll(io.LimitReader(r, maxTraceBytes+1))
-	if err != nil {
-		return nil, err
-	}
-	if len(buf) > maxTraceBytes {
-		return nil, fmt.Errorf("%w: trace exceeds %d bytes", ErrCorrupt, maxTraceBytes)
-	}
-	return DecodeRecording(buf)
 }
 
 // ReadFile decodes one trace file.

@@ -73,15 +73,7 @@ func (r *Runner) run(ctx context.Context, cfg ascoma.Config, src *ascoma.Result)
 		return "", nil, err
 	}
 	sim := func(ctx context.Context) (*ascoma.Result, error) {
-		select {
-		case r.sem <- struct{}{}:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		defer func() { <-r.sem }()
-		r.inflight.Add(1)
-		defer r.inflight.Add(-1)
-		return ascoma.RunContext(ctx, cfg)
+		return r.simulate(ctx, cfg, nil)
 	}
 	if src != nil {
 		sim = func(context.Context) (*ascoma.Result, error) {
@@ -122,6 +114,13 @@ func (r *Runner) RunGenerator(ctx context.Context, cfg ascoma.Config, gen ascoma
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	return r.simulate(ctx, cfg, gen)
+}
+
+// simulate executes one simulation in a slot: it waits for a free slot,
+// respecting ctx, and counts the run in flight while it executes. A nil
+// gen runs cfg.Workload by name.
+func (r *Runner) simulate(ctx context.Context, cfg ascoma.Config, gen ascoma.Generator) (*ascoma.Result, error) {
 	select {
 	case r.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -130,6 +129,9 @@ func (r *Runner) RunGenerator(ctx context.Context, cfg ascoma.Config, gen ascoma
 	defer func() { <-r.sem }()
 	r.inflight.Add(1)
 	defer r.inflight.Add(-1)
+	if gen == nil {
+		return ascoma.RunContext(ctx, cfg)
+	}
 	return ascoma.RunGeneratorContext(ctx, cfg, gen)
 }
 

@@ -1,8 +1,22 @@
 package workload
 
-import "ascoma/internal/params"
+import (
+	"ascoma/internal/addr"
+	"ascoma/internal/params"
+)
 
-// Barnes models the SPLASH-2 barnes N-body application (16K particles in
+const (
+	barnesHomePages  = 128 // ~0.5 MB of bodies per node
+	barnesPrivPages  = 8
+	barnesIters      = 6
+	barnesWindowFrac = 4 // read 1/4 of each remote section per iteration
+	barnesThinkOwn   = 8
+	barnesThinkForce = 20 // compute-intensive force phase
+)
+
+// NewBarnes builds barnes at the given scale divisor.
+//
+// It models the SPLASH-2 barnes N-body application (16K particles in
 // the paper). Its characteristics per Section 5: "Barnes exhibits very high
 // spatial locality. It accesses large dense regions of remote memory, and
 // thus can make good use of a local S-COMA page cache. ... most of the
@@ -17,24 +31,10 @@ import "ascoma/internal/params"
 // every other node's bodies — the force-computation walk of the tree. The
 // second pass re-fetches blocks evicted from the tiny L1, which is what
 // accumulates the refetch counts that make these pages hot.
-type Barnes struct {
-	*base
-}
-
-const (
-	barnesHomePages  = 128 // ~0.5 MB of bodies per node
-	barnesPrivPages  = 8
-	barnesIters      = 6
-	barnesWindowFrac = 4 // read 1/4 of each remote section per iteration
-	barnesThinkOwn   = 8
-	barnesThinkForce = 20 // compute-intensive force phase
-)
-
-// NewBarnes builds barnes at the given scale divisor.
 func NewBarnes(scale int) Generator {
 	nodes := 8
 	home := scaled(barnesHomePages, scale, 16)
-	b := &Barnes{base: newBase("barnes", nodes, home, barnesPrivPages)}
+	b := NewPrograms("barnes", nodes, home, barnesPrivPages)
 
 	window := home / barnesWindowFrac // pages read from each remote section
 	if window < 2 {
@@ -42,12 +42,12 @@ func NewBarnes(scale int) Generator {
 	}
 	barrier := 0
 	for n := 0; n < nodes; n++ {
-		pr := b.progs[n]
+		pr := b.Program(n)
 		for it := 0; it < barnesIters; it++ {
 			// Private bookkeeping (tree construction scratch).
-			pr.WalkRW(b.priv(n), b.privBytes(), params.LineSize, 1, 4, 2)
+			pr.WalkRW(addr.PrivateRegion(n), pageBytes(barnesPrivPages), params.LineSize, 1, 4, 2)
 			// Update own bodies.
-			pr.WalkRW(b.sections[n], pageBytes(home), params.LineSize, 1, 4, barnesThinkOwn)
+			pr.WalkRW(b.Section(n), pageBytes(home), params.LineSize, 1, 4, barnesThinkOwn)
 			// Force computation: two read passes over a stable window
 			// of each remote section. The window is anchored per node so
 			// the remote working set is stable across iterations
@@ -68,7 +68,7 @@ func NewBarnes(scale int) Generator {
 					for j := 1; j < nodes; j++ {
 						r := (n + j) % nodes
 						off := pageBytes((n*window/2)%(home-window+1) + c)
-						pr.Walk(b.sections[r]+addrOf(off), pageBytes(min(chunk, window-c)), params.BlockSize, 1, Read, barnesThinkForce)
+						pr.Walk(b.Section(r)+addrOf(off), pageBytes(min(chunk, window-c)), params.BlockSize, 1, Read, barnesThinkForce)
 					}
 				}
 			}

@@ -167,9 +167,11 @@ func (p *Program) compiled() *compiledProg {
 
 // Compiled is a chunk-buffered stream over a compiled program: refill
 // decodes up to ChunkSize references in segment-sized tight loops, and Next
-// only indexes the buffer.
+// only indexes the buffer. Chunked also wraps any other Stream in one, so
+// the machine reads every node through the same window.
 type Compiled struct {
 	prog *compiledProg
+	src  Stream // wrapped stream refill pulls from (see Chunked); nil once drained
 
 	// Decode cursor (mirrors progStream's state machine).
 	pc     int
@@ -195,12 +197,30 @@ func newCompiledStream(cp *compiledProg) *Compiled {
 	return s
 }
 
-// Recycle returns a stream obtained from Program.Stream to the shared chunk
-// pool. Only *Compiled streams are pooled; anything else is ignored. The
-// stream must not be used after Recycle.
+// noProg is a wrapped stream's program: it has no instructions, so
+// NextWalk never reports a walk and refill decodes nothing once the
+// wrapped stream is drained.
+var noProg = &compiledProg{}
+
+// Chunked returns s as a chunk-buffered stream. A *Compiled is returned
+// unchanged; any other Stream (a trace replay, a caller's own) is wrapped
+// in a pooled Compiled whose refill pulls up to ChunkSize references from
+// it with Next. A wrapped stream never reports a walk.
+func Chunked(s Stream) *Compiled {
+	if c, ok := s.(*Compiled); ok {
+		return c
+	}
+	c := newCompiledStream(noProg)
+	c.src = s
+	return c
+}
+
+// Recycle returns a stream obtained from Program.Stream or Chunked to the
+// shared chunk pool. Only *Compiled streams are pooled; anything else is
+// ignored. The stream must not be used after Recycle.
 func Recycle(s Stream) {
 	if c, ok := s.(*Compiled); ok {
-		c.prog = nil
+		c.prog, c.src = nil, nil
 		compiledPool.Put(c)
 	}
 }
@@ -262,6 +282,18 @@ func (s *Compiled) AdvanceWalk(k int64) {
 // allocate (TestHotPathAllocs pins it).
 func (s *Compiled) refill() {
 	s.pos, s.n = 0, 0
+	if s.src != nil {
+		for s.n < ChunkSize {
+			r, ok := s.src.Next()
+			if !ok {
+				s.src = nil // never ask a drained stream again
+				return
+			}
+			s.buf[s.n] = r
+			s.n++
+		}
+		return
+	}
 	for s.n < ChunkSize && s.pc < len(s.prog.instrs) {
 		in := &s.prog.instrs[s.pc]
 		switch in.kind {

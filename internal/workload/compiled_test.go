@@ -6,20 +6,10 @@ import (
 	"ascoma/internal/addr"
 )
 
-// programSource exposes the per-node programs of the built-in generator
-// types so equivalence tests can drive both stream implementations over the
-// same Program. Declared here (test-only) rather than on the Generator
-// interface: production code never needs it.
-type programSource interface{ nodeProgram(i int) *Program }
-
-func (b *base) nodeProgram(i int) *Program { return b.progs[i] }
-func (s *Synthetic) nodeProgram(i int) *Program {
-	s.build()
-	return s.progs[i]
-}
-func (m *Mismatch) nodeProgram(i int) *Program { return m.progs[i] }
-func (c *CritSec) nodeProgram(i int) *Program  { return c.progs[i] }
-func (r *Resident) nodeProgram(i int) *Program { return r.progs[i] }
+// programSource is what every built-in generator offers (Programs, and
+// mismatch through its embedded Programs), so equivalence tests can drive
+// both stream implementations over the same Program.
+type programSource interface{ Program(n int) *Program }
 
 // TestCompiledMatchesInterpreted drains the compiled stream and the
 // interpreted reference implementation over every node program of every
@@ -44,7 +34,7 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 				t.Fatalf("%s: generator %T does not expose programs", name, g)
 			}
 			for n := 0; n < g.Nodes(); n++ {
-				p := src.nodeProgram(n)
+				p := src.Program(n)
 				want := p.Interpreted()
 				got := p.Stream()
 				var i int64
@@ -328,5 +318,79 @@ func TestAdvanceWalkCursor(t *testing.T) {
 	}
 	if r, ok := s.Next(); !ok || r.Op != Barrier {
 		t.Fatalf("next reference %+v (ok=%v), want the barrier", r, ok)
+	}
+}
+
+// endCounter is a plain Stream that counts the Next calls it gets after
+// reporting its end.
+type endCounter struct {
+	s        Stream
+	pastEnd  int
+	finished bool
+}
+
+func (e *endCounter) Next() (Ref, bool) {
+	if e.finished {
+		e.pastEnd++
+		return Ref{}, false
+	}
+	r, ok := e.s.Next()
+	e.finished = !ok
+	return r, ok
+}
+
+// TestChunkedWrapsOtherStreams checks the one stream window the machine
+// reads every node through: Chunked returns a *Compiled unchanged, and
+// wraps any other stream in a Compiled that yields the same references
+// across chunk boundaries, never reports a walk (so the machine never
+// skips one), and never asks its source again once the source has ended.
+func TestChunkedWrapsOtherStreams(t *testing.T) {
+	p := &Program{}
+	p.Walk(addr.SharedBase, 3*ChunkSize*64, 64, 2, Read, 1) // several chunks of walk
+	p.Barrier(0)
+	p.Scatter(addr.SharedBase, 32*1024, 64, ChunkSize+5, Write, 3, 7)
+
+	c := p.Stream().(*Compiled)
+	if Chunked(c) != c {
+		t.Fatal("Chunked did not return a *Compiled unchanged")
+	}
+	Recycle(c)
+
+	want := drain(p.Interpreted())
+	src := &endCounter{s: p.Interpreted()}
+	w := Chunked(src)
+	var got []Ref
+	for {
+		if walk, _, _ := w.NextWalk(); walk != nil {
+			t.Fatalf("wrapped stream reported a walk after %d refs", len(got))
+		}
+		pend := w.Pending()
+		if len(pend) == 0 {
+			break
+		}
+		got = append(got, pend...)
+		w.Skip(len(pend))
+	}
+	if len(got) != len(want) {
+		t.Fatalf("wrapped stream: got %d refs, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("wrapped stream ref %d: got %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if _, ok := w.Next(); ok {
+		t.Error("drained wrapped stream yielded a reference")
+	}
+	if src.pastEnd != 0 {
+		t.Errorf("source asked %d times after it ended", src.pastEnd)
+	}
+	Recycle(w)
+	// A wrapped stream recycled before its end drops its source.
+	part := Chunked(p.Interpreted())
+	part.Pending()
+	Recycle(part)
+	if part.src != nil {
+		t.Error("Recycle kept the wrapped source")
 	}
 }

@@ -121,8 +121,8 @@ func FuzzCompiledMatchesInterpreted(f *testing.F) {
 			t.Fatalf("%s: generator %T does not expose programs", name, g)
 		}
 		node := int(nodeRaw) % g.Nodes()
-		drainMatch(t, name, src.nodeProgram(node))
-		skipMatch(t, name, src.nodeProgram(node), seed)
+		drainMatch(t, name, src.Program(node))
+		skipMatch(t, name, src.Program(node), seed)
 
 		// Raw program: fuzzed geometry and seed go straight into the
 		// builders, which clamp invalid shapes to no-ops themselves.

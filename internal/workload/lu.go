@@ -2,7 +2,18 @@ package workload
 
 import "ascoma/internal/params"
 
-// LU models the SPLASH-2 contiguous LU factorization (512x512 matrix,
+const (
+	luNodes      = 4
+	luHomePages  = 128 // 512 total pages = 2 MB matrix
+	luPrivPages  = 8
+	luPanelPages = 16
+	luPasses     = 8 // read passes over the pivot panel per phase
+	luThink      = 6
+)
+
+// NewLU builds lu at the given scale divisor.
+//
+// It models the SPLASH-2 contiguous LU factorization (512x512 matrix,
 // 16x16 blocks; the paper ran it on 4 nodes "due to its small default
 // problem size and long execution time"). Per Section 5: "in lu, each
 // process accesses every remote page enough times to warrant remapping,
@@ -17,20 +28,6 @@ import "ascoma/internal/params"
 // that panel, interleaved with read-modify-write updates of its own
 // trailing blocks — the interleaving evicts panel lines from the small L1,
 // generating the refetches that make the (briefly) active panel hot.
-type LU struct {
-	*base
-}
-
-const (
-	luNodes      = 4
-	luHomePages  = 128 // 512 total pages = 2 MB matrix
-	luPrivPages  = 8
-	luPanelPages = 16
-	luPasses     = 8 // read passes over the pivot panel per phase
-	luThink      = 6
-)
-
-// NewLU builds lu at the given scale divisor.
 func NewLU(scale int) Generator {
 	home := scaled(luHomePages, scale, 16)
 	panel := scaled(luPanelPages, scale, 2)
@@ -38,14 +35,14 @@ func NewLU(scale int) Generator {
 		panel = home
 	}
 	phases := (home / panel) * luNodes // every page is a panel page exactly once
-	b := &LU{base: newBase("lu", luNodes, home, luPrivPages)}
+	b := NewPrograms("lu", luNodes, home, luPrivPages)
 
 	for n := 0; n < luNodes; n++ {
-		pr := b.progs[n]
+		pr := b.Program(n)
 		for k := 0; k < phases; k++ {
 			owner := k % luNodes
 			panelStart := (k / luNodes) * panel
-			panelBase := b.sections[owner] + addrOf(pageBytes(panelStart))
+			panelBase := b.Section(owner) + addrOf(pageBytes(panelStart))
 
 			if owner == n {
 				// Factor the pivot panel. The other nodes wait at the
@@ -73,7 +70,7 @@ func NewLU(scale int) Generator {
 					// panel; shift the owner's chunk past it.
 					ownOff = (panelStart + panel) % (home - ownChunk + 1)
 				}
-				pr.WalkRW(b.sections[n]+addrOf(pageBytes(ownOff)), pageBytes(ownChunk), params.LineSize, 1, 3, luThink)
+				pr.WalkRW(b.Section(n)+addrOf(pageBytes(ownOff)), pageBytes(ownChunk), params.LineSize, 1, 3, luThink)
 			}
 			pr.Barrier(2*k + 1)
 		}

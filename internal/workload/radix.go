@@ -1,8 +1,23 @@
 package workload
 
-import "ascoma/internal/params"
+import (
+	"ascoma/internal/addr"
+	"ascoma/internal/params"
+)
 
-// Radix models the SPLASH-2 radix sort (2M keys, radix 1024). Per Section
+const (
+	radixHomePages = 128 // 1024 global key pages across 8 nodes
+	radixPrivPages = 8
+	radixIters     = 4
+	radixScatter   = 96 * 1024 // scattered permutation references per node per iteration
+	radixRunLen    = 4         // blocks touched per permutation run (one bucket segment)
+	radixWriteMix  = 32        // every 32nd scattered reference is a write
+	radixThink     = 4
+)
+
+// NewRadix builds radix at the given scale divisor.
+//
+// It models the SPLASH-2 radix sort (2M keys, radix 1024). Per Section
 // 5 it is the stress case for every page-caching policy: "radix exhibits
 // almost no spatial locality. Every node accesses every page of shared data
 // at some time during execution. As such, it is an extreme example of an
@@ -19,42 +34,26 @@ import "ascoma/internal/params"
 // over the entire global key array at cache-line granularity, with a
 // fraction of writes. The scattered revisits accumulate per-page refetch
 // counts from every node on essentially every page.
-type Radix struct {
-	*base
-	totalBytes int64
-}
-
-const (
-	radixHomePages = 128 // 1024 global key pages across 8 nodes
-	radixPrivPages = 8
-	radixIters     = 4
-	radixScatter   = 96 * 1024 // scattered permutation references per node per iteration
-	radixRunLen    = 4         // blocks touched per permutation run (one bucket segment)
-	radixWriteMix  = 32        // every 32nd scattered reference is a write
-	radixThink     = 4
-)
-
-// NewRadix builds radix at the given scale divisor.
 func NewRadix(scale int) Generator {
 	nodes := 8
 	home := scaled(radixHomePages, scale, 16)
 	scatter := int64(scaled(radixScatter, scale, 4096))
-	b := &Radix{base: newBase("radix", nodes, home, radixPrivPages)}
-	b.totalBytes = pageBytes(home * nodes)
-	global := b.sections[0] // sections are contiguous: one global array
+	b := NewPrograms("radix", nodes, home, radixPrivPages)
+	totalBytes := pageBytes(home * nodes)
+	global := b.Section(0) // sections are contiguous: one global array
 
 	barrier := 0
 	for n := 0; n < nodes; n++ {
-		pr := b.progs[n]
+		pr := b.Program(n)
 		for it := 0; it < radixIters; it++ {
 			// Rank the local keys.
-			pr.Walk(b.sections[n], pageBytes(home), params.LineSize, 1, Read, radixThink)
+			pr.Walk(b.Section(n), pageBytes(home), params.LineSize, 1, Read, radixThink)
 			// Private histogram buckets.
-			pr.WalkRW(b.priv(n), b.privBytes(), params.LineSize, 1, 2, 2)
+			pr.WalkRW(addr.PrivateRegion(n), pageBytes(radixPrivPages), params.LineSize, 1, 2, 2)
 			// Merge the local histogram into the global one under the
 			// rank lock (the serial prefix-sum step of radix sort).
 			pr.Lock(it)
-			pr.WalkRW(b.sections[0], pageBytes(1), params.LineSize, 1, 2, 2)
+			pr.WalkRW(b.Section(0), pageBytes(1), params.LineSize, 1, 2, 2)
 			pr.Unlock(it)
 			pr.Barrier(barrier + 2*it)
 			// Permutation: scattered runs over the whole key array.
@@ -64,7 +63,7 @@ func NewRadix(scale int) Generator {
 			// goes to a distinct block on a random page. This is the
 			// paper's "almost no spatial locality": each page is about
 			// as hot as any other.
-			pr.ScatterRuns(global, b.totalBytes, params.BlockSize, scatter,
+			pr.ScatterRuns(global, totalBytes, params.BlockSize, scatter,
 				radixRunLen, radixWriteMix, radixThink, seedFor("radix", n, it))
 			pr.Barrier(barrier + 2*it + 1)
 		}

@@ -175,17 +175,6 @@ func (p *Program) Scatter(base addr.GVA, bytes, stride, n int64, op Op, think in
 	})
 }
 
-// ScatterRW is Scatter with every wEvery'th reference turned into a write.
-func (p *Program) ScatterRW(base addr.GVA, bytes, stride, n int64, wEvery int64, think int32, seed uint64) {
-	if bytes <= 0 || stride <= 0 || n <= 0 {
-		return
-	}
-	p.instrs = append(p.instrs, instr{
-		kind: iScatter, base: base, bytes: bytes, stride: stride,
-		count: n, passes: 1, op: Read, wEvery: wEvery, think: think, seed: seed,
-	})
-}
-
 // ScatterRuns appends n references issued as short sequential runs of
 // runLen strided accesses starting at uniformly random offsets: spatial
 // locality within a run, none across runs (the radix permutation pattern —
@@ -313,41 +302,6 @@ func (s *progStream) Next() (Ref, bool) {
 		}
 	}
 	return Ref{}, false
-}
-
-// --- shared-layout helpers ---------------------------------------------------
-
-// Layout sequentially assigns regions of the global shared address space.
-type Layout struct {
-	next addr.GVA
-}
-
-// NewLayout starts allocating at the shared base.
-func NewLayout() *Layout { return &Layout{next: addr.SharedBase} }
-
-// Region reserves pages whole pages and returns the base address.
-func (l *Layout) Region(pages int) addr.GVA {
-	base := l.next
-	l.next += addr.GVA(pages) * 4096
-	return base
-}
-
-// Distributed reserves pagesPerNode pages for each of n nodes and returns
-// the per-node section bases; section i should be homed at node i.
-func (l *Layout) Distributed(n, pagesPerNode int) []addr.GVA {
-	bases := make([]addr.GVA, n)
-	for i := range bases {
-		bases[i] = l.Region(pagesPerNode)
-	}
-	return bases
-}
-
-// PlacePages assigns pages pages starting at base to home.
-func PlacePages(place func(addr.Page, int), base addr.GVA, pages, home int) {
-	p0 := addr.PageOf(base)
-	for i := 0; i < pages; i++ {
-		place(p0+addr.Page(i), home)
-	}
 }
 
 // --- registry ----------------------------------------------------------------

@@ -297,15 +297,14 @@ func TestRefsMatchesStreamProperty(t *testing.T) {
 }
 
 func TestLayoutDistributed(t *testing.T) {
-	l := NewLayout()
-	bases := l.Distributed(4, 10)
+	g := NewPrograms("layout", 4, 10, 0)
 	for i := 1; i < 4; i++ {
-		if bases[i]-bases[i-1] != 10*params.PageSize {
-			t.Errorf("sections not contiguous: %v", bases)
+		if g.Section(i)-g.Section(i-1) != 10*params.PageSize {
+			t.Errorf("sections not contiguous: %v then %v", g.Section(i-1), g.Section(i))
 		}
 	}
-	if bases[0] != addr.SharedBase {
-		t.Errorf("first section at %v", bases[0])
+	if g.Section(0) != addr.SharedBase {
+		t.Errorf("first section at %v", g.Section(0))
 	}
 }
 
