@@ -55,9 +55,7 @@ perfbench-test:
 # trace-check proves flight-recorder determinism end to end through the
 # real binaries: record the same observed run twice with ascoma-sim and
 # require the trace files to be byte-identical, then decode one with
-# ascoma-inspect so a codec regression fails loudly. The default memory is
-# one tier at the local latency, so the same run with an explicit
-# -tiers 100:50:50 must record the identical trace. The reference round
+# ascoma-inspect so a codec regression fails loudly. The reference round
 # does the same for a trace carrying the workload's reference streams
 # (-refs), then replays it (-replay).
 trace-check:
@@ -66,13 +64,7 @@ trace-check:
 	.bin/ascoma-sim -arch ascoma -workload radix -pressure 70 -scale 16 -trace .bin/trace-a -epoch 5000 >/dev/null
 	.bin/ascoma-sim -arch ascoma -workload radix -pressure 70 -scale 16 -trace .bin/trace-b -epoch 5000 >/dev/null
 	cmp .bin/trace-a .bin/trace-b
-	.bin/ascoma-sim -arch ascoma -workload radix -pressure 70 -scale 16 -tiers 100:50:50 -trace .bin/trace-a1 -epoch 5000 >/dev/null
-	cmp .bin/trace-a .bin/trace-a1
 	.bin/ascoma-inspect summary .bin/trace-a >/dev/null
-	.bin/ascoma-sim -arch ascoma -workload radix -pressure 70 -scale 16 -tiers 30:40:60,70:120:300 -pagepolicy hybrid -trace .bin/trace-ta -epoch 5000 >/dev/null
-	.bin/ascoma-sim -arch ascoma -workload radix -pressure 70 -scale 16 -tiers 30:40:60,70:120:300 -pagepolicy hybrid -trace .bin/trace-tb -epoch 5000 >/dev/null
-	cmp .bin/trace-ta .bin/trace-tb
-	.bin/ascoma-inspect summary .bin/trace-ta >/dev/null
 	.bin/ascoma-sim -workload radix -scale 16 -trace .bin/trace-ra -refs >/dev/null
 	.bin/ascoma-sim -workload radix -scale 16 -trace .bin/trace-rb -refs >/dev/null
 	cmp .bin/trace-ra .bin/trace-rb
@@ -113,14 +105,12 @@ verify: fmt-check vet
 # bench runs the tracked go-test benchmarks for a benchstat comparison;
 # see README.md ("Benchmarking") for the workflow. The first line and the
 # estimator line use the flags the before/after numbers in BENCH_PR1,
-# BENCH_PR3 and BENCH_PR8.json were collected with; the tiered, row-buffer,
-# stream-generation and resident benchmarks have no recorded numbers there
+# BENCH_PR3 and BENCH_PR8.json were collected with; the stream-generation
+# and resident benchmarks have no recorded numbers there
 # (the resident ones are in CHANGES.md). The end-to-end benchmark is
 # perfbench (BENCHMARK.json).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig2FFT$$|BenchmarkHotPath$$|BenchmarkGridRow$$' -benchtime 3x -count 3 .
-	$(GO) test -run '^$$' -bench 'BenchmarkHotPathTiered$$' -benchtime 3x -count 3 .
-	$(GO) test -run '^$$' -bench 'BenchmarkRowBuffer$$' -benchmem -count 3 ./internal/mem/
 	$(GO) test -run '^$$' -bench 'BenchmarkEstimate$$|BenchmarkEstimateProfile$$' -benchmem -count 3 .
 	$(GO) test -run '^$$' -bench 'BenchmarkStreamGeneration$$' -count 3 .
 	$(GO) test -run '^$$' -bench 'BenchmarkResident$$' -benchtime 10x -count 3 .
@@ -145,8 +135,8 @@ race:
 # or across barriers, which compile folds or interns), that a machine
 # skipping verified walks in closed form — cruising whole quanta of them,
 # folded walks included — matches the interpretive run, that the trace decoder
-# turns any input into a clean error or a canonical trace, that the tier,
-# page-policy and pressure parsers accept only valid specs, that
+# turns any input into a clean error or a canonical trace, that the
+# pressure parser accepts only valid specs, that
 # every run, job and estimate request body decodes into a 400 or a valid
 # spec (with a canonical estimate reply key), never a 500 or a panic, that
 # the runcache disk/peer payload decoder accepts only keyed, non-empty
@@ -158,8 +148,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCompiledMatchesInterpreted -fuzztime 10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecording$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzWalkSkip$$' -fuzztime 10s ./internal/machine
-	$(GO) test -run '^$$' -fuzz '^FuzzParseTiers$$' -fuzztime 10s ./internal/mem
-	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime 10s ./internal/mem
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePressures$$' -fuzztime 10s ./internal/report
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSpecs$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 10s ./internal/runcache

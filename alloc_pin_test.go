@@ -31,8 +31,6 @@ const runAllocs = 4
 //     referenced. Both branches run in the figure grid and perfbench's
 //     serve mix; these are the only ones a coverage diff against those
 //     configs found outside the matrix.
-//   - BenchmarkHotPathTiered's two tiers with the hybrid row-buffer policy
-//     reach tier resolution, row-buffer state and promotion.
 //   - An observed run attaches a preallocated flight recorder: every Emit
 //     lands in the fixed ring, so recording adds no allocation. Epoch
 //     probes stay off, because the epoch series grows a row per epoch by
@@ -44,14 +42,9 @@ func allocCases() []allocCase {
 	for _, cfg := range goldenConfigs() {
 		cases = append(cases, allocCase{goldenKey(cfg), cfg, runAllocs})
 	}
-	tiers := []TierSpec{
-		{CapacityPct: 30, ReadCycles: 40, WriteCycles: 60},
-		{CapacityPct: 70, ReadCycles: 120, WriteCycles: 300},
-	}
 	return append(cases, []allocCase{
 		{"migrate with no free frame", Config{Arch: MIGNUMA, Workload: "barnes", Pressure: 90, Scale: goldenScale}, runAllocs},
 		{"forced victim", Config{Arch: SCOMA, Workload: "em3d", Pressure: 90, Scale: goldenScale}, runAllocs},
-		{"tiered", Config{Arch: ASCOMA, Workload: "uniform", Pressure: 50, Scale: goldenScale, Tiers: tiers, PagePolicy: "hybrid"}, runAllocs},
 		{"observed", Config{Arch: ASCOMA, Workload: "uniform", Pressure: 50, Scale: 64, Obs: NewRecording(1<<14, 0)}, runAllocs},
 		{"resident", Config{Arch: ASCOMA, Workload: "resident", Pressure: 30, Scale: 1, Quantum: 1000}, runAllocs},
 	}...)

@@ -31,7 +31,6 @@ import (
 
 	"ascoma/internal/core"
 	"ascoma/internal/machine"
-	"ascoma/internal/mem"
 	"ascoma/internal/obs"
 	"ascoma/internal/params"
 	"ascoma/internal/stats"
@@ -109,29 +108,7 @@ type Config struct {
 	Obs *Recording `json:"-"`
 	// Deprecated: runs are sequential; ignored.
 	Cores int `json:"-"`
-
-	// Tiers partitions each node's physical memory into asymmetric tiers,
-	// fastest first (see TierSpec): new pages allocate into the fastest
-	// tier with headroom, the pageout daemon demotes cold pages tier-down
-	// before evicting, and hot slow-tier pages are promoted back up. Nil
-	// is the paper's uniform memory, one tier at Params.LocalMemCycles —
-	// and, being omitempty, leaves the content-addressed cache key of
-	// every pre-tier config unchanged.
-	Tiers []TierSpec `json:"tiers,omitempty"`
-	// PagePolicy selects the per-bank DRAM row-buffer page policy:
-	// "open", "closed", "hybrid", or ""/"none" for no row-buffer
-	// modeling. With no Tiers it applies to the default single tier.
-	PagePolicy string `json:"pagePolicy,omitempty"`
 }
-
-// TierSpec describes one memory tier (capacity share plus asymmetric
-// read/write latencies); see internal/mem.
-type TierSpec = mem.TierSpec
-
-// ParseTiers parses the CLI tier syntax
-// "capPct:readCycles:writeCycles,..." (fastest tier first; capacities
-// must sum to 100). An empty string returns nil (the default one tier).
-func ParseTiers(s string) ([]TierSpec, error) { return mem.ParseTiers(s) }
 
 // Recording re-exports the observability container (see internal/obs): a
 // flight-recorder event ring plus per-node epoch probe series, filled in
@@ -218,19 +195,10 @@ func RunGenerator(cfg Config, gen workload.Generator) (*Result, error) {
 
 // RunGeneratorContext is RunGenerator under a context (see RunContext).
 func RunGeneratorContext(ctx context.Context, cfg Config, gen workload.Generator) (*Result, error) {
-	pol, err := mem.ParsePolicy(cfg.PagePolicy)
-	if err != nil {
-		return nil, err
-	}
-	if err := mem.ValidateTiers(cfg.Tiers); err != nil {
-		return nil, err
-	}
 	mcfg := machine.Config{
 		Arch:           cfg.Arch,
 		Pressure:       cfg.Pressure,
 		Params:         cfg.Params,
-		Tiers:          cfg.Tiers,
-		PagePolicy:     pol,
 		MaxCycles:      cfg.MaxCycles,
 		Quantum:        cfg.Quantum,
 		SampleInterval: cfg.SampleInterval,

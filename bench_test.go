@@ -362,28 +362,6 @@ func BenchmarkHotPath(b *testing.B) {
 	b.ReportMetric(float64(refs)/b.Elapsed().Seconds(), "refs/sec")
 }
 
-// BenchmarkHotPathTiered is BenchmarkHotPath on asymmetric two-tier
-// memory with the hybrid row-buffer policy: the delta against
-// BenchmarkHotPath is the full cost of tier resolution, row-buffer state,
-// and promotion/demotion bookkeeping on the per-reference path.
-func BenchmarkHotPathTiered(b *testing.B) {
-	b.ReportAllocs()
-	tiers := []TierSpec{
-		{CapacityPct: 30, ReadCycles: 40, WriteCycles: 60},
-		{CapacityPct: 70, ReadCycles: 120, WriteCycles: 300},
-	}
-	var refs int64
-	for i := 0; i < b.N; i++ {
-		res, err := Run(Config{Arch: ASCOMA, Workload: "uniform", Pressure: 50,
-			Scale: benchScale, Tiers: tiers, PagePolicy: "hybrid"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		refs += res.Counter(func(n *stats.Node) int64 { return n.SharedRefs + n.PrivateRefs })
-	}
-	b.ReportMetric(float64(refs)/b.Elapsed().Seconds(), "refs/sec")
-}
-
 // BenchmarkHotPathRecorded is BenchmarkHotPath with a live flight recorder
 // and epoch probes attached: the delta against BenchmarkHotPath is the
 // full observability overhead. The recorder is preallocated outside the

@@ -124,36 +124,6 @@ func summary(path string, rec *obs.Recording) {
 		}
 		fmt.Printf("  %-14s [%d..%d] %s\n", p, lo, hi, obs.Sparkline(series, width))
 	}
-
-	// Derived series for tiered-memory traces: the machine-wide row-buffer
-	// hit rate in percent (cumulative hits over hits+conflicts, summed
-	// across nodes). Traces without a page policy carry all-zero row
-	// probes and skip it.
-	rate := make([]int64, ep.Len())
-	active := false
-	for e := 0; e < ep.Len(); e++ {
-		var hits, conf int64
-		for n := 0; n < ep.Nodes(); n++ {
-			hits += ep.Value(obs.ProbeRowHits, e, n)
-			conf += ep.Value(obs.ProbeRowConflicts, e, n)
-		}
-		if hits+conf > 0 {
-			rate[e] = 100 * hits / (hits + conf)
-			active = true
-		}
-	}
-	if active {
-		lo, hi := rate[0], rate[0]
-		for _, v := range rate[1:] {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		fmt.Printf("  %-14s [%d%%..%d%%] %s\n", "row_hit_rate", lo, hi, obs.Sparkline(rate, width))
-	}
 }
 
 // eventsCSV writes every stored event as one CSV row. The A and B payload

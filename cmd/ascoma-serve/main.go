@@ -1,5 +1,5 @@
 // Command ascoma-serve exposes the simulator as an HTTP service backed by
-// the shared run-orchestration layer: a bounded worker pool, a tiered
+// the shared run-orchestration layer: a bounded worker pool, a layered
 // content-addressed result cache (memory LRU, optional -cachedir disk
 // layer, optional -peers HTTP workers sharing the store), per-request
 // timeouts, an async job farm, and graceful drain on SIGTERM/SIGINT.

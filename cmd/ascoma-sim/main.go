@@ -35,18 +35,11 @@ func main() {
 	trace := flag.String("trace", "", "record a flight-recorder trace to this file (inspect with ascoma-inspect)")
 	epoch := flag.Int64("epoch", 0, "with -trace, sample per-node epoch probes every N cycles (0 = events only)")
 	quantum := flag.Int64("quantum", 0, "cycles per node timeslice (0 = the 100-cycle default; changes simulated results)")
-	tiers := flag.String("tiers", "", "memory tiers as capPct:readCycles:writeCycles,... fastest first (empty = one tier at the local memory latency)")
-	pagePolicy := flag.String("pagepolicy", "", "DRAM row-buffer page policy: open, closed, hybrid (empty = off)")
 	refs := flag.Bool("refs", false, "with -trace, also store the run's reference streams in the trace file (replay with -replay)")
 	replay := flag.String("replay", "", "simulate the reference streams stored in this trace file instead of -workload/-scale")
 	flag.Parse()
 
 	a, err := ascoma.ParseArch(*arch)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	tierSpecs, err := ascoma.ParseTiers(*tiers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -89,12 +82,10 @@ func main() {
 		os.Exit(1)
 	}
 	res, err := ascoma.RunGenerator(ascoma.Config{
-		Arch:       a,
-		Pressure:   *pressure,
-		Quantum:    *quantum,
-		Obs:        rec,
-		Tiers:      tierSpecs,
-		PagePolicy: *pagePolicy,
+		Arch:     a,
+		Pressure: *pressure,
+		Quantum:  *quantum,
+		Obs:      rec,
 	}, gen)
 	if perr := stopProf(); perr != nil {
 		fmt.Fprintln(os.Stderr, perr)

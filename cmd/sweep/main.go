@@ -1,11 +1,12 @@
 // Command sweep regenerates the paper's evaluation: the architecture ×
 // memory-pressure grids behind Figures 2 and 3 (relative execution time and
-// where misses were satisfied, per application), Tables 5 and 6 (workload
-// inventory and relocated-page counts), and the extension sensitivity
-// studies. Runs execute in parallel across CPUs through the shared
-// run-orchestration layer: Ctrl-C cancels outstanding simulations, and
-// -cachedir memoizes results on disk so a repeated sweep re-simulates
-// nothing. The rendering lives in internal/report; this command only
+// where misses were satisfied, per application), Tables 1-6 (the overhead
+// model, cost and complexity, configured characteristics, minimum
+// latencies, workload inventory and relocated-page counts), and the
+// extension sensitivity studies. Runs execute in parallel across CPUs
+// through the shared run-orchestration layer: Ctrl-C cancels outstanding
+// simulations, and -cachedir memoizes results on disk so a repeated sweep
+// re-simulates nothing. The rendering lives in internal/report; this command only
 // parses flags.
 //
 // Usage:
@@ -14,6 +15,10 @@
 //	sweep -fig 2                 # barnes, em3d, fft
 //	sweep -fig 3                 # lu, ocean, radix
 //	sweep -app radix             # one application
+//	sweep -table 1               # Table 1: remote-overhead model
+//	sweep -table 2               # Table 2: cost and complexity
+//	sweep -table 3               # Table 3: cache and network characteristics
+//	sweep -table 4               # Table 4: minimum access latency
 //	sweep -table 5               # Table 5: programs and problem sizes
 //	sweep -table 6               # Table 6: remote vs relocated pages
 //	sweep -chart                 # paper-style stacked bar charts
@@ -33,7 +38,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
-	"strconv"
 	"strings"
 	"syscall"
 
@@ -47,7 +51,7 @@ import (
 var (
 	fig         = flag.Int("fig", 0, "figure to regenerate (2 or 3; 0 = both)")
 	app         = flag.String("app", "", "run a single application")
-	table       = flag.Int("table", 0, "table to regenerate (5 or 6) instead of figures")
+	table       = flag.Int("table", 0, "table to regenerate (1-6) instead of figures")
 	scale       = flag.Int("scale", 1, "problem-size divisor (1 = paper scale)")
 	pressures   = flag.String("pressures", "10,30,50,70,90", "comma-separated memory pressures")
 	csv         = flag.Bool("csv", false, "emit CSV instead of aligned tables")
@@ -58,11 +62,6 @@ var (
 	cacheDir    = flag.String("cachedir", "", "persist simulation results in this directory and reuse them across invocations")
 	cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	tiers       = flag.String("tiers", "", "run every cell under tiered memory: capPct:readCycles:writeCycles,... fastest first")
-	pagePolicy  = flag.String("pagepolicy", "", "DRAM row-buffer page policy for every cell: open, closed, hybrid (empty = off)")
-	tierGrid    = flag.Bool("tiergrid", false, "render the tiered-memory adaptation grid (fast-share x asymmetry x pressure) instead of figures")
-	fastShares  = flag.String("fastshares", "", "with -tiergrid, comma-separated fast-tier capacity shares in percent (default 25,50,75)")
-	asymmetries = flag.String("asymmetries", "", "with -tiergrid, comma-separated slow-tier latency multiples (default 2,4,8)")
 )
 
 // stopProf finishes any active profiles; fail() runs it before os.Exit so a
@@ -92,10 +91,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	tierSpecs, err := ascoma.ParseTiers(*tiers)
-	if err != nil {
-		fail(err)
-	}
 
 	// The cache publishes its counters (hits, sims, cells shared) into a
 	// metrics registry; the exit report renders that registry — the same
@@ -118,8 +113,7 @@ func main() {
 		}()
 	}
 	runner := &runcache.Runner{Cache: cache, Jobs: *jobs}
-	opts := report.Options{Scale: *scale, Pressures: plist, Jobs: *jobs, Runner: runner,
-		Tiers: tierSpecs, PagePolicy: *pagePolicy}
+	opts := report.Options{Scale: *scale, Pressures: plist, Jobs: *jobs, Runner: runner}
 	switch {
 	case *csv:
 		opts.Format = "csv"
@@ -139,30 +133,8 @@ func main() {
 		apps = report.FigureApps(*fig)
 	}
 
-	switch *table {
-	case 5:
-		run(report.Table5(ctx, os.Stdout, apps, opts))
-		return
-	case 6:
-		run(report.Table6(ctx, os.Stdout, apps, opts))
-		return
-	case 0:
-	default:
-		fail(fmt.Errorf("sweep: unknown table %d (5 or 6)", *table))
-	}
-
-	if *tierGrid {
-		shares, err := parseAxis("fastshares", *fastShares)
-		if err != nil {
-			fail(err)
-		}
-		asyms, err := parseAxis("asymmetries", *asymmetries)
-		if err != nil {
-			fail(err)
-		}
-		for _, a := range apps {
-			run(report.TierGrid(ctx, os.Stdout, a, shares, asyms, opts))
-		}
+	if *table != 0 {
+		run(report.Table(ctx, os.Stdout, *table, apps, opts))
 		return
 	}
 
@@ -210,23 +182,6 @@ func writeSVGs(ctx context.Context, dir, app string, opts report.Options) error 
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s_time.svg and %s_misses.svg to %s\n", app, app, dir)
 	return nil
-}
-
-// parseAxis parses a comma-separated list of positive integers for the
-// tier-grid axes; empty selects the report package's default axis.
-func parseAxis(name, s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("sweep: bad -%s value %q", name, f)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 func run(err error) {

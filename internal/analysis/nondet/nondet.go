@@ -36,7 +36,6 @@ import (
 // checksums pin.
 var DeterministicPackages = []string{
 	"ascoma/internal/sim",
-	"ascoma/internal/mem",
 	"ascoma/internal/machine",
 	"ascoma/internal/directory",
 	"ascoma/internal/cache",

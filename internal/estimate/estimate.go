@@ -23,7 +23,6 @@ package estimate
 import (
 	"errors"
 
-	"ascoma/internal/mem"
 	"ascoma/internal/model"
 	"ascoma/internal/params"
 	"ascoma/internal/stats"
@@ -102,11 +101,6 @@ type Estimator struct {
 	dTot [maxNodes]int64 // distinct remote pages
 
 	baseline int64 // CC-NUMA execution time (pressure-independent)
-
-	// memAdj is the tiered-memory adjustment to the effective local
-	// memory latency (SetTiers); 0 on flat configurations, which keeps
-	// every pre-tier prediction bit-identical.
-	memAdj int64
 }
 
 // New builds an estimator for prof under p. The profile replay has
@@ -134,48 +128,6 @@ func New(prof *workload.Profile, p params.Params) (*Estimator, error) {
 
 // Profile returns the profile the estimator was built from.
 func (e *Estimator) Profile() *workload.Profile { return e.prof }
-
-// SetTiers folds a tiered-memory configuration into the model as an
-// effective local-memory latency shift and recomputes the CC-NUMA
-// baseline under it. The analytical model does not track per-page tier
-// residency; it charges every memory access the capacity-weighted mean
-// tier latency (TierMemAdjust), which matches the simulator's steady
-// state once placement has spread pages across tiers. A nil spec with
-// PolicyNone restores the flat model exactly.
-func (e *Estimator) SetTiers(specs []mem.TierSpec, pol mem.Policy) {
-	e.memAdj = TierMemAdjust(&e.p, specs, pol)
-	base := e.Predict(params.CCNUMA, 50)
-	e.baseline = base.ExecTime
-}
-
-// TierMemAdjust returns the shift in effective local-memory latency a
-// tier configuration induces: the capacity-weighted mean of each tier's
-// latencies under a 3:1 read:write mix, scaled by the row-buffer
-// policy's expected hit economy (open rows convert most same-row
-// accesses to fast hits; the hybrid predictor captures a little less;
-// closed pages always pay the full activate), minus the flat
-// LocalMemCycles the unadjusted model already charges.
-func TierMemAdjust(p *params.Params, specs []mem.TierSpec, pol mem.Policy) int64 {
-	if len(specs) == 0 {
-		if pol == mem.PolicyNone {
-			return 0
-		}
-		// A policy without tiers models row buffers on one flat tier.
-		specs = []mem.TierSpec{{CapacityPct: 100, ReadCycles: p.LocalMemCycles, WriteCycles: p.LocalMemCycles}}
-	}
-	var eff int64
-	for _, ts := range specs {
-		eff += int64(ts.CapacityPct) * (3*ts.ReadCycles + ts.WriteCycles) / 4
-	}
-	eff /= 100
-	switch pol {
-	case mem.PolicyOpen:
-		eff = eff * 85 / 100
-	case mem.PolicyHybrid:
-		eff = eff * 90 / 100
-	}
-	return eff - p.LocalMemCycles
-}
 
 // TotalPages returns the per-node physical page count at the given
 // pressure, mirroring the machine's sizing rule.
@@ -225,8 +177,8 @@ func (e *Estimator) Predict(arch params.Arch, pressure int) Prediction {
 	prof := e.prof
 	nodes := prof.Nodes
 
-	tLocal := int64(p.BusCycles+p.LocalMemCycles) + e.memAdj
-	tRemote := int64(p.RemoteMemCycles()) + e.memAdj
+	tLocal := int64(p.BusCycles + p.LocalMemCycles)
+	tRemote := int64(p.RemoteMemCycles())
 	tFault := int64(p.PageFaultCycles)
 	tL1 := int64(p.L1HitCycles)
 
@@ -336,11 +288,10 @@ func (e *Estimator) nodeCost(ac *archCost, arch params.Arch, n int, pool, cap, c
 	np := &e.prof.PerNode[n]
 	*ac = archCost{remotePages: np.RemotePages}
 
-	tLocal := int64(p.BusCycles+p.LocalMemCycles) + e.memAdj
+	tLocal := int64(p.BusCycles + p.LocalMemCycles)
 	// Remote fetches queue at the bus, directory, memory banks, and
-	// network ports; the loaded latency runs above the unloaded sum. The
-	// home's memory access shifts with the tier adjustment too.
-	tRemote := (int64(p.RemoteMemCycles()) + e.memAdj) * (100 + contendPct) / 100
+	// network ports; the loaded latency runs above the unloaded sum.
+	tRemote := int64(p.RemoteMemCycles()) * (100 + contendPct) / 100
 	tRAC := int64(p.RACHitCycles)
 	tFault := int64(p.PageFaultCycles)
 	tInt := int64(p.InterruptCycles)

@@ -342,18 +342,6 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 		runner = func(j *Job, ctx context.Context) (any, error) {
 			return m.runFigure(j, ctx, fig)
 		}
-	case spec.TierGrid != nil:
-		if err := spec.TierGrid.validate(); err != nil {
-			return nil, err
-		}
-		tg := *spec.TierGrid
-		total = tg.cellCount()
-		if total > m.opts.MaxCells {
-			return nil, badSpec("tier grid expands to %d cells, exceeding the per-job bound %d", total, m.opts.MaxCells)
-		}
-		runner = func(j *Job, ctx context.Context) (any, error) {
-			return m.runTierGrid(j, ctx, tg)
-		}
 	}
 
 	m.mu.Lock()
@@ -524,30 +512,6 @@ func (m *Manager) runFigure(j *Job, ctx context.Context, fig FigureSpec) (any, e
 		j.emit(Event{Type: "cell", Cell: &CellEvent{Index: -1, Done: done, Total: total}})
 	}
 	if err := report.Figure(ctx, &buf, fig.App, opts); err != nil {
-		return nil, err
-	}
-	return buf.String(), nil
-}
-
-// runTierGrid renders the tiered-memory adaptation grid through the
-// report package; like figure jobs, per-cell completions stream as
-// progress events and the rendered document is the result.
-func (m *Manager) runTierGrid(j *Job, ctx context.Context, tg TierGridSpec) (any, error) {
-	var buf strings.Builder
-	opts := report.Options{
-		Runner:     m.runner,
-		Scale:      tg.Scale,
-		Pressures:  tg.Pressures,
-		Format:     tg.Format,
-		PagePolicy: tg.PagePolicy,
-		Progress: func(done, total int) {
-			j.mu.Lock()
-			j.cellsDone, j.cellsTot = done, total
-			j.mu.Unlock()
-			j.emit(Event{Type: "cell", Cell: &CellEvent{Index: -1, Done: done, Total: total}})
-		},
-	}
-	if err := report.TierGrid(ctx, &buf, tg.App, tg.FastShares, tg.Asymmetries, opts); err != nil {
 		return nil, err
 	}
 	return buf.String(), nil

@@ -14,7 +14,6 @@ import (
 
 	"ascoma"
 	"ascoma/internal/estimate"
-	"ascoma/internal/mem"
 	"ascoma/internal/params"
 	"ascoma/internal/report"
 	"ascoma/internal/runcache"
@@ -69,31 +68,12 @@ type RunSpec struct {
 	// the probes fill) but still populate the cache on completion. Only
 	// the async jobs endpoint honours it; POST /api/v1/run rejects it.
 	EpochInterval int64 `json:"epochInterval,omitempty"`
-	// Tiers and PagePolicy select the tiered-memory model
-	// (ascoma.Config.Tiers/PagePolicy); both empty = the default one tier.
-	Tiers      []ascoma.TierSpec `json:"tiers,omitempty"`
-	PagePolicy string            `json:"pagePolicy,omitempty"`
 }
 
 // checkWorkload rejects a workload name that is not registered.
 func checkWorkload(name string) error {
 	if !workload.Registered(name) {
 		return badSpec("unknown workload %q (registered: %s)", name, strings.Join(ascoma.Workloads(), ", "))
-	}
-	return nil
-}
-
-// checkTiers is the shared tier-spec gate for every arm that accepts a
-// tiered-memory configuration: internal/mem's bounds (capacities positive
-// and summing to 100, latencies positive, at most mem.MaxTiers tiers,
-// known policy name) surfaced as ValidationErrors so the HTTP layer
-// answers 400, not 500.
-func checkTiers(tiers []ascoma.TierSpec, policy string) error {
-	if _, err := mem.ParsePolicy(policy); err != nil {
-		return badSpec("%v", err)
-	}
-	if err := mem.ValidateTiers(tiers); err != nil {
-		return badSpec("%v", err)
 	}
 	return nil
 }
@@ -123,9 +103,6 @@ func (r RunSpec) Config() (ascoma.Config, error) {
 	if err := checkInterval("epochInterval", r.EpochInterval); err != nil {
 		return ascoma.Config{}, err
 	}
-	if err := checkTiers(r.Tiers, r.PagePolicy); err != nil {
-		return ascoma.Config{}, err
-	}
 	return ascoma.Config{
 		Arch:           arch,
 		Workload:       r.Workload,
@@ -133,8 +110,6 @@ func (r RunSpec) Config() (ascoma.Config, error) {
 		Scale:          r.Scale,
 		MaxCycles:      r.MaxCycles,
 		SampleInterval: r.SampleInterval,
-		Tiers:          r.Tiers,
-		PagePolicy:     r.PagePolicy,
 	}, nil
 }
 
@@ -159,9 +134,6 @@ type GridSpec struct {
 	Pressures []int    `json:"pressures,omitempty"`
 	Scale     int      `json:"scale"`
 	MaxCycles int64    `json:"maxCycles,omitempty"`
-	// Tiers and PagePolicy apply the tiered-memory model to every cell.
-	Tiers      []ascoma.TierSpec `json:"tiers,omitempty"`
-	PagePolicy string            `json:"pagePolicy,omitempty"`
 }
 
 // figureArchs are the pressure-sensitive architectures of the paper's
@@ -193,9 +165,6 @@ func (g GridSpec) cells(maxCells int) ([]ascoma.Config, error) {
 	if g.MaxCycles < 0 || g.MaxCycles > MaxCycleBound {
 		return nil, badSpec("maxCycles %d out of range [0,%d]", g.MaxCycles, MaxCycleBound)
 	}
-	if err := checkTiers(g.Tiers, g.PagePolicy); err != nil {
-		return nil, err
-	}
 
 	var archs []ascoma.Arch
 	baseline := false
@@ -225,7 +194,6 @@ func (g GridSpec) cells(maxCells int) ([]ascoma.Config, error) {
 		cells = append(cells, ascoma.Config{
 			Arch: arch, Workload: app, Pressure: pressure,
 			Scale: g.Scale, MaxCycles: g.MaxCycles,
-			Tiers: g.Tiers, PagePolicy: g.PagePolicy,
 		})
 	}
 	for _, app := range apps {
@@ -249,10 +217,6 @@ type FigureSpec struct {
 	Format    string `json:"format,omitempty"` // "", "table", "csv", "chart"
 	Scale     int    `json:"scale"`
 	Pressures []int  `json:"pressures,omitempty"`
-	// Tiers and PagePolicy render the figure under the tiered-memory
-	// model (report.Options.Tiers/PagePolicy).
-	Tiers      []ascoma.TierSpec `json:"tiers,omitempty"`
-	PagePolicy string            `json:"pagePolicy,omitempty"`
 }
 
 func (f FigureSpec) validate() error {
@@ -272,7 +236,7 @@ func (f FigureSpec) validate() error {
 			return badSpec("pressure %d out of range [1,99]", p)
 		}
 	}
-	return checkTiers(f.Tiers, f.PagePolicy)
+	return nil
 }
 
 // ReportOptions validates the spec and converts it to report.Options —
@@ -283,87 +247,18 @@ func (f FigureSpec) ReportOptions(runner *runcache.Runner) (report.Options, erro
 		return report.Options{}, err
 	}
 	return report.Options{
-		Runner:     runner,
-		Scale:      f.Scale,
-		Pressures:  f.Pressures,
-		Format:     f.Format,
-		Tiers:      f.Tiers,
-		PagePolicy: f.PagePolicy,
+		Runner:    runner,
+		Scale:     f.Scale,
+		Pressures: f.Pressures,
+		Format:    f.Format,
 	}, nil
-}
-
-// TierGridSpec renders the tiered-memory adaptation grid (report.TierGrid)
-// asynchronously: the fast-tier capacity share x latency-asymmetry x
-// pressure sweep for one application across all six architectures.
-type TierGridSpec struct {
-	App       string `json:"app"`
-	Format    string `json:"format,omitempty"` // "", "table", "csv"
-	Scale     int    `json:"scale"`
-	Pressures []int  `json:"pressures,omitempty"`
-	// FastShares is the fast tier's capacity-share axis in percent
-	// (default 25,50,75); Asymmetries the slow tier's read-latency
-	// multiple (default 2,4,8).
-	FastShares  []int `json:"fastShares,omitempty"`
-	Asymmetries []int `json:"asymmetries,omitempty"`
-	// PagePolicy is the row-buffer policy every tiered cell runs under
-	// ("" = the grid's "open" default).
-	PagePolicy string `json:"pagePolicy,omitempty"`
-}
-
-// maxTierAxis bounds each tier-grid axis; beyond it the cell count, not
-// the rendering, is the problem — use several jobs.
-const maxTierAxis = 16
-
-func (t TierGridSpec) validate() error {
-	if err := checkWorkload(t.App); err != nil {
-		return err
-	}
-	switch t.Format {
-	case "", "table", "csv":
-	default:
-		return badSpec("unknown tier-grid format %q (table, csv)", t.Format)
-	}
-	if t.Scale < 0 || t.Scale > MaxScale {
-		return badSpec("scale %d out of range [0,%d]", t.Scale, MaxScale)
-	}
-	for _, p := range t.Pressures {
-		if p < 1 || p > 99 {
-			return badSpec("pressure %d out of range [1,99]", p)
-		}
-	}
-	if len(t.FastShares) > maxTierAxis || len(t.Asymmetries) > maxTierAxis {
-		return badSpec("tier-grid axes bounded at %d values each", maxTierAxis)
-	}
-	for _, s := range t.FastShares {
-		if s < 1 || s > 99 {
-			return badSpec("fast share %d%% out of range [1,99]", s)
-		}
-	}
-	for _, a := range t.Asymmetries {
-		if a < 1 || a > 1024 {
-			return badSpec("asymmetry %d out of range [1,1024]", a)
-		}
-	}
-	if _, err := mem.ParsePolicy(t.PagePolicy); err != nil {
-		return badSpec("%v", err)
-	}
-	return nil
-}
-
-// cellCount is the grid's simulation count (for job progress totals):
-// per pressure and architecture, one flat baseline plus one cell per
-// share x asymmetry combination.
-func (t TierGridSpec) cellCount() int {
-	shares, asyms := report.TierAxes(t.FastShares, t.Asymmetries)
-	return 6 * len(report.PressureAxis(t.Pressures)) * (1 + len(shares)*len(asyms))
 }
 
 // Spec is the POST /api/v1/jobs body: exactly one arm set.
 type Spec struct {
-	Run      *RunSpec      `json:"run,omitempty"`
-	Grid     *GridSpec     `json:"grid,omitempty"`
-	Figure   *FigureSpec   `json:"figure,omitempty"`
-	TierGrid *TierGridSpec `json:"tierGrid,omitempty"`
+	Run    *RunSpec    `json:"run,omitempty"`
+	Grid   *GridSpec   `json:"grid,omitempty"`
+	Figure *FigureSpec `json:"figure,omitempty"`
 }
 
 // Kind names the populated arm.
@@ -375,21 +270,19 @@ func (s Spec) Kind() string {
 		return "grid"
 	case s.Figure != nil:
 		return "figure"
-	case s.TierGrid != nil:
-		return "tiergrid"
 	}
 	return ""
 }
 
 func (s Spec) validateShape() error {
 	n := 0
-	for _, set := range []bool{s.Run != nil, s.Grid != nil, s.Figure != nil, s.TierGrid != nil} {
+	for _, set := range []bool{s.Run != nil, s.Grid != nil, s.Figure != nil} {
 		if set {
 			n++
 		}
 	}
 	if n != 1 {
-		return badSpec(`spec must set exactly one of "run", "grid", "figure", or "tierGrid"`)
+		return badSpec(`spec must set exactly one of "run", "grid", or "figure"`)
 	}
 	return nil
 }
@@ -405,11 +298,6 @@ type EstimateSpec struct {
 	Archs     []string `json:"archs,omitempty"`
 	Pressures []int    `json:"pressures,omitempty"`
 	Scale     int      `json:"scale"`
-	// Tiers and PagePolicy fold a tiered-memory configuration into the
-	// model (estimate.SetTiers): predictions shift by the capacity-
-	// weighted effective latency the tier mix induces.
-	Tiers      []ascoma.TierSpec `json:"tiers,omitempty"`
-	PagePolicy string            `json:"pagePolicy,omitempty"`
 }
 
 // estimateArchs is the default architecture axis of an estimate: the
@@ -419,7 +307,7 @@ var estimateArchs = []ascoma.Arch{ascoma.CCNUMA, ascoma.SCOMA, ascoma.RNUMA, asc
 // Normalize validates the spec and returns its canonical form: Archs
 // resolved to their canonical names and de-duplicated in request order
 // (the six golden architectures when empty), Pressures the axis
-// report.PressureAxis runs, Scale at least 1, and empty Tiers nil. The
+// report.PressureAxis runs, and Scale at least 1. The
 // canonical form asks for exactly the predictions the spec does, and
 // Normalize is idempotent, so the JSON of a normalized spec is a key for
 // its reply. Every error is a ValidationError.
@@ -435,9 +323,6 @@ func (e EstimateSpec) normalize() (EstimateSpec, []ascoma.Arch, error) {
 	}
 	if e.Scale < 0 || e.Scale > MaxScale {
 		return EstimateSpec{}, nil, badSpec("scale %d out of range [0,%d]", e.Scale, MaxScale)
-	}
-	if err := checkTiers(e.Tiers, e.PagePolicy); err != nil {
-		return EstimateSpec{}, nil, err
 	}
 	archs := estimateArchs
 	if len(e.Archs) > 0 {
@@ -458,17 +343,13 @@ func (e EstimateSpec) normalize() (EstimateSpec, []ascoma.Arch, error) {
 		}
 	}
 	n := EstimateSpec{
-		Workload:   e.Workload,
-		Archs:      make([]string, len(archs)),
-		Pressures:  report.PressureAxis(e.Pressures),
-		Scale:      max(e.Scale, 1),
-		PagePolicy: e.PagePolicy,
+		Workload:  e.Workload,
+		Archs:     make([]string, len(archs)),
+		Pressures: report.PressureAxis(e.Pressures),
+		Scale:     max(e.Scale, 1),
 	}
 	for i, arch := range archs {
 		n.Archs[i] = arch.String()
-	}
-	if len(e.Tiers) > 0 {
-		n.Tiers = e.Tiers
 	}
 	return n, archs, nil
 }
@@ -487,10 +368,6 @@ func (e EstimateSpec) Predictions() ([]estimate.Prediction, error) {
 	est, err := estimate.New(prof, params.Default())
 	if err != nil {
 		return nil, fmt.Errorf("jobs: estimator for %s: %w", n.Workload, err)
-	}
-	if len(n.Tiers) > 0 || n.PagePolicy != "" {
-		pol, _ := mem.ParsePolicy(n.PagePolicy) // validated above
-		est.SetTiers(n.Tiers, pol)
 	}
 	preds := make([]estimate.Prediction, 0, len(archs)*len(n.Pressures))
 	for _, arch := range archs {

@@ -155,8 +155,4 @@ func TestDedupeSorted(t *testing.T) {
 	if got := report.PressureAxis(nil); !reflect.DeepEqual(got, report.DefaultPressures) {
 		t.Errorf("PressureAxis(nil) = %v", got)
 	}
-	shares, asyms := report.TierAxes([]int{75, 25, 75}, nil)
-	if !reflect.DeepEqual(shares, []int{25, 75}) || !reflect.DeepEqual(asyms, report.DefaultAsymmetries) {
-		t.Errorf("TierAxes = %v, %v", shares, asyms)
-	}
 }

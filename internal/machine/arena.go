@@ -1,7 +1,7 @@
 // The machine arena: a sync.Pool-backed recycler for per-run machine state.
 //
 // A figure grid runs one app's machines back to back across every pressure,
-// architecture, tier config and page policy; before the arena, every cell
+// architecture and ablation; before the arena, every cell
 // rebuilt the dense page tables, directory chunks, L1 arrays and event queue
 // from scratch — construction allocations that rival the simulation itself
 // at benchmark scale. Released machines park here keyed by the sizes their
@@ -11,7 +11,7 @@
 // Recycling is exact: every component exposes a Reset that restores its
 // just-built state, including the event queue's deterministic tie-break
 // sequence, and New applies every run parameter (page count, thresholds,
-// tier specs, page policy) to fresh and recycled machines alike, so a
+// bank count) to fresh and recycled machines alike, so a
 // recycled machine is bit-identical in behaviour to a fresh one — the
 // golden-determinism matrix (which runs every config twice, the second
 // time on recycled state) holds it to that.
@@ -101,7 +101,6 @@ func (m *Machine) recycle() {
 		nd.blocked = 0
 		nd.arriveTime = 0
 		nd.invGen = 0
-		nd.prevRowConf = 0
 	}
 	m.q.Reset()
 	m.locks.Reset()

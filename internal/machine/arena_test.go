@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"testing"
 
-	"ascoma/internal/mem"
 	"ascoma/internal/obs"
 	"ascoma/internal/params"
 	"ascoma/internal/workload"
@@ -55,10 +54,10 @@ func recordedRun(t *testing.T, cfg Config, gen workload.Generator) (*Machine, []
 // TestArenaRecycleAcrossRunParams pins that a machine recycled from a cell
 // with different run parameters runs exactly as a fresh one: same stats,
 // same recorded events and epoch series. The arena key holds only
-// allocation sizes, so the earlier cell may differ in pressure, tiers and
-// page policy, and also in footprint: a larger or smaller scale of the same
-// app, or another app on the same node count, leaves table entries the
-// recycled run must not see.
+// allocation sizes, so the earlier cell may differ in pressure, and also
+// in footprint: a larger or smaller scale of the same app, or another app
+// on the same node count, leaves table entries the recycled run must not
+// see.
 func TestArenaRecycleAcrossRunParams(t *testing.T) {
 	gen := func(app string, scale int) workload.Generator {
 		t.Helper()
@@ -70,13 +69,7 @@ func TestArenaRecycleAcrossRunParams(t *testing.T) {
 	}
 	cellB := Config{Arch: params.ASCOMA, Pressure: 10, MaxCycles: 1 << 40}
 	genB := gen("fft", 8)
-	cellA := Config{Arch: params.ASCOMA, Pressure: 90, MaxCycles: 1 << 40,
-		Tiers: []mem.TierSpec{
-			{CapacityPct: 30, ReadCycles: 40, WriteCycles: 60},
-			{CapacityPct: 70, ReadCycles: 120, WriteCycles: 300},
-		},
-		PagePolicy: mem.PolicyHybrid,
-	}
+	cellA := Config{Arch: params.ASCOMA, Pressure: 90, MaxCycles: 1 << 40}
 	cases := []struct {
 		name string
 		cfg  Config
@@ -122,9 +115,9 @@ func TestArenaRecycleAcrossRunParams(t *testing.T) {
 }
 
 // TestArenaKeyedByAllocationSize pins the arena's pool key: one app's cells
-// across pressures, tier configs, page policies and architectures share one
-// pool; a different node count adds one more, and a different home-page
-// footprint (another scale of the same app) adds none.
+// across pressures and architectures share one pool; a different node
+// count adds one more, and a different home-page footprint (another scale
+// of the same app) adds none.
 func TestArenaKeyedByAllocationSize(t *testing.T) {
 	build := func(app string, scale int, cfg Config) {
 		t.Helper()
@@ -138,21 +131,10 @@ func TestArenaKeyedByAllocationSize(t *testing.T) {
 		}
 		m.Release()
 	}
-	tierConfigs := [][]mem.TierSpec{nil, {
-		{CapacityPct: 30, ReadCycles: 40, WriteCycles: 60},
-		{CapacityPct: 70, ReadCycles: 120, WriteCycles: 300},
-	}}
-	policies := []mem.Policy{mem.PolicyNone, mem.PolicyOpen, mem.PolicyHybrid}
-
 	emptyArena()
 	for _, pressure := range []int{10, 30, 50, 70, 90} {
-		for _, tiers := range tierConfigs {
-			for _, pol := range policies {
-				for _, arch := range append(params.AllArchs(), params.MIGNUMA) {
-					build("fft", 8, Config{Arch: arch, Pressure: pressure,
-						Tiers: tiers, PagePolicy: pol})
-				}
-			}
+		for _, arch := range append(params.AllArchs(), params.MIGNUMA) {
+			build("fft", 8, Config{Arch: arch, Pressure: pressure})
 		}
 	}
 	if n := arenaKeys(); n != 1 {

@@ -28,16 +28,14 @@ func nodePages(resident, pressure int) int {
 //   - runDaemon: the wake branch on free < free_min, the healthy branch on
 //     free >= free_target, and NoteDaemonPass, which compares free with
 //     free_target;
-//   - the empty-pool failures of MapSCOMA, Upgrade and AdoptHomePage;
-//   - tier frame allocation, which fills tiers sized from nodePages.
+//   - the empty-pool failures of MapSCOMA, Upgrade and AdoptHomePage.
 //
 // If the pool's low-water mark lw (vm.LowFree) is at least free_target(P)
 // on every node, each of these reads has a fixed outcome in this run: the
 // daemon never wakes, the healthy branch always runs, AS-COMA's pool is
 // never empty, and no allocation fails. The same holds at P' when
 // lw − d >= free_target(P'), because the pool there never drops below that.
-// Tier allocation is fixed only with one tier, which spans the node. So
-// both runs take the same branch at every read, by induction over the
+// So both runs take the same branch at every read, by induction over the
 // event sequence, and produce the same statistics. The scan below stops at
 // the first failing P'; below P the test holds whenever it holds at P,
 // since pool(P') − free_target(P') grows with the node's page count when
@@ -76,11 +74,10 @@ func (m *Machine) PressureCeiling() int {
 // certifies reports whether the run's configuration lets it certify other
 // cells at all. Observed runs (Obs) and sampled runs (SampleInterval) carry
 // the pool's size and the policy's threshold in their outputs;
-// coherence-checked runs attach extra checks; multi-tier runs allocate
-// frames from tiers sized by the pressure.
+// and coherence-checked runs attach extra checks.
 func (m *Machine) certifies() bool {
 	c := &m.cfg
-	return c.Obs == nil && c.SampleInterval == 0 && !c.CheckCoherence && len(c.Tiers) <= 1
+	return c.Obs == nil && c.SampleInterval == 0 && !c.CheckCoherence
 }
 
 // SameArchs returns the architectures other than this run's whose

@@ -15,7 +15,6 @@ import (
 	"ascoma/internal/core"
 	"ascoma/internal/dense"
 	"ascoma/internal/directory"
-	"ascoma/internal/mem"
 	"ascoma/internal/network"
 	"ascoma/internal/obs"
 	"ascoma/internal/params"
@@ -30,13 +29,6 @@ type Config struct {
 	Arch     params.Arch
 	Pressure int           // memory pressure percent, 1..99
 	Params   params.Params // machine parameters (zero value -> params.Default())
-	// Tiers partitions each node's physical memory into asymmetric tiers
-	// (fastest first; see internal/mem). Nil is the paper's uniform
-	// memory: one tier at Params.LocalMemCycles.
-	Tiers []mem.TierSpec
-	// PagePolicy selects the per-bank row-buffer page policy of every
-	// tier (PolicyNone: no row-buffer modeling).
-	PagePolicy mem.Policy
 	// Quantum is the number of cycles one node advances before the run
 	// loop switches to the next node (0 -> 100). Nodes interact through
 	// shared resources whose next-free times advance with the requests
@@ -129,13 +121,12 @@ type node struct {
 	arriveTime     int64 // barrier/lock arrival time
 	lockNext       int32 // next node (id + 1, 0: none) parked on the mutex this node waits for
 	daemonInterval int64
-	prevThresh     int   // last relocation threshold seen by the flight recorder
-	prevRowConf    int64 // row conflicts at the last epoch boundary (EvRowConflict deltas)
+	prevThresh     int // last relocation threshold seen by the flight recorder
 
 	rac *cache.RAC
 	vmm *vm.VM
 	bus sim.Resource // split-transaction memory bus: BusCycles per transaction
-	mem mem.Memory   // embedded: one acquire per miss, no pointer chase
+	mem sim.Banked   // embedded: one acquire per miss, no pointer chase
 	dir sim.Resource // directory-controller occupancy at this node
 
 	// walk memoizes the last closed-form walk verification (see
@@ -241,24 +232,6 @@ func New(cfg Config, gen workload.Generator) (*Machine, error) {
 		cfg.Quantum = 100
 	}
 
-	// Effective tier configuration: no explicit tiers means one tier at
-	// the local memory latency. The default is applied here, not in the
-	// caller's config, so it never enters a runcache key.
-	tiers := cfg.Tiers
-	if len(tiers) == 0 {
-		tiers = []mem.TierSpec{{
-			CapacityPct: 100,
-			ReadCycles:  cfg.Params.LocalMemCycles,
-			WriteCycles: cfg.Params.LocalMemCycles,
-		}}
-	}
-	if err := mem.ValidateTiers(tiers); err != nil {
-		return nil, err
-	}
-	if cfg.PagePolicy > mem.PolicyHybrid {
-		return nil, fmt.Errorf("machine: unknown page policy %d", cfg.PagePolicy)
-	}
-
 	// Per-node memory sizing: home + private pages occupy Pressure% of
 	// the node's physical memory.
 	homePages := gen.HomePagesPerNode()
@@ -321,12 +294,10 @@ func New(cfg Config, gen workload.Generator) (*Machine, error) {
 		nd.daemonInterval = p.DaemonInterval
 		nd.prevThresh = nd.pols.Primary().Threshold()
 		// The run parameters, applied here for fresh and recycled
-		// machines alike. Configure must run on the Memory's final
-		// address: small bank counts store their banks inside the
-		// struct itself.
-		nd.mem.Configure(p.MemBanks, tiers, cfg.PagePolicy)
+		// machines alike. Init must run on the Banked's final address:
+		// small bank counts store their banks inside the struct itself.
+		nd.mem.Init(p.MemBanks)
 		nd.vmm.Reset(totalPages, p.FreeMinPct, p.FreeTargetPct)
-		nd.vmm.ConfigureTiers(tiers)
 		nd.vmm.SetRecorder(m.rec)
 		if err := nd.vmm.ReserveHome(resident); err != nil {
 			return nil, err
@@ -727,13 +698,13 @@ func (m *Machine) access(nd *node, ref workload.Ref, now int64) int64 {
 	var done int64
 	switch pte.Mode {
 	case vm.ModePrivate:
-		done = m.localAccess(nd, pte, block, write, now)
+		done = m.localAccess(nd, block, now)
 		nd.st.Time[stats.ULcMem] += done - now
 		m.l1Fill(nd, line, write, done)
 		return done
 
 	case vm.ModeHome:
-		done = m.localAccess(nd, pte, block, write, now)
+		done = m.localAccess(nd, block, now)
 		if write {
 			m.invHome, m.invDelay = nd.id, 0
 			if inv := m.dir.HomeWrite(block); inv > 0 {
@@ -748,7 +719,7 @@ func (m *Machine) access(nd *node, ref workload.Ref, now int64) int64 {
 			if owner, fetched := m.dir.HomeRead(block); fetched {
 				// Dirty at a remote owner: retrieve before supplying.
 				t := m.net.Send(nd.id, owner, done)
-				t = m.memAcquire(m.nodes[owner], block, t, false)
+				t = m.memAcquire(m.nodes[owner], block, t)
 				done = m.net.Send(owner, nd.id, t)
 			}
 			if m.checker != nil {
@@ -765,7 +736,7 @@ func (m *Machine) access(nd *node, ref workload.Ref, now int64) int64 {
 		switch {
 		case pte.BlockValid(bi) && (!write || pte.BlockOwned(bi)):
 			// Satisfied from the local page cache.
-			done = m.localAccess(nd, pte, block, write, now)
+			done = m.localAccess(nd, block, now)
 			nd.st.Misses[stats.SComa]++
 			pte.SComaHits++
 			if m.checker != nil {
@@ -773,14 +744,6 @@ func (m *Machine) access(nd *node, ref workload.Ref, now int64) int64 {
 				if write {
 					m.checker.onWrite(nd.id, block)
 				}
-			}
-			if pte.Tier > 0 && pte.SComaHits&(tierPromoteHits-1) == 0 {
-				// A slow-tier page earning steady page-cache hits is hot:
-				// move it up, charging the copy as kernel overhead (the
-				// relocate idiom — the access itself stays UShMem).
-				nd.st.Time[stats.UShMem] += done - now
-				m.l1Fill(nd, line, write, done)
-				return done + m.promote(nd, pte, done)
 			}
 		case pte.BlockValid(bi):
 			// Write to a clean cached block: ownership upgrade.
@@ -878,25 +841,17 @@ func (m *Machine) classify(nd *node, res directory.FetchResult) {
 }
 
 // localAccess models an access satisfied by this node's DRAM (home data,
-// page cache, or private data): bus transaction plus a memory-bank access
-// whose occupancy comes from the page's tier and the row-buffer policy.
-func (m *Machine) localAccess(nd *node, pte *vm.PTE, b addr.Block, write bool, now int64) int64 {
+// page cache, or private data): bus transaction plus a memory-bank access.
+func (m *Machine) localAccess(nd *node, b addr.Block, now int64) int64 {
 	t := nd.bus.Acquire(now, m.p.BusCycles)
-	return nd.mem.Acquire(int(pte.Tier), uint64(b), t, write)
+	return m.memAcquire(nd, b, t)
 }
 
-// memAcquire models a DRAM access at an arbitrary node for block b (remote
-// fetch supply, writeback landing, dirty-owner retrieval). With more than
-// one tier the block's tier is resolved through the serving node's page
-// table; with one it is always 0, and the lookup is skipped.
-func (m *Machine) memAcquire(nd *node, b addr.Block, t int64, write bool) int64 {
-	tier := 0
-	if nd.mem.NumTiers() > 1 {
-		if pte := nd.vmm.PageOfBlock(b); pte != nil {
-			tier = int(pte.Tier)
-		}
-	}
-	return nd.mem.Acquire(tier, uint64(b), t, write)
+// memAcquire models a DRAM access at node nd for block b (local access,
+// remote fetch supply, writeback landing, dirty-owner retrieval): the
+// block's bank is busy for LocalMemCycles.
+func (m *Machine) memAcquire(nd *node, b addr.Block, t int64) int64 {
+	return nd.mem.Acquire(uint64(b), t, m.p.LocalMemCycles)
 }
 
 // racAccess models a hit in the DSM controller's remote access cache.
@@ -943,10 +898,10 @@ func (m *Machine) remoteFetch(nd *node, pte *vm.PTE, b addr.Block, write, haveDa
 
 	if o := res.ForwardOwner; o >= 0 {
 		t = m.net.Send(home, o, t)
-		t = m.memAcquire(m.nodes[o], b, t, false)
+		t = m.memAcquire(m.nodes[o], b, t)
 		t = m.net.Send(o, nd.id, t)
 	} else {
-		t = m.memAcquire(m.nodes[home], b, t, false)
+		t = m.memAcquire(m.nodes[home], b, t)
 		if m.invDelay > 0 {
 			// Sequential consistency: the write completes only after
 			// every sharer has acknowledged its invalidation.
@@ -969,7 +924,7 @@ func (m *Machine) remoteWriteback(nd *node, b addr.Block, now int64) {
 	}
 	t := nd.bus.Acquire(now, m.p.BusCycles)
 	t = m.net.Send(nd.id, home, t)
-	m.memAcquire(m.nodes[home], b, t, true)
+	m.memAcquire(m.nodes[home], b, t)
 	m.dir.WritebackDirty(nd.id, b)
 	nd.st.Writebacks++
 }
@@ -998,10 +953,10 @@ func (m *Machine) l1Fill(nd *node, line addr.Line, write bool, now int64) {
 	}
 	switch pte.Mode {
 	case vm.ModePrivate, vm.ModeHome:
-		m.localAccess(nd, pte, vb, true, now) // occupy local resources only
+		m.localAccess(nd, vb, now) // occupy local resources only
 	case vm.ModeSCOMA:
 		if pte.BlockValid(vb.Index()) {
-			m.localAccess(nd, pte, vb, true, now) // lands in the page cache
+			m.localAccess(nd, vb, now) // lands in the page cache
 		} else {
 			m.remoteWriteback(nd, vb, now)
 		}
@@ -1137,8 +1092,7 @@ func (m *Machine) migrate(nd *node, pte *vm.PTE, now int64) int64 {
 	}
 	m.dir.ResetRefetch(page, nd.id)
 
-	adoptTier, ok := nd.vmm.AdoptHomePage()
-	if !ok {
+	if !nd.vmm.AdoptHomePage() {
 		// No free physical page to hold the migrated copy.
 		nd.st.RelocDenied++
 		if m.rec != nil {
@@ -1157,18 +1111,14 @@ func (m *Machine) migrate(nd *node, pte *vm.PTE, now int64) int64 {
 		m.nodes[oldHome].invGen++
 	}
 	m.nodes[oldHome].rac.FlushPage(page)
-	var oldTier uint8
-	if opte := m.nodes[oldHome].vmm.Lookup(page); opte != nil {
-		oldTier = opte.Tier
-	}
-	m.nodes[oldHome].vmm.ReleaseHomePage(oldTier)
+	m.nodes[oldHome].vmm.ReleaseHomePage()
 
 	// Ship the page: one DSM block at a time, old home to new home
 	// (posted transfers; the kernel cost below covers the stall).
 	t := now
 	for i := 0; i < params.BlocksPerPage; i++ {
 		t = m.net.Send(oldHome, nd.id, t)
-		nd.mem.Acquire(int(adoptTier), uint64(page.BlockAt(i)), t, true)
+		m.memAcquire(nd, page.BlockAt(i), t)
 	}
 
 	// Update every node's mapping of the page — the global TLB shootdown
@@ -1183,12 +1133,10 @@ func (m *Machine) migrate(nd *node, pte *vm.PTE, now int64) int64 {
 		switch {
 		case other.id == nd.id:
 			opte.Mode = vm.ModeHome
-			opte.Tier = adoptTier
 		case opte.Mode == vm.ModeHome:
 			// The old home's frame was released above; a NUMA mapping
 			// holds no frame.
 			opte.Mode = vm.ModeNUMA
-			opte.Tier = 0
 		}
 	}
 
@@ -1269,14 +1217,6 @@ func (m *Machine) runDaemon(nd *node, now int64) int64 {
 			if victim == nil {
 				break
 			}
-			// Tier-down first: a cold page slides toward the slow tier
-			// before dying — it frees fast-tier headroom for promotions,
-			// and only pages cold in the last tier (or with no slower
-			// headroom) are actually evicted.
-			if c, ok := m.demote(nd, victim); ok {
-				cost += c
-				continue
-			}
 			cost += m.evict(nd, victim)
 			reclaimed++
 		}
@@ -1297,44 +1237,6 @@ func (m *Machine) runDaemon(nd *node, now int64) int64 {
 	nd.st.Time[stats.KOverhead] += cost
 	nd.nextDaemon = now + cost + nd.daemonInterval
 	return cost
-}
-
-// tierPromoteHits is the page-cache hit cadence at which a slow-tier
-// S-COMA page earns a promotion attempt: every tierPromoteHits-th hit
-// (power of two — the access path tests it with one mask).
-const tierPromoteHits = 64
-
-// promote moves a hot S-COMA page one tier up, returning the kernel
-// cycles of the page copy (0 when the faster tier has no headroom).
-func (m *Machine) promote(nd *node, pte *vm.PTE, now int64) int64 {
-	from := int(pte.Tier)
-	if !nd.vmm.Promote(pte) {
-		return 0
-	}
-	cost := nd.mem.MoveCost(from, from-1)
-	nd.st.Time[stats.KOverhead] += cost
-	if m.rec != nil {
-		m.rec.Clock = now
-		m.rec.Emit(obs.EvTierPromote, nd.id, uint32(pte.Page.MustIndex()), uint32(pte.Tier))
-	}
-	return cost
-}
-
-// demote moves a cold daemon victim one tier down instead of evicting it,
-// returning the copy cost and whether the demotion happened. The clock
-// hand is advanced past the page: it stays enrolled, and a page the
-// daemon just demoted must not be re-victimized in the same sweep.
-func (m *Machine) demote(nd *node, victim *vm.PTE) (int64, bool) {
-	from := int(victim.Tier)
-	if !nd.vmm.Demote(victim) {
-		return 0, false
-	}
-	nd.vmm.SkipHand()
-	if m.rec != nil {
-		// runDaemon stamped the clock at entry.
-		m.rec.Emit(obs.EvTierDemote, nd.id, uint32(victim.Page.MustIndex()), uint32(victim.Tier))
-	}
-	return nd.mem.MoveCost(from, from+1), true
 }
 
 // finalize computes the run-level aggregates. Together with New (which
@@ -1398,23 +1300,8 @@ func (m *Machine) takeEpoch(now int64) {
 		m.ep.Set(obs.ProbeShMemStall, nd.id, nd.st.Time[stats.UShMem])
 		m.ep.Set(obs.ProbeRemoteMisses, nd.id,
 			nd.st.Misses[stats.Home]+nd.st.Misses[stats.Cold]+nd.st.Misses[stats.ConfCapc])
-		m.ep.Set(obs.ProbeFastTierPages, nd.id, int64(nd.vmm.TierPages(0)))
-		m.ep.Set(obs.ProbeRowHits, nd.id, nd.mem.RowHits())
-		m.ep.Set(obs.ProbeRowConflicts, nd.id, nd.mem.RowConflicts())
 	}
 	m.ep.Commit()
-	if m.rec != nil {
-		// Row conflicts are too frequent to record individually; emit the
-		// per-epoch delta instead. Runs without a page policy never
-		// conflict and emit none.
-		m.rec.Clock = now
-		for _, nd := range m.nodes {
-			if c := nd.mem.RowConflicts(); c != nd.prevRowConf {
-				m.rec.Emit(obs.EvRowConflict, nd.id, uint32(c-nd.prevRowConf), uint32(c))
-				nd.prevRowConf = c
-			}
-		}
-	}
 	m.nextEpoch = now + m.epochIntv
 }
 

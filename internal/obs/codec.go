@@ -4,14 +4,14 @@ package obs
 // Recording. Layout (all integers little-endian or varint):
 //
 //	magic    "ASCOMAFR" (8 bytes)
-//	u32      format version (currently 2)
+//	u32      format version (currently 3)
 //	u32      node count (0 when no epochs were sampled)
 //	u64      epoch interval in cycles (0 = no epoch probes)
 //	u32      event ring capacity (0 = no event recorder)
 //	u64      events ever emitted (may exceed the stored count: ring wrap)
 //	u32      stored event count
 //	u32      epoch count
-//	u32      probe series count (must equal NumProbes for version 1)
+//	u32      probe series count (must equal NumProbes)
 //	events   stored-count records of
 //	           zigzag-varint cycle delta from the previous event,
 //	           1 byte kind, uvarint node, uvarint A, uvarint B
@@ -52,7 +52,7 @@ import (
 
 var traceMagic = [8]byte{'A', 'S', 'C', 'O', 'M', 'A', 'F', 'R'}
 
-const traceVersion = 2
+const traceVersion = 3
 
 // maxRefNodes bounds a reference section's node count (the simulator's
 // copysets are 64-bit masks).

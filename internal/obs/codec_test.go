@@ -159,6 +159,26 @@ func TestCodecTruncationAndCorruption(t *testing.T) {
 	}
 }
 
+// TestCodecRejectsOldVersion pins that a version-2 trace, which carried
+// three more probe series and three more event kinds than this build
+// knows, is refused by its version word rather than misread. The header
+// is patched and the CRC resealed, so the version is all that differs.
+func TestCodecRejectsOldVersion(t *testing.T) {
+	seal := func(version uint32) []byte {
+		blob := AppendRecording(nil, sampleRecording(false))
+		blob = blob[:len(blob)-4]
+		binary.LittleEndian.PutUint32(blob[len(traceMagic):], version)
+		return binary.LittleEndian.AppendUint32(blob, crc32.ChecksumIEEE(blob))
+	}
+	if _, err := DecodeRecording(seal(traceVersion)); err != nil {
+		t.Fatalf("resealed current trace: %v", err)
+	}
+	_, err := DecodeRecording(seal(2))
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported version 2") {
+		t.Fatalf("version-2 trace: err = %v, want ErrCorrupt naming unsupported version 2", err)
+	}
+}
+
 func TestCodecFileRoundTrip(t *testing.T) {
 	rec := sampleRecording(false)
 	path := t.TempDir() + "/run.trace"

@@ -21,30 +21,19 @@ const (
 	// ProbeRemoteMisses is the node's cumulative remotely satisfied misses
 	// (COLD + CONF/CAPC).
 	ProbeRemoteMisses
-	// ProbeFastTierPages is the node's frames in use in tier 0, the
-	// fastest memory tier (see internal/mem). On the default one-tier
-	// memory that is every frame in use.
-	ProbeFastTierPages
-	// ProbeRowHits is the node's cumulative row-buffer hits.
-	ProbeRowHits
-	// ProbeRowConflicts is the node's cumulative row-buffer conflicts.
-	ProbeRowConflicts
 
 	// NumProbes is the number of defined probe series.
 	NumProbes
 )
 
 var probeNames = [NumProbes]string{
-	ProbeFreePages:     "free_pages",
-	ProbeSComaPages:    "scoma_pages",
-	ProbeThreshold:     "threshold",
-	ProbeUpgrades:      "upgrades",
-	ProbeDowngrades:    "downgrades",
-	ProbeShMemStall:    "shmem_stall_cycles",
-	ProbeRemoteMisses:  "remote_misses",
-	ProbeFastTierPages: "fast_tier_pages",
-	ProbeRowHits:       "row_hits",
-	ProbeRowConflicts:  "row_conflicts",
+	ProbeFreePages:    "free_pages",
+	ProbeSComaPages:   "scoma_pages",
+	ProbeThreshold:    "threshold",
+	ProbeUpgrades:     "upgrades",
+	ProbeDowngrades:   "downgrades",
+	ProbeShMemStall:   "shmem_stall_cycles",
+	ProbeRemoteMisses: "remote_misses",
 }
 
 // String returns the probe's series name.

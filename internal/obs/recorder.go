@@ -36,16 +36,6 @@ const (
 	// EvPoolOK: the free pool recovered to free_target after being low.
 	// A = free pages, B = free_target.
 	EvPoolOK
-	// EvTierPromote: a hot S-COMA page moved one memory tier up (see
-	// internal/mem). A = page index, B = the new (faster) tier.
-	EvTierPromote
-	// EvTierDemote: the pageout daemon moved a cold page one tier down
-	// instead of evicting it. A = page index, B = the new (slower) tier.
-	EvTierDemote
-	// EvRowConflict: row-buffer conflicts accumulated at the node since
-	// the previous epoch boundary (emitted at epoch cadence, not per
-	// conflict). A = conflicts this epoch, B = cumulative conflicts.
-	EvRowConflict
 
 	numKinds
 )
@@ -68,9 +58,6 @@ var kindNames = [...]string{
 	EvRefetchHot:   "refetch-hot",
 	EvPoolLow:      "pool-low",
 	EvPoolOK:       "pool-ok",
-	EvTierPromote:  "tier-promote",
-	EvTierDemote:   "tier-demote",
-	EvRowConflict:  "row-conflict",
 }
 
 // String returns the event kind's name.

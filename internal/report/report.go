@@ -38,13 +38,6 @@ type Options struct {
 	// bounded by Jobs). Passing a shared Runner lets callers reuse its
 	// result cache across figures, tables, and server requests.
 	Runner *runcache.Runner
-	// Tiers applies a tiered-memory configuration (ascoma.Config.Tiers) to
-	// every simulated cell, so any figure or table can be rendered under
-	// asymmetric memory. Nil keeps the default one tier.
-	Tiers []ascoma.TierSpec
-	// PagePolicy is the row-buffer page policy for every simulated cell
-	// (ascoma.Config.PagePolicy; "" = none).
-	PagePolicy string
 	// Progress, when non-nil, is invoked after each grid cell completes
 	// with the running count of finished cells and the grid total. Calls
 	// come from Runner.RunAll's workers, one at a time, so the callback
@@ -132,10 +125,7 @@ func runGrid(ctx context.Context, app string, o Options) (map[runKey]*ascoma.Res
 	}
 	cells := make([]ascoma.Config, len(keys))
 	for i, k := range keys {
-		cells[i] = ascoma.Config{
-			Arch: k.arch, Workload: app, Pressure: k.pressure, Scale: o.Scale,
-			Tiers: o.Tiers, PagePolicy: o.PagePolicy,
-		}
+		cells[i] = ascoma.Config{Arch: k.arch, Workload: app, Pressure: k.pressure, Scale: o.Scale}
 	}
 	results := make(map[runKey]*ascoma.Result, len(keys))
 	_, err := o.Runner.RunAll(ctx, cells, func(i int, res *ascoma.Result) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"strconv"
 	"strings"
 	"testing"
@@ -112,6 +113,34 @@ func TestTable6Structure(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "relocated pages") {
 		t.Errorf("table 6 output:\n%s", buf.String())
+	}
+}
+
+// TestTableDispatch pins which table each number renders, by its first
+// line: Tables 1-4 open with their title, 5 and 6 with their header row.
+// Any other number is an error.
+func TestTableDispatch(t *testing.T) {
+	ctx := context.Background()
+	for n, want := range map[int]string{
+		1: "== Table 1: Remote Memory Overhead of Various Models ==",
+		2: "== Table 2: Cost and Complexity of Various Models ==",
+		3: "== Table 3: Cache and Network Characteristics ==",
+		4: "== Table 4: Minimum Access Latency ==",
+		5: "ideal pressure",
+		6: "relocated pages",
+	} {
+		var buf bytes.Buffer
+		if err := Table(ctx, &buf, n, []string{"uniform"}, testOpts); err != nil {
+			t.Fatalf("table %d: %v", n, err)
+		}
+		if first, _, _ := strings.Cut(buf.String(), "\n"); !strings.Contains(first, want) {
+			t.Errorf("table %d: first line %q, want it to contain %q", n, first, want)
+		}
+	}
+	for _, n := range []int{0, 7, -1} {
+		if err := Table(ctx, io.Discard, n, nil, testOpts); err == nil {
+			t.Errorf("table %d: no error", n)
+		}
 	}
 }
 

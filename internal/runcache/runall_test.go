@@ -101,18 +101,6 @@ func TestRunAllFailureStopsDispatchAndNamesCell(t *testing.T) {
 	}
 }
 
-func TestRunAllNamesTieredCell(t *testing.T) {
-	cfg := testCfg(70)
-	cfg.Workload = "no-such-workload"
-	cfg.Tiers = []ascoma.TierSpec{{CapacityPct: 50, ReadCycles: 40, WriteCycles: 40}, {CapacityPct: 50, ReadCycles: 160, WriteCycles: 320}}
-	cfg.PagePolicy = "open"
-	_, err := (&Runner{Jobs: 1}).RunAll(context.Background(), []ascoma.Config{cfg}, nil)
-	want := "no-such-workload AS-COMA(70%) tiers=50:40:40,50:160:320 policy=open: "
-	if err == nil || !strings.HasPrefix(err.Error(), want) {
-		t.Errorf("err = %v, want prefix %q", err, want)
-	}
-}
-
 func TestRunAllCancelledBeforeStart(t *testing.T) {
 	cache, err := New(16, "")
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -136,8 +135,8 @@ func (r *Runner) simulate(ctx context.Context, cfg ascoma.Config, gen ascoma.Gen
 }
 
 // RunAll runs every cell and returns the results in input order. It is
-// the one fan-out behind every simulation grid (report's figures, tables
-// and tier grids, the jobs layer's grids): min(Jobs, len(cells)) workers
+// the one fan-out behind every simulation grid (report's figures and
+// tables, the jobs layer's grids): min(Jobs, len(cells)) workers
 // claim cells from a schedule. A cell that a finished run of the grid
 // certifies is filled from that run instead of simulated (see schedule);
 // the fill is filed in the cache under the cell's own key and is
@@ -212,22 +211,9 @@ func (r *Runner) RunAll(ctx context.Context, cells []ascoma.Config, done func(i 
 	return results, nil
 }
 
-// cellName identifies a cell in errors, e.g. "radix AS-COMA(70%)", with
-// the tier configuration and page policy appended when set.
+// cellName identifies a cell in errors, e.g. "radix AS-COMA(70%)".
 func cellName(cfg ascoma.Config) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s %v(%d%%)", cfg.Workload, cfg.Arch, cfg.Pressure)
-	for i, ts := range cfg.Tiers {
-		sep := ","
-		if i == 0 {
-			sep = " tiers="
-		}
-		fmt.Fprintf(&b, "%s%d:%d:%d", sep, ts.CapacityPct, ts.ReadCycles, ts.WriteCycles)
-	}
-	if cfg.PagePolicy != "" {
-		fmt.Fprintf(&b, " policy=%s", cfg.PagePolicy)
-	}
-	return b.String()
+	return fmt.Sprintf("%s %v(%d%%)", cfg.Workload, cfg.Arch, cfg.Pressure)
 }
 
 // InFlight returns the number of simulations currently executing (cache

@@ -34,6 +34,12 @@ func FuzzDecodeSpecs(f *testing.F) {
 		`[]`,
 		`{"tiers":[{"capacityPct":9223372036854775807,"readCycles":1,"writeCycles":1},{"capacityPct":-9223372036854775707,"readCycles":1,"writeCycles":1}]}`,
 		``,
+		// Fields no spec has any more: every decode must refuse them.
+		`{"arch":"AS-COMA","workload":"uniform","pressure":50,"scale":64,"tiers":[{"capacityPct":100,"readCycles":50,"writeCycles":50}]}`,
+		`{"workload":"uniform","scale":64,"pagePolicy":"open"}`,
+		`{"grid":{"apps":["uniform"],"pressures":[50],"scale":64,"pagePolicy":"open"}}`,
+		`{"figure":{"app":"uniform","pressures":[50],"scale":64,"tiers":[{"capacityPct":100,"readCycles":50,"writeCycles":50}]}}`,
+		`{"tierGrid":{"app":"uniform","pressures":[50],"scale":64}}`,
 	} {
 		f.Add([]byte(seed))
 	}

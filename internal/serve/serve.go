@@ -165,10 +165,13 @@ func (s *Server) writeRunError(w http.ResponseWriter, err error) {
 const maxSpecBytes = 1 << 20
 
 // decodeSpec decodes a request body into v. The body must be exactly one
-// JSON value of at most maxSpecBytes, followed by nothing but whitespace;
-// anything else is an error every handler answers with 400.
+// JSON value of at most maxSpecBytes, followed by nothing but whitespace,
+// and name no field v lacks: a field the server does not know would
+// otherwise be dropped, and the reply would answer a different spec than
+// the one sent. Anything else is an error every handler answers with 400.
 func decodeSpec(body io.Reader, v any) error {
 	dec := json.NewDecoder(io.LimitReader(body, maxSpecBytes))
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
 	}

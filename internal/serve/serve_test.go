@@ -646,3 +646,49 @@ func TestEstimateEndpointValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestUnknownFieldsRejected pins that every endpoint taking a spec answers
+// 400 to a body naming a field its spec lacks, here the memory-tier and
+// page-policy fields older clients may still send. Decoding would drop
+// them, and the reply would answer a flat spec the client did not ask for.
+// Each body is valid without the extra field, so the field alone is what
+// the server refuses.
+func TestUnknownFieldsRejected(t *testing.T) {
+	_, ts := newTestServer(t)
+	const (
+		tiers  = `"tiers":[{"capacityPct":100,"readCycles":50,"writeCycles":50}]`
+		policy = `"pagePolicy":"open"`
+	)
+	run := `"arch":"AS-COMA","workload":"uniform","pressure":50,"scale":64`
+	cases := []struct{ path, valid, body string }{
+		{"/api/v1/run", `{` + run + `}`, `{` + run + `,` + tiers + `}`},
+		{"/api/v1/run", `{` + run + `}`, `{` + run + `,` + policy + `}`},
+		{"/api/v1/estimate", `{"workload":"uniform","scale":64}`, `{"workload":"uniform","scale":64,` + tiers + `}`},
+		{"/api/v1/estimate", `{"workload":"uniform","scale":64}`, `{"workload":"uniform","scale":64,` + policy + `}`},
+		{"/api/v1/jobs", `{"run":{` + run + `}}`, `{"run":{` + run + `,` + tiers + `}}`},
+		{"/api/v1/jobs", `{"run":{` + run + `}}`, `{"run":{` + run + `,` + policy + `}}`},
+		{"/api/v1/jobs", `{"grid":{"apps":["uniform"],"pressures":[50],"scale":64}}`, `{"grid":{"apps":["uniform"],"pressures":[50],"scale":64,` + tiers + `}}`},
+		{"/api/v1/jobs", `{"grid":{"apps":["uniform"],"pressures":[50],"scale":64}}`, `{"grid":{"apps":["uniform"],"pressures":[50],"scale":64,` + policy + `}}`},
+		{"/api/v1/jobs", `{"figure":{"app":"uniform","pressures":[50],"scale":64}}`, `{"figure":{"app":"uniform","pressures":[50],"scale":64,` + tiers + `}}`},
+		{"/api/v1/jobs", `{"figure":{"app":"uniform","pressures":[50],"scale":64}}`, `{"figure":{"app":"uniform","pressures":[50],"scale":64,` + policy + `}}`},
+		{"/api/v1/jobs", `{"run":{` + run + `}}`, `{"run":{` + run + `},"tierGrid":{"app":"uniform"}}`},
+		{"/api/v1/jobs", `{"figure":{"app":"uniform","pressures":[50],"scale":64}}`, `{"tierGrid":{"app":"uniform","pressures":[50],"scale":64}}`},
+	}
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, c := range cases {
+		if code := post(c.path, c.valid); code >= 400 {
+			t.Errorf("%s %s: status %d; the control body must be accepted", c.path, c.valid, code)
+		}
+		if code := post(c.path, c.body); code != http.StatusBadRequest {
+			t.Errorf("%s %s: status %d, want 400", c.path, c.body, code)
+		}
+	}
+}

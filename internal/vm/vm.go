@@ -13,7 +13,6 @@ import (
 
 	"ascoma/internal/addr"
 	"ascoma/internal/dense"
-	"ascoma/internal/mem"
 	"ascoma/internal/obs"
 	"ascoma/internal/params"
 )
@@ -78,11 +77,6 @@ type PTE struct {
 	// break-even thrashing detector from this.
 	SComaHits uint32
 
-	// Tier is the memory tier holding this page's frame (0 = fastest; see
-	// internal/mem); always 0 on one-tier memories and for ModeNUMA
-	// pages, which hold no frame.
-	Tier uint8
-
 	ring int // index in the S-COMA clock ring, -1 if not enrolled
 }
 
@@ -143,21 +137,10 @@ type VM struct {
 	// the hysteresis state for EvPoolLow/EvPoolOK edges.
 	rec     *obs.Recorder
 	poolLow bool
-
-	// Memory-tier frame accounting (see internal/mem): tierCap partitions
-	// TotalPages across nTiers >= 1 tiers, tierUsed counts frames in use
-	// per tier (home, private, and S-COMA pages alike), and homeMapped
-	// replays the fast-first layout of the bulk ReserveHome reservation so
-	// each MapLocal-installed page lands in the tier its frame occupies.
-	nTiers     int
-	tierCap    [mem.MaxTiers]int
-	tierUsed   [mem.MaxTiers]int
-	homeMapped int
 }
 
 // New builds a node VM with the given physical page count and thresholds
-// expressed as percentages of total memory. Its memory is one tier
-// holding every page until ConfigureTiers says otherwise.
+// expressed as percentages of total memory.
 func New(node, totalPages, freeMinPct, freeTargetPct int) *VM {
 	v := &VM{Node: node}
 	v.Reset(totalPages, freeMinPct, freeTargetPct)
@@ -179,10 +162,6 @@ func (v *VM) Reset(totalPages, freeMinPct, freeTargetPct int) {
 	v.ring = v.ring[:0]
 	v.hand = 0
 	v.poolLow = false
-	v.nTiers = 1
-	v.tierCap = [mem.MaxTiers]int{totalPages}
-	v.tierUsed = [mem.MaxTiers]int{}
-	v.homeMapped = 0
 }
 
 // Thresholds returns free_min and free_target in pages for a node of
@@ -193,102 +172,6 @@ func Thresholds(totalPages, freeMinPct, freeTargetPct int) (freeMin, freeTarget 
 	freeTarget = max(totalPages*freeTargetPct/100, freeMin)
 	return freeMin, freeTarget
 }
-
-// ConfigureTiers partitions the node's physical pages across memory tiers
-// by capacity share (fastest first, the remainder of the integer split
-// going to the last tier). specs must be non-empty and have passed
-// mem.ValidateTiers. It must be called before any page is reserved or
-// mapped.
-func (v *VM) ConfigureTiers(specs []mem.TierSpec) {
-	v.nTiers = len(specs)
-	v.tierCap = [mem.MaxTiers]int{}
-	v.tierUsed = [mem.MaxTiers]int{}
-	v.homeMapped = 0
-	rem := v.TotalPages
-	for i, ts := range specs {
-		c := v.TotalPages * ts.CapacityPct / 100
-		if i == len(specs)-1 {
-			c = rem
-		}
-		v.tierCap[i] = c
-		rem -= c
-	}
-}
-
-// NumTiers returns the configured tier count.
-func (v *VM) NumTiers() int { return v.nTiers }
-
-// TierPages returns the number of frames in use in tier i.
-func (v *VM) TierPages(i int) int { return v.tierUsed[i] }
-
-// TierCap returns tier i's frame capacity.
-func (v *VM) TierCap(i int) int { return v.tierCap[i] }
-
-// allocFrame claims a frame in the fastest tier with headroom (falling
-// back to the last tier) and returns its index.
-func (v *VM) allocFrame() uint8 {
-	for i := 0; i < v.nTiers-1; i++ {
-		if v.tierUsed[i] < v.tierCap[i] {
-			v.tierUsed[i]++
-			return uint8(i)
-		}
-	}
-	v.tierUsed[v.nTiers-1]++
-	return uint8(v.nTiers - 1)
-}
-
-// freeFrame releases a frame back to tier t.
-func (v *VM) freeFrame(t uint8) { v.tierUsed[t]-- }
-
-// homeTier returns the tier of the next reserved home/private frame: the
-// bulk ReserveHome reservation fills tiers fastest-first, so the k-th
-// MapLocal-installed page occupies the tier containing slot k of that
-// layout.
-func (v *VM) homeTier() uint8 {
-	k := v.homeMapped
-	v.homeMapped++
-	cum := 0
-	for i := 0; i < v.nTiers; i++ {
-		cum += v.tierCap[i]
-		if k < cum {
-			return uint8(i)
-		}
-	}
-	return uint8(v.nTiers - 1)
-}
-
-// Promote moves a page's frame one tier up (toward tier 0). It fails when
-// the page is already in the fastest tier or the target tier is full.
-func (v *VM) Promote(pte *PTE) bool {
-	t := int(pte.Tier)
-	if t == 0 || v.tierUsed[t-1] >= v.tierCap[t-1] {
-		return false
-	}
-	v.tierUsed[t-1]++
-	v.tierUsed[t]--
-	pte.Tier = uint8(t - 1)
-	return true
-}
-
-// Demote moves a page's frame one tier down (toward the slowest tier). It
-// fails when the page is already in the last tier or the target tier is
-// full.
-func (v *VM) Demote(pte *PTE) bool {
-	t := int(pte.Tier)
-	if t >= v.nTiers-1 || v.tierUsed[t+1] >= v.tierCap[t+1] {
-		return false
-	}
-	v.tierUsed[t+1]++
-	v.tierUsed[t]--
-	pte.Tier = uint8(t + 1)
-	return true
-}
-
-// SkipHand advances the clock hand past the page it points at. The
-// pageout daemon uses it after demoting a victim in place: ClockScan
-// leaves the hand on the victim, and a demoted page — still cold, still
-// enrolled — must not be returned again in the same sweep.
-func (v *VM) SkipHand() { v.hand++ }
 
 // SetRecorder attaches a flight recorder for free-pool pressure events
 // (nil detaches) and resets the pool-low hysteresis.
@@ -326,17 +209,6 @@ func (v *VM) ReserveHome(n int) error {
 	}
 	v.HomePages += n
 	v.free -= n
-	// The resident set fills tiers fastest-first; homeTier replays this
-	// layout per installed mapping.
-	rem := n
-	for i := 0; i < v.nTiers && rem > 0; i++ {
-		take := v.tierCap[i] - v.tierUsed[i]
-		if take > rem {
-			take = rem
-		}
-		v.tierUsed[i] += take
-		rem -= take
-	}
 	v.notePool()
 	return nil
 }
@@ -383,9 +255,7 @@ func (v *VM) MapLocal(p addr.Page, mode Mode) *PTE {
 	if mode != ModeHome && mode != ModePrivate {
 		panic("vm: MapLocal requires ModeHome or ModePrivate")
 	}
-	pte := v.install(p, mode, v.Node)
-	pte.Tier = v.homeTier()
-	return pte
+	return v.install(p, mode, v.Node)
 }
 
 // MapNUMA installs a CC-NUMA mapping of a remote page (no local storage).
@@ -402,7 +272,6 @@ func (v *VM) MapSCOMA(p addr.Page, home int) *PTE {
 	}
 	v.free--
 	pte := v.install(p, ModeSCOMA, home)
-	pte.Tier = v.allocFrame()
 	v.enroll(pte)
 	v.notePool()
 	return pte
@@ -423,7 +292,6 @@ func (v *VM) Upgrade(pte *PTE) bool {
 	pte.Owned = 0
 	pte.SComaHits = 0
 	pte.RefBit = true
-	pte.Tier = v.allocFrame()
 	v.enroll(pte)
 	v.notePool()
 	return true
@@ -441,31 +309,26 @@ func (v *VM) Downgrade(pte *PTE) {
 	pte.Valid = 0
 	pte.Owned = 0
 	pte.SComaHits = 0
-	v.freeFrame(pte.Tier)
-	pte.Tier = 0
 	v.free++
 	v.notePool()
 }
 
-// AdoptHomePage pins one free page to hold a newly migrated-in home page,
-// returning the tier its frame was allocated in. It fails (returning
-// false) when the pool is empty.
-func (v *VM) AdoptHomePage() (tier uint8, ok bool) {
+// AdoptHomePage pins one free page to hold a newly migrated-in home page.
+// It fails (returning false) when the pool is empty.
+func (v *VM) AdoptHomePage() bool {
 	if v.free == 0 {
-		return 0, false
+		return false
 	}
 	v.free--
 	v.HomePages++
-	tier = v.allocFrame()
 	v.notePool()
-	return tier, true
+	return true
 }
 
-// ReleaseHomePage frees the physical page (in the given tier) of a home
-// page that migrated away.
-func (v *VM) ReleaseHomePage(tier uint8) {
+// ReleaseHomePage frees the physical page of a home page that migrated
+// away.
+func (v *VM) ReleaseHomePage() {
 	v.HomePages--
-	v.freeFrame(tier)
 	v.free++
 	v.notePool()
 }

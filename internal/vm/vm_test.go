@@ -51,7 +51,7 @@ func TestLowFreeTracksEveryDrop(t *testing.T) {
 		t.Fatalf("free %d, low-water mark %d after three allocations; want 57, 57", v.Free(), v.LowFree())
 	}
 	v.Downgrade(s)
-	v.ReleaseHomePage(0)
+	v.ReleaseHomePage()
 	if v.Free() != 59 || v.LowFree() != 57 {
 		t.Errorf("free %d, low-water mark %d after two releases; want 59, 57", v.Free(), v.LowFree())
 	}
@@ -396,14 +396,13 @@ func TestClockScanNeverEvictsReferencedProperty(t *testing.T) {
 
 func TestAdoptAndReleaseHomePage(t *testing.T) {
 	v := newVM(4)
-	tier, ok := v.AdoptHomePage()
-	if !ok {
+	if !v.AdoptHomePage() {
 		t.Fatal("adopt failed with free pages")
 	}
 	if v.Free() != 3 || v.HomePages != 1 {
 		t.Errorf("after adopt: free=%d home=%d", v.Free(), v.HomePages)
 	}
-	v.ReleaseHomePage(tier)
+	v.ReleaseHomePage()
 	if v.Free() != 4 || v.HomePages != 0 {
 		t.Errorf("after release: free=%d home=%d", v.Free(), v.HomePages)
 	}
@@ -411,7 +410,7 @@ func TestAdoptAndReleaseHomePage(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		v.MapSCOMA(tpage(uint64(i+1)), 1)
 	}
-	if _, ok := v.AdoptHomePage(); ok {
+	if v.AdoptHomePage() {
 		t.Error("adopt succeeded with empty pool")
 	}
 }
@@ -441,5 +440,92 @@ func TestUnenrollAdjustsClockHand(t *testing.T) {
 	// The scan must still work without panicking or skipping.
 	if victim, _ := v.ClockScan(v.SComaPages()); victim == nil {
 		t.Error("scan found no victim after unenroll near the hand")
+	}
+}
+
+// Flat frame accounting: the tests below pin what each pool operation
+// does to Free, HomePages and the clock ring on a node with one uniform
+// memory.
+
+func TestHomeTierReplaysReserveLayout(t *testing.T) {
+	v := newVM(100)
+	if err := v.ReserveHome(40); err != nil {
+		t.Fatal(err)
+	}
+	// MapLocal installs the reserved pages one by one; it must not take
+	// a second frame for any of them.
+	for i := 0; i < 40; i++ {
+		if pte := v.MapLocal(tpage(i), ModeHome); pte.Mode != ModeHome || pte.Home != 0 {
+			t.Fatalf("home page %d: mode %v home %d", i, pte.Mode, pte.Home)
+		}
+	}
+	if v.Free() != 60 || v.HomePages != 40 || v.SComaPages() != 0 {
+		t.Fatalf("after MapLocal replay: free=%d home=%d scoma=%d; want 60,40,0",
+			v.Free(), v.HomePages, v.SComaPages())
+	}
+}
+
+func TestMapSCOMAAllocatesAndDowngradeFrees(t *testing.T) {
+	v := newVM(100)
+	if err := v.ReserveHome(30); err != nil {
+		t.Fatal(err)
+	}
+	pte := v.MapSCOMA(tpage(500), 1)
+	if pte == nil || pte.Mode != ModeSCOMA || pte.Home != 1 {
+		t.Fatalf("MapSCOMA = %+v", pte)
+	}
+	if v.Free() != 69 || v.SComaPages() != 1 {
+		t.Fatalf("after MapSCOMA: free=%d scoma=%d; want 69,1", v.Free(), v.SComaPages())
+	}
+	v.Downgrade(pte)
+	if v.Free() != 70 || v.SComaPages() != 0 || v.HomePages != 30 {
+		t.Fatalf("after Downgrade: free=%d scoma=%d home=%d; want 70,0,30",
+			v.Free(), v.SComaPages(), v.HomePages)
+	}
+	if pte.Mode != ModeNUMA {
+		t.Fatalf("downgraded mode = %v, want NUMA", pte.Mode)
+	}
+}
+
+func TestUpgradeAllocatesFrame(t *testing.T) {
+	v := newVM(100)
+	pte := v.install(tpage(7), ModeNUMA, 1)
+	if !v.Upgrade(pte) {
+		t.Fatal("Upgrade failed with a full pool")
+	}
+	if pte.Mode != ModeSCOMA || !pte.RefBit || v.Free() != 99 || v.SComaPages() != 1 {
+		t.Fatalf("upgraded page mode=%v ref=%v free=%d scoma=%d; want SCOMA,true,99,1",
+			pte.Mode, pte.RefBit, v.Free(), v.SComaPages())
+	}
+	if v.LowFree() != 99 {
+		t.Fatalf("low-water mark = %d, want 99", v.LowFree())
+	}
+}
+
+func TestResetClearsTierState(t *testing.T) {
+	v := newVM(100)
+	if err := v.ReserveHome(10); err != nil {
+		t.Fatal(err)
+	}
+	v.MapSCOMA(tpage(1), 1)
+	if !v.AdoptHomePage() {
+		t.Fatal("AdoptHomePage failed with free pages")
+	}
+	v.Reset(100, 2, 7)
+	if v.Free() != 100 || v.HomePages != 0 || v.SComaPages() != 0 || v.Pages() != 0 {
+		t.Fatalf("Reset left pool state behind: free=%d home=%d scoma=%d pages=%d",
+			v.Free(), v.HomePages, v.SComaPages(), v.Pages())
+	}
+	if v.Lookup(tpage(1)) != nil {
+		t.Fatal("Reset left a mapping behind")
+	}
+	// After Reset every frame is free again and is counted once.
+	pte := v.MapSCOMA(tpage(2), 1)
+	if pte == nil || v.Free() != 99 || v.SComaPages() != 1 {
+		t.Fatalf("after Reset + MapSCOMA: free=%d scoma=%d", v.Free(), v.SComaPages())
+	}
+	v.Downgrade(pte)
+	if v.Free() != 100 {
+		t.Fatalf("after Downgrade: free=%d, want 100 (a frame leaked)", v.Free())
 	}
 }

@@ -188,9 +188,9 @@ func TestPressureCeilingRefusesPressuredCells(t *testing.T) {
 	}
 }
 
-// TestPressureCeilingZeroForInstrumentedRuns: observed, sampled and
-// multi-tier runs certify no pressure and no architecture (coherence-checked
-// runs are covered in internal/machine, where the checker is configured).
+// TestPressureCeilingZeroForInstrumentedRuns: observed and sampled runs
+// certify no pressure and no architecture (coherence-checked runs are
+// covered in internal/machine, where the checker is configured).
 func TestPressureCeilingZeroForInstrumentedRuns(t *testing.T) {
 	base := ascoma.Config{Arch: ascoma.ASCOMA, Workload: "fft", Pressure: 10, Scale: 16}
 	plain, err := ascoma.Run(base)
@@ -200,11 +200,10 @@ func TestPressureCeilingZeroForInstrumentedRuns(t *testing.T) {
 	if plain.PressureCeiling < 10 || !plain.SameArchs.Has(ascoma.SCOMA) {
 		t.Fatalf("plain run ceiling %d, same %08b; the cases below would test nothing", plain.PressureCeiling, plain.SameArchs)
 	}
-	observed, sampled, tiered := base, base, base
+	observed, sampled := base, base
 	observed.Obs = ascoma.NewRecording(0, 10_000)
 	sampled.SampleInterval = 10_000
-	tiered.Tiers = []ascoma.TierSpec{{CapacityPct: 50, ReadCycles: 40, WriteCycles: 40}, {CapacityPct: 50, ReadCycles: 160, WriteCycles: 320}}
-	for name, cfg := range map[string]ascoma.Config{"observed": observed, "sampled": sampled, "multi-tier": tiered} {
+	for name, cfg := range map[string]ascoma.Config{"observed": observed, "sampled": sampled} {
 		res, err := ascoma.Run(cfg)
 		if err != nil {
 			t.Fatal(err)

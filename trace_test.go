@@ -64,8 +64,10 @@ func TestWriteTraceRoundTrip(t *testing.T) {
 }
 
 // TestObservedRunBypassesNothing pins that an observed run returns the same
-// statistics as an unobserved one for a config with heavy relocation churn
-// (the golden matrix covers this at scale; this is the fast direct check).
+// statistics as an unobserved one: for a config with heavy relocation churn
+// and a deliberately tiny ring, and for every architecture on pressured
+// radix with epoch probes on (the golden matrix covers this at scale; this
+// is the fast direct check).
 func TestObservedRunBypassesNothing(t *testing.T) {
 	cfg := Config{Arch: ASCOMA, Workload: "hotcold", Pressure: 70, Scale: 16}
 	plain, err := Run(cfg)
@@ -80,6 +82,22 @@ func TestObservedRunBypassesNothing(t *testing.T) {
 	if plain.ExecTime != observed.ExecTime {
 		t.Fatalf("recorder perturbed the run: exec %d vs %d cycles",
 			plain.ExecTime, observed.ExecTime)
+	}
+
+	for _, arch := range append(Archs(), MIGNUMA) {
+		cfg := Config{Arch: arch, Workload: "radix", Pressure: 90, Scale: goldenScale}
+		plain, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Obs = NewRecording(1<<14, 5_000)
+		observed, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p, o := statsChecksum(t, plain), statsChecksum(t, observed); p != o {
+			t.Errorf("%s: stats checksum %s unobserved, %s observed", arch, p, o)
+		}
 	}
 }
 
