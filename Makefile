@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test verify vet fmt-check bench profile race fuzz-smoke clean serve-smoke trace-check model-check e2e perfbench-test examples
+.PHONY: all build test verify vet fmt-check bench profile race fuzz-smoke clean serve-smoke trace-check model-check e2e perfbench-test examples sweep-smoke
 
 all: build
 
@@ -79,6 +79,20 @@ examples:
 		$(GO) run ./$$d >/dev/null || { echo "examples: $$d failed"; exit 1; }; \
 	done
 
+# sweep-smoke runs the built sweep binary at scale 16 on uniform four
+# ways: the figure with charts and SVG files, the figure as CSV, Tables
+# 1-6, and the RAC sensitivity study. It fails on a non-zero exit or a
+# missing SVG file.
+sweep-smoke:
+	$(GO) build -o .bin/sweep ./cmd/sweep
+	rm -rf .bin/svg
+	.bin/sweep -scale 16 -app uniform -svg .bin/svg -chart >/dev/null
+	test -s .bin/svg/uniform_time.svg
+	test -s .bin/svg/uniform_misses.svg
+	.bin/sweep -scale 16 -app uniform -csv >/dev/null
+	for n in 1 2 3 4 5 6; do .bin/sweep -scale 16 -app uniform -table $$n >/dev/null || exit 1; done
+	.bin/sweep -scale 16 -app uniform -sensitivity rac >/dev/null
+
 # model-check validates the analytical steady-state estimator
 # (internal/estimate) against the 72-config golden matrix: every cell is
 # simulated and the relative-execution-time error must stay inside the
@@ -92,7 +106,8 @@ model-check:
 # build, the full test suite (including the golden determinism test and
 # the allocation pins over the golden matrix), a short race-detector smoke
 # over the internal packages, the estimator accuracy gate, the
-# trace-determinism check, the examples, and the server smoke test.
+# trace-determinism check, the examples, the sweep smoke, and the server
+# smoke test.
 verify: fmt-check vet
 	$(GO) build ./...
 	$(GO) test ./...
@@ -100,6 +115,7 @@ verify: fmt-check vet
 	$(MAKE) model-check
 	$(MAKE) trace-check
 	$(MAKE) examples
+	$(MAKE) sweep-smoke
 	$(GO) run ./cmd/ascoma-serve -smoke
 
 # bench runs the tracked go-test benchmarks for a benchstat comparison;

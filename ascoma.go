@@ -208,12 +208,9 @@ func RunGeneratorContext(ctx context.Context, cfg Config, gen workload.Generator
 		if cfg.Arch != ASCOMA {
 			return nil, fmt.Errorf("ascoma: ablations apply only to the AS-COMA architecture, not %v", cfg.Arch)
 		}
-		variant := core.NoSCOMAAlloc
+		mcfg.Ablation = core.NoSCOMAAlloc
 		if cfg.Ablation == AblationNoBackoff {
-			variant = core.NoBackoff
-		}
-		mcfg.PolicyFactory = func(arch params.Arch, p *params.Params) core.Policy {
-			return core.NewASCOMAVariant(p, variant)
+			mcfg.Ablation = core.NoBackoff
 		}
 	}
 	m, err := machine.New(mcfg, gen)

@@ -5,9 +5,10 @@
 // latencies, workload inventory and relocated-page counts), and the
 // extension sensitivity studies. Runs execute in parallel across CPUs
 // through the shared run-orchestration layer: Ctrl-C cancels outstanding
-// simulations, and -cachedir memoizes results on disk so a repeated sweep
-// re-simulates nothing. The rendering lives in internal/report; this command only
-// parses flags.
+// simulations, every cell is simulated at most once per invocation (the
+// -svg panels render from the grid the text output ran), and -cachedir
+// memoizes results on disk so a repeated sweep re-simulates nothing. The
+// rendering lives in internal/report; this command only parses flags.
 //
 // Usage:
 //
@@ -92,15 +93,16 @@ func main() {
 		fail(err)
 	}
 
-	// The cache publishes its counters (hits, sims, cells shared) into a
-	// metrics registry; the exit report renders that registry — the same
-	// exposition ascoma-serve serves at /metrics.
-	var cache *runcache.Cache
+	// Every grid runs through one memory cache, so the SVG panels render
+	// from the cells the text output already ran; -cachedir adds the disk
+	// layer. With -cachedir the cache publishes its counters (hits, sims,
+	// cells shared) into a metrics registry, and the exit report renders
+	// that registry — the same exposition ascoma-serve serves at /metrics.
+	cache, err := runcache.New(0, *cacheDir)
+	if err != nil {
+		fail(err)
+	}
 	if *cacheDir != "" {
-		cache, err = runcache.New(0, *cacheDir)
-		if err != nil {
-			fail(err)
-		}
 		reg := obs.NewRegistry()
 		cache.Publish(reg)
 		defer func() {

@@ -14,14 +14,15 @@ import (
 
 	"ascoma/e2e/harness"
 	"ascoma/internal/jobs"
+	"ascoma/internal/report"
 )
 
-// gridSpec expands to the figure grid for one app: CC-NUMA@50 plus the
-// four adaptive architectures at both pressures — 9 cells, exactly what a
-// later figure render with the same knobs reads.
+// gridSpec expands to the figure grid for one app, exactly what a later
+// figure render with the same knobs reads.
 const gridSpec = `{"grid":{"apps":["uniform"],"pressures":[10,90],"scale":16}}`
-const gridCells = 9
 const figurePath = "/api/v1/figure/uniform?scale=16&pressures=10,90"
+
+var gridCells = int64(len(report.FigureCells("uniform", 16, []int{10, 90})))
 
 // TestFarmSharesCacheOverPeers is the acceptance path: a grid submitted to
 // worker A renders as a figure on worker B with zero new simulations — B
@@ -42,7 +43,7 @@ func TestFarmSharesCacheOverPeers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.State != jobs.StateDone || final.CellsDone != gridCells {
+	if final.State != jobs.StateDone || int64(final.CellsDone) != gridCells {
 		t.Fatalf("grid job on worker A: %+v", final)
 	}
 	// Worker A simulates each cell or fills it from a run of the grid

@@ -29,7 +29,7 @@ type ASCOMA struct {
 	increment int
 	max       int
 
-	// Ablation switches (see NewASCOMAVariant): disable one of the two
+	// Ablation switches (see ASCOMAVariant): disable one of the two
 	// improvements to measure its contribution in isolation.
 	numaFirst bool // disable improvement 1: allocate like R-NUMA
 	noBackoff bool // disable improvement 2: never adapt or deny
@@ -67,11 +67,14 @@ const FailTolerance = 2
 // MaxIntervalScale caps the daemon-interval back-off multiplier.
 const MaxIntervalScale = 16
 
-func makeASCOMA(p *params.Params) ASCOMA {
+// makeASCOMA builds AS-COMA on p, ablated as v says.
+func makeASCOMA(p *params.Params, v ASCOMAVariant) ASCOMA {
 	return ASCOMA{
 		initial:       p.RefetchThreshold,
 		increment:     p.ThresholdIncrement,
 		max:           p.ThresholdMax,
+		numaFirst:     v == NoSCOMAAlloc,
+		noBackoff:     v == NoBackoff,
 		threshold:     p.RefetchThreshold,
 		intervalScale: 1,
 	}
@@ -94,18 +97,6 @@ const (
 	// hot eviction, no thrash detection).
 	NoBackoff
 )
-
-// NewASCOMAVariant builds an AS-COMA policy with one improvement disabled.
-func NewASCOMAVariant(p *params.Params, v ASCOMAVariant) *ASCOMA {
-	a := makeASCOMA(p)
-	switch v {
-	case NoSCOMAAlloc:
-		a.numaFirst = true
-	case NoBackoff:
-		a.noBackoff = true
-	}
-	return &a
-}
 
 // Arch returns params.ASCOMA.
 func (*ASCOMA) Arch() params.Arch { return params.ASCOMA }

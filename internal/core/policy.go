@@ -83,7 +83,7 @@ func New(arch params.Arch, p *params.Params) Policy {
 		v := makeVCNUMA(p)
 		return &v
 	case params.ASCOMA:
-		a := makeASCOMA(p)
+		a := makeASCOMA(p, FullASCOMA)
 		return &a
 	case params.MIGNUMA:
 		m := makeMIGNUMA(p)

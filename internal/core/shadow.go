@@ -68,25 +68,24 @@ type Set struct {
 }
 
 // Reset prepares the set for a run of arch on p, as New would build the
-// policy. A nil primary makes the set's own arch value the primary and
-// shadows every other architecture. A non-nil primary (a PolicyFactory's,
-// e.g. an ablation variant) decides alone: the set shadows nothing and
-// certifies nothing. With a nil primary, arch must be a known
-// architecture.
-func (s *Set) Reset(arch params.Arch, p *params.Params, primary Policy) {
+// policy, with the set's AS-COMA ablated as v says. The set's own arch
+// value decides. With the full AS-COMA it shadows every other
+// architecture; with an ablated one it shadows nothing and certifies
+// nothing, because no architecture's run matches an ablation's. arch must
+// be a known architecture.
+func (s *Set) Reset(arch params.Arch, p *params.Params, v ASCOMAVariant) {
 	s.cc = ccnuma{}
 	s.sc = scoma{}
 	s.rn = rnuma{threshold: p.RefetchThreshold}
 	s.vc = makeVCNUMA(p)
-	s.as = makeASCOMA(p)
+	s.as = makeASCOMA(p, v)
 	s.mg = makeMIGNUMA(p)
 	s.all = [numArchs]Policy{&s.cc, &s.sc, &s.rn, &s.vc, &s.as, &s.mg}
-	s.live = 0
-	if primary == nil {
-		primary = s.all[arch]
-		s.live = allArchs &^ (1 << arch)
+	s.pol = s.all[arch]
+	s.live = allArchs &^ (1 << arch)
+	if v != FullASCOMA {
+		s.live = 0
 	}
-	s.pol = primary
 }
 
 // Primary returns the policy that decides. Probes that read its state

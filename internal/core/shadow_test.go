@@ -9,7 +9,7 @@ import (
 func TestSetShadowsEveryOtherArch(t *testing.T) {
 	for a := params.Arch(0); int(a) < numArchs; a++ {
 		var s Set
-		s.Reset(a, defParams(), nil)
+		s.Reset(a, defParams(), FullASCOMA)
 		if got := s.Primary().Arch(); got != a {
 			t.Errorf("Reset(%v): primary is %v", a, got)
 		}
@@ -26,7 +26,7 @@ func TestSetShadowsEveryOtherArch(t *testing.T) {
 func TestSetComparesBranchOutcomes(t *testing.T) {
 	var s Set
 	p := defParams()
-	s.Reset(params.CCNUMA, p, nil)
+	s.Reset(params.CCNUMA, p, FullASCOMA)
 	for n := 0; n < p.RefetchThreshold; n++ {
 		if s.Relocates(n) {
 			t.Fatalf("CC-NUMA relocated at %d refetches", n)
@@ -54,7 +54,7 @@ func TestSetComparesBranchOutcomes(t *testing.T) {
 // changes the interval scale and ends the agreement.
 func TestSetFeedsShadows(t *testing.T) {
 	var s Set
-	s.Reset(params.SCOMA, defParams(), nil)
+	s.Reset(params.SCOMA, defParams(), FullASCOMA)
 	if !s.InitialSCOMA(10, 1) || !s.Same().Has(params.ASCOMA) {
 		t.Fatalf("S-COMA and AS-COMA disagree on a full pool: %08b", s.Same())
 	}
@@ -70,20 +70,24 @@ func TestSetFeedsShadows(t *testing.T) {
 // but counted thrash events differently is not certified.
 func TestSetSameChecksThrashEvents(t *testing.T) {
 	var s Set
-	s.Reset(params.RNUMA, defParams(), nil)
+	s.Reset(params.RNUMA, defParams(), FullASCOMA)
 	s.vc.thrashEvents++
 	if s.Same().Has(params.VCNUMA) {
 		t.Errorf("VC-NUMA counted a thrash event R-NUMA did not, yet is certified: %08b", s.Same())
 	}
 }
 
+// TestSetWithPrimaryCertifiesNothing: a set whose AS-COMA is ablated
+// decides with its own ablated AS-COMA and shadows nothing.
 func TestSetWithPrimaryCertifiesNothing(t *testing.T) {
 	var s Set
 	p := defParams()
-	v := NewASCOMAVariant(p, NoBackoff)
-	s.Reset(params.ASCOMA, p, v)
-	if s.Primary() != Policy(v) || s.Same() != 0 {
-		t.Errorf("factory primary: primary %v, certifies %08b; want the variant and nothing", s.Primary(), s.Same())
+	for _, v := range []ASCOMAVariant{NoSCOMAAlloc, NoBackoff} {
+		s.Reset(params.ASCOMA, p, v)
+		want := makeASCOMA(p, v)
+		if s.Primary() != Policy(&s.as) || s.as != want || s.Same() != 0 {
+			t.Errorf("variant %d: primary %v, certifies %08b; want the set's ablated AS-COMA and nothing", v, s.Primary(), s.Same())
+		}
 	}
 }
 
@@ -91,7 +95,7 @@ func TestSetAllocationFree(t *testing.T) {
 	var s Set
 	p := defParams()
 	allocs := testing.AllocsPerRun(100, func() {
-		s.Reset(params.ASCOMA, p, nil)
+		s.Reset(params.ASCOMA, p, FullASCOMA)
 		s.InitialSCOMA(3, 1)
 		s.Relocates(70)
 		s.Migrates()

@@ -8,7 +8,7 @@ import (
 
 func TestVariantNoSCOMAAlloc(t *testing.T) {
 	p := defParams()
-	a := NewASCOMAVariant(p, NoSCOMAAlloc)
+	a := makeASCOMA(p, NoSCOMAAlloc)
 	if a.InitialSCOMA(100, 10) {
 		t.Error("NoSCOMAAlloc variant still allocates S-COMA pages")
 	}
@@ -23,7 +23,7 @@ func TestVariantNoSCOMAAlloc(t *testing.T) {
 
 func TestVariantNoBackoff(t *testing.T) {
 	p := defParams()
-	a := NewASCOMAVariant(p, NoBackoff)
+	a := makeASCOMA(p, NoBackoff)
 	if !a.InitialSCOMA(100, 10) {
 		t.Error("NoBackoff variant lost the allocation preference")
 	}
@@ -48,7 +48,7 @@ func TestVariantNoBackoff(t *testing.T) {
 
 func TestVariantFullMatchesDefault(t *testing.T) {
 	p := defParams()
-	full := NewASCOMAVariant(p, FullASCOMA)
+	full := makeASCOMA(p, FullASCOMA)
 	std := New(params.ASCOMA, p).(*ASCOMA)
 	if full.InitialSCOMA(5, 2) != std.InitialSCOMA(5, 2) {
 		t.Error("FullASCOMA differs from the standard policy")

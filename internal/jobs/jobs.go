@@ -336,9 +336,7 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 			return nil, err
 		}
 		fig := *spec.Figure
-		// The figure grid: the CC-NUMA baseline plus four architectures
-		// per pressure (see report.runGrid).
-		total = 1 + 4*len(report.PressureAxis(fig.Pressures))
+		total = len(report.FigureCells(fig.App, fig.Scale, fig.Pressures))
 		runner = func(j *Job, ctx context.Context) (any, error) {
 			return m.runFigure(j, ctx, fig)
 		}

@@ -125,9 +125,8 @@ func checkInterval(name string, v int64) error {
 
 // GridSpec is a sweep grid: the cross product of workloads, architectures,
 // and pressures, sharded cell-by-cell across the runner pool. An empty
-// Archs selects the paper's figure grid — the pressure-insensitive CC-NUMA
-// baseline once, plus the four adaptive architectures at every pressure —
-// so a grid job warms exactly the cells a later figure render reads.
+// Archs selects the paper's figure grid (report.FigureCells), so a grid
+// job warms exactly the cells a later figure render reads.
 type GridSpec struct {
 	Apps      []string `json:"apps"`
 	Archs     []string `json:"archs,omitempty"`
@@ -136,13 +135,9 @@ type GridSpec struct {
 	MaxCycles int64    `json:"maxCycles,omitempty"`
 }
 
-// figureArchs are the pressure-sensitive architectures of the paper's
-// figure grids, in presentation order.
-var figureArchs = []ascoma.Arch{ascoma.SCOMA, ascoma.ASCOMA, ascoma.VCNUMA, ascoma.RNUMA}
-
 // cells validates the spec and expands it into configs, in the
 // deterministic app-major, arch-then-pressure order results are assembled
-// in.
+// in. An empty Archs expands each app to report.FigureCells.
 func (g GridSpec) cells(maxCells int) ([]ascoma.Config, error) {
 	apps := g.Apps
 	if len(apps) == 0 {
@@ -167,44 +162,37 @@ func (g GridSpec) cells(maxCells int) ([]ascoma.Config, error) {
 	}
 
 	var archs []ascoma.Arch
-	baseline := false
-	if len(g.Archs) == 0 {
-		archs, baseline = figureArchs, true
-	} else {
-		for _, s := range g.Archs {
-			a, err := ascoma.ParseArch(s)
-			if err != nil {
-				return nil, badSpec("%v", err)
-			}
-			archs = append(archs, a)
+	for _, s := range g.Archs {
+		a, err := ascoma.ParseArch(s)
+		if err != nil {
+			return nil, badSpec("%v", err)
 		}
+		archs = append(archs, a)
 	}
 
 	// Bound the expansion before building it: a 1 MiB body can list
 	// enough apps to expand into millions of configs.
 	perApp := len(archs) * len(pressures)
-	if baseline {
-		perApp++
+	if len(archs) == 0 {
+		perApp = len(report.FigureCells(apps[0], g.Scale, pressures))
 	}
 	if n := len(apps) * perApp; n > maxCells {
 		return nil, badSpec("grid expands to %d cells, exceeding the per-job bound %d", n, maxCells)
 	}
 	cells := make([]ascoma.Config, 0, len(apps)*perApp)
-	add := func(arch ascoma.Arch, app string, pressure int) {
-		cells = append(cells, ascoma.Config{
-			Arch: arch, Workload: app, Pressure: pressure,
-			Scale: g.Scale, MaxCycles: g.MaxCycles,
-		})
-	}
 	for _, app := range apps {
-		if baseline {
-			add(ascoma.CCNUMA, app, 50)
+		if len(archs) == 0 {
+			cells = append(cells, report.FigureCells(app, g.Scale, pressures)...)
+			continue
 		}
 		for _, a := range archs {
 			for _, p := range pressures {
-				add(a, app, p)
+				cells = append(cells, ascoma.Config{Arch: a, Workload: app, Pressure: p, Scale: g.Scale})
 			}
 		}
+	}
+	for i := range cells {
+		cells[i].MaxCycles = g.MaxCycles
 	}
 	return cells, nil
 }

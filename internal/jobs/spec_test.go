@@ -4,9 +4,11 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"ascoma"
 	"ascoma/internal/report"
+	"ascoma/internal/runcache"
 )
 
 func TestRunSpecValidation(t *testing.T) {
@@ -39,28 +41,67 @@ func TestRunSpecValidation(t *testing.T) {
 	}
 }
 
+// TestGridCellsFigureDefault: empty archs expand each app to exactly
+// report.FigureCells, so a default grid job warms precisely what a figure
+// render reads; the job's MaxCycles rides on every cell.
 func TestGridCellsFigureDefault(t *testing.T) {
-	// Empty archs/pressures expand to exactly the figure grid: one CC-NUMA
-	// baseline plus the four adaptive architectures at every pressure, per
-	// app — so a default grid job warms precisely what a figure render reads.
-	g := GridSpec{Apps: []string{"uniform"}, Scale: 8}
+	g := GridSpec{Apps: []string{"uniform", "radix"}, Pressures: []int{90, 10, 90}, Scale: 8, MaxCycles: 1 << 40}
 	cells, err := g.cells(4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 1 + 4*5; len(cells) != want {
-		t.Fatalf("default grid has %d cells, want %d", len(cells), want)
-	}
-	if cells[0].Arch != ascoma.CCNUMA || cells[0].Pressure != 50 {
-		t.Errorf("cell 0 is %v@%d, want the CC-NUMA@50 baseline", cells[0].Arch, cells[0].Pressure)
-	}
-	if cells[1].Arch != ascoma.SCOMA || cells[1].Pressure != 10 {
-		t.Errorf("cell 1 is %v@%d", cells[1].Arch, cells[1].Pressure)
-	}
-	for _, c := range cells {
-		if c.Scale != 8 || c.Workload != "uniform" {
-			t.Fatalf("cell carries wrong knobs: %+v", c)
+	var want []ascoma.Config
+	for _, app := range g.Apps {
+		for _, c := range report.FigureCells(app, g.Scale, g.Pressures) {
+			c.MaxCycles = g.MaxCycles
+			want = append(want, c)
 		}
+	}
+	if !reflect.DeepEqual(cells, want) {
+		t.Fatalf("default grid expands to\n%+v\nwant report.FigureCells per app\n%+v", cells, want)
+	}
+	// No apps and no pressures: the six figure apps over the default axis.
+	cells, err = GridSpec{Scale: 8}.cells(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = nil
+	for _, app := range report.FigureApps(0) {
+		want = append(want, report.FigureCells(app, 8, nil)...)
+	}
+	if !reflect.DeepEqual(cells, want) {
+		t.Fatalf("empty grid spec expands to %d cells, want the %d of the six figure grids", len(cells), len(want))
+	}
+}
+
+// TestFigureJobCellsTotal: a figure job reports its grid's cell count
+// while still queued, before any cell has run, and finishes every cell.
+func TestFigureJobCellsTotal(t *testing.T) {
+	m := NewManager(&runcache.Runner{Jobs: 1}, Options{MaxActive: 1})
+	defer m.Close()
+	m.slots <- struct{}{} // hold the one active slot: the job stays queued
+	fig := FigureSpec{App: "uniform", Scale: 32, Pressures: []int{90, 10}}
+	j, err := m.Submit(Spec{Figure: &fig})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := len(report.FigureCells(fig.App, fig.Scale, fig.Pressures))
+	if st := j.Status(); st.State != StateQueued || st.CellsTotal != want || st.CellsDone != 0 {
+		t.Fatalf("queued figure job: state %s, cells %d/%d; want queued, 0/%d", st.State, st.CellsDone, st.CellsTotal, want)
+	}
+	<-m.slots
+	deadline := time.Now().Add(2 * time.Minute)
+	for {
+		if _, terminal := j.Events(0); terminal {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("figure job did not finish; status %+v", j.Status())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if st := j.Status(); st.State != StateDone || st.CellsTotal != want || st.CellsDone != want {
+		t.Fatalf("finished figure job: state %s (%s), cells %d/%d; want done, %d/%d", st.State, st.Error, st.CellsDone, st.CellsTotal, want, want)
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"sync"
 
 	"ascoma/internal/cache"
-	"ascoma/internal/core"
 	"ascoma/internal/directory"
 	"ascoma/internal/network"
 	"ascoma/internal/vm"
@@ -130,7 +129,6 @@ func (m *Machine) Release() {
 		workload.Recycle(nd.chunks)
 		nd.chunks = nil
 		nd.pend, nd.pendPos = nil, 0
-		nd.pols = core.Set{} // drops a PolicyFactory's policy
 		nd.vmm.SetRecorder(nil)
 	}
 	m.gen = nil

@@ -111,9 +111,9 @@ func (m *Machine) certifies() bool {
 // which equals this run.
 //
 // Runs that certify no pressure by configuration (see certifies) certify
-// no architecture either, and neither do runs whose policy comes from a
-// PolicyFactory: that policy is none of the set's, so the set shadows
-// nothing (core.Set.Reset).
+// no architecture either, and neither do runs of an ablated AS-COMA: no
+// architecture's run matches an ablation's, so the set shadows nothing
+// (core.Set.Reset).
 func (m *Machine) SameArchs() core.ArchSet {
 	if !m.certifies() {
 		return 0

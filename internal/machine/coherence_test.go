@@ -125,17 +125,11 @@ func TestPageoutDaemonReclaimsColdPages(t *testing.T) {
 	}
 }
 
-// TestAblationPolicyFactory: the machine honors a policy-factory override.
+// TestAblationPolicyFactory: the machine honors an AS-COMA ablation.
 func TestAblationPolicyFactory(t *testing.T) {
 	gen := newProbe(2, 4, 0)
 	gen.Program(1).Walk(gen.Section(0), 4*params.PageSize, params.PageSize, 1, workload.Read, 0)
-	cfg := Config{
-		Arch:     params.ASCOMA,
-		Pressure: 10,
-		PolicyFactory: func(arch params.Arch, p *params.Params) core.Policy {
-			return core.NewASCOMAVariant(p, core.NoSCOMAAlloc)
-		},
-	}
+	cfg := Config{Arch: params.ASCOMA, Pressure: 10, Ablation: core.NoSCOMAAlloc}
 	m, err := New(cfg, gen)
 	if err != nil {
 		t.Fatal(err)

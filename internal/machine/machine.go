@@ -40,10 +40,10 @@ type Config struct {
 	// MaxCycles aborts runs that exceed this simulated time (0 -> no
 	// limit); a safety net against mismatched barrier counts.
 	MaxCycles int64
-	// PolicyFactory overrides per-node policy construction (nil -> the
-	// standard policy for Arch). Used by the ablation benchmarks to run
-	// AS-COMA variants.
-	PolicyFactory func(arch params.Arch, p *params.Params) core.Policy
+	// Ablation runs AS-COMA with one of its improvements disabled (zero
+	// -> the full policy). Used by the ablation benchmarks; a run of an
+	// ablated AS-COMA certifies no other architecture (see SameArchs).
+	Ablation core.ASCOMAVariant
 	// Deprecated: runs are sequential; ignored.
 	Cores int
 	// CheckCoherence enables the version-shadowing coherence checker:
@@ -284,11 +284,7 @@ func New(cfg Config, gen workload.Generator) (*Machine, error) {
 
 	for i := 0; i < n; i++ {
 		nd := m.nodes[i]
-		var primary core.Policy // nil: the set's own policy for cfg.Arch
-		if cfg.PolicyFactory != nil {
-			primary = cfg.PolicyFactory(cfg.Arch, p)
-		}
-		nd.pols.Reset(cfg.Arch, p, primary)
+		nd.pols.Reset(cfg.Arch, p, cfg.Ablation)
 		nd.st = stats.Node{}
 		nd.nextDaemon = p.DaemonInterval
 		nd.daemonInterval = p.DaemonInterval
@@ -1052,14 +1048,7 @@ func (m *Machine) relocate(nd *node, pte *vm.PTE, now int64) int64 {
 		}
 	}
 	if ok {
-		flushed, _ := nd.l1.FlushPage(pte.Page)
-		if flushed > 0 {
-			nd.invGen++
-		}
-		nd.rac.FlushPage(pte.Page)
-		_, dirty := m.dir.FlushNode(pte.Page, nd.id)
-		nd.tlb.invalidate(pte.Page) // remap shoots down the translation
-		cost += p.RelocationCycles + int64(flushed)*p.L1FlushLine + int64(dirty)*p.FlushBlockWBCycles
+		cost += m.flushLocal(nd, pte.Page)
 		nd.st.Upgrades++
 		if m.rec != nil {
 			m.rec.Emit(obs.EvUpgrade, nd.id, uint32(pte.Page.MustIndex()), uint32(nd.vmm.Free()))
@@ -1155,13 +1144,7 @@ func (m *Machine) migrate(nd *node, pte *vm.PTE, now int64) int64 {
 // returning the kernel cycles consumed. Used by the pageout daemon, by
 // relocation, and by pure S-COMA's synchronous replacement.
 func (m *Machine) evict(nd *node, victim *vm.PTE) int64 {
-	p := m.p
-	flushed, _ := nd.l1.FlushPage(victim.Page)
-	if flushed > 0 {
-		nd.invGen++
-	}
-	nd.rac.FlushPage(victim.Page)
-	_, dirty := m.dir.FlushNode(victim.Page, nd.id)
+	cost := m.flushLocal(nd, victim.Page)
 	hits := victim.SComaHits
 	nd.vmm.Downgrade(victim)
 	if nd.pols.PureSCOMA() {
@@ -1169,8 +1152,6 @@ func (m *Machine) evict(nd *node, victim *vm.PTE) int64 {
 		// its mapping and the next access must fault and re-replace.
 		nd.vmm.Unmap(victim)
 	}
-	// The remap (or unmap) shoots down the node's cached translation.
-	nd.tlb.invalidate(victim.Page)
 	nd.st.Downgrades++
 	nd.pols.NoteEviction(hits, nd.vmm.SComaPages())
 	if m.rec != nil {
@@ -1179,6 +1160,22 @@ func (m *Machine) evict(nd *node, victim *vm.PTE) int64 {
 		m.rec.Emit(obs.EvTLBShootdown, nd.id, uint32(victim.Page.MustIndex()), obs.ShootdownEvict)
 		m.noteThreshold(nd) // NoteEviction feeds the thrash detector
 	}
+	return cost
+}
+
+// flushLocal is the node-local half of remapping a page between S-COMA
+// and CC-NUMA mode: it flushes the page from the node's L1 and RAC,
+// writes back and drops the node's directory copies, and shoots down the
+// node's cached translation. Returns the kernel cycles consumed.
+func (m *Machine) flushLocal(nd *node, page addr.Page) int64 {
+	flushed, _ := nd.l1.FlushPage(page)
+	if flushed > 0 {
+		nd.invGen++
+	}
+	nd.rac.FlushPage(page)
+	_, dirty := m.dir.FlushNode(page, nd.id)
+	nd.tlb.invalidate(page)
+	p := m.p
 	return p.RelocationCycles + int64(flushed)*p.L1FlushLine + int64(dirty)*p.FlushBlockWBCycles
 }
 

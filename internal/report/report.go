@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"slices"
 	"strconv"
@@ -103,98 +104,120 @@ func FigureApps(fig int) []string {
 // both-figures sentinel 0.
 func ValidFigure(fig int) bool { return fig == 0 || fig == 2 || fig == 3 }
 
-type runKey struct {
-	arch     ascoma.Arch
-	pressure int
-}
-
-// gridArchs are the pressure-sensitive architectures of a figure grid;
-// the CC-NUMA baseline runs once at 50% besides them.
-var gridArchs = []ascoma.Arch{ascoma.SCOMA, ascoma.ASCOMA, ascoma.VCNUMA, ascoma.RNUMA}
-
-// runGrid executes the architecture x pressure grid for one application
-// through the shared Runner, reporting each finished cell to o.Progress.
-// CC-NUMA runs once (it is pressure-insensitive). The first failure
-// cancels every outstanding cell.
-func runGrid(ctx context.Context, app string, o Options) (map[runKey]*ascoma.Result, error) {
-	keys := []runKey{{ascoma.CCNUMA, 50}}
-	for _, a := range gridArchs {
-		for _, p := range o.Pressures {
-			keys = append(keys, runKey{a, p})
+// FigureCells returns one application's figure grid in presentation
+// order: the CC-NUMA baseline once at 50% (it is pressure-insensitive),
+// then S-COMA, AS-COMA, VC-NUMA and R-NUMA at every pressure of
+// PressureAxis(pressures). It is the one definition of the grid: Figure
+// and FigureSVG run it, and the jobs layer expands and counts grid and
+// figure jobs with it.
+func FigureCells(app string, scale int, pressures []int) []ascoma.Config {
+	ps := PressureAxis(pressures)
+	archs := []ascoma.Arch{ascoma.SCOMA, ascoma.ASCOMA, ascoma.VCNUMA, ascoma.RNUMA}
+	cells := make([]ascoma.Config, 0, 1+len(archs)*len(ps))
+	cells = append(cells, ascoma.Config{Arch: ascoma.CCNUMA, Workload: app, Pressure: 50, Scale: scale})
+	for _, a := range archs {
+		for _, p := range ps {
+			cells = append(cells, ascoma.Config{Arch: a, Workload: app, Pressure: p, Scale: scale})
 		}
 	}
-	cells := make([]ascoma.Config, len(keys))
-	for i, k := range keys {
-		cells[i] = ascoma.Config{Arch: k.arch, Workload: app, Pressure: k.pressure, Scale: o.Scale}
+	return cells
+}
+
+// figureRow is one bar of a figure panel: the model the table, CSV, text
+// chart and SVG renderers all read.
+type figureRow struct {
+	label  string
+	rel    float64                    // execution time relative to the baseline
+	time   [stats.NumTimeCats]float64 // each category's share of rel; they sum to rel
+	misses [stats.NumMissCats]int64   // shared misses by where they were satisfied
+}
+
+func (r *figureRow) missTotal() int64 {
+	var sum int64
+	for _, v := range r.misses {
+		sum += v
 	}
-	results := make(map[runKey]*ascoma.Result, len(keys))
-	_, err := o.Runner.RunAll(ctx, cells, func(i int, res *ascoma.Result) {
-		results[keys[i]] = res
+	return sum
+}
+
+// missShares returns each class's fraction of the row's misses (all 0
+// when there are none).
+func (r *figureRow) missShares() [stats.NumMissCats]float64 {
+	var f [stats.NumMissCats]float64
+	if sum := r.missTotal(); sum > 0 {
+		for c, v := range r.misses {
+			f[c] = float64(v) / float64(sum)
+		}
+	}
+	return f
+}
+
+// figureRows runs app's figure grid through the shared Runner, reporting
+// each finished cell to o.Progress, and returns its rows in presentation
+// order. The first failure cancels every outstanding cell.
+func figureRows(ctx context.Context, app string, o Options) ([]figureRow, error) {
+	cells := FigureCells(app, o.Scale, o.Pressures)
+	done := 0
+	results, err := o.Runner.RunAll(ctx, cells, func(int, *ascoma.Result) {
+		done++
 		if o.Progress != nil {
-			o.Progress(len(results), len(keys))
+			o.Progress(done, len(cells))
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	return results, nil
-}
-
-// gridRows iterates the grid in the paper's presentation order.
-func gridRows(results map[runKey]*ascoma.Result, pressures []int, f func(label string, r *ascoma.Result)) {
-	f("CCNUMA", results[runKey{ascoma.CCNUMA, 50}])
-	for _, a := range gridArchs {
-		for _, p := range pressures {
-			if r := results[runKey{a, p}]; r != nil {
-				f(fmt.Sprintf("%v(%d%%)", a, p), r)
+	base := results[0].ExecTime
+	rows := make([]figureRow, len(results))
+	for i, res := range results {
+		r := &rows[i]
+		r.label = "CCNUMA"
+		if i > 0 {
+			r.label = fmt.Sprintf("%v(%d%%)", cells[i].Arch, cells[i].Pressure)
+		}
+		r.rel = float64(res.ExecTime) / float64(base)
+		t := res.SumTime()
+		var sum int64
+		for _, v := range t {
+			sum += v
+		}
+		if sum > 0 {
+			for c, v := range t {
+				r.time[c] = float64(v) / float64(sum) * r.rel
 			}
 		}
+		r.misses = res.SumMisses()
 	}
+	return rows, nil
 }
 
 // Figure renders one application's Figure 2/3 panel (left: relative
 // execution-time breakdown; right: miss classification).
 func Figure(ctx context.Context, w io.Writer, app string, o Options) error {
 	o = o.withDefaults()
-	results, err := runGrid(ctx, app, o)
+	rows, err := figureRows(ctx, app, o)
 	if err != nil {
 		return err
 	}
-	base := results[runKey{ascoma.CCNUMA, 50}]
-	if base == nil {
-		return fmt.Errorf("report: no baseline result for %s", app)
-	}
 	if o.Format == "chart" {
-		return figureChart(w, app, results, base, o)
+		return figureChart(w, app, rows)
 	}
 
 	left := &stats.Table{Header: []string{"config", "total", "U-SH-MEM", "K-BASE", "K-OVERHD", "U-INSTR", "U-LC-MEM", "SYNC"}}
 	right := &stats.Table{Header: []string{"config", "misses", "HOME%", "SCOMA%", "RAC%", "COLD%", "CONF/CAPC%"}}
-	gridRows(results, o.Pressures, func(label string, r *ascoma.Result) {
-		t := r.SumTime()
-		var sum int64
-		for _, v := range t {
-			sum += v
+	for _, r := range rows {
+		cols := []any{r.label, f2(r.rel)}
+		for _, f := range r.time {
+			cols = append(cols, f2(f))
 		}
-		rel := float64(r.ExecTime) / float64(base.ExecTime)
-		frac := func(c stats.TimeCat) string {
-			if sum == 0 {
-				return f2(0)
-			}
-			return f2(float64(t[c]) / float64(sum) * rel)
+		left.AddRow(cols...)
+		sum := r.missTotal()
+		cols = []any{r.label, sum}
+		for _, v := range r.misses {
+			cols = append(cols, f1(pct(v, sum)))
 		}
-		left.AddRow(label, f2(rel), frac(stats.UShMem), frac(stats.KBase),
-			frac(stats.KOverhead), frac(stats.UInstr), frac(stats.ULcMem), frac(stats.Sync))
-		m := r.SumMisses()
-		var msum int64
-		for _, v := range m {
-			msum += v
-		}
-		right.AddRow(label, msum,
-			f1(pct(m[stats.Home], msum)), f1(pct(m[stats.SComa], msum)),
-			f1(pct(m[stats.RAC], msum)), f1(pct(m[stats.Cold], msum)),
-			f1(pct(m[stats.ConfCapc], msum)))
-	})
+		right.AddRow(cols...)
+	}
 
 	if o.Format == "csv" {
 		return writeAll(w, left.CSV(), right.CSV())
@@ -207,26 +230,20 @@ func Figure(ctx context.Context, w io.Writer, app string, o Options) error {
 		"\n")
 }
 
-// figureChart renders the paper-style stacked bars.
-func figureChart(w io.Writer, app string, results map[runKey]*ascoma.Result, base *ascoma.Result, o Options) error {
+// figureChart renders the paper-style stacked bars. A time segment is
+// drawn at a whole number of millionths of the baseline.
+func figureChart(w io.Writer, app string, rows []figureRow) error {
 	left := &stats.Chart{Title: fmt.Sprintf("== %s: relative execution time (|%s|) ==", app, stats.TimeLegend())}
 	right := &stats.Chart{Title: fmt.Sprintf("-- %s: where shared misses were satisfied (|%s|) --", app, stats.MissLegend())}
-	gridRows(results, o.Pressures, func(label string, r *ascoma.Result) {
-		t := r.SumTime()
-		var sum int64
-		for _, v := range t {
-			sum += v
+	for _, r := range rows {
+		var bar [stats.NumTimeCats]float64
+		for c, f := range r.time {
+			bar[c] = math.Trunc(f*1e6) / 1e6
 		}
-		rel := float64(r.ExecTime) / float64(base.ExecTime)
-		scaled := t
-		if sum > 0 {
-			for i := range scaled {
-				scaled[i] = int64(float64(t[i]) / float64(sum) * rel * 1e6)
-			}
-		}
-		left.AddTimeBar(label, scaled, 1e6)
-		right.AddMissBar(label, r.SumMisses())
-	})
+		left.AddBar(r.label, bar[:])
+		shares := r.missShares()
+		right.AddBar(r.label, shares[:])
+	}
 	return writeAll(w, left.String(), "\n", right.String(), "\n")
 }
 

@@ -18,20 +18,26 @@ import (
 func SensitivityThreshold(ctx context.Context, w io.Writer, o Options) error {
 	o = o.withDefaults()
 	const app, pressure = "radix", 70
-	base, err := o.Runner.Run(ctx, ascoma.Config{Arch: ascoma.CCNUMA, Workload: app, Pressure: pressure, Scale: o.Scale})
+	thresholds := []int{8, 16, 32, 64, 128, 256}
+	archs := []ascoma.Arch{ascoma.RNUMA, ascoma.ASCOMA}
+	// The CC-NUMA baseline, then each threshold's row of architectures.
+	cells := []ascoma.Config{{Arch: ascoma.CCNUMA, Workload: app, Pressure: pressure, Scale: o.Scale}}
+	for _, th := range thresholds {
+		p := ascoma.DefaultParams()
+		p.RefetchThreshold = th
+		for _, arch := range archs {
+			cells = append(cells, ascoma.Config{Arch: arch, Workload: app, Pressure: pressure, Scale: o.Scale, Params: p})
+		}
+	}
+	results, err := o.Runner.RunAll(ctx, cells, nil)
 	if err != nil {
 		return err
 	}
+	base, results := results[0], results[1:]
 	t := &stats.Table{Header: []string{"threshold", "R-NUMA rel", "R-NUMA K-OVERHD%", "AS-COMA rel", "AS-COMA K-OVERHD%"}}
-	for _, th := range []int{8, 16, 32, 64, 128, 256} {
-		p := ascoma.DefaultParams()
-		p.RefetchThreshold = th
+	for i, th := range thresholds {
 		row := []interface{}{th}
-		for _, arch := range []ascoma.Arch{ascoma.RNUMA, ascoma.ASCOMA} {
-			res, err := o.Runner.Run(ctx, ascoma.Config{Arch: arch, Workload: app, Pressure: pressure, Scale: o.Scale, Params: p})
-			if err != nil {
-				return err
-			}
+		for _, res := range results[i*len(archs) : (i+1)*len(archs)] {
 			ts := res.SumTime()
 			var sum int64
 			for _, v := range ts {
@@ -53,20 +59,25 @@ func SensitivityThreshold(ctx context.Context, w io.Writer, o Options) error {
 func SensitivityRAC(ctx context.Context, w io.Writer, o Options) error {
 	o = o.withDefaults()
 	const app, pressure = "fft", 50
-	t := &stats.Table{Header: []string{"RAC entries", "exec (cycles)", "RAC% of misses", "remote% of misses"}}
-	for _, entries := range []int{0, 1, 2, 4, 16} {
+	sizes := []int{0, 1, 2, 4, 16}
+	cells := make([]ascoma.Config, len(sizes))
+	for i, entries := range sizes {
 		p := ascoma.DefaultParams()
 		p.RACEntries = entries
-		res, err := o.Runner.Run(ctx, ascoma.Config{Arch: ascoma.CCNUMA, Workload: app, Pressure: pressure, Scale: o.Scale, Params: p})
-		if err != nil {
-			return err
-		}
+		cells[i] = ascoma.Config{Arch: ascoma.CCNUMA, Workload: app, Pressure: pressure, Scale: o.Scale, Params: p}
+	}
+	results, err := o.Runner.RunAll(ctx, cells, nil)
+	if err != nil {
+		return err
+	}
+	t := &stats.Table{Header: []string{"RAC entries", "exec (cycles)", "RAC% of misses", "remote% of misses"}}
+	for i, res := range results {
 		m := res.SumMisses()
 		var sum int64
 		for _, v := range m {
 			sum += v
 		}
-		t.AddRow(entries, res.ExecTime, f1(pct(m[stats.RAC], sum)),
+		t.AddRow(sizes[i], res.ExecTime, f1(pct(m[stats.RAC], sum)),
 			f1(pct(m[stats.Cold]+m[stats.ConfCapc], sum)))
 	}
 	if err := writeAll(w, fmt.Sprintf("RAC-size sensitivity: %s at %d%% pressure on CC-NUMA\n", app, pressure)); err != nil {

@@ -6,7 +6,6 @@ import (
 	"io"
 	"strings"
 
-	"ascoma"
 	"ascoma/internal/stats"
 )
 
@@ -113,48 +112,18 @@ func xmlEscape(s string) string {
 // (right), written to timeW and missW.
 func FigureSVG(ctx context.Context, timeW, missW io.Writer, app string, o Options) error {
 	o = o.withDefaults()
-	results, err := runGrid(ctx, app, o)
+	rows, err := figureRows(ctx, app, o)
 	if err != nil {
 		return err
 	}
-	base := results[runKey{ascoma.CCNUMA, 50}]
-	if base == nil {
-		return fmt.Errorf("report: no baseline result for %s", app)
+	timeBars := make([]svgBar, len(rows))
+	missBars := make([]svgBar, len(rows))
+	for i := range rows {
+		r := &rows[i]
+		shares := r.missShares()
+		timeBars[i] = svgBar{label: r.label, parts: r.time[:]}
+		missBars[i] = svgBar{label: r.label, parts: shares[:]}
 	}
-
-	var timeBars, missBars []svgBar
-	gridRows(results, o.Pressures, func(label string, r *ascoma.Result) {
-		t := r.SumTime()
-		var sum int64
-		for _, v := range t {
-			sum += v
-		}
-		rel := float64(r.ExecTime) / float64(base.ExecTime)
-		tb := svgBar{label: label}
-		for c := stats.TimeCat(0); c < stats.NumTimeCats; c++ {
-			f := 0.0
-			if sum > 0 {
-				f = float64(t[c]) / float64(sum) * rel
-			}
-			tb.parts = append(tb.parts, f)
-		}
-		timeBars = append(timeBars, tb)
-
-		m := r.SumMisses()
-		var msum int64
-		for _, v := range m {
-			msum += v
-		}
-		mb := svgBar{label: label}
-		for c := stats.MissCat(0); c < stats.NumMissCats; c++ {
-			f := 0.0
-			if msum > 0 {
-				f = float64(m[c]) / float64(msum)
-			}
-			mb.parts = append(mb.parts, f)
-		}
-		missBars = append(missBars, mb)
-	})
 
 	timeNames := make([]string, stats.NumTimeCats)
 	for c := stats.TimeCat(0); c < stats.NumTimeCats; c++ {

@@ -6,9 +6,10 @@ import (
 )
 
 // Chart renders the paper's stacked horizontal bars in plain text: each
-// configuration becomes one bar whose length is its execution time
-// relative to the baseline and whose segments are the time categories
-// (left-hand figures) or miss classes (right-hand figures).
+// configuration becomes one bar whose segments are the time categories
+// (left-hand figures, a bar as long as the configuration's execution time
+// relative to the baseline) or miss classes (right-hand figures, every bar
+// of length 1). Callers normalize the segments; Chart only draws them.
 type Chart struct {
 	// Title is printed above the bars.
 	Title string
@@ -19,7 +20,7 @@ type Chart struct {
 
 type chartRow struct {
 	label string
-	parts []float64 // category values, already normalized to the baseline
+	parts []float64 // segment lengths, 1.00 = Width glyphs
 	total float64
 }
 
@@ -30,37 +31,12 @@ var timeGlyphs = [NumTimeCats]byte{'#', 'B', '!', '=', '.', '~'}
 // Miss-class segment glyphs: HOME, SCOMA, RAC, COLD, CONF/CAPC.
 var missGlyphs = [NumMissCats]byte{'h', 's', 'r', 'c', 'X'}
 
-// AddTimeBar appends one configuration's execution-time bar; parts are the
-// per-category cycle counts and base is the baseline total (the CC-NUMA
-// execution time x nodes).
-func (c *Chart) AddTimeBar(label string, parts [NumTimeCats]int64, base int64) {
-	row := chartRow{label: label}
-	for _, v := range parts {
-		f := 0.0
-		if base > 0 {
-			f = float64(v) / float64(base)
-		}
-		row.parts = append(row.parts, f)
-		row.total += f
-	}
-	c.rows = append(c.rows, row)
-}
-
-// AddMissBar appends one configuration's miss-classification bar,
-// normalized so every bar has length 1 (the right-hand charts compare
-// mixes, not magnitudes).
-func (c *Chart) AddMissBar(label string, parts [NumMissCats]int64) {
-	var sum int64
-	for _, v := range parts {
-		sum += v
-	}
-	row := chartRow{label: label}
-	for _, v := range parts {
-		f := 0.0
-		if sum > 0 {
-			f = float64(v) / float64(sum)
-		}
-		row.parts = append(row.parts, f)
+// AddBar appends one configuration's bar. parts are its segment lengths
+// in stacking order, in units of the chart's full width (1.00): one per
+// time category for a time chart, one per miss class for a miss chart.
+func (c *Chart) AddBar(label string, parts []float64) {
+	row := chartRow{label: label, parts: parts}
+	for _, f := range parts {
 		row.total += f
 	}
 	c.rows = append(c.rows, row)

@@ -5,14 +5,17 @@ import (
 	"testing"
 )
 
+// timeBar returns a time chart's segments with one category set.
+func timeBar(c TimeCat, v float64) []float64 {
+	parts := make([]float64, NumTimeCats)
+	parts[c] = v
+	return parts
+}
+
 func TestTimeBarLengthTracksRelativeTime(t *testing.T) {
 	c := &Chart{Width: 40}
-	var base [NumTimeCats]int64
-	base[UShMem] = 100
-	c.AddTimeBar("base", base, 100)
-	var double [NumTimeCats]int64
-	double[UShMem] = 200
-	c.AddTimeBar("slow", double, 100)
+	c.AddBar("base", timeBar(UShMem, 1))
+	c.AddBar("slow", timeBar(UShMem, 2))
 	out := c.String()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 2 {
@@ -33,11 +36,11 @@ func TestTimeBarLengthTracksRelativeTime(t *testing.T) {
 
 func TestTimeBarSegments(t *testing.T) {
 	c := &Chart{Width: 10}
-	var parts [NumTimeCats]int64
-	parts[UShMem] = 50
-	parts[KOverhead] = 30
-	parts[Sync] = 20
-	c.AddTimeBar("mix", parts, 100)
+	parts := make([]float64, NumTimeCats)
+	parts[UShMem] = 0.5
+	parts[KOverhead] = 0.3
+	parts[Sync] = 0.2
+	c.AddBar("mix", parts)
 	out := c.String()
 	if strings.Count(out, "#") != 5 || strings.Count(out, "!") != 3 || strings.Count(out, "~") != 2 {
 		t.Errorf("segment mix wrong: %q", out)
@@ -48,23 +51,23 @@ func TestTimeBarSegments(t *testing.T) {
 	}
 }
 
+// TestMissBarNormalized: a bar with one segment per miss class draws miss
+// glyphs, and a mix of fractions fills the full width.
 func TestMissBarNormalized(t *testing.T) {
 	c := &Chart{Width: 20}
-	var a [NumMissCats]int64
-	a[Home] = 10
-	a[ConfCapc] = 10
-	c.AddMissBar("even", a)
-	var big [NumMissCats]int64
-	big[Home] = 1000000
-	c.AddMissBar("huge", big)
+	even := make([]float64, NumMissCats)
+	even[Home], even[ConfCapc] = 0.5, 0.5
+	c.AddBar("even", even)
+	all := make([]float64, NumMissCats)
+	all[Home] = 1
+	c.AddBar("huge", all)
 	out := c.String()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	bar := func(line string) string {
 		i, j := strings.Index(line, "|"), strings.LastIndex(line, "|")
 		return line[i+1 : j]
 	}
-	// Both bars are the same length: miss bars compare mixes.
-	if len(bar(lines[0])) != 20 || strings.Count(bar(lines[0]), "h") != 10 {
+	if len(bar(lines[0])) != 20 || strings.Count(bar(lines[0]), "h") != 10 || strings.Count(bar(lines[0]), "X") != 10 {
 		t.Errorf("even bar wrong: %q", lines[0])
 	}
 	if strings.Count(bar(lines[1]), "h") != 20 {
@@ -72,20 +75,19 @@ func TestMissBarNormalized(t *testing.T) {
 	}
 }
 
+// TestChartZeroBase: an all-zero bar (a zero baseline, or a row with no
+// misses) draws no glyphs and totals 0.00.
 func TestChartZeroBase(t *testing.T) {
 	c := &Chart{}
-	var parts [NumTimeCats]int64
-	parts[UShMem] = 5
-	c.AddTimeBar("z", parts, 0)
-	if !strings.Contains(c.String(), "0.00") {
-		t.Error("zero base not handled")
+	c.AddBar("z", make([]float64, NumTimeCats))
+	if got := c.String(); got != "z || 0.00\n" {
+		t.Errorf("zero bar rendered %q", got)
 	}
 }
 
 func TestChartTitleAndLegends(t *testing.T) {
 	c := &Chart{Title: "hello"}
-	var parts [NumTimeCats]int64
-	c.AddTimeBar("x", parts, 1)
+	c.AddBar("x", make([]float64, NumTimeCats))
 	if !strings.HasPrefix(c.String(), "hello\n") {
 		t.Error("title missing")
 	}
@@ -99,10 +101,8 @@ func TestChartTitleAndLegends(t *testing.T) {
 
 func TestChartLabelAlignment(t *testing.T) {
 	c := &Chart{Width: 4}
-	var parts [NumTimeCats]int64
-	parts[UShMem] = 1
-	c.AddTimeBar("short", parts, 1)
-	c.AddTimeBar("a-much-longer-label", parts, 1)
+	c.AddBar("short", timeBar(UShMem, 1))
+	c.AddBar("a-much-longer-label", timeBar(UShMem, 1))
 	lines := strings.Split(strings.TrimRight(c.String(), "\n"), "\n")
 	if strings.Index(lines[0], "|") != strings.Index(lines[1], "|") {
 		t.Error("bars not aligned")

@@ -62,12 +62,7 @@ func TestSharedFigureCellsMatchDirectRuns(t *testing.T) {
 	}
 	var cells []ascoma.Config
 	for _, app := range report.FigureApps(0) {
-		cells = append(cells, ascoma.Config{Arch: ascoma.CCNUMA, Workload: app, Pressure: 50, Scale: 8})
-		for _, a := range []ascoma.Arch{ascoma.SCOMA, ascoma.ASCOMA, ascoma.VCNUMA, ascoma.RNUMA} {
-			for _, p := range report.DefaultPressures {
-				cells = append(cells, ascoma.Config{Arch: a, Workload: app, Pressure: p, Scale: 8})
-			}
-		}
+		cells = append(cells, report.FigureCells(app, 8, nil)...)
 	}
 	want := make([][]byte, len(cells))
 	for i, cfg := range cells {
@@ -214,8 +209,9 @@ func TestPressureCeilingZeroForInstrumentedRuns(t *testing.T) {
 	}
 }
 
-// TestSameArchsNoneForAblations: an ablated AS-COMA runs a policy from a
-// PolicyFactory, which no shadow mirrors, so it certifies no architecture.
+// TestSameArchsNoneForAblations: an ablated AS-COMA matches no
+// architecture's run, so its set shadows nothing and it certifies no
+// architecture.
 // (NoSCOMAAlloc maps like R-NUMA, so a shadowed run could have matched
 // one.)
 func TestSameArchsNoneForAblations(t *testing.T) {
