@@ -150,7 +150,10 @@ race:
 # with walks partly skipped undecoded, and with walks repeated back to back
 # or across barriers, which compile folds or interns), that a machine
 # skipping verified walks in closed form — cruising whole quanta of them,
-# folded walks included — matches the interpretive run, that the trace decoder
+# folded walks included — matches the interpretive run, that the cruise
+# horizon, which serves every cruising node's quanta up to the next event
+# that can act in one step, matches it too on several nodes with their own
+# walks, barriers, samples and a MaxCycles stop, that the trace decoder
 # turns any input into a clean error or a canonical trace, that the
 # pressure parser accepts only valid specs, that
 # every run, job and estimate request body decodes into a 400 or a valid
@@ -164,6 +167,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCompiledMatchesInterpreted -fuzztime 10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecording$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzWalkSkip$$' -fuzztime 10s ./internal/machine
+	$(GO) test -run '^$$' -fuzz '^FuzzCruiseHorizon$$' -fuzztime 10s ./internal/machine
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePressures$$' -fuzztime 10s ./internal/report
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSpecs$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 10s ./internal/runcache

@@ -10,6 +10,8 @@
 package cache
 
 import (
+	"math/bits"
+
 	"ascoma/internal/addr"
 	"ascoma/internal/params"
 )
@@ -122,6 +124,18 @@ func (c *L1) FlushPage(p addr.Page) (flushed, dirty int) {
 		}
 	}
 	return flushed, dirty
+}
+
+// FlushBlocks drops every line of the blocks of page p whose bits are set
+// in held (bit i: block i of the page) and returns the number of valid
+// lines flushed. It is FlushPage for a caller that knows which blocks can
+// hold lines: a remapped page's blocks outside the node's copysets hold
+// none.
+func (c *L1) FlushBlocks(p addr.Page, held uint32) (flushed int) {
+	for ; held != 0; held &= held - 1 {
+		flushed += c.InvalidateBlock(p.BlockAt(bits.TrailingZeros32(held)))
+	}
+	return flushed
 }
 
 // CleanBlock downgrades block b's lines to clean read-only copies: used

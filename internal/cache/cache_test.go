@@ -145,6 +145,30 @@ func TestL1FlushPage(t *testing.T) {
 	}
 }
 
+// TestL1FlushBlocks pins the masked flush: it drops the lines of the
+// blocks in the mask, counts them, and leaves the page's other lines.
+func TestL1FlushBlocks(t *testing.T) {
+	c := NewL1(8 * 1024)
+	p := addr.Page(77)
+	base := addr.LineOf(p.Base())
+	for i := 0; i < params.LinesPerPage; i++ {
+		c.Insert(base+addr.Line(i), i%3 == 0)
+	}
+	// Blocks 0, 5 and 31 (four lines each).
+	if got := c.FlushBlocks(p, 1|1<<5|1<<31); got != 3*params.LinesPerBlock {
+		t.Errorf("FlushBlocks flushed %d lines, want %d", got, 3*params.LinesPerBlock)
+	}
+	if got, want := c.Occupancy(), params.LinesPerPage-3*params.LinesPerBlock; got != want {
+		t.Errorf("occupancy %d after the masked flush, want %d", got, want)
+	}
+	if c.Lookup(base+5*params.LinesPerBlock+2, false) || !c.Lookup(base+4*params.LinesPerBlock, false) {
+		t.Error("masked flush dropped the wrong block's lines")
+	}
+	if got := c.FlushBlocks(p, 1<<5); got != 0 {
+		t.Errorf("second flush of block 5 = %d lines, want 0", got)
+	}
+}
+
 func TestL1FlushPageLeavesOtherPages(t *testing.T) {
 	c := NewL1(8 * 1024)
 	p1, p2 := addr.Page(10), addr.Page(11)

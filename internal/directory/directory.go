@@ -408,9 +408,9 @@ func (d *Directory) HomeWrite(b addr.Block) int {
 // flush during remapping writes back dirty data and surrenders the copies)
 // and marks the blocks the node held as remap-flushed, so their next fetch
 // classifies as an induced cold miss; blocks already lost to replacement
-// remain conflict misses. It returns the number of blocks the node held and
-// how many of them it owned dirty.
-func (d *Directory) FlushNode(p addr.Page, node int) (held, dirty int) {
+// remain conflict misses. It returns the blocks the node held as a mask
+// (bit i: block i of the page) and how many of them it owned dirty.
+func (d *Directory) FlushNode(p addr.Page, node int) (held uint32, dirty int) {
 	e, _ := d.entry(p)
 	if e == nil {
 		return 0, 0
@@ -421,7 +421,7 @@ func (d *Directory) FlushNode(p addr.Page, node int) (held, dirty int) {
 		if bd.copyset&bit == 0 {
 			continue
 		}
-		held++
+		held |= 1 << uint(i)
 		bd.copyset &^= bit
 		if bd.state == Modified && int(bd.owner) == node {
 			dirty++
@@ -476,24 +476,6 @@ func (d *Directory) WritebackDirty(node int, b addr.Block) {
 	if bd.state == Modified && int(bd.owner) == node {
 		bd.state = SharedState
 		bd.copyset |= uint64(1) << uint(node)
-	}
-}
-
-// DropCopy removes node from block b's copyset without marking induced-cold
-// state; used when a node silently loses a block to coherence invalidation
-// (the caller already invalidated the caches).
-func (d *Directory) DropCopy(node int, b addr.Block) {
-	e, _ := d.entry(b.Page())
-	if e == nil {
-		return
-	}
-	bd := &e.blocks[b.Index()]
-	bit := uint64(1) << uint(node)
-	bd.copyset &^= bit
-	if bd.state == Modified && int(bd.owner) == node {
-		bd.state = Uncached
-	} else if bd.copyset == 0 && bd.state == SharedState {
-		bd.state = Uncached
 	}
 }
 

@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"math/bits"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -252,7 +253,7 @@ func TestInducedColdClassification(t *testing.T) {
 	b := testBlock(7)
 	d.Fetch(1, b, false, false)
 	held, dirty := d.FlushNode(testPage, 1)
-	if held != 1 || dirty != 0 {
+	if bits.OnesCount32(held) != 1 || dirty != 0 {
 		t.Errorf("FlushNode = (%d, %d)", held, dirty)
 	}
 	res := d.Fetch(1, b, false, false)
@@ -294,7 +295,7 @@ func TestFlushNodeDirtyCount(t *testing.T) {
 	d.Fetch(1, testBlock(10), true, false)
 	d.Fetch(1, testBlock(11), false, false)
 	held, dirty := d.FlushNode(testPage, 1)
-	if held != 2 || dirty != 1 {
+	if bits.OnesCount32(held) != 2 || dirty != 1 {
 		t.Errorf("FlushNode = (%d, %d), want (2, 1)", held, dirty)
 	}
 	if st, _ := d.State(testBlock(10)); st != Uncached {
@@ -376,28 +377,6 @@ func TestWritebackDirty(t *testing.T) {
 	d.WritebackDirty(1, b)
 	if st, _ := d.State(b); st != Modified {
 		t.Errorf("stale writeback changed state to %v", st)
-	}
-}
-
-func TestDropCopy(t *testing.T) {
-	d, _ := newDir(4)
-	d.ForceHome(testPage, 0)
-	b := testBlock(17)
-	d.Fetch(1, b, false, false)
-	d.Fetch(2, b, false, false)
-	d.DropCopy(1, b)
-	if st, cs := d.State(b); st != SharedState || cs != 1<<2 {
-		t.Errorf("after drop: %v %b", st, cs)
-	}
-	d.DropCopy(2, b)
-	if st, cs := d.State(b); st != Uncached || cs != 0 {
-		t.Errorf("after last drop: %v %b", st, cs)
-	}
-	// Dropping a Modified owner's copy uncaches the block.
-	d.Fetch(3, b, true, false)
-	d.DropCopy(3, b)
-	if st, _ := d.State(b); st != Uncached {
-		t.Errorf("owner drop left %v", st)
 	}
 }
 

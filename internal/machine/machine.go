@@ -207,7 +207,7 @@ type Machine struct {
 	nextSample int64
 	nextEpoch  int64
 
-	// cruised counts the events served from a cruise record instead of
+	// cruised counts the quanta served from a cruise record instead of
 	// runNode; tests read it to see that cruising engaged.
 	cruised int64
 }
@@ -469,9 +469,12 @@ func (m *Machine) Run() (*stats.Machine, error) {
 }
 
 // ctxPollEvents is the number of dispatched events between context polls.
-// One event advances a node by at most one quantum (~100 cycles), so a poll
-// every 256 events keeps cancellation latency well under a millisecond of
-// wall time while the ctx.Err() load stays off the per-reference path.
+// An event run by runNode advances its node by about one quantum; a cruise
+// event can advance every cruising node by many quanta in simulated time
+// (cruiseHorizon), but its host cost is bounded by the node count. So a
+// poll every 256 events keeps cancellation latency well under a
+// millisecond of wall time while the ctx.Err() load stays off the
+// per-reference path.
 const ctxPollEvents = 256
 
 // RunContext drives the simulation to completion, aborting early if ctx is
@@ -1167,13 +1170,25 @@ func (m *Machine) evict(nd *node, victim *vm.PTE) int64 {
 // and CC-NUMA mode: it flushes the page from the node's L1 and RAC,
 // writes back and drops the node's directory copies, and shoots down the
 // node's cached translation. Returns the kernel cycles consumed.
+//
+// The L1 flush visits only the blocks the node held (FlushNode's mask),
+// which is the whole-page flush: the page is remote, so the node filled
+// its L1 lines only after fetching their blocks through the directory,
+// and every path that drops the node from a copyset also invalidates its
+// caches. A checked run also scans the whole page and reports a line the
+// mask missed.
 func (m *Machine) flushLocal(nd *node, page addr.Page) int64 {
-	flushed, _ := nd.l1.FlushPage(page)
+	held, dirty := m.dir.FlushNode(page, nd.id)
+	flushed := nd.l1.FlushBlocks(page, held)
+	if m.checker != nil {
+		if stray, _ := nd.l1.FlushPage(page); stray > 0 {
+			m.checker.fail(fmt.Sprintf("node %d: %d L1 line(s) of %v outside its copysets at a remap flush", nd.id, stray, page))
+		}
+	}
 	if flushed > 0 {
 		nd.invGen++
 	}
 	nd.rac.FlushPage(page)
-	_, dirty := m.dir.FlushNode(page, nd.id)
 	nd.tlb.invalidate(page)
 	p := m.p
 	return p.RelocationCycles + int64(flushed)*p.L1FlushLine + int64(dirty)*p.FlushBlockWBCycles

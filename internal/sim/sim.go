@@ -100,6 +100,9 @@ func (q *Queue) Peek() (e Event, ok bool) {
 	return q.ring[q.head], true
 }
 
+// At returns the i'th pending event in pop order, 0 <= i < Len.
+func (q *Queue) At(i int) Event { return q.ring[(q.head+i)&(len(q.ring)-1)] }
+
 // Len returns the number of pending events.
 func (q *Queue) Len() int { return q.n }
 

@@ -277,7 +277,11 @@ func (s *Compiled) AdvanceWalk(k int64) {
 	}
 }
 
-// refill decodes the next chunk of references into the buffer. The decode
+// refill decodes the next chunk of references into the buffer. A chunk is
+// either a run of sync and scatter references or part of one walk pass: it
+// ends before a walk that would follow other references and at the end of
+// a pass, so NextWalk reports every pass of every walk. Chunk boundaries
+// change no reference, only where a caller's window runs dry. The decode
 // loops write into the stream's fixed chunk array; nothing here may
 // allocate (TestHotPathAllocs pins it).
 func (s *Compiled) refill() {
@@ -310,62 +314,62 @@ func (s *Compiled) refill() {
 			s.n++
 			s.pc++
 		case iWalk:
-			s.refillWalk(&in.geom)
+			// A walk pass starts its own window, and a window holds no more
+			// than one pass's remainder: so every pass reaches the machine's
+			// closed-form walk skip with a dry window.
+			if s.n == 0 {
+				s.refillWalk(&in.geom)
+			}
+			return
 		case iScatter:
 			s.refillScatter(in)
 		}
 	}
 }
 
-// refillWalk expands as much of the current walk as fits in the chunk.
-// Walk offsets never need the interpreter's clamp: count = ceil(bytes /
-// stride), so (count-1)*stride < bytes always.
+// refillWalk decodes the rest of the current pass of the walk into the
+// empty chunk, or as much of it as fits. Walk offsets never need the
+// interpreter's clamp: count = ceil(bytes / stride), so (count-1)*stride <
+// bytes always.
 func (s *Compiled) refillWalk(w *Walk) {
-	for {
-		left := w.Count - s.i
-		if space := int64(ChunkSize - s.n); left > space {
-			left = space
-		}
-		i, off, n := s.i, s.i*w.Stride, s.n
-		if w.WEvery > 0 {
-			// Carry the write-phase counter across the loop instead of
-			// dividing per reference: ph == WEvery-1 marks the write slot.
-			ph := i % w.WEvery
-			for end := i + left; i < end; i++ {
-				op := w.Op
-				if ph == w.WEvery-1 {
-					op = Write
-					ph = 0
-				} else {
-					ph++
-				}
-				s.buf[n] = Ref{Addr: w.Base + addr.GVA(off), Op: op, Think: w.Think}
-				n++
-				off += w.Stride
+	left := w.Count - s.i
+	if left > ChunkSize {
+		left = ChunkSize
+	}
+	i, off, n := s.i, s.i*w.Stride, 0
+	if w.WEvery > 0 {
+		// Carry the write-phase counter across the loop instead of
+		// dividing per reference: ph == WEvery-1 marks the write slot.
+		ph := i % w.WEvery
+		for end := i + left; i < end; i++ {
+			op := w.Op
+			if ph == w.WEvery-1 {
+				op = Write
+				ph = 0
+			} else {
+				ph++
 			}
-		} else {
-			r := Ref{Op: w.Op, Think: w.Think}
-			for end := i + left; i < end; i++ {
-				r.Addr = w.Base + addr.GVA(off)
-				s.buf[n] = r
-				n++
-				off += w.Stride
-			}
+			s.buf[n] = Ref{Addr: w.Base + addr.GVA(off), Op: op, Think: w.Think}
+			n++
+			off += w.Stride
 		}
-		s.i, s.n = i, n
-		if s.i < w.Count {
-			return // chunk full mid-pass
+	} else {
+		r := Ref{Op: w.Op, Think: w.Think}
+		for end := i + left; i < end; i++ {
+			r.Addr = w.Base + addr.GVA(off)
+			s.buf[n] = r
+			n++
+			off += w.Stride
 		}
-		s.i = 0
-		s.pass++
-		if s.pass >= w.Passes {
-			s.pass = 0
-			s.pc++
-			return
-		}
-		if s.n == ChunkSize {
-			return
-		}
+	}
+	s.i, s.n = i, n
+	if s.i < w.Count {
+		return // chunk full mid-pass
+	}
+	s.i = 0
+	if s.pass++; s.pass >= w.Passes {
+		s.pass = 0
+		s.pc++
 	}
 }
 
