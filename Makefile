@@ -121,16 +121,17 @@ verify: fmt-check vet
 # bench runs the tracked go-test benchmarks for a benchstat comparison;
 # see README.md ("Benchmarking") for the workflow. The first line and the
 # estimator line use the flags the before/after numbers in BENCH_PR1,
-# BENCH_PR3 and BENCH_PR8.json were collected with; the stream-generation
-# and resident benchmarks have no recorded numbers there
-# (the resident ones are in CHANGES.md). The end-to-end benchmark is
-# perfbench (BENCHMARK.json).
+# BENCH_PR3 and BENCH_PR8.json were collected with; the stream-generation,
+# resident and cold profile-build benchmarks have no recorded numbers
+# there (the resident and profile-build ones are in CHANGES.md). The
+# end-to-end benchmark is perfbench (BENCHMARK.json).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig2FFT$$|BenchmarkHotPath$$|BenchmarkGridRow$$' -benchtime 3x -count 3 .
 	$(GO) test -run '^$$' -bench 'BenchmarkEstimate$$|BenchmarkEstimateProfile$$' -benchmem -count 3 .
 	$(GO) test -run '^$$' -bench 'BenchmarkStreamGeneration$$' -count 3 .
 	$(GO) test -run '^$$' -bench 'BenchmarkResident$$' -benchtime 10x -count 3 .
 	$(GO) test -run '^$$' -bench 'BenchmarkResidentQuantum' -benchtime 10x -count 3 .
+	$(GO) test -run '^$$' -bench 'BenchmarkProfileBuild$$' -benchmem -count 3 ./internal/workload
 
 # profile writes a CPU profile of the scale-8 figure regeneration on one
 # job (sweep -scale 8 -jobs 1, the figures grid without the Runner's
@@ -148,7 +149,9 @@ race:
 # few seconds of generated inputs — a CI-sized differential check that the
 # compiled workload streams still match the interpreted reference (also
 # with walks partly skipped undecoded, and with walks repeated back to back
-# or across barriers, which compile folds or interns), that a machine
+# or across barriers, which compile folds or interns), that the estimator's
+# parallel, dense-table profile replay equals the per-reference reference
+# replay on random programs, that a machine
 # skipping verified walks in closed form — cruising whole quanta of them,
 # folded walks included — matches the interpretive run, that the cruise
 # horizon, which serves every cruising node's quanta up to the next event
@@ -165,6 +168,7 @@ race:
 # run's pressure and at any pressure up to its ceiling.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCompiledMatchesInterpreted -fuzztime 10s ./internal/workload
+	$(GO) test -run '^$$' -fuzz '^FuzzProfileReplay$$' -fuzztime 10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecording$$' -fuzztime 10s ./internal/obs
 	$(GO) test -run '^$$' -fuzz '^FuzzWalkSkip$$' -fuzztime 10s ./internal/machine
 	$(GO) test -run '^$$' -fuzz '^FuzzCruiseHorizon$$' -fuzztime 10s ./internal/machine

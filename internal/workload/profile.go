@@ -1,11 +1,17 @@
 package workload
 
 import (
+	"fmt"
+	"math/bits"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"ascoma/internal/addr"
 	"ascoma/internal/cache"
+	"ascoma/internal/dense"
 	"ascoma/internal/params"
 )
 
@@ -19,6 +25,13 @@ import (
 // intervals it is live. Replay is exact for everything a single node can
 // observe; cross-node effects (invalidations, lock serialization) are what
 // the estimator approximates and the simulator computes.
+//
+// Nodes replay in parallel, each on tables indexed densely (pages by
+// addr.PageIndex, written blocks by placement slot), and merge in node
+// order, so the profile is the same however the replays were scheduled.
+// The LRU stack distance is a suffix count in a Fenwick tree (lruTree),
+// O(log P) per remote miss. The per-reference replay these replace is
+// kept in profile_ref_test.go, and FuzzProfileReplay holds the two equal.
 //
 // Profiles are memoized per generator (generators themselves are memoized
 // per (name, scale) by New), so the one-time replay cost is amortized
@@ -96,22 +109,33 @@ func ProfileFor(name string, scale int) (*Profile, error) {
 	return ProfileOf(g), nil
 }
 
+// profEntry is one generator's memoized profile. Its once builds the
+// profile outside profMu, so a cold build blocks only callers of the same
+// generator.
+type profEntry struct {
+	once sync.Once
+	p    *Profile
+}
+
 var (
-	profMu   sync.Mutex
-	profMemo = map[Generator]*Profile{}
+	profMu   sync.Mutex // guards profMemo only, never a build
+	profMemo = map[Generator]*profEntry{}
 )
 
 // ProfileOf builds (or returns the memoized) profile for a generator by
-// replaying its streams. Safe for concurrent use.
+// replaying its streams. Safe for concurrent use: concurrent callers of
+// one generator share one build and one *Profile, and a cold build does
+// not hold up callers of other generators.
 func ProfileOf(g Generator) *Profile {
 	profMu.Lock()
-	defer profMu.Unlock()
-	if p, ok := profMemo[g]; ok {
-		return p
+	e := profMemo[g]
+	if e == nil {
+		e = new(profEntry)
+		profMemo[g] = e
 	}
-	p := buildProfile(g)
-	profMemo[g] = p
-	return p
+	profMu.Unlock()
+	e.once.Do(func() { e.p = buildProfile(g) })
+	return e.p
 }
 
 // pageAcc accumulates one node's view of one page during replay.
@@ -120,6 +144,8 @@ type pageAcc struct {
 	blocks           uint64 // blocks fetched at least once (cold bitmap)
 	owned            uint64 // blocks fetched or upgraded for writing
 	lastInterval     int32
+	lruAt            int32 // lruTree time of the last remote miss; 0 before the first
+	placed           int32 // the page's placement slot, -1 when unplaced
 	remote           bool
 	// Per-block detail for the invalidation estimate: in how many
 	// distinct barrier intervals each block is touched, and the last
@@ -128,12 +154,42 @@ type pageAcc struct {
 	ivLast  [params.BlocksPerPage]int32
 }
 
+// placement numbers the generator's placed pages densely in Place order:
+// slot.Get(page index) holds a page's slot plus one (0 for unplaced
+// pages), and home[slot] its home node. It is built before the replays
+// and only read by them.
+type placement struct {
+	slot dense.Table[int32]
+	home []int32
+}
+
+// nodeReplay is what one node's replay leaves for the merge: its page
+// accumulators in first-touch order and its write counts per placed
+// shared block (index slot*BlocksPerPage + block index; nil when the node
+// writes no placed shared block). Writes to unplaced pages are not
+// counted: only remote pages, which are placed, read the counts.
+type nodeReplay struct {
+	accs   []pageAcc
+	writes []int32
+}
+
+// buildProfile replays every node's stream on min(GOMAXPROCS, nodes)
+// goroutines, each replay with its own L1, RAC, page records and write
+// counts, then merges the replays in node order, so the profile does not
+// depend on how the nodes were scheduled.
 func buildProfile(g Generator) *Profile {
 	def := params.Default()
 	nodes := g.Nodes()
 
-	home := make(map[addr.Page]int)
-	g.Place(func(pg addr.Page, h int) { home[pg] = h })
+	var pl placement
+	g.Place(func(pg addr.Page, h int) {
+		e := pl.slot.GetOrCreate(int(pg.MustIndex()))
+		if *e == 0 {
+			pl.home = append(pl.home, 0)
+			*e = int32(len(pl.home))
+		}
+		pl.home[*e-1] = int32(h)
+	})
 
 	p := &Profile{
 		Name:                g.Name(),
@@ -143,21 +199,39 @@ func buildProfile(g Generator) *Profile {
 		PerNode:             make([]NodeProfile, nodes),
 	}
 
-	// pages[n] is node n's per-page accumulator map; kept until all nodes
-	// have replayed so cross-node sharer counts and invalidation
-	// estimates can be computed. writers[b] counts write events to block
-	// b, total and per node.
-	pages := make([]map[addr.Page]*pageAcc, nodes)
-	writers := make(map[addr.Block]*blockWrites)
+	res := make([]nodeReplay, nodes)
+	workers := min(runtime.GOMAXPROCS(0), nodes)
+	panics := make([]any, workers)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// A replay panic resurfaces on the caller's goroutine below,
+			// where a server's recovery sees it, instead of ending the
+			// process here.
+			defer func() {
+				if r := recover(); r != nil {
+					panics[w] = fmt.Sprintf("%v\n%s", r, debug.Stack())
+				}
+			}()
+			for n := int(next.Add(1) - 1); n < nodes; n = int(next.Add(1) - 1) {
+				res[n] = replayNode(g, n, &pl, def, &p.PerNode[n])
+			}
+		}()
+	}
+	wg.Wait()
+	for _, v := range panics {
+		if v != nil {
+			panic(v)
+		}
+	}
+
 	maxIntervals := 0
-	for n := 0; n < nodes; n++ {
-		pages[n] = replayNode(g, n, home, def, writers, &p.PerNode[n])
-		if len(p.PerNode[n].Intervals) > maxIntervals {
-			maxIntervals = len(p.PerNode[n].Intervals)
-		}
-		if p.PerNode[n].RemotePages > p.MaxRemotePages {
-			p.MaxRemotePages = p.PerNode[n].RemotePages
-		}
+	for n := range p.PerNode {
+		maxIntervals = max(maxIntervals, len(p.PerNode[n].Intervals))
+		p.MaxRemotePages = max(p.MaxRemotePages, p.PerNode[n].RemotePages)
 	}
 	// Pad every node to the same interval count (defensive: all current
 	// workloads use global barriers, so counts already agree).
@@ -167,30 +241,51 @@ func buildProfile(g Generator) *Profile {
 		}
 	}
 	p.Barriers = int64(maxIntervals - 1)
-	nIntervals := int64(maxIntervals)
-	if nIntervals < 1 {
-		nIntervals = 1
-	}
+	nIntervals := int64(max(maxIntervals, 1))
 
-	// Cross-node sharer counts: how many nodes touch each page remotely.
-	sharers := make(map[addr.Page]int64)
-	for n := 0; n < nodes; n++ {
-		//ascoma:allow-nondet commutative per-page increments; order-independent
-		for pg, acc := range pages[n] {
-			if acc.remote {
-				sharers[pg]++
+	// Cross-node sums per placed page and block: how many nodes touch
+	// each page remotely, and how many writes each block takes in all.
+	sharers := make([]int64, len(pl.home))
+	var total []int64
+	for n := range res {
+		for i := range res[n].accs {
+			if acc := &res[n].accs[i]; acc.remote {
+				sharers[acc.placed]++
 			}
+		}
+		if res[n].writes == nil {
+			continue
+		}
+		if total == nil {
+			total = make([]int64, len(res[n].writes))
+		}
+		for b, w := range res[n].writes {
+			total[b] += int64(w)
 		}
 	}
 
 	// Compact each node's remote pages into classes keyed by the full
-	// per-page statistics vector; sort for a deterministic profile.
-	for n := 0; n < nodes; n++ {
-		byKey := make(map[PageClass]int64)
-		//ascoma:allow-nondet commutative class counting; the class slice is sorted below
-		for pg, acc := range pages[n] {
+	// per-page statistics vector: sort the keys, then count runs of equal
+	// ones.
+	for n := range res {
+		own := res[n].writes
+		keys := make([]PageClass, 0, p.PerNode[n].RemotePages)
+		for i := range res[n].accs {
+			acc := &res[n].accs[i]
 			if !acc.remote {
 				continue
+			}
+			b0 := int(acc.placed) * params.BlocksPerPage
+			var homeW int64
+			if h := int(pl.home[acc.placed]); h >= 0 && h < nodes {
+				if hw := res[h].writes; hw != nil {
+					for bi := 0; bi < params.BlocksPerPage; bi++ {
+						if hw[b0+bi] > 0 {
+							homeW = 1
+							break
+						}
+					}
+				}
 			}
 			// Invalidation estimate: a block this node re-touches in a
 			// later interval was refetched if some other node wrote it in
@@ -199,24 +294,14 @@ func buildProfile(g Generator) *Profile {
 			// block written every interval always invalidates; sparse
 			// scattered writes only sometimes land between two touches.
 			var xf float64
-			var homeW int64
-			if h, ok := home[pg]; ok {
-				for bi := 0; bi < params.BlocksPerPage; bi++ {
-					if bw := writers[pg.BlockAt(bi)]; bw != nil && bw.perNode[h] > 0 {
-						homeW = 1
-						break
-					}
-				}
-			}
-			for bi := 0; bi < params.BlocksPerPage; bi++ {
+			for bi := 0; bi < params.BlocksPerPage && total != nil; bi++ {
 				if acc.ivCount[bi] <= 1 {
 					continue
 				}
-				bw := writers[pg.BlockAt(bi)]
-				if bw == nil {
-					continue
+				other := total[b0+bi]
+				if own != nil {
+					other -= int64(own[b0+bi])
 				}
-				other := bw.total - bw.perNode[n]
 				if other <= 0 {
 					continue
 				}
@@ -226,23 +311,31 @@ func buildProfile(g Generator) *Profile {
 				}
 				xf += float64(acc.ivCount[bi]-1) * rate
 			}
-			x := int64(xf)
-			key := PageClass{
+			keys = append(keys, PageClass{
 				S: acc.s, C: acc.c, F: acc.f, R: acc.r, O: acc.o, V: acc.v,
-				X: x, Shar: sharers[pg], HomeW: homeW,
-			}
-			byKey[key]++
+				X: int64(xf), Shar: sharers[acc.placed], HomeW: homeW,
+			})
 		}
-		cls := make([]PageClass, 0, len(byKey))
-		//ascoma:allow-nondet classLess totally orders distinct keys; sort below restores determinism
-		for key, count := range byKey {
-			key.Pages = count
+		sort.Slice(keys, func(i, j int) bool { return classLess(keys[i], keys[j]) })
+		cls := keys[:0]
+		for _, key := range keys {
+			if last := len(cls) - 1; last >= 0 && sameClass(cls[last], key) {
+				cls[last].Pages++
+				continue
+			}
+			key.Pages = 1
 			cls = append(cls, key)
 		}
-		sort.Slice(cls, func(i, j int) bool { return classLess(cls[i], cls[j]) })
 		p.PerNode[n].Classes = cls
 	}
 	return p
+}
+
+// sameClass reports whether a and b have the same statistics, whatever
+// their page counts.
+func sameClass(a, b PageClass) bool {
+	a.Pages, b.Pages = 0, 0
+	return a == b
 }
 
 func classLess(a, b PageClass) bool {
@@ -273,170 +366,229 @@ func classLess(a, b PageClass) bool {
 	return a.HomeW < b.HomeW
 }
 
-// replayNode walks node n's stream through a private L1 and RAC, filling
-// np's interval digests and returning the per-page accumulators.
-// blockWrites counts write events to one shared block, total and per
-// writing node.
-type blockWrites struct {
-	total   int64
-	perNode [maxProfileNodes]int64
-}
-
-// maxProfileNodes bounds the per-block writer arrays; no workload runs
-// more nodes than this.
-const maxProfileNodes = 64
-
-func replayNode(g Generator, n int, home map[addr.Page]int, def params.Params, writers map[addr.Block]*blockWrites, np *NodeProfile) map[addr.Page]*pageAcc {
+// replayNode walks node n's stream, a chunk window at a time, through a
+// private L1 and RAC, filling np's interval digests and returning the
+// node's page accumulators and write counts. Page records are found by
+// dense page index, with a one-entry cache for the common run of misses
+// on one page.
+func replayNode(g Generator, n int, pl *placement, def params.Params, np *NodeProfile) nodeReplay {
 	l1 := cache.NewL1(def.L1Bytes)
 	rac := cache.NewRAC(def.RACEntries)
-	accs := make(map[addr.Page]*pageAcc)
+	var (
+		out     nodeReplay
+		slots   dense.Table[int32] // page index -> index into out.accs, plus one
+		lru     lruTree
+		lastPg  addr.Page
+		lastAcc = -1
+	)
 
 	intervals := make([]Interval, 1, 8)
 	cur := &intervals[0]
 	curIdx := int32(0)
 
-	// LRU stack of remote pages for the reuse-distance histogram.
-	var lru []addr.Page
+	st := Chunked(g.Stream(n))
+	for refs := st.Pending(); len(refs) > 0; refs = st.Pending() {
+		st.Skip(len(refs))
+		for i := range refs {
+			ref := &refs[i]
+			cur.Think += int64(ref.Think)
+			switch ref.Op {
+			case Barrier:
+				intervals = append(intervals, Interval{})
+				cur = &intervals[len(intervals)-1]
+				curIdx++
+				continue
+			case Lock, Unlock:
+				cur.LockOps++
+				continue
+			}
+			np.Refs++
+			line := addr.LineOf(ref.Addr)
+			write := ref.Op == Write
+			if l1.Lookup(line, write) {
+				cur.L1Hits++
+				continue
+			}
+			l1.Insert(line, write)
 
-	st := g.Stream(n)
-	for {
-		ref, ok := st.Next()
-		if !ok {
-			break
-		}
-		cur.Think += int64(ref.Think)
-		switch ref.Op {
-		case Barrier:
-			intervals = append(intervals, Interval{})
-			cur = &intervals[len(intervals)-1]
-			curIdx++
-			continue
-		case Lock, Unlock:
-			cur.LockOps++
-			continue
-		}
-		np.Refs++
-		line := addr.LineOf(ref.Addr)
-		write := ref.Op == Write
-		if l1.Lookup(line, write) {
-			cur.L1Hits++
-			continue
-		}
-		l1.Insert(line, write)
-
-		pg := addr.PageOf(ref.Addr)
-		acc := accs[pg]
-		if acc == nil {
-			acc = &pageAcc{lastInterval: -1}
-			for i := range acc.ivLast {
-				acc.ivLast[i] = -1
-			}
-			h, placed := home[pg]
-			// Shared pages are remote unless homed here; unplaced pages
-			// (private data, or shared pages the generator lets the
-			// first toucher adopt) are local.
-			acc.remote = addr.IsShared(ref.Addr) && placed && h != n
-			accs[pg] = acc
-			// Home pages at their home node are premapped by the
-			// machine; everything else faults on first touch.
-			if acc.remote || !addr.IsShared(ref.Addr) || !placed {
-				cur.Faults++
-				np.Faults++
-			}
-		}
-		block := addr.BlockOf(ref.Addr)
-		// Record writers of shared blocks whether the writer is the home
-		// node or a remote one: a local write still invalidates every
-		// remote copy. Any first write to a line is an L1 miss here
-		// (read-inserted lines are not writable), so miss-path recording
-		// sees every block a node ever writes.
-		if write && addr.IsShared(ref.Addr) && n < maxProfileNodes {
-			bw := writers[block]
-			if bw == nil {
-				bw = &blockWrites{}
-				writers[block] = bw
-			}
-			bw.total++
-			bw.perNode[n]++
-		}
-		if !acc.remote {
-			if addr.IsShared(ref.Addr) {
-				cur.HomeMisses++
-			} else {
-				cur.PrivMisses++
-			}
-			continue
-		}
-		cur.RemoteMisses++
-		acc.s++
-		// Reuse distance: position of the page in the LRU stack of
-		// remote pages (distinct other pages touched since last touch).
-		dist := -1
-		for i, q := range lru {
-			if q == pg {
-				dist = i
-				copy(lru[1:i+1], lru[:i])
-				lru[0] = pg
-				break
-			}
-		}
-		if dist < 0 {
-			lru = append(lru, 0)
-			copy(lru[1:], lru)
-			lru[0] = pg
-		} else if dist >= 1 {
-			b := 0
-			for d := dist; d > 1; d >>= 1 {
-				b++
-			}
-			if b >= reuseBuckets {
-				b = reuseBuckets - 1
-			}
-			np.ReuseHist[b]++
-			np.Episodes++
-		}
-		if acc.v == 0 || acc.lastInterval != curIdx {
-			acc.v++
-			acc.lastInterval = curIdx
-		}
-		bi := uint(block.Index())
-		if acc.ivLast[bi] != curIdx {
-			acc.ivLast[bi] = curIdx
-			acc.ivCount[bi]++
-		}
-		cold := acc.blocks&(1<<bi) == 0
-		if cold {
-			acc.c++
-			acc.blocks |= 1 << bi
-		}
-		if write {
-			if acc.owned&(1<<bi) == 0 {
-				if !cold {
-					acc.o++ // upgrade of a block first fetched by a read
+			shared := addr.IsShared(ref.Addr)
+			if pg := addr.PageOf(ref.Addr); pg != lastPg || lastAcc < 0 {
+				idx := int(pg.MustIndex())
+				e := slots.GetOrCreate(idx)
+				if *e == 0 {
+					acc := pageAcc{placed: -1, lastInterval: -1}
+					for bi := range acc.ivLast {
+						acc.ivLast[bi] = -1
+					}
+					if s := pl.slot.Get(idx); s != nil && *s > 0 {
+						acc.placed = *s - 1
+					}
+					// Shared pages are remote unless homed here; unplaced
+					// pages (private data, or shared pages the generator
+					// lets the first toucher adopt) are local.
+					acc.remote = shared && acc.placed >= 0 && int(pl.home[acc.placed]) != n
+					// Home pages at their home node are premapped by the
+					// machine; everything else faults on first touch.
+					if acc.remote || !shared || acc.placed < 0 {
+						cur.Faults++
+						np.Faults++
+					}
+					if acc.remote {
+						np.RemotePages++
+					}
+					out.accs = append(out.accs, acc)
+					*e = int32(len(out.accs))
 				}
-				acc.owned |= 1 << bi
+				lastPg, lastAcc = pg, int(*e-1)
 			}
-		}
-		// CC-NUMA mode replay: the RAC filters repeat fetches.
-		if rac.Lookup(block, write) {
-			acc.r++
-		} else {
-			acc.f++
-			rac.Insert(block, write)
+			acc := &out.accs[lastAcc]
+			block := addr.BlockOf(ref.Addr)
+			bi := uint(block.Index())
+			// Record writers of shared blocks whether the writer is the
+			// home node or a remote one: a local write still invalidates
+			// every remote copy. Any first write to a line is an L1 miss
+			// here (read-inserted lines are not writable), so miss-path
+			// recording sees every block a node ever writes.
+			if write && shared && acc.placed >= 0 {
+				if out.writes == nil {
+					out.writes = make([]int32, len(pl.home)*params.BlocksPerPage)
+				}
+				out.writes[int(acc.placed)*params.BlocksPerPage+int(bi)]++
+			}
+			if !acc.remote {
+				if shared {
+					cur.HomeMisses++
+				} else {
+					cur.PrivMisses++
+				}
+				continue
+			}
+			cur.RemoteMisses++
+			acc.s++
+			// Reuse distance: distinct other remote pages touched since
+			// this page's last touch.
+			if dist := lru.touch(out.accs, lastAcc); dist >= 1 {
+				np.ReuseHist[min(bits.Len(uint(dist))-1, reuseBuckets-1)]++
+				np.Episodes++
+			}
+			if acc.v == 0 || acc.lastInterval != curIdx {
+				acc.v++
+				acc.lastInterval = curIdx
+			}
+			if acc.ivLast[bi] != curIdx {
+				acc.ivLast[bi] = curIdx
+				acc.ivCount[bi]++
+			}
+			cold := acc.blocks&(1<<bi) == 0
+			if cold {
+				acc.c++
+				acc.blocks |= 1 << bi
+			}
+			if write {
+				if acc.owned&(1<<bi) == 0 {
+					if !cold {
+						acc.o++ // upgrade of a block first fetched by a read
+					}
+					acc.owned |= 1 << bi
+				}
+			}
+			// CC-NUMA mode replay: the RAC filters repeat fetches.
+			if rac.Lookup(block, write) {
+				acc.r++
+			} else {
+				acc.f++
+				rac.Insert(block, write)
+			}
 		}
 	}
+	Recycle(st)
 	np.Intervals = intervals
-	np.RemotePages = int64(countRemote(accs))
-	return accs
+	return out
 }
 
-func countRemote(accs map[addr.Page]*pageAcc) int {
-	n := 0
-	//ascoma:allow-nondet pure count; order-independent
-	for _, acc := range accs {
-		if acc.remote {
-			n++
+// lruTree measures exact LRU stack distances over one node's remote pages
+// in O(log P) per touch. Every touched page holds one mark, at the time of
+// its last touch (pageAcc.lruAt); its stack distance is the number of
+// marks after its own, a suffix count in a Fenwick tree over time. When
+// the clock reaches the end of the tree, renumber compacts the marks to
+// times 1..P in order, growing the tree to stay a few times the page
+// count, so the tree never needs more than O(P) slots.
+type lruTree struct {
+	tree  []int32 // Fenwick tree over times 1..len(tree)-1
+	owner []int32 // owner[t]: the page record last touched at time t
+	now   int32   // the latest time handed out
+	pages int32   // pages holding a mark
+}
+
+// lruMinTimes is the smallest tree a node starts with.
+const lruMinTimes = 64
+
+// touch moves page record a of accs to the top of the stack and returns
+// its stack distance before the move: -1 on the page's first touch, 0
+// when it already was on top.
+func (t *lruTree) touch(accs []pageAcc, a int) int {
+	acc := &accs[a]
+	if acc.lruAt != 0 && acc.lruAt == t.now {
+		return 0
+	}
+	if int(t.now)+1 >= len(t.tree) {
+		t.renumber(accs)
+	}
+	dist := -1
+	if at := acc.lruAt; at == 0 {
+		t.pages++
+	} else {
+		dist = int(t.pages - t.prefix(at))
+		t.add(at, -1)
+	}
+	t.now++
+	t.add(t.now, 1)
+	acc.lruAt = t.now
+	t.owner[t.now] = int32(a)
+	return dist
+}
+
+// renumber gives the marked pages times 1..pages in their current order
+// and rebuilds the tree, at least twice as large as the page count.
+func (t *lruTree) renumber(accs []pageAcc) {
+	live := int32(0)
+	for s := int32(1); s <= t.now; s++ {
+		if a := t.owner[s]; accs[a].lruAt == s {
+			live++
+			t.owner[live] = a
+			accs[a].lruAt = live
 		}
 	}
-	return n
+	t.now = live
+	if size := 4 * int(t.pages+1); len(t.tree) < max(size/2, lruMinTimes) {
+		owner := make([]int32, max(size, lruMinTimes))
+		copy(owner, t.owner)
+		t.owner = owner
+		t.tree = make([]int32, len(owner))
+	}
+	clear(t.tree)
+	for i := 1; i < len(t.tree); i++ {
+		if i <= int(live) {
+			t.tree[i]++
+		}
+		if j := i + i&-i; j < len(t.tree) {
+			t.tree[j] += t.tree[i]
+		}
+	}
+}
+
+// prefix returns the number of marks at times 1..i.
+func (t *lruTree) prefix(i int32) int32 {
+	s := int32(0)
+	for ; i > 0; i -= i & -i {
+		s += t.tree[i]
+	}
+	return s
+}
+
+// add adds d to the mark count at time i.
+func (t *lruTree) add(i, d int32) {
+	for ; int(i) < len(t.tree); i += i & -i {
+		t.tree[i] += d
+	}
 }
